@@ -41,7 +41,6 @@ use network::ledger::ResourceLedger;
 use network::machine::DistributedMachine;
 use network::topology::Topology;
 use qsim::qrand::PureEnsemble;
-use qsim::runner::run_program_into;
 use qsim::sim::SimState;
 use qsim::statevector::StateVector;
 
@@ -173,13 +172,17 @@ impl ProtocolCircuits {
                 shots as u64,
                 || (StateVector::new(circ.num_qubits()), Vec::new()),
                 |(state, cbits), _shot, rng| {
-                    let groups: Vec<(Vec<mathkit::complex::Complex>, Vec<usize>)> = ensembles
+                    // One draw per ensemble, in state order, placed
+                    // straight into the worker's reused buffer.
+                    let groups: Vec<(&[mathkit::complex::Complex], &[usize])> = ensembles
                         .iter()
                         .zip(&self.state_qubits)
-                        .map(|(ens, qs)| (ens.sample(rng).to_vec(), qs.clone()))
+                        .map(|(ens, qs)| (ens.sample(rng), qs.as_slice()))
                         .collect();
-                    let initial = StateVector::product_state(circ.num_qubits(), &groups);
-                    run_program_into(&program, &initial, state, cbits, rng);
+                    state.set_product_state(&groups);
+                    cbits.clear();
+                    cbits.resize(circ.num_cbits(), false);
+                    state.apply_compiled(&program, cbits, rng);
                     self.ghz_cbits.iter().fold(false, |acc, &c| acc ^ cbits[c])
                 },
             );
@@ -782,6 +785,54 @@ mod tests {
         // Byte-identical across execution modes for a fixed root seed.
         let seq = proto.estimate(&states, 600, &Executor::sequential(77));
         assert_eq!(par, seq);
+    }
+
+    #[test]
+    fn noisy_teledata_estimates_are_pinned_bit_for_bit() {
+        // `(root seed, re, im, re_std_err, im_std_err)` captured on the
+        // commit before the per-shot set-up moved to the in-place
+        // product-state fill and the statevector began skipping its
+        // pinned bits. Mixed inputs, so every shot draws from the three
+        // ensembles: a changed draw order, or one rounding difference
+        // that flips a measurement, changes these.
+        let mut rng = StdRng::seed_from_u64(105);
+        let states: Vec<Matrix> = (0..3).map(|_| random_density_matrix(1, &mut rng)).collect();
+        let proto = CompasProtocol::with_bell_error(3, 1, CswapScheme::Teledata, 0.01);
+        for (root_seed, re, im, re_std_err, im_std_err) in [
+            (
+                17,
+                0.484375,
+                0.046875,
+                0.054785888385390544,
+                0.06255359221907088,
+            ),
+            (
+                0xC0FFEE,
+                0.4765625,
+                0.1015625,
+                0.055053919509048796,
+                0.06229861857889174,
+            ),
+            (
+                2026,
+                0.4609375,
+                -0.0859375,
+                0.05557318513680856,
+                0.062390759311187025,
+            ),
+        ] {
+            let captured = TraceEstimate {
+                re,
+                im,
+                re_std_err,
+                im_std_err,
+                shots: 256,
+            };
+            let seq = proto.estimate(&states, 256, &Executor::sequential(root_seed));
+            assert_eq!(seq, captured, "root seed {root_seed}");
+            let pooled = Executor::pooled(Engine::with_threads(2), root_seed);
+            assert_eq!(proto.estimate(&states, 256, &pooled), captured);
+        }
     }
 
     #[test]

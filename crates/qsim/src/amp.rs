@@ -22,6 +22,12 @@
 //!   noise) run single-threaded on the orchestrating thread, consuming
 //!   the shot's RNG stream in exactly the interpreted order.
 //!
+//! The workers ignore the state's pinned bits (see
+//! [`crate::statevector`]): before a segment the state forgets the
+//! pins on the union of the bits its kernels mix, and the kernels run
+//! as full-register ranges. Interpretation points between segments use
+//! the pins that remain.
+//!
 //! So amp-parallel, sequential-compiled, and interpreted shots all
 //! produce the same classical records per root seed, and the engine
 //! engages this path purely as a latency policy (see
@@ -150,7 +156,16 @@ impl StateVector {
                     .iter()
                     .position(|op| matches!(op, CompiledOp::Interp(_)))
                     .unwrap_or(ops.len() - at);
-                run_segment(self.amps_mut(), &ops[at..at + seg_len], widen, workers);
+                let segment = &ops[at..at + seg_len];
+                // The workers run full-register passes; the state only
+                // has to forget the pins the segment invalidates.
+                let mixed = segment.iter().fold(0, |m, op| m | op.mixed_bits());
+                run_segment(
+                    self.amps_mut_unpinning(mixed << widen),
+                    segment,
+                    widen,
+                    workers,
+                );
                 at += seg_len;
             }
         }

@@ -22,9 +22,7 @@
 //! * adjacent kernels whose combined qubit support fits in **two**
 //!   qubits are fused into one 4×4 pass ([`CompiledOp::Unitary2`]), so
 //!   a `Cx·Rz·Cx` ZZ block or a `U1·Cx` entangler costs one sweep over
-//!   the amplitude buffer instead of three — these kernels are
-//!   memory-bandwidth-bound, so passes over the buffer *are* the cost
-//!   model (see [`CompiledOp::bytes_touched`]);
+//!   the amplitude buffer instead of three;
 //! * measurement, reset, classical feedback, and noise sites remain
 //!   **interpretation points** ([`CompiledOp::Interp`]) executed through
 //!   [`SimState::step`], so the shot's RNG stream is consumed in
@@ -39,6 +37,24 @@
 //! over **any** disjoint cover of `[0, 2ⁿ)` is therefore bit-identical
 //! to the full pass — the contract the amplitude-parallel replay path
 //! ([`crate::amp`]) builds on.
+//!
+//! ## What a replay touches: the state's pinned bits
+//!
+//! [`CompiledOp::apply`] / [`CompiledOp::apply_range`] are
+//! full-register passes over a raw slice, and
+//! [`CompiledCircuit::kernel_bytes`] / [`CompiledOp::bytes_touched`]
+//! count what *they* move — **upper bounds** for a replay. Replayed
+//! through [`StateVector::apply_compiled`], a kernel runs only over the
+//! state's live sub-cube (see the [`crate::statevector`] module docs
+//! for the invariant): the replay unpins the bits the kernel mixes
+//! (its whole support, unless it is diagonal), then the same kernel
+//! code enumerates the work units that agree with the remaining pins.
+//! Skipped units hold only exact zeros and surviving ones do the full
+//! pass's arithmetic, so the result is the full pass's, bit for bit;
+//! the cost model is *work ∝ 2^live*, not passes × `2ⁿ`. With nothing
+//! pinned the kernels are exactly the contiguous full-register passes.
+//! The program itself knows nothing of this — the same
+//! [`CompiledCircuit`] replays on any state.
 //!
 //! Compilation happens once per plan (`engine::ShotPlan`,
 //! `engine::Executor::sample_shots`) and the program is replayed across
@@ -72,7 +88,7 @@ use mathkit::complex::Complex;
 use rand::Rng;
 
 use crate::sim::{SimProgram, SimState};
-use crate::statevector::StateVector;
+use crate::statevector::{Pins, StateVector};
 
 /// A fused 2×2 unitary in row-major order.
 pub type Mat2 = [Complex; 4];
@@ -215,9 +231,11 @@ impl CompiledCircuit {
         self.num_ops() - self.interp_ops()
     }
 
-    /// Total bytes the kernel passes move over a `num_qubits`-wide
-    /// state — the sum of [`CompiledOp::bytes_touched`] per shot,
-    /// excluding interpretation points.
+    /// Total bytes full-register kernel passes move over a
+    /// `num_qubits`-wide state — the sum of
+    /// [`CompiledOp::bytes_touched`] per shot, excluding interpretation
+    /// points. An upper bound for a replay, which skips the amplitudes
+    /// the state's pinned bits rule out.
     pub fn kernel_bytes(&self, num_qubits: usize) -> u64 {
         let len = 1usize << num_qubits;
         self.ops.iter().map(|op| op.bytes_touched(len)).sum()
@@ -235,6 +253,23 @@ impl CompiledCircuit {
         }
         let len = 1u64 << num_qubits;
         self.kernel_bytes(num_qubits) as f64 / (passes as u64 * len) as f64
+    }
+}
+
+#[cfg(test)]
+impl CompiledCircuit {
+    /// One single-op program per op: replayed in order they are this
+    /// program, with a seam after every op for tests to look through.
+    pub(crate) fn single_ops(&self) -> Vec<CompiledCircuit> {
+        self.ops
+            .iter()
+            .map(|op| CompiledCircuit {
+                num_qubits: self.num_qubits,
+                num_cbits: self.num_cbits,
+                ops: vec![op.clone()],
+                source_instructions: self.source_instructions,
+            })
+            .collect()
     }
 }
 
@@ -727,26 +762,71 @@ impl CompiledOp {
     ///
     /// Panics on [`CompiledOp::Interp`].
     pub fn apply_range(&self, amps: &mut [Complex], lo: usize, hi: usize, widen: usize) {
-        debug_assert!(lo <= hi && hi <= amps.len());
+        self.apply_live(amps, lo..hi, widen, Pins::NONE);
+    }
+
+    /// [`CompiledOp::apply_range`] over the live sub-cube of `pins`
+    /// only — the one implementation of every kernel; the public entry
+    /// points are its nothing-pinned case. The caller has already
+    /// unpinned [`CompiledOp::mixed_bits`]; work units that disagree
+    /// with the remaining pins hold only exact zeros and are skipped,
+    /// the others do the full pass's arithmetic.
+    pub(crate) fn apply_live(
+        &self,
+        amps: &mut [Complex],
+        range: std::ops::Range<usize>,
+        widen: usize,
+        pins: Pins,
+    ) {
+        debug_assert!(range.start <= range.end && range.end <= amps.len());
         debug_assert!(amps.len().is_power_of_two());
         match self {
             CompiledOp::Unitary1 { stride, matrix } => {
-                unitary1_range(amps, stride << widen, matrix, lo, hi);
+                unitary1_range(amps, stride << widen, matrix, range, pins);
             }
             CompiledOp::Unitary2 {
                 mask_hi,
                 mask_lo,
                 matrix,
             } => {
-                unitary2_range(amps, mask_hi << widen, mask_lo << widen, matrix, lo, hi);
+                unitary2_range(
+                    amps,
+                    mask_hi << widen,
+                    mask_lo << widen,
+                    matrix,
+                    range,
+                    pins,
+                );
             }
-            CompiledOp::Phase(k) => phase_range(amps, k, widen, lo, hi),
+            CompiledOp::Phase(k) => phase_range(amps, k, widen, range, pins),
             CompiledOp::PermuteSwap { ones, select, flip } => {
-                permute_range(amps, ones << widen, select << widen, flip << widen, lo, hi);
+                debug_assert_eq!(flip & !select, 0, "flip must lie within select");
+                // Swap orbits by representative (`i & select == ones`),
+                // unique because `flip ⊆ select`: the partner
+                // `i ^ flip` never itself matches the pattern.
+                let (len, flip) = (amps.len(), flip << widen);
+                pins.for_each_in(ones << widen, select << widen, range, len, |i| {
+                    amps.swap(i, i ^ flip);
+                });
             }
             CompiledOp::Interp(instr) => {
                 panic!("Interp({instr:?}) has no kernel; step it through SimState")
             }
+        }
+    }
+
+    /// The program-relative index bits whose amplitudes this kernel
+    /// mixes: what a replay must stop treating as classical before the
+    /// kernel runs. Zero for diagonal kernels (and the degenerate
+    /// `Interp` case, whose pins [`SimState::step`] maintains).
+    pub(crate) fn mixed_bits(&self) -> usize {
+        match self {
+            CompiledOp::Unitary1 { stride, .. } => *stride,
+            CompiledOp::Unitary2 {
+                mask_hi, mask_lo, ..
+            } => mask_hi | mask_lo,
+            CompiledOp::PermuteSwap { select, flip, .. } => select | flip,
+            CompiledOp::Phase(_) | CompiledOp::Interp(_) => 0,
         }
     }
 
@@ -770,17 +850,12 @@ impl CompiledOp {
     ) -> std::ops::Range<usize> {
         debug_assert!(worker < workers);
         debug_assert!(len.is_power_of_two());
-        let (free, pinned) = match self {
-            CompiledOp::Unitary1 { stride, .. } => (!(stride << widen) & (len - 1), 0),
-            CompiledOp::Unitary2 {
-                mask_hi, mask_lo, ..
-            } => (!((mask_hi | mask_lo) << widen) & (len - 1), 0),
-            CompiledOp::PermuteSwap { ones, select, .. } => {
-                (!(select << widen) & (len - 1), ones << widen)
-            }
-            // Phase kernels (and the degenerate Interp case) do
-            // uniform per-index work.
-            CompiledOp::Phase(_) | CompiledOp::Interp(_) => (len - 1, 0),
+        // Phase kernels (and the degenerate Interp case) mix nothing:
+        // uniform per-index work.
+        let free = !(self.mixed_bits() << widen) & (len - 1);
+        let pinned = match self {
+            CompiledOp::PermuteSwap { ones, .. } => ones << widen,
+            _ => 0,
         };
         let units = 1usize << free.count_ones();
         let unit_index = |k: usize| {
@@ -803,8 +878,10 @@ impl CompiledOp {
         lo..hi
     }
 
-    /// Bytes this kernel moves over a `len`-amplitude buffer, counting
-    /// each 16-byte amplitude it reads and each it writes. Dense passes
+    /// Bytes a full-register pass of this kernel moves over a
+    /// `len`-amplitude buffer (an upper bound for a replay on a state
+    /// with pinned bits), counting each 16-byte amplitude it reads and
+    /// each it writes. Dense passes
     /// (`Unitary1`/`Unitary2`, multi-term phases) move `32·len`; sparse
     /// kernels scale with the selected fraction. Interp points report 0
     /// — their cost lives outside the kernel seam.
@@ -847,11 +924,28 @@ fn spread(mut k: usize, mut free: usize) -> usize {
 }
 
 /// Strided pair update over the representatives (stride bit clear) in
-/// `[lo, hi)`. Within each stride block the pair streams are disjoint
-/// slices, so the inner loop is bounds-check-free and cache-blocked:
-/// both streams advance linearly, touching `2·stride` contiguous bytes
-/// per block regardless of how high the stride is.
-fn unitary1_range(amps: &mut [Complex], stride: usize, m: &Mat2, lo: usize, hi: usize) {
+/// `range`. With nothing pinned, the pair streams within each stride
+/// block are disjoint slices, so the inner loop is bounds-check-free
+/// and cache-blocked: both streams advance linearly, touching
+/// `2·stride` contiguous bytes per block regardless of how high the
+/// stride is. With pins the live pairs are scattered, and enumerated
+/// one by one.
+fn unitary1_range(
+    amps: &mut [Complex],
+    stride: usize,
+    m: &Mat2,
+    range: std::ops::Range<usize>,
+    pins: Pins,
+) {
+    if !pins.is_none() {
+        let len = amps.len();
+        return pins.for_each_in(0, stride, range, len, |i| {
+            let (a0, a1) = (amps[i], amps[i | stride]);
+            amps[i] = m[0] * a0 + m[1] * a1;
+            amps[i | stride] = m[2] * a0 + m[3] * a1;
+        });
+    }
+    let (lo, hi) = (range.start, range.end);
     let span = stride << 1;
     let mut base = lo & !(span - 1);
     while base < hi {
@@ -872,17 +966,17 @@ fn unitary1_range(amps: &mut [Complex], stride: usize, m: &Mat2, lo: usize, hi: 
 }
 
 /// Quad update over the representatives (both mask bits clear) in
-/// `[lo, hi)`.
+/// `range`.
 fn unitary2_range(
     amps: &mut [Complex],
     mask_hi: usize,
     mask_lo: usize,
     m: &Mat4,
-    lo: usize,
-    hi: usize,
+    range: std::ops::Range<usize>,
+    pins: Pins,
 ) {
-    let select = mask_hi | mask_lo;
-    fn quad(amps: &mut [Complex], m: &Mat4, i: usize, mask_hi: usize, mask_lo: usize) {
+    let len = amps.len();
+    pins.for_each_in(0, mask_hi | mask_lo, range, len, |i| {
         let idx = [i, i | mask_lo, i | mask_hi, i | mask_hi | mask_lo];
         let a = [amps[idx[0]], amps[idx[1]], amps[idx[2]], amps[idx[3]]];
         for (row, &out_i) in idx.iter().enumerate() {
@@ -891,78 +985,49 @@ fn unitary2_range(
                 + m[row * 4 + 2] * a[2]
                 + m[row * 4 + 3] * a[3];
         }
-    }
-    if lo == 0 && hi == amps.len() {
-        let len = amps.len();
-        for_each_masked(0, select, len, |i| quad(amps, m, i, mask_hi, mask_lo));
-    } else {
-        // Sub-range: scan-and-test. Summed over a disjoint cover this
-        // costs one pass over the range bits, same as the full pass.
-        for i in lo..hi {
-            if i & select == 0 {
-                quad(amps, m, i, mask_hi, mask_lo);
-            }
-        }
-    }
+    });
 }
 
-fn phase_range(amps: &mut [Complex], k: &PhaseKernel, widen: usize, lo: usize, hi: usize) {
+fn phase_range(
+    amps: &mut [Complex],
+    k: &PhaseKernel,
+    widen: usize,
+    range: std::ops::Range<usize>,
+    pins: Pins,
+) {
+    let len = amps.len();
     if k.global == Complex::ONE && k.terms.len() == 1 {
         // Single conditional term: touch only the selected amplitudes.
         let (mask, p) = k.terms[0];
         let mask = mask << widen;
-        if lo == 0 && hi == amps.len() {
-            for_each_masked(mask, mask, amps.len(), |i| amps[i] *= p);
-        } else {
-            for (i, a) in amps[lo..hi].iter_mut().enumerate() {
-                if (lo + i) & mask == mask {
-                    *a *= p;
-                }
-            }
-        }
+        pins.for_each_in(mask, mask, range, len, |i| amps[i] *= p);
     } else {
-        for (i, a) in amps[lo..hi].iter_mut().enumerate() {
-            let i = lo + i;
+        let phase_at = |i: usize| {
             let mut ph = k.global;
             for &(mask, p) in &k.terms {
                 if i & (mask << widen) == mask << widen {
                     ph *= p;
                 }
             }
-            *a *= ph;
-        }
-    }
-}
-
-/// Swap orbits whose representative (`i & select == ones`) lies in
-/// `[lo, hi)`. Representatives are unique because `flip ⊆ select` for
-/// every compiled permutation, so the partner `i ^ flip` never itself
-/// matches the pattern.
-fn permute_range(
-    amps: &mut [Complex],
-    ones: usize,
-    select: usize,
-    flip: usize,
-    lo: usize,
-    hi: usize,
-) {
-    debug_assert_eq!(flip & !select, 0, "flip must lie within select");
-    if lo == 0 && hi == amps.len() {
-        for_each_masked(ones, select, amps.len(), |i| amps.swap(i, i ^ flip));
-    } else {
-        for i in lo..hi {
-            if i & select == ones {
-                amps.swap(i, i ^ flip);
+            ph
+        };
+        if pins.is_none() {
+            let lo = range.start;
+            for (i, a) in amps[range].iter_mut().enumerate() {
+                *a *= phase_at(lo + i);
             }
+        } else {
+            pins.for_each_in(0, 0, range, len, |i| amps[i] *= phase_at(i));
         }
     }
 }
 
 impl StateVector {
     /// Replays a compiled program through this state: fused kernels run
-    /// directly on the amplitude buffer; [`CompiledOp::Interp`] points
-    /// go through [`SimState::step`], consuming `rng` in exactly the
-    /// interpreted order.
+    /// directly on the amplitude buffer — over its live sub-cube only,
+    /// each unpinning the bits it mixes first (module docs);
+    /// [`CompiledOp::Interp`] points go through [`SimState::step`],
+    /// consuming `rng` in exactly the interpreted order.
     ///
     /// The state may be **wider** than the program, matching the
     /// interpreted contract (qubit 0 is the *state's* most significant
@@ -989,7 +1054,7 @@ impl StateVector {
         for op in &program.ops {
             match op {
                 CompiledOp::Interp(instr) => SimState::step(self, instr, cbits, rng),
-                kernel => kernel.apply(self.amps_mut(), widen),
+                kernel => self.apply_kernel(kernel, widen),
             }
         }
     }

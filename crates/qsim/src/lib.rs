@@ -4,7 +4,12 @@
 //!
 //! * [`statevector`] — pure-state simulation with mid-circuit measurement,
 //!   reset, feed-forward, and stochastic Pauli noise (the workhorse behind
-//!   the paper's shot-based CSWAP fidelity experiments, §5.2);
+//!   the paper's shot-based CSWAP fidelity experiments, §5.2). The state
+//!   remembers which qubits sit at a known classical value (*pinned
+//!   bits*: every amplitude disagreeing with a pin is exactly zero) and
+//!   every amplitude loop, interpreted or compiled, visits only the live
+//!   sub-cube — work ∝ `2^live`, bit-identical to the full-register
+//!   simulation;
 //! * [`density`] — exact density-matrix simulation with depolarizing /
 //!   readout / reset channels and deferred-measurement execution of
 //!   feed-forward circuits (the reference used for GHZ fidelity, §5.3, and

@@ -7,6 +7,35 @@
 //! index, so for 3 qubits the basis state `|q₀q₁q₂⟩ = |110⟩` is index 6.
 //! This matches [`circuit::gate::Gate::unitary`].
 //!
+//! **Pinned bits.** A dynamic circuit keeps most of its qubits at a known
+//! classical value most of the time: never touched yet, just measured,
+//! just reset. The state remembers which (a pinned-bit mask and the
+//! pinned values, private to [`StateVector`]) under one invariant:
+//!
+//! > every amplitude whose index disagrees with a pin is exactly zero.
+//!
+//! *Who pins:* [`StateVector::new`] and [`StateVector::basis_state`] pin
+//! every bit (and with nothing live allocate nothing: the `2ⁿ` buffer
+//! appears when the amplitudes are first read or changed),
+//! [`StateVector::product_state`] pins the qubits no group
+//! owns, and collapse (so [`StateVector::measure`],
+//! [`StateVector::collapse`], [`StateVector::reset`]) pins the measured
+//! bit. *Who unpins:* a non-diagonal gate or compiled kernel forgets the
+//! pins on its support before it runs; a Pauli `X`/`Y` on a pinned bit
+//! only flips the stored value. Diagonal gates and phase kernels change
+//! nothing, and [`StateVector::from_amplitudes`] /
+//! [`StateVector::apply_unitary`] pin nothing.
+//!
+//! Every amplitude loop then enumerates only the *live sub-cube*
+//! `i & mask == values` — work ∝ `2^live`, not `2ⁿ`. This is exact, not
+//! approximate: a skipped work unit holds only zeros, and any gate maps
+//! zeros to zeros (of either sign, which no later sum or product can
+//! tell apart), while a surviving unit does the full-register
+//! arithmetic in the full-register order. Amplitudes (`==`),
+//! probabilities, RNG draws and records are therefore those of the
+//! unpinned simulation bit for bit; pins are knowledge *about* the
+//! amplitudes, not state, and take no part in equality.
+//!
 //! ```
 //! use qsim::statevector::StateVector;
 //! use circuit::gate::Gate;
@@ -25,21 +54,98 @@ use mathkit::complex::{c64, Complex};
 use mathkit::matrix::Matrix;
 use rand::Rng;
 use std::f64::consts::FRAC_1_SQRT_2;
+use std::sync::OnceLock;
+
+/// Basis-index bits known to hold a classical value: every amplitude
+/// whose index disagrees with them is exactly zero (see the module
+/// docs).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Pins {
+    /// The pinned index bits.
+    mask: usize,
+    /// Their values; zero outside `mask`.
+    vals: usize,
+}
+
+impl Pins {
+    /// Nothing pinned: every loop is the full-register pass.
+    pub(crate) const NONE: Pins = Pins { mask: 0, vals: 0 };
+
+    /// Whether no bit is pinned.
+    pub(crate) fn is_none(self) -> bool {
+        self.mask == 0
+    }
+
+    /// These pins with `bits` forgotten.
+    fn without(self, bits: usize) -> Pins {
+        Pins {
+            mask: self.mask & !bits,
+            vals: self.vals & !bits,
+        }
+    }
+
+    /// [`for_each_masked`](crate::compile::for_each_masked) over the
+    /// live sub-cube: calls `f(i)`, ascending, for every `i < len` with
+    /// `i & select == ones` whose bits agree with the pins. A pattern
+    /// that contradicts a pin selects only exact zeros, so nothing is
+    /// enumerated.
+    fn for_each(self, ones: usize, select: usize, len: usize, f: impl FnMut(usize)) {
+        self.for_each_in(ones, select, 0..len, len, f);
+    }
+
+    /// [`Pins::for_each`] restricted to the indices in `range` — the
+    /// form the range-aware kernels of [`crate::compile`] take.
+    pub(crate) fn for_each_in(
+        self,
+        ones: usize,
+        select: usize,
+        range: std::ops::Range<usize>,
+        len: usize,
+        mut f: impl FnMut(usize),
+    ) {
+        if (ones ^ self.vals) & select & self.mask != 0 {
+            return;
+        }
+        let (ones, select) = (ones | self.vals, select | self.mask);
+        if range == (0..len) {
+            crate::compile::for_each_masked(ones, select, len, f);
+        } else {
+            // Sub-range: scan-and-test. Summed over a disjoint cover
+            // this costs one pass over the range bits.
+            for i in range {
+                if i & select == ones {
+                    f(i);
+                }
+            }
+        }
+    }
+}
 
 /// A pure quantum state on `n` qubits.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct StateVector {
     num_qubits: usize,
-    amps: Vec<Complex>,
+    /// Unset while the state is a *bare* basis state, as created by
+    /// [`StateVector::basis_state`] or copied from one: every bit
+    /// pinned, amplitude one at `pins.vals`. The `2ⁿ` buffer appears
+    /// on first use.
+    amps: OnceLock<Vec<Complex>>,
+    pins: Pins,
+}
+
+/// Amplitude equality: pins are knowledge about the amplitudes, not
+/// state.
+impl PartialEq for StateVector {
+    fn eq(&self, other: &Self) -> bool {
+        self.num_qubits == other.num_qubits && self.amps() == other.amps()
+    }
 }
 
 impl StateVector {
     /// The all-zeros state `|0…0⟩`.
     pub fn new(num_qubits: usize) -> Self {
         assert!(num_qubits <= 26, "statevector limited to 26 qubits");
-        let mut amps = vec![Complex::ZERO; 1 << num_qubits];
-        amps[0] = Complex::ONE;
-        StateVector { num_qubits, amps }
+        Self::basis_state(num_qubits, 0)
     }
 
     /// Builds a state from explicit amplitudes.
@@ -56,76 +162,138 @@ impl StateVector {
             (norm - 1.0).abs() < 1e-6,
             "state must be normalized (got ‖ψ‖² = {norm})"
         );
-        StateVector { num_qubits, amps }
+        StateVector {
+            num_qubits,
+            amps: OnceLock::from(amps),
+            pins: Pins::NONE,
+        }
     }
 
-    /// The computational basis state `|index⟩`.
+    /// The computational basis state `|index⟩`. It is *bare* — it owns
+    /// no amplitude buffer — until something reads or changes its
+    /// amplitudes; [`Clone`] and [`StateVector::copy_from`] keep it so.
+    /// A sampling call's template state is only ever cloned and copied
+    /// from, so it never costs `2ⁿ` amplitudes.
     pub fn basis_state(num_qubits: usize, index: usize) -> Self {
         assert!(index < (1 << num_qubits), "basis index out of range");
-        let mut amps = vec![Complex::ZERO; 1 << num_qubits];
-        amps[index] = Complex::ONE;
-        StateVector { num_qubits, amps }
+        StateVector {
+            num_qubits,
+            amps: OnceLock::new(),
+            pins: Pins {
+                mask: (1 << num_qubits) - 1,
+                vals: index,
+            },
+        }
     }
 
     /// Builds a product state by placing each group's pure state on the
-    /// listed qubits; qubits not covered by any group start in `|0⟩`.
+    /// listed qubits; qubits not covered by any group start in `|0⟩`
+    /// (and are pinned there). Allocating wrapper over
+    /// [`StateVector::set_product_state`].
     ///
     /// # Panics
     ///
     /// Panics if a qubit is claimed twice, is out of range, or a group's
     /// amplitude count does not match its qubit count.
-    #[allow(clippy::needless_range_loop)] // index arithmetic over bit-packed registers
     pub fn product_state(num_qubits: usize, groups: &[(Vec<Complex>, Vec<usize>)]) -> Self {
-        let mut owner: Vec<Option<usize>> = vec![None; num_qubits];
+        let mut sv = StateVector::new(num_qubits);
+        sv.set_product_state(groups);
+        sv
+    }
+
+    /// [`StateVector::product_state`] in place, on this state's own
+    /// register: overwrites the state, reusing its allocation, and
+    /// writes only the `2^owned` entries a product state can make
+    /// nonzero — each with the arithmetic of a full scan
+    /// (`1 · g₀[s₀] · g₁[s₁] · …`, groups in order). The per-shot
+    /// set-up of `compas`'s trace estimates.
+    ///
+    /// # Panics
+    ///
+    /// As [`StateVector::product_state`].
+    pub fn set_product_state<A: AsRef<[Complex]>, Q: AsRef<[usize]>>(&mut self, groups: &[(A, Q)]) {
+        let n = self.num_qubits;
+        let mut owned = 0usize;
         for (gi, (amps, qubits)) in groups.iter().enumerate() {
             assert_eq!(
-                amps.len(),
-                1 << qubits.len(),
+                amps.as_ref().len(),
+                1 << qubits.as_ref().len(),
                 "group {gi}: amplitude count must be 2^(qubit count)"
             );
-            for &q in qubits {
-                assert!(q < num_qubits, "group {gi}: qubit {q} out of range");
-                assert!(owner[q].is_none(), "qubit {q} claimed by two groups");
-                owner[q] = Some(gi);
+            for &q in qubits.as_ref() {
+                assert!(q < n, "group {gi}: qubit {q} out of range");
+                let mask = crate::compile::qubit_mask(q, n);
+                assert!(owned & mask == 0, "qubit {q} claimed by two groups");
+                owned |= mask;
             }
         }
-        let dim = 1usize << num_qubits;
-        let mut amps = vec![Complex::ZERO; dim];
-        for (i, amp) in amps.iter_mut().enumerate() {
+        self.zero_live();
+        // Uncovered qubits are 0 in the basis index of every nonzero
+        // entry.
+        let len = 1usize << n;
+        let pins = Pins {
+            mask: (len - 1) & !owned,
+            vals: 0,
+        };
+        self.pins = pins;
+        let amps = self.amps_mut();
+        let mut norm_sqr = 0.0;
+        pins.for_each(0, 0, len, |i| {
             let mut val = Complex::ONE;
-            // Uncovered qubits must be 0 in the basis index.
-            let mut valid = true;
-            for q in 0..num_qubits {
-                if owner[q].is_none() && bit(i, q, num_qubits) == 1 {
-                    valid = false;
-                    break;
-                }
-            }
-            if !valid {
-                continue;
-            }
             for (g_amps, g_qubits) in groups {
-                let mut sub = 0usize;
-                for &q in g_qubits {
-                    sub = (sub << 1) | bit(i, q, num_qubits);
-                }
-                val *= g_amps[sub];
+                let sub = g_qubits
+                    .as_ref()
+                    .iter()
+                    .fold(0, |sub, &q| (sub << 1) | bit(i, q, n));
+                val *= g_amps.as_ref()[sub];
             }
-            *amp = val;
-        }
-        let sv = StateVector { num_qubits, amps };
-        debug_assert!((sv.norm_sqr() - 1.0).abs() < 1e-9);
-        sv
+            amps[i] = val;
+            norm_sqr += val.norm_sqr();
+        });
+        debug_assert!((norm_sqr - 1.0).abs() < 1e-9);
+    }
+
+    /// Zeroes the live sub-cube — by the pin invariant, the whole
+    /// buffer.
+    fn zero_live(&mut self) {
+        let pins = self.pins;
+        let amps = self.amps_mut();
+        pins.for_each(0, 0, amps.len(), |i| amps[i] = Complex::ZERO);
     }
 
     /// Overwrites this state with a copy of `other`, reusing the
     /// existing amplitude allocation when capacities allow — the
     /// buffer-reuse primitive behind `runner::run_shot_into` and the
     /// engine crate's per-worker scratch states.
+    ///
+    /// Between equal-width states the cost follows the two live
+    /// sub-cubes, not `2ⁿ`: zero this state's, copy `other`'s, take its
+    /// pins. Outside both everything is already zero, so the result is
+    /// the full copy exactly. A bare basis state (see
+    /// [`StateVector::basis_state`]) is copied without giving it a
+    /// buffer.
     pub fn copy_from(&mut self, other: &StateVector) {
+        let same_width = self.num_qubits == other.num_qubits;
+        match other.amps.get() {
+            Some(src) if same_width && !other.pins.is_none() => {
+                self.zero_live();
+                let amps = self.amps_mut();
+                other.pins.for_each(0, 0, src.len(), |i| amps[i] = src[i]);
+            }
+            Some(src) => {
+                let mut amps = self.amps.take().unwrap_or_default();
+                amps.clear();
+                amps.extend_from_slice(src);
+                self.amps = OnceLock::from(amps);
+            }
+            None if same_width && self.amps.get().is_some() => {
+                self.zero_live();
+                self.amps_mut()[other.pins.vals] = Complex::ONE;
+            }
+            None => self.amps = OnceLock::new(),
+        }
         self.num_qubits = other.num_qubits;
-        self.amps.clear();
-        self.amps.extend_from_slice(&other.amps);
+        self.pins = other.pins;
     }
 
     /// Number of qubits.
@@ -135,23 +303,65 @@ impl StateVector {
 
     /// The amplitude vector in basis order.
     pub fn amplitudes(&self) -> &[Complex] {
-        &self.amps
+        self.amps()
     }
 
-    /// Mutable amplitude buffer for the compiled kernels of
-    /// [`crate::compile`].
-    pub(crate) fn amps_mut(&mut self) -> &mut [Complex] {
-        &mut self.amps
+    /// The amplitudes; gives a bare basis state its buffer.
+    fn amps(&self) -> &[Complex] {
+        self.amps.get_or_init(|| {
+            let len = 1usize << self.num_qubits;
+            debug_assert_eq!(self.pins.mask, len - 1, "a bare state has every bit pinned");
+            let mut amps = vec![Complex::ZERO; len];
+            amps[self.pins.vals] = Complex::ONE;
+            amps
+        })
+    }
+
+    /// [`StateVector::amps`], mutably. Call it before changing the
+    /// pins: a bare basis state reads its index off them.
+    fn amps_mut(&mut self) -> &mut Vec<Complex> {
+        self.amps();
+        self.amps.get_mut().expect("initialised on the line above")
+    }
+
+    /// Runs one compiled kernel over the live sub-cube, forgetting the
+    /// pins on the bits it mixes first.
+    pub(crate) fn apply_kernel(&mut self, op: &crate::compile::CompiledOp, widen: usize) {
+        let mixed = op.mixed_bits() << widen;
+        let pins = self.pins.without(mixed);
+        let amps = self.amps_mut_unpinning(mixed);
+        op.apply_live(amps, 0..amps.len(), widen, pins);
+    }
+
+    /// Forgets the pins on the index `bits` an operation is about to
+    /// mix and hands out the whole amplitude buffer — all that passes
+    /// which ignore the pins (the amplitude-parallel kernels of
+    /// [`crate::amp`]) need.
+    pub(crate) fn amps_mut_unpinning(&mut self, bits: usize) -> &mut [Complex] {
+        self.amps_mut();
+        self.pins = self.pins.without(bits);
+        self.amps_mut()
+    }
+
+    /// Whether the pin invariant holds: every amplitude whose index
+    /// disagrees with a pin is exactly zero.
+    #[cfg(test)]
+    pub(crate) fn pins_hold(&self) -> bool {
+        let Pins { mask, vals } = self.pins;
+        self.amps()
+            .iter()
+            .enumerate()
+            .all(|(i, a)| i & mask == vals || *a == Complex::ZERO)
     }
 
     /// Squared norm (should be 1 up to round-off).
     pub fn norm_sqr(&self) -> f64 {
-        self.amps.iter().map(|a| a.norm_sqr()).sum()
+        self.amps().iter().map(|a| a.norm_sqr()).sum()
     }
 
     /// Probability of observing basis state `index` on full measurement.
     pub fn probability(&self, index: usize) -> f64 {
-        self.amps[index].norm_sqr()
+        self.amps()[index].norm_sqr()
     }
 
     /// Inner product `⟨self|other⟩`.
@@ -161,9 +371,9 @@ impl StateVector {
     /// Panics if qubit counts differ.
     pub fn inner(&self, other: &StateVector) -> Complex {
         assert_eq!(self.num_qubits, other.num_qubits);
-        self.amps
+        self.amps()
             .iter()
-            .zip(&other.amps)
+            .zip(other.amps())
             .map(|(a, b)| a.conj() * *b)
             .sum()
     }
@@ -178,7 +388,32 @@ impl StateVector {
     // ------------------------------------------------------------------
 
     /// Applies a gate in place.
+    ///
+    /// This interpreter is the differential reference for the compiled
+    /// kernels: its arithmetic is untouched by the pins, it only
+    /// maintains them (and lets its pair loops skip dead pairs).
     pub fn apply_gate(&mut self, gate: &Gate) {
+        // The pins change first: give a bare basis state its buffer
+        // while they still name its index.
+        self.amps_mut();
+        let n = self.num_qubits;
+        let mask_of = |q| crate::compile::qubit_mask(q, n);
+        match *gate {
+            // Diagonal: zeros stay zeros where they are.
+            Gate::Z(_)
+            | Gate::S(_)
+            | Gate::Sdg(_)
+            | Gate::T(_)
+            | Gate::Tdg(_)
+            | Gate::Rz(..)
+            | Gate::Cz(..) => {}
+            // A Pauli flip moves the zeros to the other half.
+            Gate::X(q) | Gate::Y(q) => self.pins.vals ^= mask_of(q) & self.pins.mask,
+            _ => {
+                let support = gate.qubits().iter().fold(0, |m, &q| m | mask_of(q));
+                self.pins = self.pins.without(support);
+            }
+        }
         match *gate {
             Gate::H(q) => {
                 let h = FRAC_1_SQRT_2;
@@ -229,8 +464,9 @@ impl StateVector {
                 // instead of scanning (and bit-testing) all 2^n.
                 let n = self.num_qubits;
                 let mask = crate::compile::qubit_mask(a, n) | crate::compile::qubit_mask(b, n);
-                let amps = &mut self.amps;
-                crate::compile::for_each_masked(mask, mask, amps.len(), |i| amps[i] = -amps[i]);
+                let pins = self.pins;
+                let amps = self.amps_mut();
+                pins.for_each(mask, mask, amps.len(), |i| amps[i] = -amps[i]);
             }
             Gate::Swap(a, b) => {
                 self.permute_indices(|i, n| {
@@ -311,7 +547,7 @@ impl StateVector {
         // The base indices — every assignment of the non-target qubits,
         // target bits clear — are exactly the indices with no `select`
         // bit set.
-        let amps = &mut self.amps;
+        let amps = self.amps_mut_unpinning(select);
         crate::compile::for_each_masked(0, select, amps.len(), |base| {
             for (s, slot) in scratch.iter_mut().enumerate() {
                 *slot = amps[base | sub_mask[s]];
@@ -323,29 +559,29 @@ impl StateVector {
         });
     }
 
+    /// Maps every live amplitude pair of qubit `q`. A pin on `q` itself
+    /// says one member is zero, not that the pair is dead, so the pairs
+    /// are those of the *other* pins.
     fn map_pairs(&mut self, q: usize, f: impl Fn(Complex, Complex) -> (Complex, Complex)) {
-        let n = self.num_qubits;
-        let stride = 1usize << (n - 1 - q);
-        let mut i = 0;
-        while i < self.amps.len() {
-            if i & stride == 0 {
-                let j = i | stride;
-                let (a0, a1) = (self.amps[i], self.amps[j]);
-                let (b0, b1) = f(a0, a1);
-                self.amps[i] = b0;
-                self.amps[j] = b1;
-            }
-            i += 1;
-        }
+        let stride = crate::compile::qubit_mask(q, self.num_qubits);
+        let pins = self.pins.without(stride);
+        let amps = self.amps_mut();
+        pins.for_each(0, stride, amps.len(), |i| {
+            let j = i | stride;
+            let (b0, b1) = f(amps[i], amps[j]);
+            amps[i] = b0;
+            amps[j] = b1;
+        });
     }
 
     fn permute_indices(&mut self, perm: impl Fn(usize, usize) -> usize) {
         let n = self.num_qubits;
-        let mut out = vec![Complex::ZERO; self.amps.len()];
-        for (i, &a) in self.amps.iter().enumerate() {
+        let amps = self.amps_mut();
+        let mut out = vec![Complex::ZERO; amps.len()];
+        for (i, &a) in amps.iter().enumerate() {
             out[perm(i, n)] = a;
         }
-        self.amps = out;
+        *amps = out;
     }
 
     // ------------------------------------------------------------------
@@ -354,13 +590,15 @@ impl StateVector {
 
     /// Probability that measuring qubit `q` in the Z basis yields 1.
     pub fn probability_of_one(&self, q: usize) -> f64 {
-        // Sum only the 2^(n-1) one-bit amplitudes, in ascending index
-        // order (the same accumulation order as a full filtered scan,
-        // so the result is bit-identical to it).
+        // Sum only the live one-bit amplitudes, in ascending index
+        // order: the accumulation order of a full filtered scan with
+        // its `+ 0.0` terms dropped, so the result is bit-identical to
+        // it — down to the exact `0.0` of a bit pinned to 0.
         let mask = crate::compile::qubit_mask(q, self.num_qubits);
+        let amps = self.amps();
         let mut p = 0.0;
-        crate::compile::for_each_masked(mask, mask, self.amps.len(), |i| {
-            p += self.amps[i].norm_sqr();
+        self.pins.for_each(mask, mask, amps.len(), |i| {
+            p += amps[i].norm_sqr();
         });
         p
     }
@@ -386,12 +624,20 @@ impl StateVector {
         assert!(p > 1e-15, "collapse onto a zero-probability outcome");
         let scale = 1.0 / p.sqrt();
         // Scale the kept half and zero the discarded half in two
-        // branch-free strided passes.
+        // branch-free strided passes, then pin the bit. A bit already
+        // pinned to `outcome` is still scaled: `p` is 1 only up to
+        // round-off.
         let mask = crate::compile::qubit_mask(q, self.num_qubits);
         let (keep, drop) = if outcome { (mask, 0) } else { (0, mask) };
-        let amps = &mut self.amps;
-        crate::compile::for_each_masked(keep, mask, amps.len(), |i| amps[i] = amps[i].scale(scale));
-        crate::compile::for_each_masked(drop, mask, amps.len(), |i| amps[i] = Complex::ZERO);
+        let pins = self.pins;
+        let amps = self.amps_mut();
+        let len = amps.len();
+        pins.for_each(keep, mask, len, |i| amps[i] = amps[i].scale(scale));
+        pins.for_each(drop, mask, len, |i| amps[i] = Complex::ZERO);
+        self.pins = Pins {
+            mask: pins.mask | mask,
+            vals: pins.vals & !mask | keep,
+        };
     }
 
     /// Measures qubit `q` in `basis`, sampling the outcome with `rng` and
@@ -438,22 +684,24 @@ impl StateVector {
     /// Samples a full Z-basis measurement outcome *without* collapsing.
     pub fn sample_bits(&self, rng: &mut impl Rng) -> usize {
         let mut r = rng.random::<f64>();
-        for (i, a) in self.amps.iter().enumerate() {
+        let amps = self.amps();
+        for (i, a) in amps.iter().enumerate() {
             r -= a.norm_sqr();
             if r <= 0.0 {
                 return i;
             }
         }
-        self.amps.len() - 1
+        amps.len() - 1
     }
 
     /// The density matrix `|ψ⟩⟨ψ|` of this state.
     pub fn to_density(&self) -> Matrix {
-        let dim = self.amps.len();
+        let amps = self.amps();
+        let dim = amps.len();
         let mut rho = Matrix::zeros(dim, dim);
         for i in 0..dim {
             for j in 0..dim {
-                rho[(i, j)] = self.amps[i] * self.amps[j].conj();
+                rho[(i, j)] = amps[i] * amps[j].conj();
             }
         }
         rho
@@ -475,6 +723,9 @@ pub fn flip(i: usize, q: usize, n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::SimState;
+    use circuit::circuit::{Circuit, Instruction};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -629,11 +880,94 @@ mod tests {
         assert!((psi.norm_sqr() - 1.0).abs() < TOL);
     }
 
+    /// The full-scan product-state construction this crate used before
+    /// the in-place fill: every index visited, groups multiplied in
+    /// order. The fill must reproduce it exactly.
+    fn product_reference(n: usize, groups: &[(Vec<Complex>, Vec<usize>)]) -> Vec<Complex> {
+        let owned: Vec<usize> = groups.iter().flat_map(|(_, qs)| qs.clone()).collect();
+        (0..1usize << n)
+            .map(|i| {
+                if (0..n).any(|q| !owned.contains(&q) && bit(i, q, n) == 1) {
+                    return Complex::ZERO;
+                }
+                groups.iter().fold(Complex::ONE, |val, (g_amps, g_qubits)| {
+                    let sub = g_qubits.iter().fold(0, |s, &q| (s << 1) | bit(i, q, n));
+                    val * g_amps[sub]
+                })
+            })
+            .collect()
+    }
+
+    /// A dirty buffer with some bits pinned: `|+…+⟩` with its last qubit
+    /// measured.
+    fn partly_measured(n: usize, rng: &mut StdRng) -> StateVector {
+        let mut sv = StateVector::new(n);
+        for q in 0..n {
+            sv.apply_gate(&Gate::H(q));
+        }
+        sv.measure(n - 1, Basis::Z, rng);
+        sv
+    }
+
+    /// `groups` through the allocating constructor and through the
+    /// in-place fill of dirty buffers (other pins, no pins): all equal
+    /// the reference.
+    fn assert_product_state(n: usize, groups: &[(Vec<Complex>, Vec<usize>)]) -> StateVector {
+        let reference = product_reference(n, groups);
+        let fresh = StateVector::product_state(n, groups);
+        assert_eq!(fresh.amplitudes(), reference);
+        assert!(fresh.pins_hold());
+        let mut rng = StdRng::seed_from_u64(8);
+        let measured = partly_measured(n, &mut rng);
+        let unpinned = StateVector::from_amplitudes(crate::qrand::random_pure_state(n, &mut rng));
+        for mut dirty in [measured, unpinned] {
+            dirty.set_product_state(groups);
+            assert_eq!(dirty, fresh);
+            assert!(dirty.pins_hold());
+        }
+        fresh
+    }
+
+    #[test]
+    fn bare_basis_state_is_the_basis_state() {
+        let bare = StateVector::basis_state(3, 0b101);
+        let mut rng = StdRng::seed_from_u64(10);
+        // Destinations: bare and dirty (some pins, none), both widths.
+        let unpinned = StateVector::from_amplitudes(crate::qrand::random_pure_state(3, &mut rng));
+        for mut dest in [
+            StateVector::new(3),
+            StateVector::new(5),
+            partly_measured(3, &mut rng),
+            partly_measured(5, &mut rng),
+            unpinned.clone(),
+        ] {
+            dest.copy_from(&bare);
+            assert!(dest.pins_hold());
+            assert_eq!(dest.num_qubits(), 3);
+            assert_eq!(dest.probability(0b101), 1.0);
+            assert!((dest.norm_sqr() - 1.0).abs() < TOL);
+            // Its pins name the right index: a flip moves the one.
+            dest.apply_gate(&Gate::X(1));
+            assert!(dest.pins_hold());
+            assert_eq!(dest.probability(0b111), 1.0);
+        }
+        // Copying from it, and cloning it, gave it no buffer.
+        assert!(bare.amps.get().is_none() && bare.clone().amps.get().is_none());
+        // The other direction: a bare destination takes any source.
+        let mut dest = StateVector::new(3);
+        dest.copy_from(&unpinned);
+        assert_eq!(dest, unpinned);
+        dest = StateVector::new(3);
+        let source = partly_measured(3, &mut rng);
+        dest.copy_from(&source);
+        assert!(dest == source && dest.pins_hold());
+    }
+
     #[test]
     fn product_state_places_groups() {
         // Qubit 1 gets |1⟩, qubit 0 and 2 stay |0⟩.
         let one = vec![Complex::ZERO, Complex::ONE];
-        let psi = StateVector::product_state(3, &[(one, vec![1])]);
+        let psi = assert_product_state(3, &[(one, vec![1])]);
         assert_eq!(psi.probability(0b010), 1.0);
     }
 
@@ -642,10 +976,188 @@ mod tests {
         // Bell pair on qubits (2, 0) of a 3-qubit register; qubit 1 in |0⟩.
         let h = FRAC_1_SQRT_2;
         let bell = vec![c64(h, 0.0), Complex::ZERO, Complex::ZERO, c64(h, 0.0)];
-        let psi = StateVector::product_state(3, &[(bell, vec![2, 0])]);
+        let psi = assert_product_state(3, &[(bell.clone(), vec![2, 0])]);
         // |q2 q0⟩ ∈ {00, 11} ⇒ indices 000 and 101.
         assert!((psi.probability(0b000) - 0.5).abs() < TOL);
         assert!((psi.probability(0b101) - 0.5).abs() < TOL);
+        // Two scattered groups with complex amplitudes beside it.
+        let mut rng = StdRng::seed_from_u64(9);
+        let pair = crate::qrand::random_pure_state(2, &mut rng);
+        let single = crate::qrand::random_pure_state(1, &mut rng);
+        assert_product_state(
+            6,
+            &[(pair, vec![4, 1]), (bell, vec![5, 0]), (single, vec![2])],
+        );
+    }
+
+    // ---- pinned ≡ unpinned, op by op ------------------------------
+
+    /// One instruction of a random dynamic circuit on `n ≥ 3` qubits
+    /// and `n` classical bits: every gate kind, mid-circuit measurement
+    /// in all three bases with and without readout flips, reset, parity
+    /// feedback, depolarizing sites.
+    fn arbitrary_instruction(code: u8, a: usize, b: usize, x: f64, n: usize) -> Instruction {
+        let b = (a + 1 + b % (n - 1)) % n;
+        let c = (0..n).find(|&q| q != a && q != b).expect("n ≥ 3");
+        let gate = |code: u8| match code % 16 {
+            0 => Gate::H(a),
+            1 => Gate::X(a),
+            2 => Gate::Y(a),
+            3 => Gate::Z(a),
+            4 => Gate::S(a),
+            5 => Gate::Sdg(a),
+            6 => Gate::T(a),
+            7 => Gate::Tdg(a),
+            8 => Gate::Rx(a, 3.0 * x),
+            9 => Gate::Ry(a, 3.0 * x),
+            10 => Gate::Rz(a, 3.0 * x),
+            11 => Gate::Cx {
+                control: a,
+                target: b,
+            },
+            12 => Gate::Cz(a, b),
+            13 => Gate::Swap(a, b),
+            14 => Gate::Ccx {
+                control_a: a,
+                control_b: b,
+                target: c,
+            },
+            _ => Gate::Cswap {
+                control: a,
+                swap_a: b,
+                swap_b: c,
+            },
+        };
+        match code {
+            0..=15 => Instruction::Gate(gate(code)),
+            16..=21 => Instruction::Measure {
+                qubit: a,
+                cbit: b,
+                basis: [Basis::Z, Basis::X, Basis::Y][code as usize % 3],
+                flip_prob: if code < 19 { 0.0 } else { 0.3 },
+            },
+            22 | 23 => Instruction::Reset(a),
+            24..=27 => Instruction::Conditional {
+                // X, Y, Z, H or Cx under the parity of two outcomes.
+                gate: gate([1, 2, 3, 0, 11][(x * 5.0) as usize % 5]),
+                parity_of: vec![b, c],
+            },
+            _ => Instruction::Depolarizing {
+                qubits: if code == 28 { vec![a] } else { vec![a, b] },
+                p: 0.6,
+            },
+        }
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Path {
+        Interpreted,
+        Compiled,
+        Parallel(usize),
+    }
+
+    /// Plays `circuit` op by op along `path` from `start` and from a
+    /// twin holding the same amplitudes with nothing pinned — re-made
+    /// after every op, so the twin is the full-register simulation
+    /// throughout — on one RNG stream each. After every op the
+    /// amplitudes are `==`, the records equal and the pins hold; at the
+    /// end both streams have made the same draws. Returns the final
+    /// state.
+    fn assert_pinned_matches_unpinned(
+        path: Path,
+        circuit: &Circuit,
+        start: &StateVector,
+        seed: u64,
+    ) -> StateVector {
+        let programs = crate::compile::compile(circuit).single_ops();
+        let steps = match path {
+            Path::Interpreted => circuit.instructions().len(),
+            _ => programs.len(),
+        };
+        let step = |i: usize, sv: &mut StateVector, cbits: &mut [bool], rng: &mut StdRng| match path
+        {
+            Path::Interpreted => SimState::step(sv, &circuit.instructions()[i], cbits, rng),
+            Path::Compiled => sv.apply_compiled(&programs[i], cbits, rng),
+            Path::Parallel(workers) => {
+                sv.apply_compiled_parallel(&programs[i], cbits, rng, workers)
+            }
+        };
+        let unpinned = |sv: &StateVector| StateVector::from_amplitudes(sv.amplitudes().to_vec());
+        // Read through a clone: a bare `start` stays bare for the next
+        // path and for `copy_from`.
+        let (mut pinned, mut twin) = (start.clone(), unpinned(&start.clone()));
+        let mut rngs = [StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed)];
+        let mut bits = [
+            vec![false; circuit.num_cbits()],
+            vec![false; circuit.num_cbits()],
+        ];
+        for i in 0..steps {
+            step(i, &mut pinned, &mut bits[0], &mut rngs[0]);
+            step(i, &mut twin, &mut bits[1], &mut rngs[1]);
+            assert!(pinned.pins_hold(), "{path:?}, op {i}: pins broken");
+            assert_eq!(pinned.amplitudes(), twin.amplitudes(), "{path:?}, op {i}");
+            assert_eq!(bits[0], bits[1], "{path:?}, op {i}");
+            twin = unpinned(&twin);
+        }
+        let [rng_pinned, rng_twin] = &mut rngs;
+        assert_eq!(
+            rng_pinned.random::<u64>(),
+            rng_twin.random::<u64>(),
+            "{path:?}: the RNG streams made different draws"
+        );
+        pinned
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The exactness claim of the module docs, mechanically: from a
+        /// pinned start (`new`, `product_state`) every replay path gives
+        /// the amplitudes and records of the unpinned simulation after
+        /// every op, and `copy_from` resets a dirty buffer of wider
+        /// support exactly.
+        #[test]
+        fn pinned_replay_equals_unpinned_replay_after_every_op(
+            codes in proptest::collection::vec((0u8..30, 0usize..5, 0usize..5, 0.0f64..1.0), 1..40),
+            seed in 0u64..10_000,
+        ) {
+            let n = 5;
+            let mut circuit = Circuit::new(n, n);
+            for (code, a, b, x) in codes {
+                circuit.push(arbitrary_instruction(code, a, b, x, n));
+            }
+            let mut rng = StdRng::seed_from_u64(seed);
+            let product = StateVector::product_state(n, &[
+                (crate::qrand::random_pure_state(2, &mut rng), vec![3, 0]),
+                (crate::qrand::random_pure_state(1, &mut rng), vec![2]),
+            ]);
+            for start in [StateVector::new(n), product] {
+                assert_pinned_matches_unpinned(Path::Interpreted, &circuit, &start, seed);
+                let end = assert_pinned_matches_unpinned(Path::Compiled, &circuit, &start, seed);
+                let program = crate::compile::compile(&circuit);
+                for workers in [2, 3] {
+                    let path = Path::Parallel(workers);
+                    prop_assert_eq!(
+                        &assert_pinned_matches_unpinned(path, &circuit, &start, seed),
+                        &end
+                    );
+                    // Whole program: multi-kernel segments unpin the
+                    // union of their supports at once.
+                    let mut whole = start.clone();
+                    let mut cbits = vec![false; n];
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    whole.apply_compiled_parallel(&program, &mut cbits, &mut rng, workers);
+                    prop_assert!(whole.pins_hold());
+                    prop_assert_eq!(&whole, &end);
+                }
+                // Reset of a dirty buffer whose support is wider than
+                // (or just different from) the template's.
+                let mut buffer = end;
+                buffer.copy_from(&start);
+                prop_assert!(buffer.pins_hold());
+                prop_assert_eq!(&buffer, &start);
+            }
+        }
     }
 
     #[test]

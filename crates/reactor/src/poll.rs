@@ -13,9 +13,10 @@
 //! The wake pipe is deliberately *blocking* on both ends, which sounds
 //! backwards for a non-blocking reactor but is safe by construction:
 //!
-//! * the write side is guarded by an atomic `pending` flag, so at most
-//!   **one** byte is ever outstanding — a write can never fill the
-//!   pipe and block the waker;
+//! * the write side is guarded by an atomic `pending` flag that only
+//!   the drainer clears, and only after it has emptied the pipe, so at
+//!   most **one** byte is ever outstanding — a write can never fill
+//!   the pipe and block the waker;
 //! * the read side is only drained after `poll` reported `POLLIN`, so
 //!   a read can never block the reactor.
 
@@ -136,17 +137,35 @@ impl WakePipe {
         }
     }
 
-    /// Consumes pending wake bytes. Call only after `poll` reported
-    /// `POLLIN` on [`WakePipe::poll_fd`]. Clearing the flag *before*
-    /// reading keeps the protocol lossless: a wake that races this
-    /// drain either lands its byte (next poll returns immediately) or
-    /// observes `pending` still true from an earlier wake whose byte we
-    /// are about to consume — and in that window the waker's work item
-    /// is already queued, so the post-drain queue sweep sees it.
+    /// Consumes the pending wake byte. Call only after `poll` reported
+    /// `POLLIN` on [`WakePipe::poll_fd`], and sweep the work queue
+    /// **after** it returns.
+    ///
+    /// Read first, clear `pending` after. Wakers publish their work
+    /// item (under the queue's lock) *before* they call
+    /// [`WakePipe::wake`]. Between two clears, the first waker to swap
+    /// reads `false` and writes the byte; every later one reads `true`
+    /// and skips the write. That byte makes `poll` return, so for all
+    /// of them a drain — this read, the store, the caller's sweep — is
+    /// still to come, and the pipe is empty again before the flag is.
+    ///
+    /// Happens-before for a waker that *skipped* (the second waker):
+    /// its swap precedes the store below in the modification order of
+    /// `pending`. Its push is sequenced before its swap, the sweep
+    /// after the store. Had the sweep locked the queue before the push
+    /// did, the store would happen-before the swap (store → sweep's
+    /// unlock → push's lock → swap) and the swap would have read
+    /// `false`. So the push locked first, and this drain's sweep sees
+    /// the item.
+    ///
+    /// Clearing the flag *before* the read — as this function once did
+    /// — lets a second waker read `false` in between and write a byte
+    /// that the same `read` swallows: `pending` stays `true` over an
+    /// empty pipe, and every later wake is coalesced away.
     pub fn drain(&self) {
-        self.pending.store(false, Ordering::SeqCst);
         let mut buf = [0u8; 64];
         let _ = unsafe { read(self.read_fd, buf.as_mut_ptr().cast::<c_void>(), buf.len()) };
+        self.pending.store(false, Ordering::SeqCst);
     }
 }
 
@@ -177,6 +196,53 @@ mod tests {
         pipe.drain();
         let mut fds = [pipe.poll_fd()];
         assert_eq!(poll_fds(&mut fds, 0).unwrap(), 0);
+    }
+
+    #[test]
+    fn two_wakers_racing_one_drainer_never_lose_a_wakeup() {
+        // Two threads wake as fast as they can while this one runs
+        // poll → drain rounds. If a drain ever leaves `pending` set
+        // over an empty pipe, every later wake is coalesced away: a
+        // round's poll times out, and so does the final one.
+        const ROUNDS: usize = 100_000;
+        let pipe = std::sync::Arc::new(WakePipe::new().unwrap());
+        let stop = std::sync::Arc::new(AtomicBool::new(false));
+        let wakers: Vec<_> = (0..2)
+            .map(|_| {
+                let (pipe, stop) = (pipe.clone(), stop.clone());
+                std::thread::spawn(move || {
+                    while !stop.load(Ordering::SeqCst) {
+                        pipe.wake();
+                    }
+                })
+            })
+            .collect();
+        let mut rounds = 0;
+        while rounds < ROUNDS {
+            let mut fds = [pipe.poll_fd()];
+            if poll_fds(&mut fds, 1_000).unwrap() == 0 {
+                break; // wedged; the final wake below shows it
+            }
+            pipe.drain();
+            rounds += 1;
+        }
+        stop.store(true, Ordering::SeqCst);
+        for waker in wakers {
+            waker.join().unwrap();
+        }
+        // Quiesce: consume what the wakers' last calls left behind.
+        let mut fds = [pipe.poll_fd()];
+        if poll_fds(&mut fds, 0).unwrap() == 1 {
+            pipe.drain();
+        }
+        pipe.wake();
+        let mut fds = [pipe.poll_fd()];
+        assert_eq!(
+            poll_fds(&mut fds, 1_000).unwrap(),
+            1,
+            "a wake was lost after {rounds} wake/drain rounds"
+        );
+        assert_eq!(rounds, ROUNDS);
     }
 
     #[test]
