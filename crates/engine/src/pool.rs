@@ -110,8 +110,9 @@ struct EngineObs {
     chunk: obs::Histo,
     /// Wall time of each amp-parallel shot.
     amp_shot: obs::Histo,
-    /// Per-kernel apply times on the amp path, mirrored from
-    /// `qsim::amp::kernel_clock`.
+    /// Per-step apply times on the amp path — one sample per kernel,
+    /// or per blocked group of kernels, that gave worker 0 work —
+    /// mirrored from `qsim::amp::kernel_clock`.
     amp_kernel: obs::Histo,
 }
 
@@ -141,9 +142,11 @@ impl Engine {
 
     /// A copy of this engine that times execution into `registry`:
     /// per-chunk fold times (`engine.chunk`), amp-parallel shot
-    /// latencies (`engine.amp_shot`), and the amp path's per-kernel
+    /// latencies (`engine.amp_shot`), and the amp path's per-step
     /// apply times (`engine.amp_kernel`, mirrored from
-    /// `qsim::amp::kernel_clock`). Timing is observation only — every
+    /// `qsim::amp::kernel_clock`: one sample per kernel or blocked
+    /// kernel group, none for a step that left worker 0 without a live
+    /// unit). Timing is observation only — every
     /// tally stays bit-identical to the unobserved engine's.
     pub fn with_metrics(mut self, registry: &obs::Registry) -> Engine {
         self.obs = Some(EngineObs {

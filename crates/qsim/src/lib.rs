@@ -22,11 +22,14 @@
 //! * [`compile`] — compile-once lowering of circuits into fused
 //!   statevector kernels (gate fusion, two-qubit 4×4 fusion, phase-mask
 //!   merging, precomputed permutation masks) replayed by every shot of
-//!   a plan, each kernel dispatching through the range-aware
+//!   a plan, each kernel one vectorisable loop over the slices of its
+//!   live runs behind the range-aware
 //!   [`compile::CompiledOp::apply_range`] seam;
-//! * [`amp`] — amplitude-level parallel replay of compiled programs:
-//!   one big shot's amplitude space split across workers with a barrier
-//!   per kernel, bit-identical to the sequential replay;
+//! * [`amp`] — the replay driver of compiled programs, sequential and
+//!   amplitude-parallel: one big shot's *live* amplitude space split
+//!   across workers, consecutive in-block kernels run block by block
+//!   while the block sits in L2, a barrier per kernel or group,
+//!   bit-identical at any worker count;
 //! * [`runner`] — shot sampling over circuits, generic over the
 //!   [`sim::SimState`] backend, interpreted ([`runner::run_shot_into`])
 //!   or compiled ([`runner::run_program_into`] /

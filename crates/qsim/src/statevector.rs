@@ -27,7 +27,15 @@
 //! [`StateVector::apply_unitary`] pin nothing.
 //!
 //! Every amplitude loop then enumerates only the *live sub-cube*
-//! `i & mask == values` — work ∝ `2^live`, not `2ⁿ`. This is exact, not
+//! `i & mask == values` — work ∝ `2^live`, not `2ⁿ` — through one
+//! enumerator (`Pins::runs_in`): the maximal runs of consecutive live
+//! indices matching a bit pattern inside any index range, found without
+//! scanning. The compiled kernels take the runs as slices, on the
+//! sequential and the amplitude-parallel path alike (the workers of
+//! [`crate::amp`] split the *live* units and keep the pins); the
+//! interpreter's loops take them index by index, and the measurement
+//! sum run after run in ascending order — serial, so its rounding never
+//! depends on how anything was split. This is exact, not
 //! approximate: a skipped work unit holds only zeros, and any gate maps
 //! zeros to zeros (of either sign, which no later sum or product can
 //! tell apart), while a surviving unit does the full-register
@@ -77,47 +85,203 @@ impl Pins {
     }
 
     /// These pins with `bits` forgotten.
-    fn without(self, bits: usize) -> Pins {
+    pub(crate) fn without(self, bits: usize) -> Pins {
         Pins {
             mask: self.mask & !bits,
             vals: self.vals & !bits,
         }
     }
 
-    /// [`for_each_masked`](crate::compile::for_each_masked) over the
-    /// live sub-cube: calls `f(i)`, ascending, for every `i < len` with
-    /// `i & select == ones` whose bits agree with the pins. A pattern
-    /// that contradicts a pin selects only exact zeros, so nothing is
+    /// The one enumerator under every amplitude loop: ascending, the
+    /// maximal runs of consecutive indices `i` in `range` with
+    /// `i & select == ones` whose bits agree with the pins (`len`, a
+    /// power of two, bounds the index space). A pattern that
+    /// contradicts a pin selects only exact zeros, so nothing is
     /// enumerated.
-    fn for_each(self, ones: usize, select: usize, len: usize, f: impl FnMut(usize)) {
-        self.for_each_in(ones, select, 0..len, len, f);
-    }
-
-    /// [`Pins::for_each`] restricted to the indices in `range` — the
-    /// form the range-aware kernels of [`crate::compile`] take.
-    pub(crate) fn for_each_in(
+    ///
+    /// With `fixed = select | pinned` a run spans every value of the
+    /// free bits below the lowest fixed one, so it is
+    /// `2^(trailing free bits)` long before clipping. The first run is
+    /// found in O(1) ([`first_match`]) and each successor by the
+    /// submask step of [`for_each_masked`](crate::compile::for_each_masked)
+    /// over the free bits above the run: a sub-range costs its live
+    /// runs, never a scan of its indices.
+    ///
+    /// An [`Iterator`], not a callback, on purpose: the kernel bodies of
+    /// [`crate::compile`] are instantiated per instruction set, and only
+    /// code inlined into an instantiation is compiled for it.
+    #[inline(always)]
+    pub(crate) fn runs_in(
         self,
         ones: usize,
         select: usize,
         range: std::ops::Range<usize>,
         len: usize,
-        mut f: impl FnMut(usize),
-    ) {
-        if (ones ^ self.vals) & select & self.mask != 0 {
-            return;
-        }
-        let (ones, select) = (ones | self.vals, select | self.mask);
-        if range == (0..len) {
-            crate::compile::for_each_masked(ones, select, len, f);
+    ) -> Runs {
+        debug_assert!(len.is_power_of_two() && range.end <= len);
+        debug_assert_eq!(ones & !select, 0, "ones must lie within select");
+        debug_assert_eq!((select | self.mask) & !(len - 1), 0);
+        let fixed = select | self.mask;
+        let pattern = ones | self.vals;
+        let low = (1usize << (fixed | len).trailing_zeros()) - 1;
+        let contradicts = (ones ^ self.vals) & select & self.mask != 0;
+        let first = if contradicts || range.start >= range.end {
+            None
         } else {
-            // Sub-range: scan-and-test. Summed over a disjoint cover
-            // this costs one pass over the range bits.
-            for i in range {
-                if i & select == ones {
-                    f(i);
-                }
-            }
+            first_match(range.start, pattern, fixed, len)
+        };
+        let at = first.unwrap_or(range.end);
+        let step = (2 * len - 1) & !fixed & !low;
+        Runs {
+            at,
+            end: range.end,
+            pattern,
+            low,
+            step,
+            above: at & step,
         }
+    }
+
+    /// [`Pins::runs_in`] over the whole index space.
+    #[inline(always)]
+    fn runs(self, ones: usize, select: usize, len: usize) -> Runs {
+        self.runs_in(ones, select, 0..len, len)
+    }
+
+    /// Worker `worker`'s share of the work units [`Pins::runs_in`]
+    /// enumerates for `(ones, select)`: a contiguous index range holding
+    /// an even part of the *live* units (part sizes within one of each
+    /// other), the ranges of all `workers` tiling `[0, len)`.
+    ///
+    /// Equal *index* splits are not equal *work* splits: a pair kernel
+    /// on the top bit keeps every representative in the lower half of
+    /// the buffer, and pinned bits leave most of the buffer dead. So the
+    /// live unit counter is split evenly and mapped back to indices
+    /// through the (monotone) spread of its bits over the free bit
+    /// positions, the fixed bits at their pattern.
+    #[inline]
+    pub(crate) fn share_of(
+        self,
+        ones: usize,
+        select: usize,
+        worker: usize,
+        workers: usize,
+        len: usize,
+    ) -> std::ops::Range<usize> {
+        debug_assert!(worker < workers && len.is_power_of_two());
+        let free = (len - 1) & !(select | self.mask);
+        let pattern = ones | self.vals;
+        let units = 1usize << free.count_ones();
+        // Where worker `k`'s share starts: at its first unit.
+        let bound = |k: usize| match units * k / workers {
+            0 => 0,
+            unit => spread(unit, free) | pattern,
+        };
+        let start = if worker == 0 { 0 } else { bound(worker) };
+        let end = if worker + 1 == workers {
+            len
+        } else {
+            bound(worker + 1)
+        };
+        start..end
+    }
+}
+
+/// The smallest `y ≥ x` with `y & fixed == pattern`, if there is one
+/// below `len` (`pattern ⊆ fixed ⊆ len - 1`, `x < len`).
+///
+/// Above the highest bit where `x` is wrong everything already agrees.
+/// If `x` has a 0 there and the pattern a 1, raising it makes `y > x`
+/// whatever lies below, so the free bits below drop to 0. If `x` has
+/// the 1, the free bits above must count one step up — the submask
+/// step — and may run out.
+#[inline(always)]
+fn first_match(x: usize, pattern: usize, fixed: usize, len: usize) -> Option<usize> {
+    let wrong = (x ^ pattern) & fixed;
+    if wrong == 0 {
+        return Some(x);
+    }
+    let top = 1usize << wrong.ilog2();
+    let above = (len - 1) & !fixed & !(top | (top - 1));
+    let kept = x & above;
+    if pattern & top != 0 {
+        Some(kept | pattern)
+    } else {
+        let next = kept.wrapping_sub(above) & above;
+        (next != 0).then_some(next | pattern)
+    }
+}
+
+/// Distributes the low bits of `k` over the set bit positions of
+/// `free`, lowest to lowest. Strictly monotone in `k`, and surjective
+/// onto the submasks of `free` — the inverse of "gather the free bits
+/// of an index into a dense counter".
+fn spread(mut k: usize, mut free: usize) -> usize {
+    let mut out = 0;
+    while free != 0 {
+        let bit = free & free.wrapping_neg();
+        if k & 1 != 0 {
+            out |= bit;
+        }
+        k >>= 1;
+        free &= free - 1;
+    }
+    out
+}
+
+/// The runs of [`Pins::runs_in`].
+#[derive(Debug, Clone)]
+pub(crate) struct Runs {
+    /// First index of the next run; `≥ end` once exhausted.
+    at: usize,
+    /// End of the clipping range.
+    end: usize,
+    /// The fixed bits' required values.
+    pattern: usize,
+    /// The trailing free bits: one run spans all their values.
+    low: usize,
+    /// The free bits above the run, stepped through their submasks —
+    /// and the bit `len` above those, so that the step after the last
+    /// run carries out of the index space instead of wrapping to zero.
+    step: usize,
+    /// Where that count stands: `at`'s bits within `step`.
+    above: usize,
+}
+
+impl Runs {
+    /// The length of every run before clipping: `2^(trailing free bits)`.
+    #[inline(always)]
+    pub(crate) fn run_len(&self) -> usize {
+        self.low + 1
+    }
+
+    /// The same indices one at a time, for the loops that have no use
+    /// for slices: the trailing free bits are counted through like the
+    /// others, so every run is one index.
+    #[inline(always)]
+    pub(crate) fn singles(mut self) -> impl Iterator<Item = usize> {
+        self.step |= self.low;
+        self.low = 0;
+        self.above = self.at & self.step;
+        self.map(|run| run.start)
+    }
+}
+
+impl Iterator for Runs {
+    type Item = std::ops::Range<usize>;
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<Self::Item> {
+        let start = self.at;
+        if start >= self.end {
+            return None;
+        }
+        // Only a first run may start mid-way; every run ends with its
+        // low bits all set, or at the clip.
+        let stop = ((start | self.low) + 1).min(self.end);
+        self.above = self.above.wrapping_sub(self.step) & self.step;
+        self.at = self.above | self.pattern;
+        Some(start..stop)
     }
 }
 
@@ -238,7 +402,7 @@ impl StateVector {
         self.pins = pins;
         let amps = self.amps_mut();
         let mut norm_sqr = 0.0;
-        pins.for_each(0, 0, len, |i| {
+        for i in pins.runs(0, 0, len).singles() {
             let mut val = Complex::ONE;
             for (g_amps, g_qubits) in groups {
                 let sub = g_qubits
@@ -249,7 +413,7 @@ impl StateVector {
             }
             amps[i] = val;
             norm_sqr += val.norm_sqr();
-        });
+        }
         debug_assert!((norm_sqr - 1.0).abs() < 1e-9);
     }
 
@@ -258,7 +422,9 @@ impl StateVector {
     fn zero_live(&mut self) {
         let pins = self.pins;
         let amps = self.amps_mut();
-        pins.for_each(0, 0, amps.len(), |i| amps[i] = Complex::ZERO);
+        for run in pins.runs(0, 0, amps.len()) {
+            amps[run].fill(Complex::ZERO);
+        }
     }
 
     /// Overwrites this state with a copy of `other`, reusing the
@@ -278,7 +444,9 @@ impl StateVector {
             Some(src) if same_width && !other.pins.is_none() => {
                 self.zero_live();
                 let amps = self.amps_mut();
-                other.pins.for_each(0, 0, src.len(), |i| amps[i] = src[i]);
+                for run in other.pins.runs(0, 0, src.len()) {
+                    amps[run.clone()].copy_from_slice(&src[run]);
+                }
             }
             Some(src) => {
                 let mut amps = self.amps.take().unwrap_or_default();
@@ -324,19 +492,15 @@ impl StateVector {
         self.amps.get_mut().expect("initialised on the line above")
     }
 
-    /// Runs one compiled kernel over the live sub-cube, forgetting the
-    /// pins on the bits it mixes first.
-    pub(crate) fn apply_kernel(&mut self, op: &crate::compile::CompiledOp, widen: usize) {
-        let mixed = op.mixed_bits() << widen;
-        let pins = self.pins.without(mixed);
-        let amps = self.amps_mut_unpinning(mixed);
-        op.apply_live(amps, 0..amps.len(), widen, pins);
+    /// The pins in force.
+    pub(crate) fn pins(&self) -> Pins {
+        self.pins
     }
 
     /// Forgets the pins on the index `bits` an operation is about to
-    /// mix and hands out the whole amplitude buffer — all that passes
-    /// which ignore the pins (the amplitude-parallel kernels of
-    /// [`crate::amp`]) need.
+    /// mix and hands out the whole amplitude buffer. The replay driver
+    /// of [`crate::amp`] reads [`StateVector::pins`] first and lets
+    /// every kernel of a segment fold its own unpinning.
     pub(crate) fn amps_mut_unpinning(&mut self, bits: usize) -> &mut [Complex] {
         self.amps_mut();
         self.pins = self.pins.without(bits);
@@ -450,58 +614,27 @@ impl StateVector {
                 );
                 self.map_pairs(q, |a0, a1| (a0 * m, a1 * p));
             }
-            Gate::Cx { control, target } => {
-                self.permute_indices(|i, n| {
-                    if bit(i, control, n) == 1 {
-                        flip(i, target, n)
-                    } else {
-                        i
-                    }
-                });
-            }
             Gate::Cz(a, b) => {
                 // Touch only the 2^(n-2) amplitudes with both bits set
                 // instead of scanning (and bit-testing) all 2^n.
-                let n = self.num_qubits;
-                let mask = crate::compile::qubit_mask(a, n) | crate::compile::qubit_mask(b, n);
+                let mask = mask_of(a) | mask_of(b);
                 let pins = self.pins;
                 let amps = self.amps_mut();
-                pins.for_each(mask, mask, amps.len(), |i| amps[i] = -amps[i]);
+                for i in pins.runs(mask, mask, amps.len()).singles() {
+                    amps[i] = -amps[i];
+                }
             }
-            Gate::Swap(a, b) => {
-                self.permute_indices(|i, n| {
-                    if bit(i, a, n) != bit(i, b, n) {
-                        flip(flip(i, a, n), b, n)
-                    } else {
-                        i
-                    }
-                });
-            }
-            Gate::Ccx {
-                control_a,
-                control_b,
-                target,
-            } => {
-                self.permute_indices(|i, n| {
-                    if bit(i, control_a, n) == 1 && bit(i, control_b, n) == 1 {
-                        flip(i, target, n)
-                    } else {
-                        i
-                    }
-                });
-            }
-            Gate::Cswap {
-                control,
-                swap_a,
-                swap_b,
-            } => {
-                self.permute_indices(|i, n| {
-                    if bit(i, control, n) == 1 && bit(i, swap_a, n) != bit(i, swap_b, n) {
-                        flip(flip(i, swap_a, n), swap_b, n)
-                    } else {
-                        i
-                    }
-                });
+            Gate::Cx { .. } | Gate::Swap(..) | Gate::Ccx { .. } | Gate::Cswap { .. } => {
+                // A controlled permutation swaps, in place, each live
+                // index matching the pattern with its partner — the
+                // masks the compiler lowers the same gate to.
+                let (ones, select, flip) = crate::compile::permutation_masks(gate, n)
+                    .expect("the four controlled permutations have masks");
+                let pins = self.pins;
+                let amps = self.amps_mut();
+                for i in pins.runs(ones, select, amps.len()).singles() {
+                    amps.swap(i, i ^ flip);
+                }
             }
         }
     }
@@ -566,22 +699,12 @@ impl StateVector {
         let stride = crate::compile::qubit_mask(q, self.num_qubits);
         let pins = self.pins.without(stride);
         let amps = self.amps_mut();
-        pins.for_each(0, stride, amps.len(), |i| {
+        for i in pins.runs(0, stride, amps.len()).singles() {
             let j = i | stride;
             let (b0, b1) = f(amps[i], amps[j]);
             amps[i] = b0;
             amps[j] = b1;
-        });
-    }
-
-    fn permute_indices(&mut self, perm: impl Fn(usize, usize) -> usize) {
-        let n = self.num_qubits;
-        let amps = self.amps_mut();
-        let mut out = vec![Complex::ZERO; amps.len()];
-        for (i, &a) in amps.iter().enumerate() {
-            out[perm(i, n)] = a;
         }
-        *amps = out;
     }
 
     // ------------------------------------------------------------------
@@ -597,9 +720,11 @@ impl StateVector {
         let mask = crate::compile::qubit_mask(q, self.num_qubits);
         let amps = self.amps();
         let mut p = 0.0;
-        self.pins.for_each(mask, mask, amps.len(), |i| {
-            p += amps[i].norm_sqr();
-        });
+        for run in self.pins.runs(mask, mask, amps.len()) {
+            for a in &amps[run] {
+                p += a.norm_sqr();
+            }
+        }
         p
     }
 
@@ -623,17 +748,19 @@ impl StateVector {
     fn collapse_known(&mut self, q: usize, outcome: bool, p: f64) {
         assert!(p > 1e-15, "collapse onto a zero-probability outcome");
         let scale = 1.0 / p.sqrt();
-        // Scale the kept half and zero the discarded half in two
-        // branch-free strided passes, then pin the bit. A bit already
-        // pinned to `outcome` is still scaled: `p` is 1 only up to
-        // round-off.
+        // Scale the kept half and zero the discarded half — each run of
+        // the one sits one `mask` from its run of the other — then pin
+        // the bit. A bit already pinned to `outcome` is still scaled
+        // (`p` is 1 only up to round-off) and its other half, all
+        // zeros, zeroed again.
         let mask = crate::compile::qubit_mask(q, self.num_qubits);
-        let (keep, drop) = if outcome { (mask, 0) } else { (0, mask) };
+        let keep = if outcome { mask } else { 0 };
         let pins = self.pins;
         let amps = self.amps_mut();
-        let len = amps.len();
-        pins.for_each(keep, mask, len, |i| amps[i] = amps[i].scale(scale));
-        pins.for_each(drop, mask, len, |i| amps[i] = Complex::ZERO);
+        for i in pins.without(mask).runs(keep, mask, amps.len()).singles() {
+            amps[i] = amps[i].scale(scale);
+            amps[i ^ mask] = Complex::ZERO;
+        }
         self.pins = Pins {
             mask: pins.mask | mask,
             vals: pins.vals & !mask | keep,
@@ -990,6 +1117,169 @@ mod tests {
         );
     }
 
+    /// The interpreter's controlled permutations as they were before
+    /// the in-place swaps: a fresh `2ⁿ` vector, every index visited.
+    fn permute_by_scratch_vector(amps: &[Complex], gate: &Gate, n: usize) -> Vec<Complex> {
+        let differ = |i: usize, a: usize, b: usize| bit(i, a, n) != bit(i, b, n);
+        let perm = |i: usize| match *gate {
+            Gate::Cx { control, target } if bit(i, control, n) == 1 => flip(i, target, n),
+            Gate::Swap(a, b) if differ(i, a, b) => flip(flip(i, a, n), b, n),
+            Gate::Ccx {
+                control_a,
+                control_b,
+                target,
+            } if bit(i, control_a, n) == 1 && bit(i, control_b, n) == 1 => flip(i, target, n),
+            Gate::Cswap {
+                control,
+                swap_a,
+                swap_b,
+            } if bit(i, control, n) == 1 && differ(i, swap_a, swap_b) => {
+                flip(flip(i, swap_a, n), swap_b, n)
+            }
+            _ => i,
+        };
+        let mut out = vec![Complex::ZERO; amps.len()];
+        for (i, &a) in amps.iter().enumerate() {
+            out[perm(i)] = a;
+        }
+        out
+    }
+
+    #[test]
+    fn in_place_permutations_equal_the_scratch_vector_ones() {
+        let n = 6;
+        let gates = [
+            Gate::Cx {
+                control: 4,
+                target: 1,
+            },
+            Gate::Cx {
+                control: 0,
+                target: 5,
+            },
+            Gate::Swap(5, 2),
+            Gate::Ccx {
+                control_a: 3,
+                control_b: 0,
+                target: 4,
+            },
+            Gate::Cswap {
+                control: 2,
+                swap_a: 5,
+                swap_b: 0,
+            },
+        ];
+        let mut rng = StdRng::seed_from_u64(12);
+        // Unpinned, and pinned three ways: a product state, a bare
+        // basis state, and a state with measured qubits.
+        let mut starts = vec![
+            StateVector::from_amplitudes(crate::qrand::random_pure_state(n, &mut rng)),
+            StateVector::product_state(
+                n,
+                &[
+                    (crate::qrand::random_pure_state(2, &mut rng), vec![4, 0]),
+                    (crate::qrand::random_pure_state(1, &mut rng), vec![3]),
+                ],
+            ),
+            StateVector::basis_state(n, 0b101101),
+        ];
+        let mut measured = starts[0].clone();
+        measured.measure(4, Basis::Z, &mut rng);
+        measured.measure(2, Basis::X, &mut rng);
+        starts.push(measured);
+        for start in &starts {
+            for gate in &gates {
+                let expected = permute_by_scratch_vector(start.amplitudes(), gate, n);
+                let mut sv = start.clone();
+                sv.apply_gate(gate);
+                assert_eq!(sv.amplitudes(), expected, "{gate}");
+                assert!(sv.pins_hold(), "{gate}");
+            }
+        }
+    }
+
+    // ---- the run enumerator ---------------------------------------
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `runs_in` against the definition: flattened it is the
+        /// filter-scan of the range, its runs are ascending, disjoint,
+        /// non-empty and maximal, `singles` lists the same indices, and
+        /// `first_match` is the brute-force search — for unaligned
+        /// ranges (empty, one index, inside one run), contradicting
+        /// patterns and `len = 1`.
+        #[test]
+        fn runs_are_the_filter_scan_of_the_range(
+            log_len in 0u32..11,
+            words in collection::vec(any::<u64>(), 6),
+            shape in 0u8..4,
+        ) {
+            let len = 1usize << log_len;
+            let all = len - 1;
+            // Sparse random masks (two words ANDed), values inside them.
+            let select = (words[0] & words[1]) as usize & all;
+            let ones = words[2] as usize & select;
+            let mask = (words[3] & words[3] >> 20) as usize & all;
+            let pins = Pins { mask, vals: words[4] as usize & mask };
+            let (a, b) = ((words[5] as usize) % (len + 1), (words[5] >> 32) as usize % (len + 1));
+            let range = match shape {
+                0 => 0..len,
+                1 => a..a,                      // empty
+                2 => a.min(len - 1)..a.min(len - 1) + 1, // one index
+                _ => a.min(b)..a.max(b),
+            };
+            let live = |i: usize| i & select == ones && i & pins.mask == pins.vals;
+            let expected: Vec<usize> = range.clone().filter(|&i| live(i)).collect();
+
+            let runs: Vec<_> = pins.runs_in(ones, select, range.clone(), len).collect();
+            let flat: Vec<usize> = runs.iter().cloned().flatten().collect();
+            prop_assert_eq!(&flat, &expected, "{:?} {:?}", pins, range);
+            for run in &runs {
+                prop_assert!(run.start < run.end && range.start <= run.start && run.end <= range.end);
+            }
+            for pair in runs.windows(2) {
+                // Ascending and disjoint, and maximal: never touching.
+                prop_assert!(pair[0].end < pair[1].start);
+            }
+            for run in &runs {
+                // Maximal at both ends within the range.
+                prop_assert!(run.start == range.start || !live(run.start - 1));
+                prop_assert!(run.end == range.end || !live(run.end));
+            }
+            let singles: Vec<usize> = pins.runs_in(ones, select, range.clone(), len).singles().collect();
+            prop_assert_eq!(&singles, &expected);
+
+            // The first-match helper, from every kind of start.
+            let fixed = select | pins.mask;
+            let pattern = ones | pins.vals;
+            if (ones ^ pins.vals) & select & pins.mask == 0 {
+                for x in [a.min(len - 1), b.min(len - 1), 0, len - 1] {
+                    let brute = (x..len).find(|y| y & fixed == pattern);
+                    prop_assert_eq!(first_match(x, pattern, fixed, len), brute, "x = {}", x);
+                }
+            }
+
+            // Every worker count's shares tile the space and split the
+            // live units evenly.
+            if (ones ^ pins.vals) & select & pins.mask == 0 {
+                for workers in [1usize, 2, 3, 5] {
+                    let mut next = 0;
+                    let mut counts = Vec::new();
+                    for worker in 0..workers {
+                        let share = pins.share_of(ones, select, worker, workers, len);
+                        prop_assert_eq!(share.start, next);
+                        next = share.end;
+                        counts.push(share.filter(|&i| live(i)).count());
+                    }
+                    prop_assert_eq!(next, len);
+                    let spread = counts.iter().max().unwrap() - counts.iter().min().unwrap();
+                    prop_assert!(spread <= 1, "{} workers: {:?}", workers, counts);
+                }
+            }
+        }
+    }
+
     // ---- pinned ≡ unpinned, op by op ------------------------------
 
     /// One instruction of a random dynamic circuit on `n ≥ 3` qubits
@@ -1131,7 +1421,9 @@ mod tests {
                 (crate::qrand::random_pure_state(2, &mut rng), vec![3, 0]),
                 (crate::qrand::random_pure_state(1, &mut rng), vec![2]),
             ]);
-            for start in [StateVector::new(n), product] {
+            // The last start is wider than the circuit: every replay
+            // path shifts the masks up, the extra low bits stay pinned.
+            for start in [StateVector::new(n), product, StateVector::new(n + 2)] {
                 assert_pinned_matches_unpinned(Path::Interpreted, &circuit, &start, seed);
                 let end = assert_pinned_matches_unpinned(Path::Compiled, &circuit, &start, seed);
                 let program = crate::compile::compile(&circuit);
