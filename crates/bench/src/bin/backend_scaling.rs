@@ -15,10 +15,14 @@
 //!   kernels keep the RNG stream in interpreted order; the stabilizer
 //!   backend consumes the statevector's per-instruction pattern),
 //! * `Auto` routes the Clifford circuit to the stabilizer path,
-//! * the compiled statevector path is **strictly faster** than the
-//!   interpreted path — the CI perf-regression guard, re-checked from
-//!   the emitted JSON by the workflow's perf-guard step,
-//! * the stabilizer path stays measurably faster than the statevector.
+//! * the stabilizer path is more than 2× the interpreted statevector
+//!   rate (its sign-only replay read 71–130× in ten `--quick` runs on a
+//!   2-core host).
+//!
+//! The compiled/interpreted statevector ratio is printed and emitted
+//! but not gated: nothing fuses on this workload, so the two paths do
+//! the same work (0.95–1.40× in the same ten runs); performance claims
+//! about the compiled path are made with `benchmark/`.
 //!
 //! A second section sweeps state width on a non-Clifford ZZ workload
 //! (rx mixer layers + cx/rz/cx ZZ chains — the shape the two-qubit
@@ -303,11 +307,6 @@ fn main() {
     println!(
         "compiled statevector path: {:.2}x the interpreted rate on the GHZ workload",
         compiled_rate / interp_rate
-    );
-    assert!(
-        compiled_rate > interp_rate,
-        "perf regression: compiled statevector path ({compiled_rate:.0}/s) is not \
-         strictly faster than the interpreted path ({interp_rate:.0}/s)"
     );
 
     let stab_rate = rate_of["stabilizer"];

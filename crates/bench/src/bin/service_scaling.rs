@@ -35,8 +35,10 @@
 //! distinct-seed cold batch served by an uninstrumented and a fully
 //! instrumented (`obs::Registry`) server — rows **service-obs-off** /
 //! **service-obs-on**. The response lines must be byte-identical
-//! (instrumentation never changes served bytes) and CI's perf guard
-//! asserts the instrumented rate stays within 5% of the bare one.
+//! (instrumentation never changes served bytes); the rate ratio is
+//! printed and emitted but not gated — on a sub-millisecond cold request
+//! two single passes differ by more than any instrumentation costs
+//! (−20 % to +22 % in ten `--quick` runs).
 //!
 //! A third section benches the **sharded topology**: the same batch
 //! (explicit statevector backend, heavier shots) served through a

@@ -18,6 +18,36 @@ use mathkit::eigen::eigh;
 use mathkit::matrix::Matrix;
 use rand::Rng;
 
+/// Draws the code of a uniform non-identity Pauli on `k` qubits: an
+/// integer in `1..=4ᵏ − 1` that [`pauli_gates`] decodes. One
+/// `random_range` draw — the whole randomness of a firing depolarizing
+/// site, so backends that tabulate the site's Paulis ahead of time (the
+/// stabilizer replay) consume the stream exactly as [`random_pauli_on`]
+/// does.
+///
+/// # Panics
+///
+/// Panics unless `k` is 1 or 2.
+pub fn random_pauli_code(k: usize, rng: &mut impl Rng) -> usize {
+    assert!((1..=2).contains(&k), "depolarizing sites cover 1–2 qubits");
+    rng.random_range(1..=4usize.pow(k as u32) - 1) // exclude the identity
+}
+
+/// Decodes a Pauli `code` on `qubits` into single-qubit Pauli gates
+/// (identity factors omitted): qubit `i` reads bits `2i..2i + 2` of the
+/// code, `0` = I, `1` = X, `2` = Y, `3` = Z.
+pub fn pauli_gates(code: usize, qubits: &[usize]) -> impl Iterator<Item = Gate> + '_ {
+    qubits
+        .iter()
+        .enumerate()
+        .filter_map(move |(i, &q)| match (code >> (2 * i)) & 3 {
+            1 => Some(Gate::X(q)),
+            2 => Some(Gate::Y(q)),
+            3 => Some(Gate::Z(q)),
+            _ => None,
+        })
+}
+
 /// Samples a uniform non-identity Pauli on the given qubits, returned as a
 /// list of single-qubit Pauli gates (identity factors omitted).
 ///
@@ -25,21 +55,7 @@ use rand::Rng;
 /// uniform over the 15 non-identity two-qubit Paulis, matching the
 /// depolarizing channels of the paper's §5.1.
 pub fn random_pauli_on(qubits: &[usize], rng: &mut impl Rng) -> Vec<Gate> {
-    let k = qubits.len();
-    assert!((1..=2).contains(&k), "depolarizing sites cover 1–2 qubits");
-    let options = 4usize.pow(k as u32) - 1; // exclude the identity
-    let draw = rng.random_range(1..=options);
-    let mut gates = Vec::new();
-    for (i, &q) in qubits.iter().enumerate() {
-        let code = (draw >> (2 * i)) & 3;
-        match code {
-            1 => gates.push(Gate::X(q)),
-            2 => gates.push(Gate::Y(q)),
-            3 => gates.push(Gate::Z(q)),
-            _ => {}
-        }
-    }
-    gates
+    pauli_gates(random_pauli_code(qubits.len(), rng), qubits).collect()
 }
 
 /// A Haar-like random pure state: complex Gaussian amplitudes, normalized.

@@ -20,7 +20,8 @@
 //!   randomness, and the classical record is sampled once from the
 //!   final state's carrier qubits in [`SimState::finish`];
 //! * `stabilizer::CliffordState` — Aaronson–Gottesman tableau shots for
-//!   Clifford circuits, polynomial in width. It consumes the shot's RNG
+//!   Clifford circuits, polynomial in width; its program replays only
+//!   the tableau's sign bits per shot. It consumes the shot's RNG
 //!   stream in the same per-instruction pattern as [`StateVector`], so
 //!   Clifford circuits without sampling randomness tally identically on
 //!   both backends under one root seed.
@@ -48,9 +49,11 @@ pub use circuit::caps::Unsupported;
 /// [`SimState::compile`]) and shared read-only across all shots and
 /// workers.
 ///
-/// Two implementations exist: [`Circuit`] itself (the identity
+/// Three implementations exist: [`Circuit`] itself (the identity
 /// "program" of backends that re-interpret the instruction stream per
-/// shot) and [`CompiledCircuit`] (the statevector's fused kernels).
+/// shot — the density matrix), [`CompiledCircuit`] (the statevector's
+/// fused kernels) and `stabilizer::clifford::CliffordProgram` (the
+/// tableau's x/z evolution run once, leaving per-shot sign ops).
 pub trait SimProgram: std::fmt::Debug + Clone + Send + Sync {
     /// Number of qubits the program needs.
     fn num_qubits(&self) -> usize;
@@ -70,7 +73,7 @@ impl SimProgram for Circuit {
 
 /// Replays a raw instruction stream through [`SimState::step`] — the
 /// [`SimState::run_program`] body of every backend whose program type is
-/// [`Circuit`] itself.
+/// [`Circuit`] itself, and the fallback of the stabilizer's.
 pub fn run_interpreted<S: SimState>(
     state: &mut S,
     circuit: &Circuit,
@@ -133,7 +136,8 @@ pub trait SimState: Clone + Send + Sync {
 
     /// The lowered form replayed by [`SimState::run_program`]. Backends
     /// without a compiler use [`Circuit`] itself; the statevector lowers
-    /// to fused kernels ([`CompiledCircuit`]).
+    /// to fused kernels ([`CompiledCircuit`]), the stabilizer tableau to
+    /// sign ops.
     type Program: SimProgram;
 
     /// Lowers `circuit` once per plan; the shot loop replays the result

@@ -16,7 +16,7 @@ use service::{Request, Response, RunRequest, Service, ServiceConfig, ServiceHand
 use shard::{Coordinator, CoordinatorConfig, CoordinatorHandle};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn bell() -> Circuit {
     let mut c = Circuit::new(2, 2);
@@ -74,6 +74,24 @@ fn spawn_coordinator(workers: Vec<String>) -> CoordinatorHandle {
     .expect("spawn coordinator")
 }
 
+/// Blocks until the coordinator has probed all `n` workers alive: a
+/// worker counts as dead until its first liveness probe, and a request
+/// answered before that is partitioned over the probed ones only.
+fn await_all_alive(coord: &CoordinatorHandle, n: usize) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let rows = coord.worker_rows();
+        if rows.len() == n && rows.iter().all(|r| r.alive) {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "not all {n} workers alive after 5 s: {rows:?}"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
 /// One wire round trip on a fresh connection.
 fn request_once(addr: SocketAddr, request: &Request) -> Response {
     let stream = TcpStream::connect(addr).expect("connect");
@@ -111,6 +129,7 @@ fn sharded_tallies_match_direct_sampling_for_1_2_4_workers() {
     for n in [1usize, 2, 4] {
         let (worker_handles, addrs) = spawn_workers(n);
         let coord = spawn_coordinator(addrs);
+        await_all_alive(&coord, n);
         for (name, circuit, shots, seed) in &workloads {
             let response = request_once(
                 coord.addr(),
