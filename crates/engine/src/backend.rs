@@ -20,15 +20,18 @@
 //! (`auto` | `statevector` | `density` | `stabilizer`), read by
 //! [`Backend::from_env`].
 //!
-//! Because backends route through [`Executor::sample_shots`], they
-//! inherit its amplitude-level parallelism policy for free: wide
-//! statevector circuits (at or above
+//! Every backend run goes through [`PreparedJob`] — the circuit
+//! compiled once for the resolved backend, then any global shot range
+//! replayed on an [`Engine`] — so [`Backend::sample_shots`] and the
+//! serving layer's slices are the same code, and both inherit the
+//! engine's policies for free: wide statevector circuits (at or above
 //! [`EngineConfig::amp_threshold_qubits`](crate::EngineConfig::amp_threshold_qubits))
-//! on a pooled executor automatically split each shot's amplitude
-//! space across the pool instead of parallelising across shots, with
-//! bit-identical tallies either way. Backends whose states cannot
-//! range-split (density, stabilizer) simply never engage it
-//! (`SimState::AMP_PARALLEL` is `false` for them).
+//! on a pooled engine split each shot's amplitude space across the
+//! pool instead of parallelising across shots, and a recording engine
+//! ([`Engine::with_trace`]) records, with bit-identical tallies either
+//! way. Backends whose states cannot range-split (density, stabilizer)
+//! simply never amp-engage (`SimState::AMP_PARALLEL` is `false` for
+//! them).
 //!
 //! ```
 //! use circuit::circuit::Circuit;
@@ -58,8 +61,8 @@ use qsim::statevector::StateVector;
 use stabilizer::clifford::CliffordState;
 
 use crate::executor::Executor;
-use crate::pool::Counts;
-use crate::trace::TraceSink;
+use crate::pool::{Counts, Engine, ShotPlan};
+use std::ops::Range;
 
 /// Which simulation representation plays the shots.
 ///
@@ -161,91 +164,122 @@ impl Backend {
 
     /// Samples `shots` classical records of `circuit` from `|0…0⟩` on
     /// this backend under `exec`, histogramming the packed register
-    /// (the `sample_shots` convention). The one runtime-dispatch
-    /// boundary: everything below is the generic
-    /// [`Executor::sample_shots`] loop, monomorphized per backend.
+    /// (the `sample_shots` convention): [`PreparedJob::prepare`], then
+    /// the whole range at once — the very calls the serving layer makes
+    /// per slice, so served tallies equal these by construction.
     ///
     /// Fails up front — with the typed probe error — instead of
     /// panicking mid-shot. Deterministic per backend: for one root
     /// seed, sequential and pooled executors tally identically.
-    ///
-    /// The density arm evolves the state **once** (its steps consume no
-    /// randomness) and then draws each shot's record from the final
-    /// carrier distribution on the shot's own derived stream — exactly
-    /// the counts the generic per-shot loop would produce, without
-    /// re-evolving `ρ` per shot.
     pub fn sample_shots(
         self,
         circuit: &Circuit,
         shots: usize,
         exec: &Executor,
     ) -> Result<Counts, Unsupported> {
-        let resolved = self.resolve(circuit);
+        let shots = shots as u64;
+        let (_resolved, job) = PreparedJob::prepare(circuit, self, shots, exec.root_seed())?;
+        Ok(job.run_range(&exec.engine(), 0..shots))
+    }
+}
+
+/// A job compiled once for its backend; any range of its global shot
+/// indices then replays it. The only runtime backend dispatch:
+/// [`Backend::sample_shots`] runs `0..shots` of one, the serving layer
+/// runs it slice by slice.
+///
+/// The statevector and stabilizer arms hold a [`ShotPlan`] (circuit
+/// compiled once via `SimState::compile`); the density arm holds the
+/// once-evolved ρ from which each shot's record is drawn.
+pub enum PreparedJob {
+    /// Fused-kernel statevector replay.
+    StateVector(ShotPlan<StateVector>),
+    /// Stabilizer-tableau replay.
+    Stabilizer(ShotPlan<CliffordState>),
+    /// Deferred-measurement density evolution: ρ is evolved **once**
+    /// here (its steps consume no randomness); each shot then draws its
+    /// record from the final carrier distribution on the shot's own
+    /// stream — exactly the counts per-shot evolution would produce.
+    Density {
+        /// The final density matrix.
+        rho: DensityMatrix,
+        /// Classical register width.
+        num_cbits: usize,
+        /// Root seed for the per-shot record draws.
+        root_seed: u64,
+    },
+}
+
+impl PreparedJob {
+    /// Compiles `circuit` for the resolved backend. `shot_end` is the
+    /// job's **global** end index (`start + shots` for a ranged job,
+    /// plain `shots` otherwise): the plans are built to that bound so
+    /// [`PreparedJob::run_range`] accepts any sub-range of the job's
+    /// global indices.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the backend's capability probe.
+    pub fn prepare(
+        circuit: &Circuit,
+        backend: Backend,
+        shot_end: u64,
+        root_seed: u64,
+    ) -> Result<(Backend, PreparedJob), Unsupported> {
+        let resolved = backend.resolve(circuit);
         resolved.supports(circuit)?;
         let n = circuit.num_qubits();
-        Ok(match resolved {
-            Backend::StateVector => exec.sample_shots(circuit, &StateVector::new(n), shots),
-            Backend::Stabilizer => exec.sample_shots(circuit, &CliffordState::new(n), shots),
-            Backend::Density => {
-                let rho = run_deferred(circuit, &DensityMatrix::new(n));
-                let num_cbits = circuit.num_cbits();
-                // Workers share `&rho` — record sampling only reads the
-                // final state, so the per-worker workspace is just the
-                // classical register, not a clone of the (potentially
-                // huge) matrix.
-                let tally = exec.run_tally_with(
-                    shots as u64,
-                    || vec![false; num_cbits],
-                    |cbits, _shot, rng| {
-                        cbits.iter_mut().for_each(|b| *b = false);
-                        rho.sample_record(cbits, rng);
-                        pack_cbits(cbits)
-                    },
-                );
-                tally.into_iter().map(|(k, v)| (k, v as usize)).collect()
-            }
+        let job = match resolved {
+            Backend::StateVector => PreparedJob::StateVector(ShotPlan::new(
+                circuit.clone(),
+                StateVector::new(n),
+                shot_end,
+                root_seed,
+            )),
+            Backend::Stabilizer => PreparedJob::Stabilizer(ShotPlan::new(
+                circuit.clone(),
+                CliffordState::new(n),
+                shot_end,
+                root_seed,
+            )),
+            Backend::Density => PreparedJob::Density {
+                rho: run_deferred(circuit, &DensityMatrix::new(n)),
+                num_cbits: circuit.num_cbits(),
+                root_seed,
+            },
             Backend::Auto => unreachable!("resolve never returns Auto"),
-        })
+        };
+        Ok((resolved, job))
     }
 
-    /// Traced twin of [`Backend::sample_shots`]: identical counts, plus
-    /// one [`ShotRecord`](crate::ShotRecord) per executed shot delivered
-    /// to `sink`. The density arm still evolves `ρ` once and records
-    /// only the per-shot classical draw.
-    pub fn sample_shots_traced(
-        self,
-        circuit: &Circuit,
-        shots: usize,
-        exec: &Executor,
-        sink: &dyn TraceSink,
-    ) -> Result<Counts, Unsupported> {
-        let resolved = self.resolve(circuit);
-        resolved.supports(circuit)?;
-        let n = circuit.num_qubits();
-        Ok(match resolved {
-            Backend::StateVector => {
-                exec.sample_shots_traced(circuit, &StateVector::new(n), shots, sink)
-            }
-            Backend::Stabilizer => {
-                exec.sample_shots_traced(circuit, &CliffordState::new(n), shots, sink)
-            }
-            Backend::Density => {
-                let rho = run_deferred(circuit, &DensityMatrix::new(n));
-                let num_cbits = circuit.num_cbits();
-                exec.engine().run_record_range_traced(
-                    0..shots as u64,
-                    exec.root_seed(),
-                    || vec![false; num_cbits],
-                    |cbits, _shot, rng| {
-                        cbits.iter_mut().for_each(|b| *b = false);
-                        rho.sample_record(cbits, rng);
-                        pack_cbits(cbits) as u64
-                    },
-                    sink,
-                )
-            }
-            Backend::Auto => unreachable!("resolve never returns Auto"),
-        })
+    /// Executes the global shot indices `range` of this job on
+    /// `engine`, under its policies (threads, amp engagement, metrics,
+    /// recording). Merging the counts of a partition of `0..shots`
+    /// reproduces the uninterrupted run bit-identically (the engine's
+    /// ranged-fold guarantee).
+    pub fn run_range(&self, engine: &Engine, range: Range<u64>) -> Counts {
+        match self {
+            PreparedJob::StateVector(plan) => engine.run_plan_range(plan, range),
+            PreparedJob::Stabilizer(plan) => engine.run_plan_range(plan, range),
+            // Workers share `&rho` — record sampling only reads the
+            // final state, so the per-worker workspace is just the
+            // classical register, not a clone of the (potentially
+            // huge) matrix.
+            PreparedJob::Density {
+                rho,
+                num_cbits,
+                root_seed,
+            } => engine.run_records(
+                range,
+                *root_seed,
+                || vec![false; *num_cbits],
+                |cbits, rng| {
+                    cbits.iter_mut().for_each(|b| *b = false);
+                    rho.sample_record(cbits, rng);
+                    pack_cbits(cbits)
+                },
+            ),
+        }
     }
 }
 
@@ -273,7 +307,6 @@ fn cli_backend() -> Option<Backend> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::Engine;
 
     fn bell() -> Circuit {
         let mut c = Circuit::new(2, 2);

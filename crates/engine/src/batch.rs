@@ -1,15 +1,12 @@
 //! Batched execution of many independent sampling jobs.
 
-use qsim::runner::{pack_cbits, run_program_into};
 use qsim::sim::SimState;
 use rand::rngs::StdRng;
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crate::pool::{merge_tallies, Counts, Engine, ShotPlan};
-use crate::seed::{derive_stream_seed, shot_rng};
-use crate::trace::{ShotRecord, TraceBuffer, TraceSink};
+use crate::pool::{merge_tallies, replay_shot, Counts, Engine, ShotPlan};
+use crate::seed::shot_rng;
 
 /// One independent sampling job a [`BatchRunner`] can execute: a shot
 /// count, a root seed, and a per-shot kernel producing a histogram key.
@@ -54,14 +51,8 @@ impl<S: SimState> ShotJob for ShotPlan<S> {
         (self.initial().clone(), Vec::new())
     }
 
-    fn run_shot(
-        &self,
-        (state, cbits): &mut Self::Workspace,
-        _shot: u64,
-        rng: &mut StdRng,
-    ) -> usize {
-        run_program_into(self.program(), self.initial(), state, cbits, rng);
-        pack_cbits(cbits)
+    fn run_shot(&self, ws: &mut Self::Workspace, _shot: u64, rng: &mut StdRng) -> usize {
+        replay_shot(self.program(), self.initial(), ws, rng)
     }
 }
 
@@ -106,15 +97,14 @@ impl<'e> BatchRunner<'e> {
                 start = end;
             }
         }
-        let workers = self.engine.threads().min(units.len().max(1));
-
-        let run_worker = |cursor: &AtomicUsize| {
-            let mut tallies: Vec<HashMap<J::Key, u64>> =
-                (0..jobs.len()).map(|_| HashMap::new()).collect();
-            let mut workspaces: Vec<Option<J::Workspace>> = (0..jobs.len()).map(|_| None).collect();
-            loop {
-                let u = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(unit) = units.get(u) else { break };
+        let fresh_tallies =
+            || -> Vec<HashMap<J::Key, u64>> { (0..jobs.len()).map(|_| HashMap::new()).collect() };
+        let per_worker = self.engine.claim_units(
+            units.len() as u64,
+            || -> Vec<Option<J::Workspace>> { (0..jobs.len()).map(|_| None).collect() },
+            fresh_tallies,
+            |tallies, workspaces, u| {
+                let unit = &units[u as usize];
                 let job = &jobs[unit.job];
                 let ws = workspaces[unit.job].get_or_insert_with(|| job.workspace());
                 let root = job.root_seed();
@@ -123,27 +113,10 @@ impl<'e> BatchRunner<'e> {
                     let key = job.run_shot(ws, shot, &mut rng);
                     *tallies[unit.job].entry(key).or_insert(0) += 1;
                 }
-            }
-            tallies
-        };
+            },
+        );
 
-        let cursor = AtomicUsize::new(0);
-        let per_worker: Vec<Vec<HashMap<J::Key, u64>>> = if workers == 1 {
-            vec![run_worker(&cursor)]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| scope.spawn(|| run_worker(&cursor)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("batch worker panicked"))
-                    .collect()
-            })
-        };
-
-        let mut merged: Vec<HashMap<J::Key, u64>> =
-            (0..jobs.len()).map(|_| HashMap::new()).collect();
+        let mut merged = fresh_tallies();
         for tallies in per_worker {
             for (ji, t) in tallies.into_iter().enumerate() {
                 let acc = std::mem::take(&mut merged[ji]);
@@ -160,106 +133,6 @@ impl<'e> BatchRunner<'e> {
             .into_iter()
             .map(|t| t.into_iter().map(|(k, v)| (k, v as usize)).collect())
             .collect()
-    }
-
-    /// Traced twin of [`BatchRunner::run_batch`]: identical per-job
-    /// histograms, plus one [`ShotRecord`] per executed shot delivered
-    /// to that job's sink in `sinks` (indexed like `jobs` — shot indices
-    /// are per-job, so each job needs its own sink). `encode` packs a
-    /// job's histogram key into the record's `u64` payload (identity
-    /// cast for packed-register keys).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sinks.len() != jobs.len()`.
-    pub fn run_batch_traced<J: ShotJob, E>(
-        &self,
-        jobs: &[J],
-        encode: E,
-        sinks: &[&dyn TraceSink],
-    ) -> Vec<HashMap<J::Key, u64>>
-    where
-        E: Fn(&J::Key) -> u64 + Sync,
-    {
-        assert_eq!(
-            sinks.len(),
-            jobs.len(),
-            "one trace sink per job ({} sinks for {} jobs)",
-            sinks.len(),
-            jobs.len()
-        );
-        let chunk = self.engine.config().chunk_size.max(1);
-        let mut units = Vec::new();
-        for (ji, job) in jobs.iter().enumerate() {
-            let mut start = 0;
-            while start < job.shots() {
-                let end = (start + chunk).min(job.shots());
-                units.push(Unit {
-                    job: ji,
-                    start,
-                    end,
-                });
-                start = end;
-            }
-        }
-        let workers = self.engine.threads().min(units.len().max(1));
-
-        let run_worker = |cursor: &AtomicUsize| {
-            let mut tallies: Vec<HashMap<J::Key, u64>> =
-                (0..jobs.len()).map(|_| HashMap::new()).collect();
-            let mut workspaces: Vec<Option<J::Workspace>> = (0..jobs.len()).map(|_| None).collect();
-            let mut buffers: Vec<TraceBuffer> =
-                sinks.iter().map(|s| TraceBuffer::new(*s)).collect();
-            loop {
-                let u = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(unit) = units.get(u) else { break };
-                let job = &jobs[unit.job];
-                let ws = workspaces[unit.job].get_or_insert_with(|| job.workspace());
-                let root = job.root_seed();
-                for shot in unit.start..unit.end {
-                    let mut rng = shot_rng(root, shot);
-                    let t0 = std::time::Instant::now();
-                    let key = job.run_shot(ws, shot, &mut rng);
-                    let nanos = t0.elapsed().as_nanos() as u64;
-                    buffers[unit.job].push(ShotRecord {
-                        shot,
-                        record: encode(&key),
-                        stream: derive_stream_seed(root, shot),
-                        nanos,
-                    });
-                    *tallies[unit.job].entry(key).or_insert(0) += 1;
-                }
-            }
-            for buffer in &mut buffers {
-                buffer.flush();
-            }
-            tallies
-        };
-
-        let cursor = AtomicUsize::new(0);
-        let per_worker: Vec<Vec<HashMap<J::Key, u64>>> = if workers == 1 {
-            vec![run_worker(&cursor)]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| scope.spawn(|| run_worker(&cursor)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("batch worker panicked"))
-                    .collect()
-            })
-        };
-
-        let mut merged: Vec<HashMap<J::Key, u64>> =
-            (0..jobs.len()).map(|_| HashMap::new()).collect();
-        for tallies in per_worker {
-            for (ji, t) in tallies.into_iter().enumerate() {
-                let acc = std::mem::take(&mut merged[ji]);
-                merged[ji] = merge_tallies(acc, t);
-            }
-        }
-        merged
     }
 }
 
@@ -344,5 +217,31 @@ mod tests {
         let engine = Engine::with_threads(4);
         let no_plans: &[ShotPlan] = &[];
         assert!(BatchRunner::new(&engine).run_plans(no_plans).is_empty());
+    }
+
+    #[test]
+    fn batch_units_are_timed_into_engine_chunk_without_changing_tallies() {
+        let jobs: Vec<CoinJob> = (0..3)
+            .map(|i| CoinJob {
+                bias: 0.3,
+                shots: 100 + 50 * i,
+                seed: 7 + i,
+            })
+            .collect();
+        let config = crate::EngineConfig {
+            threads: 2,
+            chunk_size: 64,
+            ..crate::EngineConfig::default()
+        };
+        let registry = obs::Registry::new();
+        let timed = Engine::new(config.clone()).with_metrics(&registry);
+        let plain = Engine::new(config);
+        assert_eq!(
+            BatchRunner::new(&timed).run_batch(&jobs),
+            BatchRunner::new(&plain).run_batch(&jobs)
+        );
+        // 100, 150 and 200 shots in 64-shot units: 2 + 3 + 4.
+        let snapshot = registry.snapshot();
+        assert_eq!(snapshot.histo("engine.chunk").unwrap().count, 9);
     }
 }

@@ -24,16 +24,15 @@
 //! experiment is reproducible from one root seed regardless of mode.
 
 use circuit::circuit::Circuit;
-use qsim::runner::{pack_cbits, run_program_into, run_program_into_parallel, run_shot_into};
+use qsim::runner::{pack_cbits, run_shot_into};
 use qsim::sim::SimState;
 use rand::rngs::StdRng;
 use std::collections::HashMap;
 use std::hash::Hash;
 
 use crate::batch::{BatchRunner, ShotJob};
-use crate::pool::{Counts, Engine};
-use crate::seed::{derive_stream_seed, shot_rng};
-use crate::trace::TraceSink;
+use crate::pool::{check_plan, Counts, Engine};
+use crate::seed::derive_stream_seed;
 
 /// An execution context: *where* and *how* a deterministic sampling
 /// workload runs.
@@ -127,29 +126,6 @@ impl Executor {
         }
     }
 
-    /// Folds `shots` independent shots into an accumulator under this
-    /// context. See [`Engine::run_fold_with`] for the fold/determinism
-    /// contract; the root seed comes from the executor.
-    pub fn run_fold_with<W, A, MW, IA, F, M>(
-        &self,
-        shots: u64,
-        make_ws: MW,
-        init: IA,
-        step: F,
-        merge: M,
-    ) -> A
-    where
-        W: Send,
-        A: Send,
-        MW: Fn() -> W + Sync,
-        IA: Fn() -> A + Sync,
-        F: Fn(&mut A, &mut W, u64, &mut StdRng) + Sync,
-        M: Fn(A, A) -> A,
-    {
-        self.engine()
-            .run_fold_with(shots, self.root_seed(), make_ws, init, step, merge)
-    }
-
     /// Counts the shots for which `pred` holds, with a per-worker
     /// workspace.
     pub fn run_count_with<W, MW, F>(&self, shots: u64, make_ws: MW, pred: F) -> u64
@@ -170,19 +146,7 @@ impl Executor {
         self.engine().run_count(shots, self.root_seed(), pred)
     }
 
-    /// Histograms one key per shot, with a per-worker workspace.
-    pub fn run_tally_with<K, W, MW, F>(&self, shots: u64, make_ws: MW, key_of: F) -> HashMap<K, u64>
-    where
-        K: Eq + Hash + Send,
-        W: Send,
-        MW: Fn() -> W + Sync,
-        F: Fn(&mut W, u64, &mut StdRng) -> K + Sync,
-    {
-        self.engine()
-            .run_tally_with(shots, self.root_seed(), make_ws, key_of)
-    }
-
-    /// Workspace-free variant of [`Executor::run_tally_with`].
+    /// Histograms one key per shot.
     pub fn run_tally<K, F>(&self, shots: u64, key_of: F) -> HashMap<K, u64>
     where
         K: Eq + Hash + Send,
@@ -239,107 +203,34 @@ impl Executor {
         initial: &S,
         shots: usize,
     ) -> Counts {
-        self.check_plan::<S>(circuit, initial);
+        check_plan(circuit, initial);
         let program = S::compile(circuit);
-        let engine = self.engine();
-        if engine.amp_engaged::<S>(initial.num_qubits()) {
-            let amp_threads = engine.config().amp_threads;
-            let mut counts = Counts::new();
-            let mut state = initial.clone();
-            let mut cbits = Vec::new();
-            for shot in 0..shots as u64 {
-                let mut rng = shot_rng(self.root_seed(), shot);
-                run_program_into_parallel(
-                    &program,
-                    initial,
-                    &mut state,
-                    &mut cbits,
-                    &mut rng,
-                    amp_threads,
-                );
-                *counts.entry(pack_cbits(&cbits)).or_insert(0) += 1;
-            }
-            return counts;
-        }
-        let tally = self.run_tally_with(
-            shots as u64,
-            || (initial.clone(), Vec::new()),
-            |(state, cbits), _shot, rng| {
-                run_program_into(&program, initial, state, cbits, rng);
-                pack_cbits(cbits)
-            },
-        );
-        tally.into_iter().map(|(k, v)| (k, v as usize)).collect()
-    }
-
-    /// Traced twin of [`Executor::sample_shots`]: identical counts,
-    /// plus one [`ShotRecord`](crate::ShotRecord) per executed shot
-    /// delivered to `sink` (packed record, RNG stream id, wall-clock
-    /// nanoseconds). Tracing observes the run without perturbing it,
-    /// so sequential and pooled contexts still tally bit-identically —
-    /// and deliver the same record set, in unspecified order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the circuit needs more qubits than `initial` has.
-    pub fn sample_shots_traced<S: SimState>(
-        &self,
-        circuit: &Circuit,
-        initial: &S,
-        shots: usize,
-        sink: &dyn TraceSink,
-    ) -> Counts {
-        self.check_plan::<S>(circuit, initial);
-        let program = S::compile(circuit);
-        self.engine().run_record_range_traced(
-            0..shots as u64,
-            self.root_seed(),
-            || (initial.clone(), Vec::new()),
-            |(state, cbits), _shot, rng| {
-                run_program_into(&program, initial, state, cbits, rng);
-                pack_cbits(cbits) as u64
-            },
-            sink,
-        )
+        self.engine()
+            .run_program_range(&program, initial, self.root_seed(), 0..shots as u64)
     }
 
     /// Interpreted reference for [`Executor::sample_shots`]: every shot
     /// re-steps the raw instruction stream instead of replaying a
-    /// compiled program. Record-identical to the compiled path per root
-    /// seed — that equivalence is asserted by the engine's
-    /// `compiled_equivalence` property tests and timed by the
-    /// `backend_scaling` perf guard. Use the compiled path for
-    /// production sampling.
+    /// compiled program (and always shot-parallel). Record-identical to
+    /// the compiled path per root seed — the equivalence the engine's
+    /// `compiled_equivalence` property tests assert. Use the compiled
+    /// path for production sampling.
     pub fn sample_shots_interpreted<S: SimState>(
         &self,
         circuit: &Circuit,
         initial: &S,
         shots: usize,
     ) -> Counts {
-        self.check_plan::<S>(circuit, initial);
-        let tally = self.run_tally_with(
-            shots as u64,
+        check_plan(circuit, initial);
+        self.engine().run_records(
+            0..shots as u64,
+            self.root_seed(),
             || (initial.clone(), Vec::new()),
-            |(state, cbits), _shot, rng| {
+            |(state, cbits), rng| {
                 run_shot_into(circuit, initial, state, cbits, rng);
                 pack_cbits(cbits)
             },
-        );
-        tally.into_iter().map(|(k, v)| (k, v as usize)).collect()
-    }
-
-    fn check_plan<S: SimState>(&self, circuit: &Circuit, initial: &S) {
-        assert!(
-            circuit.num_qubits() <= initial.num_qubits(),
-            "circuit needs {} qubits but the state has {}",
-            circuit.num_qubits(),
-            initial.num_qubits()
-        );
-        debug_assert!(
-            S::supports(circuit).is_ok(),
-            "{}",
-            S::supports(circuit).unwrap_err()
-        );
+        )
     }
 }
 
@@ -393,5 +284,22 @@ mod tests {
         assert_eq!(seq, pooled);
         let frac = seq as f64 / 10_000.0;
         assert!((frac - 0.25).abs() < 0.02, "got {frac}");
+    }
+
+    #[test]
+    fn amp_engaged_sample_shots_times_every_shot_into_the_registry() {
+        // One loop: the executor's amp arm is the engine's, so it feeds
+        // `engine.amp_shot` / `engine.amp_kernel` like `run_plan_range`.
+        let mut c = Circuit::new(3, 3);
+        c.h(0).t(0).cx(0, 1).cx(1, 2).measure(0, 0).measure(2, 2);
+        let registry = obs::Registry::new();
+        let config = crate::EngineConfig::with_threads(2)
+            .with_amp_threads(2)
+            .with_amp_threshold(0);
+        let engine = Engine::new(config).with_metrics(&registry);
+        Executor::pooled(engine, 3).sample_shots(&c, &StateVector::new(3), 40);
+        let snapshot = registry.snapshot();
+        assert_eq!(snapshot.histo("engine.amp_shot").unwrap().count, 40);
+        assert!(snapshot.histo("engine.amp_kernel").unwrap().count > 0);
     }
 }

@@ -34,9 +34,11 @@
 //! tableau — any `qsim::sim::SimState`) is selected once, per circuit,
 //! via `COMPAS_BACKEND` / `--backend` or [`Backend::Auto`]'s
 //! Clifford routing — while [`ShotPlan`], [`BatchRunner`], and
-//! [`Executor::sample_shots`] stay generic over the backend. One
-//! sampling surface, representation and execution mode both chosen at
-//! the boundary.
+//! [`Executor::sample_shots`] stay generic over the backend. The
+//! selection is executed in one place, [`PreparedJob`]:
+//! [`Backend::sample_shots`] runs `0..shots` of one, the serving layer
+//! runs it slice by slice. One sampling surface, representation and
+//! execution mode both chosen at the boundary.
 //!
 //! [`Engine`] holds an [`EngineConfig`] (thread count, chunk size) and
 //! partitions a job's shots into chunks claimed from an atomic cursor by
@@ -44,7 +46,9 @@
 //! its accumulator and its *workspace* — e.g. a reused
 //! [`qsim::statevector::StateVector`] buffer for statevector shots — and
 //! the per-worker tallies merge once at a single join point, the
-//! partitioned pattern for embarrassingly parallel sampling.
+//! partitioned pattern for embarrassingly parallel sampling. That
+//! claim-and-join loop is written once: ranged folds and
+//! [`BatchRunner`] batches differ only in what a work unit is.
 //!
 //! ## Amplitude-level parallelism is a policy, not an API
 //!
@@ -70,6 +74,20 @@
 //! range-splitting capability (`SimState::AMP_PARALLEL`), and the
 //! machine.
 //!
+//! ## Recording is a policy, not an API
+//!
+//! The same holds for shot traces. Every run that produces [`Counts`]
+//! goes through one loop in this crate — reset the state, replay the
+//! program, pack the record, tally — and an engine built with
+//! [`Engine::with_trace`] also hands each shot's [`ShotRecord`] to its
+//! [`TraceSink`], on the shot-parallel and the amp-parallel arm alike.
+//! There are no `_traced` twins and no sink parameters: a caller that
+//! wants a trace passes a recording engine to the [`Executor`], the
+//! `ServiceConfig` or [`PreparedJob::run_range`], and nothing else
+//! about the call changes — not the counts, not the amp policy, not the
+//! stream positions. An engine without a sink reads no clock per shot.
+//! [`Engine::with_metrics`] is the third policy of the same kind.
+//!
 //! The same seed-splitting contract extends past one machine:
 //! [`partition_shots`] deterministically splits a job's global shot
 //! range into per-worker sub-ranges and [`merge_counts`] folds the
@@ -79,8 +97,9 @@
 //! local run. `crates/shard` builds the multi-machine coordinator on
 //! exactly this seam.
 //!
-//! [`ShotPlan`] describes the statevector workload (circuit, initial
-//! state, shot count, root seed); [`BatchRunner`] executes many
+//! [`ShotPlan`] describes one sampling job on any backend (circuit,
+//! initial state, shot count, root seed — compiled once at
+//! construction); [`BatchRunner`] executes many
 //! independent jobs — one per noise point, qubit count, or table row,
 //! the common shape of the `bench` binaries — concurrently through one
 //! shared worker pool. [`ExperimentBuilder`] layers a declarative grid
@@ -124,7 +143,7 @@ mod seed;
 mod sharding;
 mod trace;
 
-pub use backend::Backend;
+pub use backend::{Backend, PreparedJob};
 pub use batch::{BatchRunner, ShotJob};
 pub use config::EngineConfig;
 pub use executor::Executor;

@@ -7,11 +7,15 @@ use qsim::statevector::StateVector;
 use rand::rngs::StdRng;
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
 
 use crate::config::EngineConfig;
-use crate::seed::{derive_stream_seed, shot_rng};
-use crate::trace::{ShotRecord, TraceBuffer, TraceSink};
+use crate::seed::shot_rng;
+use crate::sharding::merge_counts;
+use crate::trace::{TraceBuffer, TraceSink};
 
 /// Histogram of packed classical-register outcomes, matching the key
 /// and value conventions of `qsim::runner::sample_shots`.
@@ -55,17 +59,7 @@ impl<S: SimState> ShotPlan<S> {
     ///
     /// Panics if the circuit needs more qubits than `initial` has.
     pub fn new(circuit: Circuit, initial: S, shots: u64, root_seed: u64) -> Self {
-        assert!(
-            circuit.num_qubits() <= initial.num_qubits(),
-            "circuit needs {} qubits but the state has {}",
-            circuit.num_qubits(),
-            initial.num_qubits()
-        );
-        debug_assert!(
-            S::supports(&circuit).is_ok(),
-            "{}",
-            S::supports(&circuit).unwrap_err()
-        );
+        check_plan(&circuit, &initial);
         let program = S::compile(&circuit);
         ShotPlan {
             circuit,
@@ -102,11 +96,43 @@ impl<S: SimState> ShotPlan<S> {
     }
 }
 
+/// The once-per-job checks: the state covers the circuit and, under
+/// debug assertions, the backend's capability probe accepts it.
+///
+/// # Panics
+///
+/// Panics if the circuit needs more qubits than `initial` has.
+pub(crate) fn check_plan<S: SimState>(circuit: &Circuit, initial: &S) {
+    assert!(
+        circuit.num_qubits() <= initial.num_qubits(),
+        "circuit needs {} qubits but the state has {}",
+        circuit.num_qubits(),
+        initial.num_qubits()
+    );
+    debug_assert!(
+        S::supports(circuit).is_ok(),
+        "{}",
+        S::supports(circuit).unwrap_err()
+    );
+}
+
+/// One compiled shot on a worker's `(state, register)` workspace: reset
+/// to `initial`, replay `program`, pack the record.
+pub(crate) fn replay_shot<S: SimState>(
+    program: &S::Program,
+    initial: &S,
+    (state, cbits): &mut (S, Vec<bool>),
+    rng: &mut StdRng,
+) -> usize {
+    run_program_into(program, initial, state, cbits, rng);
+    pack_cbits(cbits)
+}
+
 /// Resolved observability handles: the engine's execution timings.
 #[derive(Clone)]
 struct EngineObs {
-    /// Wall time of each claimed shot chunk (and of each single-worker
-    /// ranged fold).
+    /// Wall time of each claimed work unit (a shot chunk of a fold or
+    /// of a batch job).
     chunk: obs::Histo,
     /// Wall time of each amp-parallel shot.
     amp_shot: obs::Histo,
@@ -123,6 +149,7 @@ struct EngineObs {
 pub struct Engine {
     config: EngineConfig,
     obs: Option<EngineObs>,
+    trace: Option<Arc<dyn TraceSink>>,
 }
 
 impl std::fmt::Debug for Engine {
@@ -130,6 +157,7 @@ impl std::fmt::Debug for Engine {
         f.debug_struct("Engine")
             .field("config", &self.config)
             .field("obs", &self.obs.as_ref().map(|_| "..."))
+            .field("trace", &self.trace.as_ref().map(|_| "..."))
             .finish()
     }
 }
@@ -137,23 +165,45 @@ impl std::fmt::Debug for Engine {
 impl Engine {
     /// An engine with an explicit configuration.
     pub fn new(config: EngineConfig) -> Self {
-        Engine { config, obs: None }
+        Engine {
+            config,
+            obs: None,
+            trace: None,
+        }
     }
 
     /// A copy of this engine that times execution into `registry`:
-    /// per-chunk fold times (`engine.chunk`), amp-parallel shot
-    /// latencies (`engine.amp_shot`), and the amp path's per-step
-    /// apply times (`engine.amp_kernel`, mirrored from
-    /// `qsim::amp::kernel_clock`: one sample per kernel or blocked
-    /// kernel group, none for a step that left worker 0 without a live
-    /// unit). Timing is observation only — every
-    /// tally stays bit-identical to the unobserved engine's.
+    /// `engine.chunk` takes one sample per claimed work unit on every
+    /// path — a shot chunk of a fold at any worker count, a chunk of a
+    /// [`BatchRunner`](crate::BatchRunner) job — `engine.amp_shot` one
+    /// per amp-parallel shot, and `engine.amp_kernel` the amp path's
+    /// per-step apply times (mirrored from `qsim::amp::kernel_clock`:
+    /// one sample per kernel or blocked kernel group, none for a step
+    /// that left worker 0 without a live unit). Timing is observation
+    /// only — every tally stays bit-identical to the unobserved
+    /// engine's.
     pub fn with_metrics(mut self, registry: &obs::Registry) -> Engine {
         self.obs = Some(EngineObs {
             chunk: registry.histo("engine.chunk"),
             amp_shot: registry.histo("engine.amp_shot"),
             amp_kernel: registry.histo("engine.amp_kernel"),
         });
+        self
+    }
+
+    /// A copy of this engine that records: every run producing
+    /// [`Counts`] — [`Engine::run_plan_range`],
+    /// [`Executor::sample_shots`](crate::Executor::sample_shots),
+    /// [`PreparedJob::run_range`](crate::PreparedJob::run_range) and
+    /// what is built on them — also delivers one
+    /// [`ShotRecord`](crate::ShotRecord) per executed shot to `sink`, in
+    /// unspecified order, each index exactly once. Recording is
+    /// observation only: counts, amp engagement and stream positions
+    /// are the unrecorded engine's, which reads no clock per shot. The
+    /// generic folds (`run_fold*`, `run_count*`, `run_tally*`, batches)
+    /// have no `u64` record and stay unrecorded.
+    pub fn with_trace(mut self, sink: Arc<dyn TraceSink>) -> Engine {
+        self.trace = Some(sink);
         self
     }
 
@@ -239,7 +289,7 @@ impl Engine {
     /// fairness across clients without changing a single record.
     pub fn run_fold_range_with<W, A, MW, IA, F, M>(
         &self,
-        range: std::ops::Range<u64>,
+        range: Range<u64>,
         root_seed: u64,
         make_ws: MW,
         init: IA,
@@ -256,57 +306,65 @@ impl Engine {
     {
         let total = range.end.saturating_sub(range.start);
         let chunk = self.config.chunk_size.max(1);
-        let num_chunks = total.div_ceil(chunk);
-        let workers = self.config.threads.min(num_chunks.max(1) as usize).max(1);
-        let chunk_histo = self.obs.as_ref().map(|o| o.chunk.clone());
+        let accs = self.claim_units(total.div_ceil(chunk), make_ws, init, |acc, ws, c| {
+            let start = range.start + c * chunk;
+            for shot in start..(start + chunk).min(range.end) {
+                let mut rng = shot_rng(root_seed, shot);
+                step(acc, ws, shot, &mut rng);
+            }
+        });
+        accs.into_iter().reduce(merge).expect("at least one worker")
+    }
 
-        if workers == 1 {
-            let started = chunk_histo.as_ref().map(|_| std::time::Instant::now());
+    /// The one work-claiming loop under every fold and batch: units
+    /// `0..units` are claimed from an atomic cursor by up to
+    /// [`EngineConfig::threads`] scoped workers (inline when one
+    /// suffices), each folding its units into its own `init()`
+    /// accumulator over its own `make_ws()` workspace with `run_unit`.
+    /// Workspaces die on their worker; the accumulators, at least one,
+    /// go to the caller to merge at this single join point. Each
+    /// claimed unit is one `engine.chunk` sample.
+    pub(crate) fn claim_units<W, A, MW, IA, F>(
+        &self,
+        units: u64,
+        make_ws: MW,
+        init: IA,
+        run_unit: F,
+    ) -> Vec<A>
+    where
+        A: Send,
+        MW: Fn() -> W + Sync,
+        IA: Fn() -> A + Sync,
+        F: Fn(&mut A, &mut W, u64) + Sync,
+    {
+        let chunk_histo = self.obs.as_ref().map(|o| &o.chunk);
+        let cursor = AtomicU64::new(0);
+        let run_worker = || {
             let mut acc = init();
             let mut ws = make_ws();
-            for shot in range {
-                let mut rng = shot_rng(root_seed, shot);
-                step(&mut acc, &mut ws, shot, &mut rng);
+            loop {
+                let unit = cursor.fetch_add(1, Ordering::Relaxed);
+                if unit >= units {
+                    break acc;
+                }
+                let started = chunk_histo.map(|_| Instant::now());
+                run_unit(&mut acc, &mut ws, unit);
+                if let (Some(histo), Some(started)) = (chunk_histo, started) {
+                    histo.record_duration(started.elapsed());
+                }
             }
-            if let (Some(histo), Some(started)) = (&chunk_histo, started) {
-                histo.record_duration(started.elapsed());
-            }
-            return acc;
+        };
+        let workers = (self.config.threads as u64).min(units).max(1);
+        if workers == 1 {
+            return vec![run_worker()];
         }
-
-        let cursor = AtomicU64::new(0);
-        let worker_accs: Vec<A> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut acc = init();
-                        let mut ws = make_ws();
-                        loop {
-                            let c = cursor.fetch_add(1, Ordering::Relaxed);
-                            if c >= num_chunks {
-                                break;
-                            }
-                            let started = chunk_histo.as_ref().map(|_| std::time::Instant::now());
-                            let start = range.start + c * chunk;
-                            let end = (start + chunk).min(range.end);
-                            for shot in start..end {
-                                let mut rng = shot_rng(root_seed, shot);
-                                step(&mut acc, &mut ws, shot, &mut rng);
-                            }
-                            if let (Some(histo), Some(started)) = (&chunk_histo, started) {
-                                histo.record_duration(started.elapsed());
-                            }
-                        }
-                        acc
-                    })
-                })
-                .collect();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(run_worker)).collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("engine worker panicked"))
                 .collect()
-        });
-        worker_accs.into_iter().reduce(merge).unwrap_or_else(init)
+        })
     }
 
     /// Counts the shots for which `pred` holds. The workhorse behind
@@ -350,14 +408,7 @@ impl Engine {
         MW: Fn() -> W + Sync,
         F: Fn(&mut W, u64, &mut StdRng) -> K + Sync,
     {
-        self.run_fold_with(
-            shots,
-            root_seed,
-            make_ws,
-            HashMap::new,
-            |acc, ws, shot, rng| *acc.entry(key_of(ws, shot, rng)).or_insert(0) += 1,
-            merge_tallies,
-        )
+        self.run_tally_range_with(0..shots, root_seed, make_ws, key_of)
     }
 
     /// Workspace-free variant of [`Engine::run_tally_with`].
@@ -375,7 +426,7 @@ impl Engine {
     /// [`Engine::run_fold_range_with`]).
     pub fn run_tally_range_with<K, W, MW, F>(
         &self,
-        range: std::ops::Range<u64>,
+        range: Range<u64>,
         root_seed: u64,
         make_ws: MW,
         key_of: F,
@@ -413,11 +464,7 @@ impl Engine {
     /// # Panics
     ///
     /// Panics if `range` reaches beyond the plan's shot count.
-    pub fn run_plan_range<S: SimState>(
-        &self,
-        plan: &ShotPlan<S>,
-        range: std::ops::Range<u64>,
-    ) -> Counts {
+    pub fn run_plan_range<S: SimState>(&self, plan: &ShotPlan<S>, range: Range<u64>) -> Counts {
         assert!(
             range.end <= plan.shots,
             "slice {}..{} exceeds the plan's {} shots",
@@ -425,59 +472,68 @@ impl Engine {
             range.end,
             plan.shots
         );
-        if self.amp_engaged::<S>(plan.initial.num_qubits()) {
-            return self.run_plan_range_amp(plan, range);
-        }
-        let tally = self.run_tally_range_with(
-            range,
-            plan.root_seed,
-            || (plan.initial.clone(), Vec::new()),
-            |(state, cbits), _shot, rng| {
-                run_program_into(&plan.program, &plan.initial, state, cbits, rng);
-                pack_cbits(cbits)
-            },
-        );
-        tally.into_iter().map(|(k, v)| (k, v as usize)).collect()
+        self.run_program_range(&plan.program, &plan.initial, plan.root_seed, range)
     }
 
-    /// Amp-parallel body of [`Engine::run_plan_range`]: shots run in
-    /// order on the calling thread, each splitting its amplitude space
-    /// across [`EngineConfig::amp_threads`] workers. Shot `i` still
-    /// runs on `shot_rng(root_seed, i)` and each amp-parallel shot is
-    /// bit-identical to its sequential replay, so the counts equal the
-    /// shot-parallel path's exactly — at any thread count, and under
-    /// any range partition.
-    fn run_plan_range_amp<S: SimState>(
+    /// The one compiled shot loop, under [`Engine::run_plan_range`] and
+    /// [`Executor::sample_shots`](crate::Executor::sample_shots): shot
+    /// `i` of `range` replays `program` from `initial` on
+    /// `shot_rng(root_seed, i)`. It alone decides between shot-level
+    /// parallelism ([`Engine::run_records`]) and, when
+    /// [`Engine::amp_engaged`], amplitude-level: shots in order on the
+    /// calling thread, each split across [`EngineConfig::amp_threads`]
+    /// workers and bit-identical to its sequential replay — so counts
+    /// and records are the same on either arm, under any partition.
+    pub(crate) fn run_program_range<S: SimState>(
         &self,
-        plan: &ShotPlan<S>,
-        range: std::ops::Range<u64>,
+        program: &S::Program,
+        initial: &S,
+        root_seed: u64,
+        range: Range<u64>,
     ) -> Counts {
-        let amp_threads = self.config.amp_threads;
+        if !self.amp_engaged::<S>(initial.num_qubits()) {
+            return self.run_records(
+                range,
+                root_seed,
+                || (initial.clone(), Vec::new()),
+                |ws, rng| replay_shot(program, initial, ws, rng),
+            );
+        }
         // Baseline of qsim's process-wide kernel clock; the delta over
         // this call mirrors into `engine.amp_kernel` afterwards.
         let kernel_base = self
             .obs
             .as_ref()
             .map(|_| qsim::amp::kernel_clock::snapshot());
+        let mut buffer = TraceBuffer::new(self.trace.as_deref());
+        // One clock reading per shot feeds both `engine.amp_shot` and
+        // the record's `nanos`.
+        let timed = self.obs.is_some() || buffer.recording();
         let mut counts = Counts::new();
-        let mut state = plan.initial.clone();
+        let mut state = initial.clone();
         let mut cbits = Vec::new();
         for shot in range {
-            let started = self.obs.as_ref().map(|_| std::time::Instant::now());
-            let mut rng = shot_rng(plan.root_seed, shot);
+            let started = timed.then(Instant::now);
+            let mut rng = shot_rng(root_seed, shot);
             run_program_into_parallel(
-                &plan.program,
-                &plan.initial,
+                program,
+                initial,
                 &mut state,
                 &mut cbits,
                 &mut rng,
-                amp_threads,
+                self.config.amp_threads,
             );
-            if let (Some(obs), Some(started)) = (&self.obs, started) {
-                obs.amp_shot.record_duration(started.elapsed());
+            let record = pack_cbits(&cbits);
+            if let Some(started) = started {
+                let elapsed = started.elapsed();
+                if let Some(obs) = &self.obs {
+                    obs.amp_shot.record_duration(elapsed);
+                }
+                buffer.push(root_seed, shot, record, elapsed);
             }
-            *counts.entry(pack_cbits(&cbits)).or_insert(0) += 1;
+            *counts.entry(record).or_insert(0) += 1;
         }
+        buffer.flush();
         if let (Some(obs), Some((base_buckets, base_sum))) = (&self.obs, kernel_base) {
             let (now_buckets, now_sum) = qsim::amp::kernel_clock::snapshot();
             for (b, &base) in base_buckets.iter().enumerate() {
@@ -492,98 +548,47 @@ impl Engine {
         counts
     }
 
-    /// Traced twin of the ranged tally primitive: histograms the packed
-    /// record `record_of` produces for each global shot index in
-    /// `range`, **and** delivers one [`ShotRecord`] per shot to `sink`
-    /// (packed record, RNG stream id, wall-clock nanoseconds).
-    ///
-    /// The returned counts are bit-identical to the untraced run —
-    /// tracing observes the fold without perturbing it: each shot still
-    /// runs on `shot_rng(root_seed, shot)`, and records are buffered
-    /// per worker (flushed in batches) so the sink never serializes the
-    /// shot loop. Records arrive at the sink in unspecified order;
-    /// every index in `range` appears exactly once.
-    pub fn run_record_range_traced<W, MW, F>(
+    /// The record primitive under every shot-parallel [`Counts`] run:
+    /// histograms the packed record `record_of` produces for each
+    /// global shot index in `range` and, on a recording engine
+    /// ([`Engine::with_trace`]), times each shot and delivers its record
+    /// through a per-worker buffer. Without a sink it reads no clock.
+    pub(crate) fn run_records<W, MW, F>(
         &self,
-        range: std::ops::Range<u64>,
+        range: Range<u64>,
         root_seed: u64,
         make_ws: MW,
         record_of: F,
-        sink: &dyn TraceSink,
     ) -> Counts
     where
         W: Send,
         MW: Fn() -> W + Sync,
-        F: Fn(&mut W, u64, &mut StdRng) -> u64 + Sync,
+        F: Fn(&mut W, &mut StdRng) -> usize + Sync,
     {
-        let (tally, mut buffer) = self.run_fold_range_with(
+        let sink = self.trace.as_deref();
+        let (counts, mut buffer) = self.run_fold_range_with(
             range,
             root_seed,
             make_ws,
-            || (HashMap::<u64, u64>::new(), TraceBuffer::new(sink)),
-            |(tally, buffer), ws, shot, rng| {
-                let t0 = std::time::Instant::now();
-                let record = record_of(ws, shot, rng);
-                let nanos = t0.elapsed().as_nanos() as u64;
-                buffer.push(ShotRecord {
-                    shot,
-                    record,
-                    stream: derive_stream_seed(root_seed, shot),
-                    nanos,
-                });
-                *tally.entry(record).or_insert(0) += 1;
+            || (Counts::new(), TraceBuffer::new(sink)),
+            |(counts, buffer), ws, shot, rng| {
+                let started = buffer.recording().then(Instant::now);
+                let record = record_of(ws, rng);
+                if let Some(started) = started {
+                    buffer.push(root_seed, shot, record, started.elapsed());
+                }
+                *counts.entry(record).or_insert(0) += 1;
             },
-            |(tally_a, mut buffer_a), (tally_b, mut buffer_b)| {
-                // Worker accumulators join exactly once; flush both
-                // sides so no worker's tail batch is dropped.
-                buffer_a.flush();
+            |(mut counts_a, buffer_a), (counts_b, mut buffer_b)| {
+                // The joined worker's buffer ends here: flush its tail.
                 buffer_b.flush();
-                (merge_tallies(tally_a, tally_b), buffer_a)
+                merge_counts(&mut counts_a, counts_b);
+                (counts_a, buffer_a)
             },
         );
-        // The single-worker path never reaches the merge closure, and
-        // even the merged accumulator may hold a post-merge tail.
+        // The surviving buffer (the only one, with a single worker).
         buffer.flush();
-        tally
-            .into_iter()
-            .map(|(k, v)| (k as usize, v as usize))
-            .collect()
-    }
-
-    /// Traced twin of [`Engine::run_plan_range`]: identical counts,
-    /// plus one [`ShotRecord`] per executed shot delivered to `sink`.
-    ///
-    /// Tracing keeps shot-level parallelism even when the amp-parallel
-    /// policy would engage — per-shot wall-clock timing is part of the
-    /// trace, and a barriered fork/join inside each shot would distort
-    /// it. (Amp-parallel traced replay is a recorded follow-on.)
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` reaches beyond the plan's shot count.
-    pub fn run_plan_range_traced<S: SimState>(
-        &self,
-        plan: &ShotPlan<S>,
-        range: std::ops::Range<u64>,
-        sink: &dyn TraceSink,
-    ) -> Counts {
-        assert!(
-            range.end <= plan.shots,
-            "slice {}..{} exceeds the plan's {} shots",
-            range.start,
-            range.end,
-            plan.shots
-        );
-        self.run_record_range_traced(
-            range,
-            plan.root_seed,
-            || (plan.initial.clone(), Vec::new()),
-            |(state, cbits), _shot, rng| {
-                run_program_into(&plan.program, &plan.initial, state, cbits, rng);
-                pack_cbits(cbits) as u64
-            },
-            sink,
-        )
+        counts
     }
 }
 

@@ -17,9 +17,16 @@
 //! engine's determinism contract: shot `i`'s RNG stream is a pure
 //! function of `(root_seed, i)`, so executing a job as scheduler
 //! slices over global shot-index ranges and merging the tallies
-//! reproduces the uninterrupted run exactly. A serving layer therefore
-//! costs *nothing* in reproducibility: any response can be re-derived
-//! offline from its request alone.
+//! reproduces the uninterrupted run exactly — and out of the code: a
+//! slice and a direct call are the same [`PreparedJob::run_range`]
+//! (the engine's only backend dispatch, re-exported here). A serving
+//! layer therefore costs *nothing* in reproducibility: any response
+//! can be re-derived offline from its request alone.
+//!
+//! How slices execute — threads, amp policy, metrics, shot-trace
+//! recording — is the policy of the one [`ServiceConfig::engine`]: to
+//! record a served run, spawn the service over
+//! `Engine::with_trace(sink)`; served bytes do not change.
 //!
 //! ## Architecture
 //!
@@ -70,9 +77,9 @@ pub mod server;
 
 pub use admission::{admit, Admitted};
 pub use cache::DiskCacheConfig;
+pub use engine::PreparedJob;
 pub use protocol::{ClientRow, Op, Request, Response, RunRequest, ServiceStats, WorkerRow};
 pub use scheduler::{
-    PreparedJob, Responder, Scheduler, SchedulerConfig, Submission, MAX_REQUEST_CBITS,
-    MAX_REQUEST_QUBITS,
+    Responder, Scheduler, SchedulerConfig, Submission, MAX_REQUEST_CBITS, MAX_REQUEST_QUBITS,
 };
 pub use server::{decode_line, Service, ServiceConfig, ServiceHandle, MAX_LINE_BYTES};

@@ -11,10 +11,13 @@
 //! 2. **Shot-slicing for fairness.** A job's shots are carved into
 //!    `slice_shots`-sized ranges and the job queue is rotated
 //!    round-robin, so a 10⁶-shot job cannot convoy short jobs behind
-//!    it. Slices execute through the engine's *ranged* primitives on
-//!    the job's global shot indices, so the merged tallies are
-//!    **bit-identical** to one uninterrupted `Backend::sample_shots`
-//!    call — slicing changes latency distribution, never results.
+//!    it. A slice is [`PreparedJob::run_range`] on the job's global
+//!    shot indices — the call `Backend::sample_shots` makes once over
+//!    `0..shots` — so the merged tallies are **bit-identical** to that
+//!    uninterrupted run: slicing changes latency distribution, never
+//!    results. The scheduler only carves and merges; how a slice
+//!    executes (threads, amp policy, metrics, recording) belongs to the
+//!    engine the worker pool passes in.
 //! 3. **Coalescing.** A request identical to an in-flight job (same
 //!    [`CacheKey`]: canonical circuit, backend, shots, seed) attaches
 //!    to that job as an extra waiter instead of executing again;
@@ -41,13 +44,7 @@
 use crate::admission::admit;
 use crate::cache::{CacheKey, DiskCacheConfig, ResultCache};
 use crate::protocol::{ClientRow, Response, RunRequest, ServiceStats};
-use circuit::caps::Unsupported;
-use circuit::circuit::Circuit;
-use engine::{Backend, Counts, Engine, ShotPlan, TraceSink};
-use qsim::density::{run_deferred, DensityMatrix};
-use qsim::runner::pack_cbits;
-use qsim::statevector::StateVector;
-use stabilizer::clifford::CliffordState;
+use engine::{merge_counts, Counts, PreparedJob};
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -65,7 +62,7 @@ pub const MAX_REQUEST_QUBITS: usize = 1024;
 pub const MAX_REQUEST_CBITS: usize = 64;
 
 /// Admission and slicing knobs.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct SchedulerConfig {
     /// Maximum jobs in flight (queued + executing) before distinct new
     /// requests are rejected with `busy`.
@@ -99,12 +96,6 @@ pub struct SchedulerConfig {
     /// persisted (write-through) and a restarted scheduler serves them
     /// warm. `None` keeps the cache memory-only.
     pub disk: Option<DiskCacheConfig>,
-    /// Optional shot-trace recorder. When set, every executed slice
-    /// also delivers its per-shot records here (global shot indices, so
-    /// a sliced job's records union to the full run). Recording is
-    /// execution-side only — responses, caching, and coalescing are
-    /// byte-identical with or without a sink.
-    pub trace_sink: Option<Arc<dyn TraceSink>>,
 }
 
 impl Default for SchedulerConfig {
@@ -117,153 +108,6 @@ impl Default for SchedulerConfig {
             client_quota_shots_per_sec: u64::MAX,
             metrics: None,
             disk: None,
-            trace_sink: None,
-        }
-    }
-}
-
-impl std::fmt::Debug for SchedulerConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SchedulerConfig")
-            .field("queue_capacity", &self.queue_capacity)
-            .field("slice_shots", &self.slice_shots)
-            .field("cache_capacity", &self.cache_capacity)
-            .field("client_quota_shots", &self.client_quota_shots)
-            .field(
-                "client_quota_shots_per_sec",
-                &self.client_quota_shots_per_sec,
-            )
-            .field("metrics", &self.metrics.as_ref().map(|_| "..."))
-            .field("disk", &self.disk)
-            .field("trace_sink", &self.trace_sink.as_ref().map(|_| "..."))
-            .finish()
-    }
-}
-
-/// A job compiled once at admission; every slice replays it.
-///
-/// This is the per-backend execution form behind the serving path: the
-/// statevector and stabilizer arms hold a [`ShotPlan`] (circuit
-/// compiled once via `SimState::compile`), the density arm holds the
-/// once-evolved ρ from which each shot's record is drawn — exactly the
-/// shapes `Backend::sample_shots` uses, so slices tally identically.
-pub enum PreparedJob {
-    /// Fused-kernel statevector replay.
-    StateVector(ShotPlan<StateVector>),
-    /// Stabilizer-tableau replay.
-    Stabilizer(ShotPlan<CliffordState>),
-    /// Deferred-measurement density evolution: ρ is evolved **once**
-    /// here; slices only draw classical records from it.
-    Density {
-        /// The final density matrix.
-        rho: DensityMatrix,
-        /// Classical register width.
-        num_cbits: usize,
-        /// Root seed for the per-shot record draws.
-        root_seed: u64,
-    },
-}
-
-impl PreparedJob {
-    /// Compiles `circuit` for the resolved backend. `shot_end` is the
-    /// job's **global** end index (`start + shots` for a ranged job,
-    /// plain `shots` otherwise): the plans are built to that bound so
-    /// [`PreparedJob::run_range`] accepts any sub-range of the job's
-    /// global indices.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the backend's capability probe.
-    pub fn prepare(
-        circuit: &Circuit,
-        backend: Backend,
-        shot_end: u64,
-        root_seed: u64,
-    ) -> Result<(Backend, PreparedJob), Unsupported> {
-        let resolved = backend.resolve(circuit);
-        resolved.supports(circuit)?;
-        let n = circuit.num_qubits();
-        let job = match resolved {
-            Backend::StateVector => PreparedJob::StateVector(ShotPlan::new(
-                circuit.clone(),
-                StateVector::new(n),
-                shot_end,
-                root_seed,
-            )),
-            Backend::Stabilizer => PreparedJob::Stabilizer(ShotPlan::new(
-                circuit.clone(),
-                CliffordState::new(n),
-                shot_end,
-                root_seed,
-            )),
-            Backend::Density => PreparedJob::Density {
-                rho: run_deferred(circuit, &DensityMatrix::new(n)),
-                num_cbits: circuit.num_cbits(),
-                root_seed,
-            },
-            other => unreachable!("resolve never returns {other}"),
-        };
-        Ok((resolved, job))
-    }
-
-    /// Executes the global shot indices `range` of this job. Merging
-    /// the counts of a partition of `0..shots` reproduces the
-    /// uninterrupted run bit-identically (the engine's ranged-fold
-    /// guarantee).
-    pub fn run_range(&self, engine: &Engine, range: Range<u64>) -> Counts {
-        match self {
-            PreparedJob::StateVector(plan) => engine.run_plan_range(plan, range),
-            PreparedJob::Stabilizer(plan) => engine.run_plan_range(plan, range),
-            PreparedJob::Density {
-                rho,
-                num_cbits,
-                root_seed,
-            } => {
-                // Mirrors the density arm of `Backend::sample_shots`:
-                // the workspace is just the classical register.
-                let tally = engine.run_tally_range_with(
-                    range,
-                    *root_seed,
-                    || vec![false; *num_cbits],
-                    |cbits, _shot, rng| {
-                        cbits.iter_mut().for_each(|b| *b = false);
-                        rho.sample_record(cbits, rng);
-                        pack_cbits(cbits)
-                    },
-                );
-                tally.into_iter().map(|(k, v)| (k, v as usize)).collect()
-            }
-        }
-    }
-
-    /// Traced twin of [`PreparedJob::run_range`]: identical counts,
-    /// plus one `ShotRecord` per executed shot delivered to `sink`
-    /// (global shot indices — a sliced job's records union to the full
-    /// run's record set).
-    pub fn run_range_traced(
-        &self,
-        engine: &Engine,
-        range: Range<u64>,
-        sink: &dyn TraceSink,
-    ) -> Counts {
-        match self {
-            PreparedJob::StateVector(plan) => engine.run_plan_range_traced(plan, range, sink),
-            PreparedJob::Stabilizer(plan) => engine.run_plan_range_traced(plan, range, sink),
-            PreparedJob::Density {
-                rho,
-                num_cbits,
-                root_seed,
-            } => engine.run_record_range_traced(
-                range,
-                *root_seed,
-                || vec![false; *num_cbits],
-                |cbits, _shot, rng| {
-                    cbits.iter_mut().for_each(|b| *b = false);
-                    rho.sample_record(cbits, rng);
-                    pack_cbits(cbits) as u64
-                },
-                sink,
-            ),
         }
     }
 }
@@ -281,10 +125,6 @@ pub struct SliceTask {
     pub prepared: Arc<PreparedJob>,
     /// Global shot indices to execute.
     pub range: Range<u64>,
-    /// The scheduler's trace sink, if recording (see
-    /// [`SchedulerConfig::trace_sink`]). Workers route the slice
-    /// through [`PreparedJob::run_range_traced`] when set.
-    pub sink: Option<Arc<dyn TraceSink>>,
 }
 
 /// How [`Scheduler::submit`] answered.
@@ -886,13 +726,11 @@ impl Scheduler {
                 } else {
                     inner.ring.push_back(client.clone());
                 }
-                let sink = inner.config.trace_sink.clone();
                 return Some(SliceTask {
                     key,
                     client,
                     prepared,
                     range: start..end,
-                    sink,
                 });
             }
             inner = self.shared.1.wait(inner).expect("scheduler poisoned");
@@ -911,9 +749,7 @@ impl Scheduler {
             return;
         };
         let merge_started = Instant::now();
-        for (outcome, n) in counts {
-            *job.partial.entry(outcome).or_insert(0) += n;
-        }
+        merge_counts(&mut job.partial, counts);
         job.outstanding -= 1;
         job.merge_ns += elapsed_ns(merge_started);
         if let Some(obs) = &inner.obs {
@@ -1030,7 +866,10 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use circuit::circuit::Circuit;
     use circuit::qasm::to_qasm3;
+    use engine::{Backend, Engine, ShotPlan};
+    use qsim::statevector::StateVector;
 
     fn bell_qasm() -> String {
         let mut c = Circuit::new(2, 2);
@@ -1118,56 +957,51 @@ mod tests {
 
     #[test]
     fn traced_slices_tally_identically_and_record_every_shot() {
-        // A sink on the scheduler must not change a single response
-        // byte: the traced drain produces the same tallies, and the
-        // records of all slices union to exactly the job's shot range.
-        let sink = Arc::new(engine::MemorySink::new());
-        let sched = Scheduler::new(SchedulerConfig {
-            slice_shots: 97,
-            trace_sink: Some(sink.clone()),
-            ..SchedulerConfig::default()
-        });
-        let engine = Engine::sequential();
-        let run = run_request(1_000, 7);
-        let rx = match sched.submit(None, &run) {
-            Submission::Pending(rx) => rx,
-            Submission::Immediate(r) => panic!("expected pending, got {r:?}"),
-        };
-        while sched.stats().in_flight > 0 {
-            let task = sched.next_slice().expect("work pending");
-            let sink = task.sink.clone().expect("sink configured");
-            let counts = task
-                .prepared
-                .run_range_traced(&engine, task.range.clone(), sink.as_ref());
-            sched.complete_slice(&task.key, counts);
+        // A recording engine must not change a single response byte:
+        // the traced drain produces the same tallies, and the records
+        // of all slices union to exactly the job's shot range — on
+        // every backend arm of `PreparedJob::run_range`.
+        for backend in ["auto", "statevector", "density"] {
+            let sink = Arc::new(engine::MemorySink::new());
+            let sched = Scheduler::new(SchedulerConfig {
+                slice_shots: 97,
+                ..SchedulerConfig::default()
+            });
+            let engine = Engine::sequential();
+            let run = RunRequest::new(bell_qasm(), 1_000, 7, backend);
+            let rx = match sched.submit(None, &run) {
+                Submission::Pending(rx) => rx,
+                Submission::Immediate(r) => panic!("expected pending, got {r:?}"),
+            };
+            drain(&sched, &engine.clone().with_trace(sink.clone()));
+            let tallies = match rx.recv().unwrap() {
+                Response::Ok { tallies, .. } => tallies,
+                other => panic!("unexpected response {other:?}"),
+            };
+            let untraced = Scheduler::new(SchedulerConfig {
+                slice_shots: 97,
+                ..SchedulerConfig::default()
+            });
+            let rx = match untraced.submit(None, &run) {
+                Submission::Pending(rx) => rx,
+                Submission::Immediate(r) => panic!("expected pending, got {r:?}"),
+            };
+            drain(&untraced, &engine);
+            match rx.recv().unwrap() {
+                Response::Ok { tallies: t, .. } => assert_eq!(t, tallies),
+                other => panic!("unexpected response {other:?}"),
+            }
+            let records = sink.snapshot();
+            assert_eq!(records.len(), 1_000);
+            for (i, r) in records.iter().enumerate() {
+                assert_eq!(r.shot, i as u64, "slices must union to the full range");
+            }
+            let mut histo = Counts::new();
+            for r in &records {
+                *histo.entry(r.record as usize).or_insert(0) += 1;
+            }
+            assert_eq!(histo, tallies, "records must histogram to the response");
         }
-        let tallies = match rx.recv().unwrap() {
-            Response::Ok { tallies, .. } => tallies,
-            other => panic!("unexpected response {other:?}"),
-        };
-        let untraced = Scheduler::new(SchedulerConfig {
-            slice_shots: 97,
-            ..SchedulerConfig::default()
-        });
-        let rx = match untraced.submit(None, &run) {
-            Submission::Pending(rx) => rx,
-            Submission::Immediate(r) => panic!("expected pending, got {r:?}"),
-        };
-        drain(&untraced, &engine);
-        match rx.recv().unwrap() {
-            Response::Ok { tallies: t, .. } => assert_eq!(t, tallies),
-            other => panic!("unexpected response {other:?}"),
-        }
-        let records = sink.snapshot();
-        assert_eq!(records.len(), 1_000);
-        for (i, r) in records.iter().enumerate() {
-            assert_eq!(r.shot, i as u64, "slices must union to the full range");
-        }
-        let mut histo = Counts::new();
-        for r in &records {
-            *histo.entry(r.record as usize).or_insert(0) += 1;
-        }
-        assert_eq!(histo, tallies, "records must histogram to the response");
     }
 
     #[test]

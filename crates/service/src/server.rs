@@ -27,7 +27,7 @@
 //! closing. The submitter pool exits when the reactor drops the
 //! request channel.
 //!
-//! [`PreparedJob::run_range`]: crate::scheduler::PreparedJob::run_range
+//! [`PreparedJob::run_range`]: engine::PreparedJob::run_range
 //! [`Completion`]: reactor::Completion
 
 use crate::cache::DiskCacheConfig;
@@ -57,7 +57,7 @@ pub fn decode_line(bytes: &[u8]) -> Result<Request, String> {
 }
 
 /// Everything [`Service::spawn`] needs to know.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Bind address; port 0 picks an ephemeral port (see
     /// [`ServiceHandle::addr`]).
@@ -105,12 +105,11 @@ pub struct ServiceConfig {
     pub max_connections: usize,
     /// Engine each slice executes through. The default is sequential:
     /// parallelism comes from the worker pool, one slice per worker.
+    /// Its policies are the service's: a recording engine
+    /// ([`Engine::with_trace`]) records every executed slice (global
+    /// shot indices, so a sliced job's records union to the full run)
+    /// with served bytes unchanged.
     pub engine: Engine,
-    /// Optional shot-trace recorder, forwarded to the scheduler (see
-    /// [`SchedulerConfig::trace_sink`]): when set, workers route every
-    /// slice through the traced execution path. Served bytes are
-    /// unchanged.
-    pub trace_sink: Option<Arc<dyn engine::TraceSink>>,
 }
 
 impl Default for ServiceConfig {
@@ -132,33 +131,7 @@ impl Default for ServiceConfig {
             idle_timeout: reactor.idle_timeout,
             max_connections: reactor.max_connections,
             engine: Engine::sequential(),
-            trace_sink: None,
         }
-    }
-}
-
-impl std::fmt::Debug for ServiceConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServiceConfig")
-            .field("addr", &self.addr)
-            .field("workers", &self.workers)
-            .field("submitters", &self.submitters)
-            .field("queue_capacity", &self.queue_capacity)
-            .field("cache_capacity", &self.cache_capacity)
-            .field("cache_dir", &self.cache_dir)
-            .field("cache_disk_bytes", &self.cache_disk_bytes)
-            .field("slice_shots", &self.slice_shots)
-            .field("client_quota_shots", &self.client_quota_shots)
-            .field(
-                "client_quota_shots_per_sec",
-                &self.client_quota_shots_per_sec,
-            )
-            .field("metrics", &self.metrics.as_ref().map(|_| "..."))
-            .field("idle_timeout", &self.idle_timeout)
-            .field("max_connections", &self.max_connections)
-            .field("engine", &self.engine)
-            .field("trace_sink", &self.trace_sink.as_ref().map(|_| "..."))
-            .finish()
     }
 }
 
@@ -292,7 +265,6 @@ impl Service {
                 dir,
                 max_bytes: config.cache_disk_bytes,
             }),
-            trace_sink: config.trace_sink.clone(),
         });
 
         // With a registry, the engine times its shot chunks and amp
@@ -366,14 +338,7 @@ fn spawn_workers(
                 .spawn(move || {
                     while let Some(task) = scheduler.next_slice() {
                         let span = execute.as_ref().map(obs::Span::enter);
-                        let counts = match &task.sink {
-                            Some(sink) => task.prepared.run_range_traced(
-                                &engine,
-                                task.range.clone(),
-                                sink.as_ref(),
-                            ),
-                            None => task.prepared.run_range(&engine, task.range.clone()),
-                        };
+                        let counts = task.prepared.run_range(&engine, task.range.clone());
                         drop(span);
                         scheduler.complete_slice(&task.key, counts);
                     }

@@ -8,13 +8,12 @@
 //!   reference ordering.
 //! * [`Mode::Pooled`] — the work-stealing pool; records arrive
 //!   unordered and are sorted before packaging.
-//! * [`Mode::Served`] — an in-process [`Service`] with the sink wired
-//!   into its scheduler, driven through a real loopback TCP client, so
-//!   admission → cache → slicing all sit between the workload and the
-//!   trace.
+//! * [`Mode::Served`] — an in-process [`Service`] over a recording
+//!   engine, driven through a real loopback TCP client, so admission →
+//!   cache → slicing all sit between the workload and the trace.
 //! * [`Mode::Sharded`] — a [`Coordinator`] scattering shot ranges over
-//!   two in-process worker services that share one sink; the workers'
-//!   global shot indices must union to the full range.
+//!   two in-process worker services whose engines share one sink; the
+//!   workers' global shot indices must union to the full range.
 //!
 //! In every mode the packaged trace covers shots `0..shots` exactly
 //! once — recording observes execution, it never changes what is
@@ -23,7 +22,7 @@
 use crate::format::{Trace, TraceHeader, FORMAT_VERSION};
 use crate::workloads::Workload;
 use circuit::qasm::to_qasm3;
-use engine::{Backend, Engine, Executor, MemorySink, TraceSink};
+use engine::{Backend, Engine, Executor, MemorySink};
 use service::{Request, Response, RunRequest, Service, ServiceConfig};
 use shard::{Coordinator, CoordinatorConfig};
 use std::io::{BufRead, BufReader, Write};
@@ -92,32 +91,35 @@ pub fn record_workload(
 ) -> Result<Trace, String> {
     let circuit = (workload.build)();
     let sink = Arc::new(MemorySink::new());
+    // Recording is engine policy: every mode runs over an engine that
+    // carries the sink.
+    let pool = || Engine::with_threads(POOL_THREADS).with_trace(sink.clone());
+    let spawn_service = || {
+        Service::spawn(ServiceConfig {
+            engine: pool(),
+            ..ServiceConfig::default()
+        })
+    };
+    // One run request over loopback against a served topology.
+    let drive = |addr: std::net::SocketAddr| {
+        let qasm = to_qasm3(&circuit);
+        drive_request(&addr.to_string(), &qasm, shots, root_seed, workload.backend)
+    };
     match mode {
         Mode::Sequential | Mode::Pooled => {
-            let exec = match mode {
-                Mode::Sequential => Executor::sequential(root_seed),
-                _ => Executor::pooled(Engine::with_threads(POOL_THREADS), root_seed),
+            let engine = match mode {
+                Mode::Sequential => Engine::sequential().with_trace(sink.clone()),
+                _ => pool(),
             };
+            let exec = Executor::pooled(engine, root_seed);
             workload
                 .backend
-                .sample_shots_traced(&circuit, shots as usize, &exec, sink.as_ref())
+                .sample_shots(&circuit, shots as usize, &exec)
                 .map_err(|e| format!("{}: {e:?}", workload.name))?;
         }
         Mode::Served => {
-            let service = Service::spawn(ServiceConfig {
-                engine: Engine::with_threads(POOL_THREADS),
-                trace_sink: Some(sink.clone() as Arc<dyn TraceSink>),
-                ..ServiceConfig::default()
-            })
-            .map_err(|e| format!("cannot spawn service: {e}"))?;
-            let addr = service.addr();
-            let result = drive_request(
-                &addr.to_string(),
-                &to_qasm3(&circuit),
-                shots,
-                root_seed,
-                workload.backend,
-            );
+            let service = spawn_service().map_err(|e| format!("cannot spawn service: {e}"))?;
+            let result = drive(service.addr());
             service.shutdown();
             result?;
         }
@@ -125,28 +127,14 @@ pub fn record_workload(
             // Two workers share one sink; the coordinator scatters
             // disjoint global shot ranges across them, so the union of
             // their records is the full run.
-            let spawn_worker = || {
-                Service::spawn(ServiceConfig {
-                    engine: Engine::with_threads(POOL_THREADS),
-                    trace_sink: Some(sink.clone() as Arc<dyn TraceSink>),
-                    ..ServiceConfig::default()
-                })
-            };
-            let worker_a = spawn_worker().map_err(|e| format!("cannot spawn worker: {e}"))?;
-            let worker_b = spawn_worker().map_err(|e| format!("cannot spawn worker: {e}"))?;
+            let worker_a = spawn_service().map_err(|e| format!("cannot spawn worker: {e}"))?;
+            let worker_b = spawn_service().map_err(|e| format!("cannot spawn worker: {e}"))?;
             let coordinator = Coordinator::spawn(CoordinatorConfig {
                 workers: vec![worker_a.addr().to_string(), worker_b.addr().to_string()],
                 ..CoordinatorConfig::default()
             })
             .map_err(|e| format!("cannot spawn coordinator: {e}"))?;
-            let addr = coordinator.addr();
-            let result = drive_request(
-                &addr.to_string(),
-                &to_qasm3(&circuit),
-                shots,
-                root_seed,
-                workload.backend,
-            );
+            let result = drive(coordinator.addr());
             coordinator.shutdown();
             worker_a.shutdown();
             worker_b.shutdown();
