@@ -3,13 +3,13 @@
 //! Every binary accepts `--quick` (or the `COMPAS_QUICK=1` environment
 //! variable) to run a reduced-shot smoke version; the default parameters
 //! match the paper's settings (e.g. 100 000 shots for Table 4).
+//!
+//! These binaries regenerate the paper's numbers; none of them measures
+//! speed. Rate claims are made with `benchmark/` (see its README) and
+//! recorded in the `BENCH_<pr>.json` ledger at the repository root.
 
 use analysis::table_io::{default_results_dir, ResultTable};
 use engine::{Engine, Executor};
-
-mod report;
-
-pub use report::{BenchEntry, BenchReport};
 
 /// Shot-count scale for the regeneration binaries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,14 +63,6 @@ pub fn emit(table: &ResultTable) {
     match table.write_csv(&default_results_dir()) {
         Ok(path) => println!("[csv] {}\n", path.display()),
         Err(err) => println!("[csv] not written: {err}\n"),
-    }
-}
-
-/// Persists a machine-readable perf report under `results/bench/`.
-pub fn emit_report(report: &BenchReport) {
-    match report.write() {
-        Ok(path) => println!("[json] {}\n", path.display()),
-        Err(err) => println!("[json] not written: {err}\n"),
     }
 }
 

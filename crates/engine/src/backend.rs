@@ -66,9 +66,9 @@ use std::ops::Range;
 
 /// Which simulation representation plays the shots.
 ///
-/// `#[non_exhaustive]` like [`Executor`]: future representations
-/// (matrix-product states, GPU statevectors, …) extend this enum
-/// instead of forking the sampling APIs.
+/// `#[non_exhaustive]`: future representations (matrix-product
+/// states, GPU statevectors, …) extend this enum instead of forking
+/// the sampling APIs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum Backend {
@@ -179,7 +179,7 @@ impl Backend {
     ) -> Result<Counts, Unsupported> {
         let shots = shots as u64;
         let (_resolved, job) = PreparedJob::prepare(circuit, self, shots, exec.root_seed())?;
-        Ok(job.run_range(&exec.engine(), 0..shots))
+        Ok(job.run_range(exec.engine(), 0..shots))
     }
 }
 

@@ -84,11 +84,9 @@ impl EngineConfig {
     }
 
     /// Reads the configuration from the process environment and CLI:
-    /// `COMPAS_THREADS` / `--threads N` set the shot-worker count,
-    /// `COMPAS_CHUNK` the chunk size, `COMPAS_AMP_THREADS` the
-    /// amp-parallel worker count (`1` disables), and
-    /// `COMPAS_AMP_QUBITS` the engagement threshold. Unset or
-    /// unparsable values fall back to the defaults.
+    /// `COMPAS_THREADS` / `--threads N` set the shot-worker count and
+    /// `COMPAS_CHUNK` the chunk size. Unset or unparsable values fall
+    /// back to the defaults.
     pub fn from_env() -> Self {
         let mut cfg = Self::default();
         if let Some(n) = env_usize("COMPAS_THREADS") {
@@ -99,12 +97,6 @@ impl EngineConfig {
         }
         if let Some(n) = env_usize("COMPAS_CHUNK") {
             cfg.chunk_size = (n as u64).max(1);
-        }
-        if let Some(n) = env_usize("COMPAS_AMP_THREADS") {
-            cfg.amp_threads = n.max(1);
-        }
-        if let Some(n) = env_usize("COMPAS_AMP_QUBITS") {
-            cfg.amp_threshold_qubits = n;
         }
         cfg
     }

@@ -1,18 +1,18 @@
 //! The execution context every sampling workload runs under.
 //!
 //! [`Executor`] is the single boundary at which callers choose *how*
-//! shots execute — sequentially on the calling thread or partitioned
-//! across a worker pool — so the choice never leaks into the signatures
-//! of the layers above. A protocol backend, an analysis driver, or an
-//! application takes `&Executor` and is oblivious to the mode; adding a
-//! future mode (sharded, async, multi-machine) extends this enum instead
-//! of forking every API into `foo` / `foo_parallel` twins.
+//! shots execute — inline on the calling thread or partitioned across a
+//! worker pool — so the choice never leaks into the signatures of the
+//! layers above. A protocol backend, an analysis driver, or an
+//! application takes `&Executor` and is oblivious to the mode: the mode
+//! is the [`Engine`] the context carries, never a `foo` / `foo_parallel`
+//! twin API.
 //!
 //! ## Determinism contract
 //!
-//! Both variants derive shot `i`'s RNG stream from the executor's root
-//! seed with [`derive_stream_seed`] — [`Executor::Sequential`] simply
-//! runs the same per-shot streams in order on one thread. Consequently
+//! Shot `i`'s RNG stream is derived from the executor's root seed with
+//! [`derive_stream_seed`] at any worker count — a one-thread engine
+//! simply runs the same per-shot streams in order. Consequently
 //! `Executor::sequential(s)` and `Executor::pooled(engine, s)` produce
 //! **bit-identical** results for every workload that follows the fold
 //! contract (commutative, per-shot-pure merging); this is asserted by
@@ -34,96 +34,60 @@ use crate::batch::{BatchRunner, ShotJob};
 use crate::pool::{check_plan, Counts, Engine};
 use crate::seed::derive_stream_seed;
 
-/// An execution context: *where* and *how* a deterministic sampling
-/// workload runs.
+/// An execution context: the [`Engine`] a deterministic sampling
+/// workload runs on, and the root seed it runs under.
 ///
-/// Both variants derive shot `i`'s RNG stream from the root seed with
-/// [`derive_stream_seed`], so `Executor::sequential(s)` and
+/// Shot `i` runs on `derive_stream_seed(root_seed, i)` whatever the
+/// engine's worker count, so `Executor::sequential(s)` and
 /// `Executor::pooled(engine, s)` produce **bit-identical** results for
 /// every workload that follows the engine's fold contract (see
 /// [`Engine::run_fold_with`]); layers above take `&Executor` instead of
-/// forking into sequential/parallel twin APIs, and future modes
-/// (sharded, async, multi-machine) extend this enum.
+/// forking into sequential/parallel twin APIs.
 #[derive(Debug, Clone)]
-#[non_exhaustive]
-pub enum Executor {
-    /// Single-threaded execution on the calling thread. Shot `i` still
-    /// runs on its own derived stream (not one shared RNG), so this is
-    /// the bit-identical reference for [`Executor::Pooled`].
-    Sequential {
-        /// Root seed; shot `i` runs on `derive_stream_seed(root, i)`.
-        root_seed: u64,
-    },
-    /// Execution over an [`Engine`] worker pool — the production mode.
-    Pooled {
-        /// The configured worker pool.
-        engine: Engine,
-        /// Root seed; shot `i` runs on `derive_stream_seed(root, i)`.
-        root_seed: u64,
-    },
+pub struct Executor {
+    engine: Engine,
+    root_seed: u64,
 }
 
 impl Executor {
-    /// A sequential context rooted at `root_seed`.
+    /// A context on the calling thread alone
+    /// ([`Engine::sequential`]) — the bit-identical reference for any
+    /// pooled one.
     pub fn sequential(root_seed: u64) -> Self {
-        Executor::Sequential { root_seed }
+        Executor::pooled(Engine::sequential(), root_seed)
     }
 
-    /// A pooled context over `engine`, rooted at `root_seed`.
+    /// A context over `engine`, rooted at `root_seed`.
     pub fn pooled(engine: Engine, root_seed: u64) -> Self {
-        Executor::Pooled { engine, root_seed }
-    }
-
-    /// A pooled context configured from the environment
-    /// (`COMPAS_THREADS` / `--threads N` / `COMPAS_CHUNK`, see
-    /// [`crate::EngineConfig::from_env`]), rooted at `root_seed`.
-    pub fn from_env(root_seed: u64) -> Self {
-        Executor::pooled(Engine::from_env(), root_seed)
+        Executor { engine, root_seed }
     }
 
     /// The root seed of this context.
     pub fn root_seed(&self) -> u64 {
-        match self {
-            Executor::Sequential { root_seed } | Executor::Pooled { root_seed, .. } => *root_seed,
-        }
+        self.root_seed
     }
 
     /// Worker count this context executes with (1 when sequential).
     pub fn threads(&self) -> usize {
-        match self {
-            Executor::Sequential { .. } => 1,
-            Executor::Pooled { engine, .. } => engine.threads(),
-        }
+        self.engine.threads()
     }
 
-    /// The same mode rooted at a different seed.
+    /// The same engine rooted at a different seed.
     pub fn with_seed(&self, root_seed: u64) -> Self {
-        match self {
-            Executor::Sequential { .. } => Executor::Sequential { root_seed },
-            Executor::Pooled { engine, .. } => Executor::Pooled {
-                engine: engine.clone(),
-                root_seed,
-            },
-        }
+        Executor::pooled(self.engine.clone(), root_seed)
     }
 
-    /// The child context of sub-computation `index`: same mode, root
+    /// The child context of sub-computation `index`: same engine, root
     /// seed `derive_stream_seed(self.root_seed(), index)`. Child seeds
     /// are pure functions of `(root, index)`, so composite experiments
     /// stay deterministic in every mode.
     pub fn derive(&self, index: u64) -> Self {
-        self.with_seed(derive_stream_seed(self.root_seed(), index))
+        self.with_seed(derive_stream_seed(self.root_seed, index))
     }
 
-    /// The engine this context folds through. `Sequential` uses a
-    /// single-threaded engine, whose inline path runs the identical
-    /// per-shot streams — that equivalence *is* the determinism
-    /// guarantee.
-    pub(crate) fn engine(&self) -> Engine {
-        match self {
-            Executor::Sequential { .. } => Engine::sequential(),
-            Executor::Pooled { engine, .. } => engine.clone(),
-        }
+    /// The engine this context folds through.
+    pub(crate) fn engine(&self) -> &Engine {
+        &self.engine
     }
 
     /// Counts the shots for which `pred` holds, with a per-worker
@@ -134,8 +98,8 @@ impl Executor {
         MW: Fn() -> W + Sync,
         F: Fn(&mut W, u64, &mut StdRng) -> bool + Sync,
     {
-        self.engine()
-            .run_count_with(shots, self.root_seed(), make_ws, pred)
+        self.engine
+            .run_count_with(shots, self.root_seed, make_ws, pred)
     }
 
     /// Workspace-free variant of [`Executor::run_count_with`].
@@ -143,7 +107,7 @@ impl Executor {
     where
         F: Fn(u64, &mut StdRng) -> bool + Sync,
     {
-        self.engine().run_count(shots, self.root_seed(), pred)
+        self.engine.run_count(shots, self.root_seed, pred)
     }
 
     /// Histograms one key per shot.
@@ -152,7 +116,7 @@ impl Executor {
         K: Eq + Hash + Send,
         F: Fn(u64, &mut StdRng) -> K + Sync,
     {
-        self.engine().run_tally(shots, self.root_seed(), key_of)
+        self.engine.run_tally(shots, self.root_seed, key_of)
     }
 
     /// Runs a batch of independent [`ShotJob`]s through this context's
@@ -161,7 +125,7 @@ impl Executor {
     /// [`Executor::derive`] or [`derive_stream_seed`]) to keep the batch
     /// reproducible.
     pub fn run_batch<J: ShotJob>(&self, jobs: &[J]) -> Vec<HashMap<J::Key, u64>> {
-        BatchRunner::new(&self.engine()).run_batch(jobs)
+        BatchRunner::new(&self.engine).run_batch(jobs)
     }
 
     /// Executor-backed equivalent of [`qsim::runner::sample_shots`]:
@@ -205,8 +169,8 @@ impl Executor {
     ) -> Counts {
         check_plan(circuit, initial);
         let program = S::compile(circuit);
-        self.engine()
-            .run_program_range(&program, initial, self.root_seed(), 0..shots as u64)
+        self.engine
+            .run_program_range(&program, initial, self.root_seed, 0..shots as u64)
     }
 
     /// Interpreted reference for [`Executor::sample_shots`]: every shot
@@ -222,9 +186,9 @@ impl Executor {
         shots: usize,
     ) -> Counts {
         check_plan(circuit, initial);
-        self.engine().run_records(
+        self.engine.run_records(
             0..shots as u64,
-            self.root_seed(),
+            self.root_seed,
             || (initial.clone(), Vec::new()),
             |(state, cbits), rng| {
                 run_shot_into(circuit, initial, state, cbits, rng);

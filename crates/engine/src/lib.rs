@@ -21,13 +21,13 @@
 //! ## Execution model
 //!
 //! [`Executor`] is the boundary at which callers pick the execution
-//! mode: `Executor::Sequential` runs shots inline on the calling
-//! thread, `Executor::Pooled` partitions them across an [`Engine`]
+//! mode: [`Executor::sequential`] runs shots inline on the calling
+//! thread, [`Executor::pooled`] partitions them across an [`Engine`]
 //! worker pool — and both produce bit-identical results for the same
 //! root seed, because the per-shot streams are mode-independent. Every
 //! layer above (protocol backends, analysis drivers, applications)
 //! takes `&Executor` instead of forking into sequential/parallel twin
-//! APIs; future modes (sharded, async, multi-machine) extend the enum.
+//! APIs.
 //!
 //! [`Backend`] is the matching boundary on the representation side:
 //! *what* simulates a shot (statevector, density matrix, stabilizer
@@ -60,13 +60,13 @@
 //! space across the pool via
 //! `qsim::amp` (`StateVector::apply_compiled_parallel`), with a barrier
 //! per kernel. Deliberately there is **no twin API** — no
-//! `sample_shots_amp`, no `Executor::AmpParallel` variant. The mode is
+//! `sample_shots_amp`, no amp-parallel `Executor`. The mode is
 //! pure latency policy, decided per plan by
-//! [`EngineConfig::amp_engaged`] from two knobs
-//! ([`EngineConfig::amp_threads`] / `COMPAS_AMP_THREADS`, and
-//! [`EngineConfig::amp_threshold_qubits`] / `COMPAS_AMP_QUBITS`), and
-//! it can stay a policy because the amp-parallel replay is
-//! *bit-identical* to the sequential one at any worker count (shot `i`
+//! [`EngineConfig::amp_engaged`] from two config fields
+//! ([`EngineConfig::amp_threads`] and
+//! [`EngineConfig::amp_threshold_qubits`]), and it can stay a policy
+//! because the amp-parallel replay is *bit-identical* to the
+//! sequential one at any worker count (shot `i`
 //! still consumes stream `derive_stream_seed(root, i)`; interpreted
 //! points run single-threaded in program order). A twin API would
 //! force every protocol backend and analysis driver to pick a mode it
@@ -112,11 +112,6 @@
 //!   that call [`EngineConfig::from_env`]); defaults to the machine's
 //!   available parallelism.
 //! * `COMPAS_CHUNK` — shots per work unit (default 256).
-//! * `COMPAS_AMP_THREADS` — workers splitting one shot's amplitude
-//!   space when amp-parallelism engages (`1` disables; defaults to the
-//!   machine's available parallelism).
-//! * `COMPAS_AMP_QUBITS` — state width (qubits) at which amp-parallel
-//!   replay engages (default 20).
 //!
 //! ```
 //! use circuit::circuit::Circuit;

@@ -408,7 +408,14 @@ impl Engine {
         MW: Fn() -> W + Sync,
         F: Fn(&mut W, u64, &mut StdRng) -> K + Sync,
     {
-        self.run_tally_range_with(0..shots, root_seed, make_ws, key_of)
+        self.run_fold_with(
+            shots,
+            root_seed,
+            make_ws,
+            HashMap::new,
+            |acc, ws, shot, rng| *acc.entry(key_of(ws, shot, rng)).or_insert(0) += 1,
+            merge_tallies,
+        )
     }
 
     /// Workspace-free variant of [`Engine::run_tally_with`].
@@ -418,33 +425,6 @@ impl Engine {
         F: Fn(u64, &mut StdRng) -> K + Sync,
     {
         self.run_tally_with(shots, root_seed, || (), |(), shot, rng| key_of(shot, rng))
-    }
-
-    /// Ranged variant of [`Engine::run_tally_with`]: histograms the
-    /// global shot indices `range` only. Merging the tallies of a
-    /// partition of `0..shots` is bit-identical to the full call (see
-    /// [`Engine::run_fold_range_with`]).
-    pub fn run_tally_range_with<K, W, MW, F>(
-        &self,
-        range: Range<u64>,
-        root_seed: u64,
-        make_ws: MW,
-        key_of: F,
-    ) -> HashMap<K, u64>
-    where
-        K: Eq + Hash + Send,
-        W: Send,
-        MW: Fn() -> W + Sync,
-        F: Fn(&mut W, u64, &mut StdRng) -> K + Sync,
-    {
-        self.run_fold_range_with(
-            range,
-            root_seed,
-            make_ws,
-            HashMap::new,
-            |acc, ws, shot, rng| *acc.entry(key_of(ws, shot, rng)).or_insert(0) += 1,
-            merge_tallies,
-        )
     }
 
     /// Executes one [`ShotPlan`] on its backend, reusing one state
@@ -667,20 +647,30 @@ mod tests {
         // shot-slicing correctness condition.
         let engine = Engine::with_threads(3);
         let key = |_: &mut (), _: u64, rng: &mut StdRng| rng.random_range(0..32u32);
+        let tally_range = |range: Range<u64>| {
+            engine.run_fold_range_with(
+                range,
+                7,
+                || (),
+                HashMap::new,
+                |acc, ws, shot, rng| *acc.entry(key(ws, shot, rng)).or_insert(0) += 1,
+                merge_tallies,
+            )
+        };
         let full = engine.run_tally_with(10_000, 7, || (), key);
         for slice in [1u64, 7, 256, 4096, 10_000] {
             let mut merged: HashMap<u32, u64> = HashMap::new();
             let mut start = 0u64;
             while start < 10_000 {
                 let end = (start + slice).min(10_000);
-                let part = engine.run_tally_range_with(start..end, 7, || (), key);
+                let part = tally_range(start..end);
                 merged = merge_tallies(merged, part);
                 start = end;
             }
             assert_eq!(merged, full, "slice size {slice} diverged");
         }
         // An empty range contributes nothing.
-        assert!(engine.run_tally_range_with(5..5, 7, || (), key).is_empty());
+        assert!(tally_range(5..5).is_empty());
     }
 
     #[test]

@@ -1,22 +1,22 @@
 //! # jsonlite — a minimal JSON value, writer, and parser
 //!
-//! The workspace is offline (no serde); the bench reports hand-rolled a
-//! JSON *writer*, and the serving layer needs a *parser* for its wire
-//! protocol. This crate is the shared home for both: one [`Json`] value
-//! type, an escaping writer (compact for wire lines, pretty for the
-//! `results/bench/*.json` reports), and a strict recursive-descent
-//! parser hardened for untrusted input (nesting-depth cap, precise
-//! error offsets).
+//! The workspace is offline (no serde); the perf ledger and the trace
+//! manifests need a JSON *writer*, and the serving layer needs a
+//! *parser* for its wire protocol. This crate is the shared home for
+//! both: one [`Json`] value type, an escaping writer (compact for wire
+//! lines, pretty for the `BENCH_<pr>.json` ledger and `.cst` sidecar
+//! manifests), and a strict recursive-descent parser hardened for
+//! untrusted input (nesting-depth cap, precise error offsets).
 //!
 //! Design points:
 //!
 //! * Objects preserve **insertion order** (`Vec<(String, Json)>`), so
 //!   serialization is deterministic — a requirement for the service's
-//!   bit-reproducible wire responses and for diffable bench artifacts.
+//!   bit-reproducible wire responses and for a diffable perf ledger.
 //! * Numbers are `f64` (JSON's model). Integers up to 2⁵³ round-trip
 //!   exactly; [`Json::as_u64`] checks integrality. Non-finite values
 //!   serialize as `0` (JSON has no NaN/Infinity; a zeroed rate fails
-//!   any ≥-guard loudly — the bench-report convention).
+//!   any ≥-guard loudly).
 //!
 //! ```
 //! use jsonlite::Json;
@@ -186,8 +186,9 @@ impl Json {
         }
     }
 
-    /// Pretty serialization with two-space indentation — the
-    /// `results/bench/*.json` artifact format.
+    /// Pretty serialization with two-space indentation — the format
+    /// of the files meant to be read and diffed (`BENCH_<pr>.json`, the
+    /// trace manifests).
     pub fn to_pretty(&self) -> String {
         let mut out = String::new();
         self.write_pretty(&mut out, 0);

@@ -308,32 +308,10 @@ impl SimProgram for CompiledCircuit {
     }
 }
 
-/// Knobs for [`compile_with`]. The defaults are what [`compile`] uses;
-/// disabling `fuse_pairs` is mainly useful for measuring how much the
-/// two-qubit fusion pass shrinks a program (the `backend_scaling`
-/// sweep's fused-vs-unfused kernel-count guard).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompileOptions {
-    /// Fuse adjacent kernels whose combined support fits in two qubits
-    /// into one [`CompiledOp::Unitary2`] pass.
-    pub fuse_pairs: bool,
-}
-
-impl Default for CompileOptions {
-    fn default() -> Self {
-        CompileOptions { fuse_pairs: true }
-    }
-}
-
 /// Lowers `circuit` into a [`CompiledCircuit`] (see the module docs for
 /// the fusion rules). Pure function of the circuit; compile once per
 /// plan and replay across shots.
 pub fn compile(circuit: &Circuit) -> CompiledCircuit {
-    compile_with(circuit, CompileOptions::default())
-}
-
-/// [`compile`] with explicit [`CompileOptions`].
-pub fn compile_with(circuit: &Circuit, options: CompileOptions) -> CompiledCircuit {
     let n = circuit.num_qubits();
     let mut b = Builder {
         n,
@@ -351,15 +329,10 @@ pub fn compile_with(circuit: &Circuit, options: CompileOptions) -> CompiledCircu
     }
     b.flush_all();
     b.finalize();
-    let ops = if options.fuse_pairs {
-        fuse_adjacent_pairs(b.ops)
-    } else {
-        b.ops
-    };
     CompiledCircuit {
         num_qubits: n,
         num_cbits: circuit.num_cbits(),
-        ops,
+        ops: fuse_adjacent_pairs(b.ops),
         source_instructions: circuit.instructions().len(),
     }
 }
@@ -1137,8 +1110,8 @@ fn phase(
 /// pass on 12 / 16 / 20-qubit states: runs of 1 — bit 0 selected or
 /// pinned, every `Cx` of a chain that entangles the qubits in order, all
 /// of `lib-compas` — 2.8 / 2.2 / 1.3; of 2 1.8 / 1.5 / 1.0; of 4
-/// 0.94 / 1.0 / 1.0; of 32 0.49 / 0.74 / 0.89. On `backend_scaling`'s
-/// unfusable GHZ-12 shot, compiled ÷ interpreted rate: slices only
+/// 0.94 / 1.0 / 1.0; of 32 0.49 / 0.74 / 0.89. On an unfusable
+/// GHZ-12 shot, compiled ÷ interpreted rate: slices only
 /// 0.82–0.88, a `n == 1` test per run 0.92–0.95, this 1.00–1.04.
 #[inline(always)]
 fn permute_swap(
@@ -1440,8 +1413,6 @@ mod tests {
         let p = compile(&c);
         assert_eq!(p.num_ops(), 1, "ops: {:?}", p.ops());
         assert!(matches!(p.ops()[0], CompiledOp::Unitary2 { .. }));
-        let unfused = compile_with(&c, CompileOptions { fuse_pairs: false });
-        assert!(unfused.num_ops() > p.num_ops());
         // Matches interpretation on a random superposition.
         let mut rng = StdRng::seed_from_u64(11);
         let mut fast = StateVector::from_amplitudes(crate::qrand::random_pure_state(2, &mut rng));

@@ -59,7 +59,7 @@ pub mod statevector;
 
 /// Convenient glob-import of the most used items.
 pub mod prelude {
-    pub use crate::compile::{compile, compile_with, CompileOptions, CompiledCircuit, CompiledOp};
+    pub use crate::compile::{compile, CompiledCircuit, CompiledOp};
     pub use crate::density::{run_deferred, DensityMatrix};
     pub use crate::qrand::{
         random_density_matrix, random_density_matrix_of_rank, random_pauli_on, random_pure_state,

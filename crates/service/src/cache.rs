@@ -12,7 +12,7 @@
 //!
 //! Eviction is LRU over a fixed entry capacity. Hit/miss accounting
 //! lives in the scheduler's `ServiceStats` (the single counter source
-//! feeding the `stats` wire op and the `service_scaling` report).
+//! feeding the `stats` wire op).
 //!
 //! ## Disk spill
 //!

@@ -320,6 +320,16 @@ pub struct ServiceStats {
 }
 
 impl ServiceStats {
+    /// This snapshot with the reactor's connection gauges filled in —
+    /// what every front end reports, over the wire and in-process.
+    pub fn with_gauges(mut self, gauges: reactor::ReactorGauges) -> ServiceStats {
+        self.open_connections = gauges.open;
+        self.idle_connections = gauges.idle;
+        self.read_blocked = gauges.read_blocked;
+        self.write_blocked = gauges.write_blocked;
+        self
+    }
+
     /// The schema's `(name, value)` pairs, in wire order. Public so
     /// clients can render the counters without hard-coding the schema.
     pub fn fields(&self) -> [(&'static str, u64); 16] {

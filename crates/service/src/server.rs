@@ -228,15 +228,9 @@ impl LineHandler for Handler {
 /// A stats snapshot with the reactor's connection gauges and the
 /// per-client rows merged in.
 fn stats_response(id: Option<String>, scheduler: &Scheduler, ctl: &ReactorCtl) -> Response {
-    let mut stats = scheduler.stats();
-    let gauges = ctl.gauges();
-    stats.open_connections = gauges.open;
-    stats.idle_connections = gauges.idle;
-    stats.read_blocked = gauges.read_blocked;
-    stats.write_blocked = gauges.write_blocked;
     Response::Stats {
         id,
-        stats,
+        stats: scheduler.stats().with_gauges(ctl.gauges()),
         workers: Vec::new(),
         clients: scheduler.client_rows(),
     }
@@ -406,13 +400,7 @@ impl ServiceHandle {
     /// Counter snapshot, read directly (no wire round trip), with the
     /// reactor's connection gauges merged in.
     pub fn stats(&self) -> ServiceStats {
-        let mut stats = self.scheduler.stats();
-        let gauges = self.reactor.gauges();
-        stats.open_connections = gauges.open;
-        stats.idle_connections = gauges.idle;
-        stats.read_blocked = gauges.read_blocked;
-        stats.write_blocked = gauges.write_blocked;
-        stats
+        self.scheduler.stats().with_gauges(self.reactor.gauges())
     }
 
     /// The reactor's raw connection gauges.

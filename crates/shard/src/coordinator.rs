@@ -181,15 +181,9 @@ impl LineHandler for Handler {
                 completion.send(response.to_line().into_bytes());
             }
             Ok(Request { id, op: Op::Stats }) => {
-                let mut stats = self.shared.stats();
-                let gauges = self.ctl.gauges();
-                stats.open_connections = gauges.open;
-                stats.idle_connections = gauges.idle;
-                stats.read_blocked = gauges.read_blocked;
-                stats.write_blocked = gauges.write_blocked;
                 let response = Response::Stats {
                     id,
-                    stats,
+                    stats: self.shared.stats().with_gauges(self.ctl.gauges()),
                     workers: self.shared.pool.rows(),
                     clients: Vec::new(),
                 };
@@ -378,13 +372,7 @@ impl CoordinatorHandle {
     /// Counter snapshot, read directly (no wire round trip), with the
     /// reactor's connection gauges merged in.
     pub fn stats(&self) -> ServiceStats {
-        let mut stats = self.shared.stats();
-        let gauges = self.reactor.gauges();
-        stats.open_connections = gauges.open;
-        stats.idle_connections = gauges.idle;
-        stats.read_blocked = gauges.read_blocked;
-        stats.write_blocked = gauges.write_blocked;
-        stats
+        self.shared.stats().with_gauges(self.reactor.gauges())
     }
 
     /// Per-worker rows, read directly.
@@ -433,6 +421,7 @@ impl Shared {
         let mut stats = inner.stats;
         stats.in_flight = inner.jobs.len() as u64;
         stats.cache_entries = inner.cache.len() as u64;
+        stats.cache_disk_entries = inner.cache.disk_len() as u64;
         stats
     }
 

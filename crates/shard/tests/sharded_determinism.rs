@@ -187,6 +187,8 @@ fn served_bytes_are_identical_across_topologies() {
         let (worker_handles, addrs) = spawn_workers(n);
         let coord = spawn_coordinator(addrs);
         lines.push(request_once(coord.addr(), &request).to_line());
+        let redispatched: u64 = coord.worker_rows().iter().map(|r| r.redispatched).sum();
+        assert_eq!(redispatched, 0, "healthy {n}-worker run re-dispatched");
         coord.shutdown();
         for handle in worker_handles {
             handle.shutdown();
@@ -383,6 +385,44 @@ fn coordinator_is_observable_and_caches_like_a_server() {
     for handle in worker_handles {
         handle.shutdown();
     }
+}
+
+#[test]
+fn coordinator_stats_count_its_disk_cache_entries() {
+    // A coordinator with a spill directory persists each merged result:
+    // one completed job is one disk entry, in-process and on the wire.
+    let dir = std::env::temp_dir().join(format!("compas-coord-spill-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (worker_handles, addrs) = spawn_workers(1);
+    let coord = Coordinator::spawn(CoordinatorConfig {
+        workers: addrs,
+        cache_dir: Some(dir.clone()),
+        ..CoordinatorConfig::default()
+    })
+    .expect("spawn coordinator");
+    await_all_alive(&coord, 1);
+    let request = Request::run(None, run_request(&bell(), 300, 5, Backend::Auto));
+    assert!(matches!(
+        request_once(coord.addr(), &request),
+        Response::Ok { .. }
+    ));
+    assert_eq!(coord.stats().cache_disk_entries, 1, "{:?}", coord.stats());
+    let wire = request_once(
+        coord.addr(),
+        &Request {
+            id: None,
+            op: service::Op::Stats,
+        },
+    );
+    let Response::Stats { stats, .. } = wire else {
+        panic!("unexpected {wire:?}");
+    };
+    assert_eq!(stats.cache_disk_entries, 1, "{stats:?}");
+    coord.shutdown();
+    for handle in worker_handles {
+        handle.shutdown();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

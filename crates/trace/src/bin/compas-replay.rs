@@ -13,14 +13,11 @@
 //! replays a stratified RATE-fraction of the shots and predicts the
 //! full-run tally with 99% Wilson intervals, printing a SPEC-style
 //! table. `--suite` runs the sampled replay over every `.cst` in a
-//! directory (default `crates/trace/tests/golden`) and writes the
-//! aggregate to `results/bench/trace_replay.json` via the bench
-//! report, with a `within_ci` extra per workload for the CI guard.
+//! directory (default `crates/trace/tests/golden`).
 //!
 //! Exits 0 when everything verified / every prediction landed inside
 //! its interval, 1 otherwise, 2 on usage errors.
 
-use bench::BenchReport;
 use std::path::{Path, PathBuf};
 use std::process::exit;
 use std::time::Instant;
@@ -141,11 +138,7 @@ fn print_report(name: &str, report: &SampleReport, secs: f64, bytes: usize) {
     );
 }
 
-fn sample_one(
-    path: &Path,
-    rate: f64,
-    report_out: Option<&mut BenchReport>,
-) -> Result<bool, String> {
+fn sample_one(path: &Path, rate: f64) -> Result<bool, String> {
     let trace = read_trace(path)?;
     let workload = find(&trace.header.workload)
         .ok_or_else(|| format!("unknown workload {:?}", trace.header.workload))?;
@@ -154,28 +147,6 @@ fn sample_one(
     let sampled = sampled_replay(&trace, workload, rate)?;
     let secs = start.elapsed().as_secs_f64();
     print_report(workload.name, &sampled, secs, bytes);
-    if let Some(bench) = report_out {
-        bench.push_timing_extra(
-            workload.name,
-            &trace.header.backend,
-            "sampled-replay",
-            1,
-            sampled.sampled as usize,
-            secs.max(1e-9),
-            vec![
-                ("rate".to_string(), sampled.rate),
-                ("full_shots".to_string(), sampled.shots as f64),
-                (
-                    "bytes_per_shot".to_string(),
-                    bytes as f64 / sampled.shots.max(1) as f64,
-                ),
-                (
-                    "within_ci".to_string(),
-                    if sampled.within_ci() { 1.0 } else { 0.0 },
-                ),
-            ],
-        );
-    }
     Ok(sampled.within_ci())
 }
 
@@ -193,13 +164,10 @@ fn run() -> Result<bool, String> {
         if entries.is_empty() {
             return Err(format!("no .cst traces in {}", args.dir.display()));
         }
-        let mut bench = BenchReport::new("trace_replay", "golden-suite", false);
         let mut all_ok = true;
         for path in &entries {
-            all_ok &= sample_one(path, rate, Some(&mut bench))?;
+            all_ok &= sample_one(path, rate)?;
         }
-        let written = bench.write().map_err(|e| e.to_string())?;
-        println!("report -> {}", written.display());
         return Ok(all_ok);
     }
 
@@ -207,7 +175,7 @@ fn run() -> Result<bool, String> {
     let trace = read_trace(&path)?;
 
     if let Some(rate) = args.sample {
-        return sample_one(&path, rate, None);
+        return sample_one(&path, rate);
     }
 
     if !args.verify {

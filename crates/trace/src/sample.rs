@@ -26,13 +26,11 @@
 use crate::format::Trace;
 use crate::workloads::Workload;
 use circuit::circuit::Circuit;
-use engine::{derive_stream_seed, partition_shots, shot_rng, Backend, ShotRecord};
-use qsim::density::{run_deferred, DensityMatrix};
-use qsim::runner::{pack_cbits, run_program_into};
-use qsim::sim::SimState;
-use qsim::statevector::StateVector;
-use stabilizer::clifford::CliffordState;
+use engine::{
+    derive_stream_seed, partition_shots, Backend, Engine, MemorySink, PreparedJob, ShotRecord,
+};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Salt folded into the root seed for stratum draws, so sample-index
 /// selection never collides with any shot's own execution stream.
@@ -135,8 +133,10 @@ pub fn wilson_interval(k: u64, n: u64, z: f64) -> (f64, f64) {
 }
 
 /// Replays exactly the given shot indices of `circuit` on the resolved
-/// backend, returning one record per index (timing zeroed — sampled
-/// replay is about values, not speed).
+/// backend — the engine's own [`PreparedJob`], one single-shot range per
+/// index on a sequential recording engine — returning one record per
+/// index, sorted by shot (timing zeroed — sampled replay is about
+/// values, not speed).
 ///
 /// # Errors
 ///
@@ -144,62 +144,20 @@ pub fn wilson_interval(k: u64, n: u64, z: f64) -> (f64, f64) {
 pub fn replay_indices(
     circuit: &Circuit,
     backend: Backend,
+    shots: u64,
     root_seed: u64,
     indices: &[u64],
 ) -> Result<Vec<ShotRecord>, String> {
-    let resolved = backend.resolve(circuit);
-    resolved
-        .supports(circuit)
+    let (_resolved, job) = PreparedJob::prepare(circuit, backend, shots, root_seed)
         .map_err(|e| format!("replay: {e:?}"))?;
-    let n = circuit.num_qubits();
-    Ok(match resolved {
-        Backend::StateVector => replay_compiled(circuit, &StateVector::new(n), root_seed, indices),
-        Backend::Stabilizer => replay_compiled(circuit, &CliffordState::new(n), root_seed, indices),
-        Backend::Density => {
-            // The state is shot-independent; only the record draw uses
-            // the shot's stream — same split as the engine's arm.
-            let rho = run_deferred(circuit, &DensityMatrix::new(n));
-            let mut cbits = vec![false; circuit.num_cbits()];
-            indices
-                .iter()
-                .map(|&shot| {
-                    let mut rng = shot_rng(root_seed, shot);
-                    cbits.iter_mut().for_each(|b| *b = false);
-                    rho.sample_record(&mut cbits, &mut rng);
-                    record_of(root_seed, shot, pack_cbits(&cbits) as u64)
-                })
-                .collect()
-        }
-        _ => unreachable!("resolve never returns Auto or unknown backends"),
-    })
-}
-
-fn replay_compiled<S: SimState>(
-    circuit: &Circuit,
-    initial: &S,
-    root_seed: u64,
-    indices: &[u64],
-) -> Vec<ShotRecord> {
-    let program = S::compile(circuit);
-    let mut state = initial.clone();
-    let mut cbits = Vec::new();
-    indices
-        .iter()
-        .map(|&shot| {
-            let mut rng = shot_rng(root_seed, shot);
-            run_program_into(&program, initial, &mut state, &mut cbits, &mut rng);
-            record_of(root_seed, shot, pack_cbits(&cbits) as u64)
-        })
-        .collect()
-}
-
-fn record_of(root_seed: u64, shot: u64, record: u64) -> ShotRecord {
-    ShotRecord {
-        shot,
-        record,
-        stream: derive_stream_seed(root_seed, shot),
-        nanos: 0,
+    let sink = Arc::new(MemorySink::new());
+    let engine = Engine::sequential().with_trace(sink.clone());
+    for &shot in indices {
+        job.run_range(&engine, shot..shot + 1);
     }
+    let mut records = sink.snapshot();
+    records.iter_mut().for_each(|r| r.nanos = 0);
+    Ok(records)
 }
 
 /// One outcome's full-run prediction from the sample.
@@ -271,7 +229,7 @@ pub fn sampled_replay(
     let root_seed = trace.header.root_seed;
     let circuit = (workload.build)();
     let indices = stratified_indices(shots, rate, root_seed);
-    let replayed = replay_indices(&circuit, workload.backend, root_seed, &indices)?;
+    let replayed = replay_indices(&circuit, workload.backend, shots, root_seed, &indices)?;
 
     // Bit-exact spot check: the trace is sorted by shot and covers
     // 0..shots, so the record at index `shot` is the recorded shot.
