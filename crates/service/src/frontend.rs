@@ -1,0 +1,380 @@
+//! The one serving front end: a reactor thread, a submitter pool and a
+//! handle, over a [`JobBackend`].
+//!
+//! Both serving roles are this front end over a different backend. The
+//! single-machine server ([`crate::Service`]) puts it over its
+//! [`Scheduler`], which runs jobs as slices on a local worker pool; the
+//! `crates/shard` coordinator puts it over a scatter-gather across
+//! worker processes. [`Frontend::spawn`] starts, for either:
+//!
+//! * one **reactor** thread (`crates/reactor`) multiplexing every
+//!   connection over a single `poll(2)` loop. It frames and decodes
+//!   request lines and answers `stats` and `shutdown` inline — both are
+//!   lock-only — and keeps each connection's replies in request order
+//!   however the backend reorders completions. Thread count is
+//!   independent of connection count: idle clients cost file
+//!   descriptors, not stacks;
+//! * two **submitter** threads. `run` and `metrics` may block
+//!   (admission compiles circuits; a coordinator's metrics gather is a
+//!   round trip per worker), so the reactor hands both over a channel.
+//!   A run's reply travels back through its [`Completion`] when the
+//!   backend answers.
+//!
+//! Shutdown has one order in both roles: the backend stops (pending
+//! requests get an error reply), the reactor flushes outstanding
+//! replies and closes, the submitters drain the closed channel and
+//! exit, and then the backend's own threads are joined.
+//!
+//! [`Scheduler`]: crate::Scheduler
+
+use crate::cache::CacheKey;
+use crate::protocol::{ClientRow, Op, Request, Response, RunRequest, ServiceStats, WorkerRow};
+use crate::scheduler::Responder;
+use engine::Counts;
+use reactor::{Completion, Line, LineHandler, Reactor, ReactorConfig, ReactorCtl, ReactorHandle};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::{mpsc, Arc, Mutex};
+use std::thread::JoinHandle;
+
+/// Longest accepted request line (bytes). A line that exceeds this is
+/// answered with an error and the connection is closed — a client that
+/// streams gigabytes without a newline cannot exhaust server memory.
+pub const MAX_LINE_BYTES: u64 = 8 * 1024 * 1024;
+
+/// Submitter threads per front end: admission blocks on the backend's
+/// lock and compiles circuits, and two hide one slow compile.
+const SUBMITTERS: usize = 2;
+
+/// What a front end serves: admission and execution behind the wire.
+///
+/// The reactor thread makes only the lock-only calls, through a
+/// `dyn JobBackend`; [`JobBackend::submit`] and [`JobBackend::metrics`]
+/// run on the submitter pool, where `submit` is called on the concrete
+/// backend.
+pub trait JobBackend: Send + Sync + 'static {
+    /// The role noun in error texts (`"server"`, `"coordinator"`).
+    fn role(&self) -> &'static str;
+
+    /// Admits one run request. The response, immediate or eventual, is
+    /// delivered through `responder`; dropping it unanswered (shutdown)
+    /// sends the front end's "shut down before the job completed" reply.
+    fn submit(self: &Arc<Self>, id: Option<String>, run: &RunRequest, responder: Responder)
+    where
+        Self: Sized;
+
+    /// Counts a request line that failed framing or decoding.
+    fn note_error(&self);
+
+    /// The counter snapshot behind the `stats` op (the front end merges
+    /// in the reactor's connection gauges).
+    fn stats(&self) -> ServiceStats;
+
+    /// Per-worker rows for the `stats` op.
+    fn worker_rows(&self) -> Vec<WorkerRow> {
+        Vec::new()
+    }
+
+    /// Per-client rows for the `stats` op.
+    fn client_rows(&self) -> Vec<ClientRow> {
+        Vec::new()
+    }
+
+    /// The observability snapshot behind the `metrics` op.
+    fn metrics(&self) -> obs::Snapshot;
+
+    /// Stops admitting and drops pending jobs, failing their waiters.
+    fn shutdown(&self);
+}
+
+/// One request waiting on an in-flight job: the request that started
+/// it, or an identical one coalesced onto it.
+pub struct Waiter {
+    /// Where the answer goes.
+    pub responder: Responder,
+    /// The request's correlation id.
+    pub id: Option<String>,
+    /// Whether the request joined a job already in flight.
+    pub coalesced: bool,
+}
+
+impl Waiter {
+    /// Answers every waiter of a finished job with its tallies or its
+    /// error. A waiter whose connection died just drops the reply.
+    pub fn answer_all(waiters: Vec<Waiter>, key: &CacheKey, result: &Result<Counts, String>) {
+        for waiter in waiters {
+            waiter.responder.respond(match result {
+                Ok(tallies) => {
+                    ok_response(waiter.id, key, tallies.clone(), false, waiter.coalesced)
+                }
+                Err(error) => Response::Error {
+                    id: waiter.id,
+                    error: error.clone(),
+                },
+            });
+        }
+    }
+}
+
+/// The `ok` reply carrying `tallies` for `key`: a cache hit
+/// (`cached`), a zero-shot run, or a finished job's answer to one of
+/// its waiters.
+pub fn ok_response(
+    id: Option<String>,
+    key: &CacheKey,
+    tallies: Counts,
+    cached: bool,
+    coalesced: bool,
+) -> Response {
+    Response::Ok {
+        id,
+        backend: key.backend.to_string(),
+        shots: key.shots,
+        cached,
+        coalesced,
+        tallies,
+    }
+}
+
+/// One `run` or `metrics` request in flight from the reactor to a
+/// submitter.
+struct SubmitTask {
+    id: Option<String>,
+    /// `None` for a `metrics` request.
+    run: Option<RunRequest>,
+    completion: Completion,
+}
+
+/// The reactor-side protocol brain: it runs on the I/O thread, so it
+/// never waits on execution or on the network.
+struct Handler {
+    backend: Arc<dyn JobBackend>,
+    ctl: ReactorCtl,
+    max_line_bytes: u64,
+    /// Owned by the handler alone: when the reactor loop exits and
+    /// drops it, the submitter pool sees a closed channel and exits.
+    submit: mpsc::Sender<SubmitTask>,
+}
+
+impl LineHandler for Handler {
+    fn on_line(&self, _conn: u64, line: Line, mut completion: Completion) {
+        let oversized = matches!(line, Line::Oversized);
+        let request = match line {
+            Line::Complete(bytes) => std::str::from_utf8(&bytes)
+                .map_err(|_| "request line is not valid UTF-8".to_string())
+                .and_then(Request::from_line),
+            Line::Oversized => Err(format!(
+                "request line exceeds {} bytes",
+                self.max_line_bytes
+            )),
+        };
+        let Request { id, op } = match request {
+            Ok(request) => request,
+            Err(error) => {
+                self.backend.note_error();
+                let bytes = Response::Error { id: None, error }.to_line().into_bytes();
+                // Input past an oversized line is discarded: reply, close.
+                if oversized {
+                    completion.send_close(bytes);
+                } else {
+                    completion.send(bytes);
+                }
+                return;
+            }
+        };
+        let (run, what) = match op {
+            Op::Stats => {
+                let response = Response::Stats {
+                    id,
+                    stats: self.backend.stats().with_gauges(self.ctl.gauges()),
+                    workers: self.backend.worker_rows(),
+                    clients: self.backend.client_rows(),
+                };
+                completion.send(response.to_line().into_bytes());
+                return;
+            }
+            Op::Shutdown => {
+                completion.send_close(Response::Bye { id }.to_line().into_bytes());
+                self.backend.shutdown();
+                self.ctl.stop();
+                return;
+            }
+            Op::Metrics => (None, "metrics gather"),
+            Op::Run(run) => (Some(run), "job"),
+        };
+        // If the backend drops the request (shutdown), the completion
+        // comes back unresolved; this is the reply the peer gets instead
+        // of a silent close.
+        let error = format!(
+            "{} shut down before the {what} completed",
+            self.backend.role()
+        );
+        let reply = Response::Error {
+            id: id.clone(),
+            error,
+        }
+        .to_line();
+        completion.set_abandoned_reply(reply.into_bytes());
+        let _ = self.submit.send(SubmitTask {
+            id,
+            run,
+            completion,
+        });
+    }
+}
+
+/// Spawns the submitter pool: each thread drains [`SubmitTask`]s,
+/// answering `metrics` directly and handing runs to the backend with a
+/// responder that encodes the reply (timed into `stage.encode`) and
+/// resolves the request's completion.
+fn spawn_submitters<B: JobBackend>(
+    backend: &Arc<B>,
+    rx: mpsc::Receiver<SubmitTask>,
+    encode: Option<obs::Histo>,
+) -> Vec<JoinHandle<()>> {
+    let rx = Arc::new(Mutex::new(rx));
+    (0..SUBMITTERS)
+        .map(|i| {
+            let rx = rx.clone();
+            let backend = backend.clone();
+            let encode = encode.clone();
+            std::thread::Builder::new()
+                .name(format!("service-submit-{i}"))
+                .spawn(move || loop {
+                    // Hold the receiver lock only for the recv itself,
+                    // so a submitter busy compiling does not starve its
+                    // siblings of work.
+                    let task = rx.lock().expect("submit queue").recv();
+                    let Ok(SubmitTask {
+                        id,
+                        run,
+                        completion,
+                    }) = task
+                    else {
+                        break;
+                    };
+                    let Some(run) = run else {
+                        let response = Response::Metrics {
+                            id,
+                            snapshot: backend.metrics(),
+                        };
+                        completion.send(response.to_line().into_bytes());
+                        continue;
+                    };
+                    let encode = encode.clone();
+                    let responder = Responder::Callback(Box::new(move |response: Response| {
+                        let span = encode.as_ref().map(obs::Span::enter);
+                        let bytes = response.to_line().into_bytes();
+                        drop(span);
+                        completion.send(bytes);
+                    }));
+                    backend.submit(id, &run, responder);
+                })
+                .expect("spawn submitter")
+        })
+        .collect()
+}
+
+/// The front-end entry point.
+pub struct Frontend;
+
+impl Frontend {
+    /// Serves `backend` on `listener`: starts the submitter pool and the
+    /// reactor (configured by `config`; its registry, if any, also
+    /// times `stage.encode`). `backend_threads` are the backend's own
+    /// threads, joined last on shutdown.
+    ///
+    /// # Errors
+    ///
+    /// Propagates reactor start-up failures (socket, pipe, thread).
+    pub fn spawn<B: JobBackend>(
+        listener: TcpListener,
+        config: ReactorConfig,
+        backend: Arc<B>,
+        backend_threads: Vec<JoinHandle<()>>,
+    ) -> std::io::Result<FrontendHandle<B>> {
+        let encode = config.metrics.as_ref().map(|r| r.histo("stage.encode"));
+        let (submit, rx) = mpsc::channel();
+        let submitters = spawn_submitters(&backend, rx, encode);
+        let max_line_bytes = config.max_line_bytes;
+        let handler_backend: Arc<dyn JobBackend> = backend.clone();
+        let reactor = Reactor::spawn(listener, config, move |ctl| {
+            Arc::new(Handler {
+                backend: handler_backend,
+                ctl,
+                max_line_bytes,
+                submit,
+            })
+        })?;
+        Ok(FrontendHandle {
+            backend,
+            reactor,
+            submitters,
+            backend_threads,
+        })
+    }
+}
+
+/// Owner of a running front end's threads and its backend.
+pub struct FrontendHandle<B> {
+    backend: Arc<B>,
+    reactor: ReactorHandle,
+    submitters: Vec<JoinHandle<()>>,
+    backend_threads: Vec<JoinHandle<()>>,
+}
+
+impl<B: JobBackend> FrontendHandle<B> {
+    /// The bound address (resolves port 0 to the ephemeral port).
+    pub fn addr(&self) -> SocketAddr {
+        self.reactor.addr()
+    }
+
+    /// Counter snapshot, read directly (no wire round trip), with the
+    /// reactor's connection gauges merged in.
+    pub fn stats(&self) -> ServiceStats {
+        self.backend.stats().with_gauges(self.reactor.gauges())
+    }
+
+    /// The reactor's raw connection gauges.
+    pub fn gauges(&self) -> reactor::ReactorGauges {
+        self.reactor.gauges()
+    }
+
+    /// Per-worker rows, read directly (same data the wire `stats` op
+    /// reports; empty for a single-machine server).
+    pub fn worker_rows(&self) -> Vec<WorkerRow> {
+        self.backend.worker_rows()
+    }
+
+    /// Per-client quota rows, read directly (same data the wire `stats`
+    /// op reports; empty for a coordinator).
+    pub fn client_rows(&self) -> Vec<ClientRow> {
+        self.backend.client_rows()
+    }
+
+    /// The observability snapshot, read directly (the same data the
+    /// wire `metrics` op serves). Empty without a registry.
+    pub fn metrics_snapshot(&self) -> obs::Snapshot {
+        self.backend.metrics()
+    }
+
+    /// Initiates shutdown and waits for every thread to exit.
+    pub fn shutdown(self) {
+        self.backend.shutdown();
+        self.reactor.stop();
+        for thread in self.submitters.into_iter().chain(self.backend_threads) {
+            let _ = thread.join();
+        }
+    }
+
+    /// Waits until the front end stops (via a wire `shutdown` request or
+    /// [`FrontendHandle::shutdown`]).
+    pub fn join(self) {
+        // The wire handler stops both the backend and the reactor; the
+        // reactor exiting drops the submit channel, draining the
+        // submitter pool, and the backend shutdown drains its threads.
+        self.reactor.join();
+        for thread in self.submitters.into_iter().chain(self.backend_threads) {
+            let _ = thread.join();
+        }
+    }
+}

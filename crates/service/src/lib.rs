@@ -30,25 +30,35 @@
 //!
 //! ## Architecture
 //!
-//! Three layers, each its own module:
+//! One front end over a backend:
 //!
-//! 1. [`scheduler`] — bounded job admission with explicit backpressure
-//!    (`busy` + retry hint when full), **shot-slicing** of large jobs
-//!    into ranged chunks, **two-level round-robin** rotation (across
-//!    client identities, then across each client's jobs) with a
-//!    per-client in-flight shot quota, and **coalescing** of
-//!    concurrently queued identical requests onto one execution;
-//! 2. [`cache`] — a content-addressed LRU result cache keyed by the
+//! 1. [`frontend`] — the one wire front end, shared with the
+//!    `crates/shard` coordinator: a single `crates/reactor` I/O thread
+//!    multiplexing every connection over `poll(2)`, a submitter pool
+//!    for (possibly compiling) admissions and `metrics` gathers, and
+//!    the handle. It serves any [`JobBackend`];
+//! 2. [`scheduler`] — the local backend: bounded job admission with
+//!    explicit backpressure (`busy` + retry hint when full),
+//!    **shot-slicing** of large jobs into ranged chunks, **two-level
+//!    round-robin** rotation (across client identities, then across
+//!    each client's jobs) with a per-client in-flight shot quota, and
+//!    **coalescing** of concurrently queued identical requests onto one
+//!    execution;
+//! 3. [`cache`] — a content-addressed LRU result cache keyed by the
 //!    canonical circuit fingerprint + seed + shots + resolved backend,
 //!    with hit/miss counters and an optional **disk spill** so a
 //!    restarted server serves previously-computed results warm;
-//! 3. [`server`] — the evented front end: a single `crates/reactor`
-//!    I/O thread multiplexing every connection over `poll(2)`, a
-//!    submitter pool for (possibly compiling) admissions, and the
-//!    worker pool that replays compiled jobs (each job is compiled
-//!    **once** at admission — fused statevector kernels, stabilizer
-//!    plan, or once-evolved density matrix — and every slice replays
-//!    it).
+//! 4. [`server`] — [`Service::spawn`]: the scheduler, the worker pool
+//!    that replays compiled jobs (each job is compiled **once** at
+//!    admission — fused statevector kernels, stabilizer plan, or
+//!    once-evolved density matrix — and every slice replays it), and
+//!    the front end over them.
+//!
+//! ```text
+//!   clients ──▶ frontend: reactor ─▶ submitters ──▶ JobBackend
+//!                                                   ├─ Scheduler  (server: local slices)
+//!                                                   └─ Coordinator (shard: scatter-gather)
+//! ```
 //!
 //! ## Binaries
 //!
@@ -71,6 +81,7 @@
 
 pub mod admission;
 pub mod cache;
+pub mod frontend;
 pub mod protocol;
 pub mod scheduler;
 pub mod server;
@@ -78,8 +89,9 @@ pub mod server;
 pub use admission::{admit, Admitted};
 pub use cache::DiskCacheConfig;
 pub use engine::PreparedJob;
+pub use frontend::{Frontend, FrontendHandle, JobBackend, MAX_LINE_BYTES};
 pub use protocol::{ClientRow, Op, Request, Response, RunRequest, ServiceStats, WorkerRow};
 pub use scheduler::{
     Responder, Scheduler, SchedulerConfig, Submission, MAX_REQUEST_CBITS, MAX_REQUEST_QUBITS,
 };
-pub use server::{decode_line, Service, ServiceConfig, ServiceHandle, MAX_LINE_BYTES};
+pub use server::{Service, ServiceConfig, ServiceHandle};

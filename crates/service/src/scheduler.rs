@@ -36,13 +36,15 @@
 //! client ring and each client's job queue, so a given submission
 //! sequence always carves the same slice sequence.
 //!
-//! The scheduler is a passive `Mutex`+`Condvar` structure: connection
-//! threads call [`Scheduler::submit`] (or the reactor's non-blocking
-//! twin [`Scheduler::submit_async`]), the server's worker pool drains
-//! [`Scheduler::next_slice`] / [`Scheduler::complete_slice`].
+//! The scheduler is a passive `Mutex`+`Condvar` structure: callers
+//! submit through [`Scheduler::submit`] (or, as the server's
+//! [`JobBackend`], the front end's non-blocking [`JobBackend::submit`]),
+//! and the server's worker pool drains [`Scheduler::next_slice`] /
+//! [`Scheduler::complete_slice`].
 
 use crate::admission::admit;
 use crate::cache::{CacheKey, DiskCacheConfig, ResultCache};
+use crate::frontend::{ok_response, JobBackend, Waiter};
 use crate::protocol::{ClientRow, Response, RunRequest, ServiceStats};
 use engine::{merge_counts, Counts, PreparedJob};
 use std::collections::{HashMap, VecDeque};
@@ -140,7 +142,7 @@ pub enum Submission {
 /// Where a pending job's response goes when its last slice lands.
 ///
 /// The blocking [`Scheduler::submit`] path waits on a channel; the
-/// reactor path ([`Scheduler::submit_async`]) hands over a one-shot
+/// front end's path ([`JobBackend::submit`]) hands over a one-shot
 /// callback that resolves the connection's reply slot. Either way the
 /// scheduler fires it exactly once — or drops it on shutdown, which a
 /// channel receiver observes as disconnection and a callback owner
@@ -163,12 +165,6 @@ impl Responder {
             Responder::Callback(callback) => callback(response),
         }
     }
-}
-
-struct Waiter {
-    responder: Responder,
-    id: Option<String>,
-    coalesced: bool,
 }
 
 /// Per-client counters behind the `stats` op's `clients` rows.
@@ -357,26 +353,14 @@ impl Scheduler {
 
     /// Admits one run request: serves it from cache, coalesces it onto
     /// an identical in-flight job, rejects it with `busy`, or queues
-    /// it for execution. Blocking-channel form; the reactor path uses
-    /// [`Scheduler::submit_async`].
+    /// it for execution. Blocking-channel form; the front end uses
+    /// [`JobBackend::submit`].
     pub fn submit(&self, id: Option<String>, run: &RunRequest) -> Submission {
         let (tx, rx) = mpsc::channel();
         let mut responder = Some(Responder::Channel(tx));
         match self.submit_core(id, run, &mut responder) {
             Some(response) => Submission::Immediate(response),
             None => Submission::Pending(rx),
-        }
-    }
-
-    /// Non-blocking twin of [`Scheduler::submit`]: the response —
-    /// immediate or eventual — is delivered through `responder`, and
-    /// the call itself never waits on execution (only on the scheduler
-    /// lock, which is held for queue surgery, never for simulation).
-    pub fn submit_async(&self, id: Option<String>, run: &RunRequest, responder: Responder) {
-        let mut slot = Some(responder);
-        if let Some(response) = self.submit_core(id, run, &mut slot) {
-            let responder = slot.take().expect("immediate settle leaves the responder");
-            responder.respond(response);
         }
     }
 
@@ -450,14 +434,7 @@ impl Scheduler {
                     obs.cache_misses.inc();
                     obs.completed.inc();
                 }
-                return Some(Response::Ok {
-                    id,
-                    backend: key.backend.to_string(),
-                    shots: 0,
-                    cached: false,
-                    coalesced: false,
-                    tallies: Counts::new(),
-                });
+                return Some(ok_response(id, &key, Counts::new(), false, false));
             }
         }
 
@@ -652,14 +629,7 @@ impl Scheduler {
             if let Some(obs) = &inner.obs {
                 obs.cache_hits.inc();
             }
-            return Attach::Hit(Response::Ok {
-                id,
-                backend: key.backend.to_string(),
-                shots: key.shots,
-                cached: true,
-                coalesced: false,
-                tallies,
-            });
+            return Attach::Hit(ok_response(id, key, tallies, true, false));
         }
         if inner.jobs.contains_key(key) {
             inner.stats.coalesced += 1;
@@ -783,28 +753,7 @@ impl Scheduler {
                 tally.completed += 1;
                 tally.inflight_shots = tally.inflight_shots.saturating_sub(key.shots);
             }
-            for waiter in job.waiters {
-                // A waiter whose connection died just drops the send.
-                waiter.responder.respond(Response::Ok {
-                    id: waiter.id,
-                    backend: key.backend.to_string(),
-                    shots: key.shots,
-                    cached: false,
-                    coalesced: waiter.coalesced,
-                    tallies: job.partial.clone(),
-                });
-            }
-        }
-    }
-
-    /// Counts a malformed request line (protocol-level decode failure
-    /// handled by the connection layer).
-    pub fn note_error(&self) {
-        let mut inner = self.lock();
-        inner.stats.received += 1;
-        inner.stats.errors += 1;
-        if let Some(obs) = &inner.obs {
-            obs.errors.inc();
+            Waiter::answer_all(job.waiters, key, &Ok(job.partial));
         }
     }
 
@@ -856,10 +805,52 @@ impl Scheduler {
         }
         self.shared.1.notify_all();
     }
+}
 
-    /// Whether [`Scheduler::shutdown`] has run.
-    pub fn is_shutdown(&self) -> bool {
-        self.lock().shutdown
+/// The single-machine server's backend: jobs run as slices on the
+/// local worker pool.
+impl JobBackend for Scheduler {
+    fn role(&self) -> &'static str {
+        "server"
+    }
+
+    /// Never waits on execution, only on the scheduler lock, which is
+    /// held for queue surgery, never for simulation.
+    fn submit(self: &Arc<Self>, id: Option<String>, run: &RunRequest, responder: Responder) {
+        let mut slot = Some(responder);
+        if let Some(response) = self.submit_core(id, run, &mut slot) {
+            let responder = slot.take().expect("immediate settle leaves the responder");
+            responder.respond(response);
+        }
+    }
+
+    fn note_error(&self) {
+        let mut inner = self.lock();
+        inner.stats.received += 1;
+        inner.stats.errors += 1;
+        if let Some(obs) = &inner.obs {
+            obs.errors.inc();
+        }
+    }
+
+    fn stats(&self) -> ServiceStats {
+        Scheduler::stats(self)
+    }
+
+    fn client_rows(&self) -> Vec<ClientRow> {
+        Scheduler::client_rows(self)
+    }
+
+    fn metrics(&self) -> obs::Snapshot {
+        let registry = self.lock().config.metrics.clone();
+        registry
+            .as_ref()
+            .map(obs::Registry::snapshot)
+            .unwrap_or_default()
+    }
+
+    fn shutdown(&self) {
+        Scheduler::shutdown(self);
     }
 }
 

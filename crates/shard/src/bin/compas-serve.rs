@@ -4,8 +4,8 @@
 //! # standalone (default): serve and execute locally
 //! compas-serve [--addr HOST:PORT] [--workers N] [--queue N]
 //!              [--cache N] [--cache-dir DIR] [--cache-disk-bytes N]
-//!              [--quota-shots N] [--idle-timeout-ms N] [--slice N]
-//!              [--engine-env]
+//!              [--quota-shots N] [--quota-shots-per-sec N]
+//!              [--idle-timeout-ms N] [--slice N] [--engine-env]
 //!
 //! # worker: identical to standalone, named for the sharded topology
 //! compas-serve --worker [--addr HOST:PORT] [...]
@@ -17,6 +17,13 @@
 //!              [--idle-timeout-ms N] [--heartbeat-ms N]
 //!              [--io-timeout-ms N] [--retries N]
 //! ```
+//!
+//! A flag that does not apply to the chosen role is an error (exit 2),
+//! never silently ignored: `--workers`, `--slice`, `--quota-shots`,
+//! `--quota-shots-per-sec` and `--engine-env` configure execution,
+//! which only standalone and `--worker` do; `--shards`,
+//! `--heartbeat-ms`, `--io-timeout-ms` and `--retries` configure a
+//! `--coordinator` only.
 //!
 //! All roles bind the address (default `127.0.0.1:7878`; port `0`
 //! picks an ephemeral port), print `compas-serve listening on <addr>`
@@ -32,8 +39,7 @@
 //! server pointed at the same directory answers previously-computed
 //! requests without re-executing. `--quota-shots N` bounds each client
 //! identity's in-flight shots and `--quota-shots-per-sec N` its
-//! sustained admission rate (token bucket with a one-second burst;
-//! both standalone/worker roles only).
+//! sustained admission rate (token bucket with a one-second burst).
 //!
 //! Every role serves the `{"op": "metrics"}` wire operation from an
 //! always-on observability registry (`obs`): per-stage latency
@@ -46,6 +52,18 @@ use service::{Service, ServiceConfig};
 use shard::{Coordinator, CoordinatorConfig};
 use std::io::Write as _;
 use std::time::Duration;
+
+/// Flags only an executing role (standalone or `--worker`) reads.
+const EXECUTOR_FLAGS: &[&str] = &[
+    "--workers",
+    "--slice",
+    "--quota-shots",
+    "--quota-shots-per-sec",
+    "--engine-env",
+];
+
+/// Flags only a `--coordinator` reads.
+const COORDINATOR_FLAGS: &[&str] = &["--shards", "--heartbeat-ms", "--io-timeout-ms", "--retries"];
 
 fn usage() -> ! {
     eprintln!(
@@ -79,7 +97,9 @@ fn main() {
     };
     let number =
         |args: &[String], i: usize| -> u64 { value(args, i).parse().unwrap_or_else(|_| usage()) };
+    let mut flags: Vec<&str> = Vec::new();
     while i < args.len() {
+        flags.push(&args[i]);
         match args[i].as_str() {
             "--coordinator" => {
                 role_coordinator = true;
@@ -171,6 +191,15 @@ fn main() {
     if role_coordinator && role_worker {
         eprintln!("--coordinator and --worker are mutually exclusive");
         usage();
+    }
+    let (role, foreign) = match (role_coordinator, role_worker) {
+        (true, _) => ("--coordinator", EXECUTOR_FLAGS),
+        (false, true) => ("--worker", COORDINATOR_FLAGS),
+        (false, false) => ("standalone", COORDINATOR_FLAGS),
+    };
+    if let Some(flag) = flags.iter().find(|flag| foreign.contains(flag)) {
+        eprintln!("compas-serve: {flag} does not apply to the {role} role");
+        std::process::exit(2);
     }
 
     if role_coordinator {

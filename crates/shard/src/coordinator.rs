@@ -1,12 +1,12 @@
 //! The shard coordinator: scatter, gather, re-dispatch, respond.
 //!
-//! A [`Coordinator`] is wire-compatible with a single-machine
-//! `service` instance — clients speak the exact same protocol and
-//! cannot tell the difference from the bytes — but instead of
-//! executing jobs it partitions each admitted job's global shot range
-//! (`engine::partition_shots`) across its live workers, dispatches the
-//! sub-ranges as `shot_range` requests, and merges the returned
-//! tallies (`engine::merge_counts`).
+//! A [`Coordinator`] is a [`JobBackend`] behind the same
+//! `service::frontend` as a single-machine server — same reactor, same
+//! handler, same submitter pool, so clients cannot tell the difference
+//! from the bytes — but instead of executing jobs it partitions each
+//! admitted job's global shot range (`engine::partition_shots`) across
+//! its live workers, dispatches the sub-ranges as `shot_range`
+//! requests, and merges the returned tallies (`engine::merge_counts`).
 //!
 //! ## Why failure handling is trivial
 //!
@@ -24,7 +24,9 @@
 //! * **Heartbeats** — a background thread `stats`-probes every worker
 //!   each `heartbeat_interval`; a worker that stops answering is
 //!   marked dead, skipped by dispatch, and revived by a later
-//!   successful probe.
+//!   successful probe. On shutdown the same thread forwards the
+//!   `shutdown` to the workers (`propagate_shutdown`), never the
+//!   reactor thread.
 //! * **Re-dispatch** — a range whose dispatch fails (dead worker, I/O
 //!   timeout, error response) moves to the next live worker, bounded
 //!   by `redispatch_limit` attempts.
@@ -39,20 +41,19 @@
 
 use crate::worker::{Dispatch, PoolConfig, WorkerPool};
 use engine::{merge_counts, partition_shots, Counts};
-use reactor::{Completion, Line, LineHandler, Reactor, ReactorConfig, ReactorCtl, ReactorHandle};
+use reactor::ReactorConfig;
 use service::cache::{CacheKey, DiskCacheConfig, ResultCache};
+use service::frontend::{ok_response, Waiter};
 use service::{
-    admit, decode_line, Op, Request, Responder, Response, RunRequest, ServiceStats, WorkerRow,
-    MAX_LINE_BYTES,
+    admit, Frontend, FrontendHandle, JobBackend, Request, Responder, Response, RunRequest,
+    ServiceStats, WorkerRow, MAX_LINE_BYTES,
 };
 use std::collections::{HashMap, HashSet};
-use std::io::{BufRead, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Everything [`Coordinator::spawn`] needs to know.
@@ -91,7 +92,8 @@ pub struct CoordinatorConfig {
     /// turns it on.
     pub propagate_shutdown: bool,
     /// Observability registry. When set, the coordinator times its own
-    /// stages (`stage.parse`, `stage.merge`), the worker pool times
+    /// stages (`stage.parse`, `stage.merge`, and the front end's
+    /// `stage.encode`), the worker pool times
     /// dispatch round trips (`shard.dispatch`,
     /// `shard.worker.<addr>.dispatch`, `shard.redispatches`), the
     /// reactor publishes its connection gauges, and the wire `metrics`
@@ -122,133 +124,29 @@ impl Default for CoordinatorConfig {
     }
 }
 
-struct Waiter {
-    responder: Responder,
-    id: Option<String>,
-    coalesced: bool,
-}
-
 struct Inner {
     jobs: HashMap<CacheKey, Vec<Waiter>>,
     cache: ResultCache,
     stats: ServiceStats,
-    shutdown: bool,
 }
 
-struct Shared {
+/// The shard coordinator: a [`JobBackend`] that scatters each admitted
+/// job over the worker pool and merges the tallies.
+/// [`Coordinator::spawn`] serves it behind the `service` front end.
+pub struct Coordinator {
     config: CoordinatorConfig,
     pool: WorkerPool,
     inner: Mutex<Inner>,
     stopping: AtomicBool,
 }
 
-/// One run request in flight from the reactor to a submitter.
-struct SubmitTask {
-    id: Option<String>,
-    run: RunRequest,
-    completion: Completion,
-}
-
-/// The coordinator's reactor-side protocol brain (the client-facing
-/// twin of the `service` server handler): `stats` and `shutdown`
-/// answer inline, run requests go to the submitter pool.
-struct Handler {
-    shared: Arc<Shared>,
-    ctl: ReactorCtl,
-    /// Owned by the handler alone: the reactor loop exiting drops it,
-    /// which drains the submitter pool.
-    submit: mpsc::Sender<SubmitTask>,
-}
-
-impl LineHandler for Handler {
-    fn on_line(&self, _conn: u64, line: Line, mut completion: Completion) {
-        let bytes = match line {
-            Line::Complete(bytes) => bytes,
-            Line::Oversized => {
-                self.shared.note_error();
-                let response = Response::Error {
-                    id: None,
-                    error: format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-                };
-                completion.send_close(response.to_line().into_bytes());
-                return;
-            }
-        };
-        match decode_line(&bytes) {
-            Err(error) => {
-                self.shared.note_error();
-                let response = Response::Error { id: None, error };
-                completion.send(response.to_line().into_bytes());
-            }
-            Ok(Request { id, op: Op::Stats }) => {
-                let response = Response::Stats {
-                    id,
-                    stats: self.shared.stats().with_gauges(self.ctl.gauges()),
-                    workers: self.shared.pool.rows(),
-                    clients: Vec::new(),
-                };
-                completion.send(response.to_line().into_bytes());
-            }
-            Ok(Request {
-                id,
-                op: Op::Metrics,
-            }) => {
-                // Gathering worker snapshots is N network round trips,
-                // which must not run on the reactor's I/O thread.
-                let shared = self.shared.clone();
-                completion.set_abandoned_reply(
-                    Response::Error {
-                        id: id.clone(),
-                        error: "coordinator shut down before the metrics gather completed"
-                            .to_string(),
-                    }
-                    .to_line()
-                    .into_bytes(),
-                );
-                let _ = std::thread::Builder::new()
-                    .name("shard-metrics".to_string())
-                    .spawn(move || {
-                        let snapshot = shared.metrics_snapshot();
-                        let response = Response::Metrics { id, snapshot };
-                        completion.send(response.to_line().into_bytes());
-                    });
-            }
-            Ok(Request {
-                id,
-                op: Op::Shutdown,
-            }) => {
-                completion.send_close(Response::Bye { id }.to_line().into_bytes());
-                self.shared.begin_shutdown();
-                self.ctl.stop();
-            }
-            Ok(Request {
-                id,
-                op: Op::Run(run),
-            }) => {
-                completion.set_abandoned_reply(
-                    Response::Error {
-                        id: id.clone(),
-                        error: "coordinator shut down before the job completed".to_string(),
-                    }
-                    .to_line()
-                    .into_bytes(),
-                );
-                let _ = self.submit.send(SubmitTask {
-                    id,
-                    run,
-                    completion,
-                });
-            }
-        }
-    }
-}
-
-/// The shard-coordinator front end. See the module docs.
-pub struct Coordinator;
+/// Owner of a running coordinator's threads.
+pub type CoordinatorHandle = FrontendHandle<Coordinator>;
 
 impl Coordinator {
     /// Binds `config.addr`, probes the workers once so the live set is
-    /// warm, and starts the reactor, submitter, and heartbeat threads.
+    /// warm, starts the heartbeat thread, and serves the coordinator
+    /// through [`Frontend::spawn`].
     ///
     /// # Errors
     ///
@@ -275,202 +173,64 @@ impl Coordinator {
             ),
             None => ResultCache::new(config.cache_capacity),
         };
-        let shared = Arc::new(Shared {
+        let reactor = ReactorConfig {
+            max_line_bytes: MAX_LINE_BYTES,
+            idle_timeout: config.idle_timeout,
+            max_connections: config.max_connections,
+            metrics: config.metrics.clone(),
+            ..ReactorConfig::default()
+        };
+        let coordinator = Arc::new(Coordinator {
             inner: Mutex::new(Inner {
                 jobs: HashMap::new(),
                 cache,
                 stats: ServiceStats::default(),
-                shutdown: false,
             }),
             pool,
             config,
             stopping: AtomicBool::new(false),
         });
-
         let heartbeat = {
-            let shared = shared.clone();
+            let coordinator = coordinator.clone();
             std::thread::Builder::new()
                 .name("shard-heartbeat".to_string())
-                .spawn(move || {
-                    while !shared.stopping.load(Ordering::SeqCst) {
-                        shared.pool.probe_all();
-                        // Sleep in short slices so shutdown is prompt
-                        // even under long heartbeat intervals.
-                        let mut remaining = shared.config.heartbeat_interval;
-                        while !remaining.is_zero() && !shared.stopping.load(Ordering::SeqCst) {
-                            let step = remaining.min(Duration::from_millis(50));
-                            std::thread::sleep(step);
-                            remaining -= step;
-                        }
-                    }
-                })
+                .spawn(move || coordinator.heartbeat())
                 .expect("spawn heartbeat")
         };
-
-        // Admission threads: `submit_core` parses and canonicalizes
-        // QASM, which must not run on the reactor's I/O thread.
-        let (submit_tx, submit_rx) = mpsc::channel::<SubmitTask>();
-        let submit_rx = Arc::new(Mutex::new(submit_rx));
-        let submitters: Vec<JoinHandle<()>> = (0..2)
-            .map(|i| {
-                let rx = submit_rx.clone();
-                let shared = shared.clone();
-                std::thread::Builder::new()
-                    .name(format!("shard-submit-{i}"))
-                    .spawn(move || loop {
-                        let task = rx.lock().expect("submit queue").recv();
-                        let Ok(task) = task else { break };
-                        let completion = task.completion;
-                        let responder = Responder::Callback(Box::new(move |response: Response| {
-                            completion.send(response.to_line().into_bytes());
-                        }));
-                        shared.submit_async(task.id, &task.run, responder);
-                    })
-                    .expect("spawn submitter")
-            })
-            .collect();
-
-        let reactor_config = ReactorConfig {
-            max_line_bytes: MAX_LINE_BYTES,
-            idle_timeout: shared.config.idle_timeout,
-            max_connections: shared.config.max_connections,
-            metrics: shared.config.metrics.clone(),
-            ..ReactorConfig::default()
-        };
-        let handler_shared = shared.clone();
-        let reactor = Reactor::spawn(listener, reactor_config, move |ctl| {
-            Arc::new(Handler {
-                shared: handler_shared,
-                ctl,
-                submit: submit_tx,
-            })
-        })?;
-
-        Ok(CoordinatorHandle {
-            shared,
-            reactor,
-            submitters,
-            heartbeat,
-        })
-    }
-}
-
-/// Owner of a running coordinator's threads.
-pub struct CoordinatorHandle {
-    shared: Arc<Shared>,
-    reactor: ReactorHandle,
-    submitters: Vec<JoinHandle<()>>,
-    heartbeat: JoinHandle<()>,
-}
-
-impl CoordinatorHandle {
-    /// The bound client-facing address.
-    pub fn addr(&self) -> SocketAddr {
-        self.reactor.addr()
+        Frontend::spawn(listener, reactor, coordinator, vec![heartbeat])
     }
 
-    /// Counter snapshot, read directly (no wire round trip), with the
-    /// reactor's connection gauges merged in.
-    pub fn stats(&self) -> ServiceStats {
-        self.shared.stats().with_gauges(self.reactor.gauges())
-    }
-
-    /// Per-worker rows, read directly.
-    pub fn worker_rows(&self) -> Vec<WorkerRow> {
-        self.shared.pool.rows()
-    }
-
-    /// The topology-wide metrics snapshot: the coordinator's own
-    /// registry merged with a fresh `metrics` round trip to every live
-    /// worker. Empty when the coordinator runs without a registry.
-    pub fn metrics_snapshot(&self) -> obs::Snapshot {
-        self.shared.metrics_snapshot()
-    }
-
-    /// Initiates shutdown and waits for the coordinator's threads.
-    pub fn shutdown(self) {
-        self.shared.begin_shutdown();
-        self.reactor.stop();
-        for submitter in self.submitters {
-            let _ = submitter.join();
+    /// The heartbeat thread: probes every worker each
+    /// `heartbeat_interval` until shutdown, then forwards the shutdown
+    /// to the workers when `propagate_shutdown` is set. Forwarding here
+    /// keeps worker round trips off the reactor thread that received
+    /// the `shutdown`; `join` and `shutdown` wait for this thread, so
+    /// the teardown stays one-shot.
+    fn heartbeat(&self) {
+        while !self.stopping.load(Ordering::SeqCst) {
+            self.pool.probe_all();
+            // Sleep in short slices so shutdown is prompt even under
+            // long heartbeat intervals.
+            let mut remaining = self.config.heartbeat_interval;
+            while !remaining.is_zero() && !self.stopping.load(Ordering::SeqCst) {
+                let step = remaining.min(Duration::from_millis(50));
+                std::thread::sleep(step);
+                remaining -= step;
+            }
         }
-        let _ = self.heartbeat.join();
-    }
-
-    /// Waits until the coordinator stops (via a wire `shutdown` or
-    /// [`CoordinatorHandle::shutdown`]).
-    pub fn join(self) {
-        // A wire shutdown stops both the flag (heartbeat exit) and the
-        // reactor; the reactor dropping the submit channel drains the
-        // submitter pool.
-        self.reactor.join();
-        for submitter in self.submitters {
-            let _ = submitter.join();
+        if self.config.propagate_shutdown {
+            self.pool.shutdown_all();
         }
-        let _ = self.heartbeat.join();
     }
-}
 
-impl Shared {
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
         self.inner.lock().expect("coordinator poisoned")
     }
 
-    fn stats(&self) -> ServiceStats {
-        let inner = self.lock();
-        let mut stats = inner.stats;
-        stats.in_flight = inner.jobs.len() as u64;
-        stats.cache_entries = inner.cache.len() as u64;
-        stats.cache_disk_entries = inner.cache.disk_len() as u64;
-        stats
-    }
-
-    /// The coordinator's own snapshot merged with every live worker's
-    /// (one wire round trip per worker — callers run off the reactor).
-    fn metrics_snapshot(&self) -> obs::Snapshot {
-        let mut snapshot = self
-            .config
-            .metrics
-            .as_ref()
-            .map(obs::Registry::snapshot)
-            .unwrap_or_default();
-        for worker in self.pool.fetch_metrics() {
-            snapshot.merge(&worker);
-        }
-        snapshot
-    }
-
-    /// Initiates shutdown: fails pending waiters, stops the heartbeat,
-    /// optionally forwards the shutdown to the workers. (The reactor is
-    /// stopped separately by whoever holds its control handle.)
-    fn begin_shutdown(&self) {
-        {
-            let mut inner = self.lock();
-            inner.shutdown = true;
-            // Dropping the waiters fires their responders' abandoned
-            // path: each pending client gets an error response.
-            inner.jobs.clear();
-        }
-        if !self.stopping.swap(true, Ordering::SeqCst) && self.config.propagate_shutdown {
-            for addr in &self.config.workers {
-                send_shutdown(addr);
-            }
-        }
-    }
-
-    /// Admits one run request — cache hit, coalesce, reject, or
-    /// scatter — delivering the response through `responder`.
-    fn submit_async(self: &Arc<Self>, id: Option<String>, run: &RunRequest, responder: Responder) {
-        let mut slot = Some(responder);
-        if let Some(response) = self.submit_core(id, run, &mut slot) {
-            let responder = slot.take().expect("immediate settle leaves the responder");
-            responder.respond(response);
-        }
-    }
-
-    /// The admission path. `Some` is an immediate response
-    /// (`responder` untouched); `None` means the request was queued or
-    /// joined and `responder` was consumed.
+    /// The admission path: cache hit, coalesce, reject, or scatter.
+    /// `Some` is an immediate response (`responder` untouched); `None`
+    /// means the request was queued or joined and `responder` was
+    /// consumed.
     fn submit_core(
         self: &Arc<Self>,
         id: Option<String>,
@@ -517,14 +277,7 @@ impl Shared {
         inner.stats.received += 1;
         if let Some(tallies) = inner.cache.get(&key) {
             inner.stats.cache_hits += 1;
-            return Some(Response::Ok {
-                id,
-                backend: key.backend.to_string(),
-                shots: key.shots,
-                cached: true,
-                coalesced: false,
-                tallies,
-            });
+            return Some(ok_response(id, &key, tallies, true, false));
         }
         if let Some(waiters) = inner.jobs.get_mut(&key) {
             waiters.push(Waiter {
@@ -535,7 +288,7 @@ impl Shared {
             inner.stats.coalesced += 1;
             return None;
         }
-        if inner.shutdown {
+        if self.stopping.load(Ordering::SeqCst) {
             inner.stats.errors += 1;
             return Some(Response::Error {
                 id,
@@ -561,14 +314,7 @@ impl Shared {
         if key.shots == 0 {
             inner.stats.cache_misses += 1;
             inner.stats.completed += 1;
-            return Some(Response::Ok {
-                id,
-                backend: key.backend.to_string(),
-                shots: 0,
-                cached: false,
-                coalesced: false,
-                tallies: Counts::new(),
-            });
+            return Some(ok_response(id, &key, Counts::new(), false, false));
         }
         inner.stats.cache_misses += 1;
         inner.jobs.insert(
@@ -583,13 +329,13 @@ impl Shared {
 
         // Scatter-gather runs on its own thread; every waiter's
         // responder fires from `complete` when the merge lands.
-        let shared = self.clone();
+        let coordinator = self.clone();
         let qasm = canonical;
         let _ = std::thread::Builder::new()
             .name("shard-job".to_string())
             .spawn(move || {
-                let result = shared.scatter_gather(&key, &qasm);
-                shared.complete(&key, result);
+                let result = coordinator.scatter_gather(&key, &qasm);
+                coordinator.complete(&key, result);
             });
         None
     }
@@ -687,30 +433,27 @@ impl Shared {
         let Some(waiters) = inner.jobs.remove(key) else {
             return;
         };
-        match result {
+        match &result {
             Ok(counts) => {
                 inner.cache.insert(key.clone(), counts.clone());
                 inner.stats.completed += 1;
-                for waiter in waiters {
-                    waiter.responder.respond(Response::Ok {
-                        id: waiter.id,
-                        backend: key.backend.to_string(),
-                        shots: key.shots,
-                        cached: false,
-                        coalesced: waiter.coalesced,
-                        tallies: counts.clone(),
-                    });
-                }
             }
-            Err(error) => {
-                inner.stats.errors += 1;
-                for waiter in waiters {
-                    waiter.responder.respond(Response::Error {
-                        id: waiter.id,
-                        error: error.clone(),
-                    });
-                }
-            }
+            Err(_) => inner.stats.errors += 1,
+        }
+        Waiter::answer_all(waiters, key, &result);
+    }
+}
+
+impl JobBackend for Coordinator {
+    fn role(&self) -> &'static str {
+        "coordinator"
+    }
+
+    fn submit(self: &Arc<Self>, id: Option<String>, run: &RunRequest, responder: Responder) {
+        let mut slot = Some(responder);
+        if let Some(response) = self.submit_core(id, run, &mut slot) {
+            let responder = slot.take().expect("immediate settle leaves the responder");
+            responder.respond(response);
         }
     }
 
@@ -719,20 +462,41 @@ impl Shared {
         inner.stats.received += 1;
         inner.stats.errors += 1;
     }
-}
 
-/// Best-effort `shutdown` request to one worker.
-fn send_shutdown(addr: &str) {
-    use std::io::Write;
-    let Ok(mut stream) = TcpStream::connect(addr) else {
-        return;
-    };
-    let request = Request {
-        id: None,
-        op: Op::Shutdown,
-    };
-    let _ = stream.write_all(request.to_line().as_bytes());
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-    let mut line = String::new();
-    let _ = BufReader::new(stream).read_line(&mut line);
+    fn stats(&self) -> ServiceStats {
+        let inner = self.lock();
+        let mut stats = inner.stats;
+        stats.in_flight = inner.jobs.len() as u64;
+        stats.cache_entries = inner.cache.len() as u64;
+        stats.cache_disk_entries = inner.cache.disk_len() as u64;
+        stats
+    }
+
+    fn worker_rows(&self) -> Vec<WorkerRow> {
+        self.pool.rows()
+    }
+
+    /// The coordinator's own snapshot merged with a fresh `metrics`
+    /// round trip to every live worker: the topology-wide view.
+    fn metrics(&self) -> obs::Snapshot {
+        let mut snapshot = self
+            .config
+            .metrics
+            .as_ref()
+            .map(obs::Registry::snapshot)
+            .unwrap_or_default();
+        for worker in self.pool.fetch_metrics() {
+            snapshot.merge(&worker);
+        }
+        snapshot
+    }
+
+    /// Fails pending waiters and stops the heartbeat, which forwards
+    /// the shutdown to the workers as it exits.
+    fn shutdown(&self) {
+        self.stopping.store(true, Ordering::SeqCst);
+        // Dropping the waiters fires their responders' abandoned path:
+        // each pending client gets an error response.
+        self.lock().jobs.clear();
+    }
 }

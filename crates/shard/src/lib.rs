@@ -32,16 +32,22 @@
 //!                        └──────────────────┘      stats heartbeats  └──────────┘
 //! ```
 //!
-//! * [`coordinator`] — admission (shared with `service`), scatter-
-//!   gather over [`engine::partition_shots`], bounded re-dispatch of
-//!   lost ranges, coalescing, result cache, backpressure.
+//! * [`coordinator`] — a `service::JobBackend`: admission (shared with
+//!   `service`), scatter-gather over [`engine::partition_shots`],
+//!   bounded re-dispatch of lost ranges, coalescing, result cache,
+//!   backpressure. The client-facing side — reactor, handler,
+//!   submitter pool, handle — is `service::frontend`, the same front
+//!   end a single-machine server runs, so this crate hosts no server
+//!   of its own.
 //! * [`worker`] — the coordinator's socket layer toward its workers:
 //!   heartbeat probes via the `stats` op, ranged dispatch with
-//!   abort-on-death polling, per-worker health/counter rows.
+//!   abort-on-death polling, the forwarded `shutdown`, per-worker
+//!   health/counter rows.
 //!
 //! The `compas-serve` binary (this crate) runs all three roles:
 //! standalone (default), `--worker` (a plain server, named for the
-//! topology), and `--coordinator --shards a,b,c`.
+//! topology), and `--coordinator --shards a,b,c`. A flag of the other
+//! role is refused with exit code 2.
 
 pub mod coordinator;
 pub mod worker;

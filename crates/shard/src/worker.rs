@@ -155,28 +155,28 @@ impl WorkerPool {
     }
 
     fn probe(&self, addr: &str) -> bool {
+        matches!(
+            self.round_trip(addr, Op::Stats),
+            Some(Response::Stats { .. })
+        )
+    }
+
+    /// One request line to `addr` and its response line, each way
+    /// bounded by the probe budget: the heartbeat's `stats`, the
+    /// `metrics` gather and the forwarded `shutdown`. `None` when the
+    /// worker is unreachable or does not answer in time.
+    fn round_trip(&self, addr: &str, op: Op) -> Option<Response> {
         let timeout = self.config.probe_timeout;
-        let Some(stream) = connect(addr, timeout) else {
-            return false;
-        };
+        let stream = connect(addr, timeout)?;
         let _ = stream.set_read_timeout(Some(timeout));
         let _ = stream.set_write_timeout(Some(timeout));
-        let request = Request {
-            id: None,
-            op: Op::Stats,
-        };
-        let mut writer = match stream.try_clone() {
-            Ok(w) => w,
-            Err(_) => return false,
-        };
-        if writer.write_all(request.to_line().as_bytes()).is_err() {
-            return false;
-        }
-        let mut reader = BufReader::new(stream);
+        let mut writer = stream.try_clone().ok()?;
+        let request = Request { id: None, op };
+        writer.write_all(request.to_line().as_bytes()).ok()?;
         let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(n) if n > 0 => matches!(Response::from_line(&line), Ok(Response::Stats { .. })),
-            _ => false,
+        match BufReader::new(stream).read_line(&mut line) {
+            Ok(n) if n > 0 => Response::from_line(&line).ok(),
+            _ => None,
         }
     }
 
@@ -310,29 +310,19 @@ impl WorkerPool {
             .collect();
         addrs
             .iter()
-            .filter_map(|addr| self.fetch_metrics_one(addr))
+            .filter_map(|addr| match self.round_trip(addr, Op::Metrics) {
+                Some(Response::Metrics { snapshot, .. }) => Some(snapshot),
+                _ => None,
+            })
             .collect()
     }
 
-    fn fetch_metrics_one(&self, addr: &str) -> Option<obs::Snapshot> {
-        let timeout = self.config.probe_timeout;
-        let stream = connect(addr, timeout)?;
-        let _ = stream.set_read_timeout(Some(timeout));
-        let _ = stream.set_write_timeout(Some(timeout));
-        let request = Request {
-            id: None,
-            op: Op::Metrics,
-        };
-        let mut writer = stream.try_clone().ok()?;
-        writer.write_all(request.to_line().as_bytes()).ok()?;
-        let mut reader = BufReader::new(stream);
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(n) if n > 0 => match Response::from_line(&line) {
-                Ok(Response::Metrics { snapshot, .. }) => Some(snapshot),
-                _ => None,
-            },
-            _ => None,
+    /// Best-effort `shutdown` to every configured worker, alive or not,
+    /// waiting up to the probe budget for each `bye`.
+    pub(crate) fn shutdown_all(&self) {
+        let addrs: Vec<String> = self.lock().iter().map(|w| w.addr.clone()).collect();
+        for addr in addrs {
+            let _ = self.round_trip(&addr, Op::Shutdown);
         }
     }
 
