@@ -8,16 +8,24 @@
 //!    rejected with `busy` + a retry hint instead of growing an
 //!    unbounded queue. Rejection is *explicit backpressure* — the
 //!    client knows immediately, instead of timing out.
-//! 2. **Shot-slicing for fairness.** A job's shots are carved into
-//!    `slice_shots`-sized ranges and the job queue is rotated
-//!    round-robin, so a 10⁶-shot job cannot convoy short jobs behind
-//!    it. A slice is [`PreparedJob::run_range`] on the job's global
-//!    shot indices — the call `Backend::sample_shots` makes once over
-//!    `0..shots` — so the merged tallies are **bit-identical** to that
-//!    uninterrupted run: slicing changes latency distribution, never
-//!    results. The scheduler only carves and merges; how a slice
-//!    executes (threads, amp policy, metrics, recording) belongs to the
-//!    engine the worker pool passes in.
+//! 2. **Shot-slicing, for fairness and for idle workers.** A job's
+//!    shots are carved into ranges of at most `slice_shots` and the job
+//!    queue is rotated round-robin, so a 10⁶-shot job cannot convoy
+//!    short jobs behind it. And when a worker claims a slice while
+//!    sibling workers are parked with nothing to do, it carves the
+//!    job's remaining shots into one share per parked worker plus
+//!    itself (no share under `MIN_SHARE` = 256 shots), and the parked
+//!    workers take the rest: a job smaller than `slice_shots` uses
+//!    every idle worker, not one (McKenney's partitioning: split the
+//!    work when someone is there to take it, and only then). Under
+//!    load — nobody parked — the carve is exactly the `slice_shots`
+//!    quantum. Either way a slice is [`PreparedJob::run_range`] on the
+//!    job's global shot indices — the call `Backend::sample_shots`
+//!    makes once over `0..shots` — so the merged tallies are
+//!    **bit-identical** to that uninterrupted run: slicing changes
+//!    latency distribution, never results. The scheduler only carves
+//!    and merges; how a slice executes (threads, amp policy, metrics,
+//!    recording) belongs to the engine the worker pool passes in.
 //! 3. **Coalescing.** A request identical to an in-flight job (same
 //!    [`CacheKey`]: canonical circuit, backend, shots, seed) attaches
 //!    to that job as an extra waiter instead of executing again;
@@ -33,8 +41,11 @@
 //!    (coalescing onto in-flight work stays free — it costs nothing).
 //!
 //! The interleaving is deterministic: admission order fixes the
-//! client ring and each client's job queue, so a given submission
-//! sequence always carves the same slice sequence.
+//! client ring and each client's job queue, so when no worker is
+//! parked a given submission sequence always carves the same slice
+//! sequence. With parked workers the carve also depends on how many
+//! there are at each claim; the tallies, and so the served bytes,
+//! never do.
 //!
 //! The scheduler is a passive `Mutex`+`Condvar` structure: callers
 //! submit through [`Scheduler::submit`] (or, as the server's
@@ -63,14 +74,25 @@ pub const MAX_REQUEST_QUBITS: usize = 1024;
 /// packed into one 64-bit word (the `sample_shots` tally convention).
 pub const MAX_REQUEST_CBITS: usize = 64;
 
+/// Fewest shots a job is split into a share for a parked worker. A
+/// share must outweigh waking its worker and merging its tallies: on a
+/// 2-core host, splitting a noisy GHZ-12 stabilizer job broke even at
+/// 64-shot shares (≈ 10 µs of execution) and won ≈ 30 µs of p50 at
+/// 256-shot ones. 256 keeps every share ≈ 4× past break-even, so a
+/// slower wake-up on a busier host still does not make a split lose.
+const MIN_SHARE: u64 = 256;
+
 /// Admission and slicing knobs.
 #[derive(Debug, Clone)]
 pub struct SchedulerConfig {
     /// Maximum jobs in flight (queued + executing) before distinct new
     /// requests are rejected with `busy`.
     pub queue_capacity: usize,
-    /// Shots per slice — the fairness quantum. Large jobs are carved
-    /// into ranges of this size and interleaved round-robin.
+    /// Most shots per slice — the fairness quantum. Large jobs are
+    /// carved into ranges of this size and interleaved round-robin. A
+    /// claim made while sibling workers are parked carves smaller, one
+    /// share per idle worker (see the module docs); under load every
+    /// slice but a job's last is exactly this size.
     pub slice_shots: u64,
     /// Result-cache capacity in entries (0 disables caching).
     pub cache_capacity: usize,
@@ -264,10 +286,11 @@ struct Job {
     outstanding: usize,
     partial: Counts,
     waiters: Vec<Waiter>,
-    /// When the job was admitted, plus the stage nanoseconds measured
-    /// so far — the raw material of its slow-request trace. Telemetry
+    /// When the request's parse began, plus the stage nanoseconds
+    /// measured so far — the raw material of its slow-request trace,
+    /// whose total therefore spans every stage it lists. Telemetry
     /// only; never touches the response.
-    admitted_at: Instant,
+    received_at: Instant,
     parse_ns: u64,
     compile_ns: u64,
     merge_ns: u64,
@@ -286,6 +309,10 @@ struct Inner {
     cache: ResultCache,
     stats: ServiceStats,
     obs: Option<SchedObs>,
+    /// Workers blocked in [`Scheduler::next_slice`]'s wait (counted
+    /// from before the wait until after it returns, so a woken worker
+    /// still counts until it holds the lock again).
+    parked: usize,
     shutdown: bool,
 }
 
@@ -340,6 +367,7 @@ impl Scheduler {
                     cache,
                     stats: ServiceStats::default(),
                     obs,
+                    parked: 0,
                     shutdown: false,
                 }),
                 Condvar::new(),
@@ -512,7 +540,7 @@ impl Scheduler {
                     id,
                     coalesced: false,
                 }],
-                admitted_at: Instant::now(),
+                received_at: parse_started,
                 parse_ns,
                 compile_ns,
                 merge_ns: 0,
@@ -658,6 +686,11 @@ impl Scheduler {
     /// client cannot convoy a light one, and a long job cannot convoy
     /// short ones within a client.
     ///
+    /// The slice is at most `slice_shots`, and smaller when workers are
+    /// parked: the job's remaining shots are shared between them and
+    /// the claimer, and the parked workers — woken when the job was
+    /// queued — claim the rest.
+    ///
     /// Returns `None` on shutdown — the worker should exit.
     pub fn next_slice(&self) -> Option<SliceTask> {
         let mut inner = self.lock();
@@ -666,7 +699,9 @@ impl Scheduler {
                 return None;
             }
             if let Some(client) = inner.ring.pop_front() {
-                let slice = inner.config.slice_shots.max(1);
+                let quantum = inner.config.slice_shots.max(1);
+                // The claimer plus every parked sibling.
+                let idle = inner.parked as u64 + 1;
                 let key = inner
                     .client_queues
                     .get_mut(&client)
@@ -675,7 +710,10 @@ impl Scheduler {
                     .expect("ring queues are non-empty");
                 let job = inner.jobs.get_mut(&key).expect("queued job exists");
                 let start = job.next_shot;
-                let end = (start + slice).min(job.end);
+                let remaining = job.end - start;
+                // One share per idle worker, none under MIN_SHARE.
+                let shares = idle.min(remaining / MIN_SHARE).max(1);
+                let end = start + quantum.min(remaining.div_ceil(shares));
                 let job_end = job.end;
                 job.next_shot = end;
                 job.outstanding += 1;
@@ -703,13 +741,16 @@ impl Scheduler {
                     range: start..end,
                 });
             }
+            inner.parked += 1;
             inner = self.shared.1.wait(inner).expect("scheduler poisoned");
+            inner.parked -= 1;
         }
     }
 
     /// Merges a finished slice. When the job's last slice lands, the
     /// result is cached and every waiter (submitter + coalesced) gets
-    /// its response.
+    /// its response — after the lock is released, so reply encoding
+    /// never holds up submitters or the other workers.
     pub fn complete_slice(&self, key: &CacheKey, counts: Counts) {
         let mut inner = self.lock();
         // Shutdown may have dropped the job while this slice was
@@ -721,12 +762,16 @@ impl Scheduler {
         let merge_started = Instant::now();
         merge_counts(&mut job.partial, counts);
         job.outstanding -= 1;
-        job.merge_ns += elapsed_ns(merge_started);
+        let merge_ns = elapsed_ns(merge_started);
+        job.merge_ns += merge_ns;
+        let done = job.next_shot >= job.end && job.outstanding == 0;
         if let Some(obs) = &inner.obs {
-            obs.merge.record(elapsed_ns(merge_started));
+            obs.merge.record(merge_ns);
         }
-        let job = inner.jobs.get_mut(key).expect("job still present");
-        if job.next_shot >= job.end && job.outstanding == 0 {
+        if !done {
+            return;
+        }
+        let job = {
             // Reborrow through the guard once so the field borrows
             // below are disjoint.
             let inner = &mut *inner;
@@ -740,7 +785,7 @@ impl Scheduler {
                 obs.published_evictions = evictions;
                 obs.slow.record(obs::SlowTrace {
                     label: format!("{} shots={}", key.backend, key.shots),
-                    total_ns: elapsed_ns(job.admitted_at),
+                    total_ns: elapsed_ns(job.received_at),
                     stages: vec![
                         ("parse".to_string(), job.parse_ns),
                         ("compile".to_string(), job.compile_ns),
@@ -748,13 +793,13 @@ impl Scheduler {
                     ],
                 });
             }
-            {
-                let tally = inner.tally(&job.client);
-                tally.completed += 1;
-                tally.inflight_shots = tally.inflight_shots.saturating_sub(key.shots);
-            }
-            Waiter::answer_all(job.waiters, key, &Ok(job.partial));
-        }
+            let tally = inner.tally(&job.client);
+            tally.completed += 1;
+            tally.inflight_shots = tally.inflight_shots.saturating_sub(key.shots);
+            job
+        };
+        drop(inner);
+        Waiter::answer_all(job.waiters, key, &Ok(job.partial));
     }
 
     /// Counter snapshot (gauges filled at read time; the reactor's
@@ -873,12 +918,183 @@ mod tests {
     }
 
     /// Drains every available slice on the calling thread — a
-    /// deterministic in-test worker.
-    fn drain(sched: &Scheduler, engine: &Engine) {
+    /// deterministic in-test worker that never parks — and returns the
+    /// claimed ranges in claim order.
+    fn drain(sched: &Scheduler, engine: &Engine) -> Vec<Range<u64>> {
+        let mut ranges = Vec::new();
         while sched.stats().in_flight > 0 {
             let task = sched.next_slice().expect("work pending");
             let counts = task.prepared.run_range(engine, task.range.clone());
+            ranges.push(task.range);
             sched.complete_slice(&task.key, counts);
+        }
+        ranges
+    }
+
+    impl Scheduler {
+        /// Workers currently blocked in `next_slice`.
+        fn parked(&self) -> usize {
+            self.lock().parked
+        }
+    }
+
+    /// Real execution workers that record every range they claim.
+    struct RecordingWorkers {
+        claimed: Arc<Mutex<Vec<Range<u64>>>>,
+        threads: Vec<std::thread::JoinHandle<()>>,
+    }
+
+    impl RecordingWorkers {
+        /// With `hold`, each worker's first claim waits until every
+        /// worker has claimed once — so no worker can come back for a
+        /// second slice while a sibling is still on its way, and the
+        /// carve is exactly the one the parked count decided.
+        fn spawn(sched: &Scheduler, count: usize, hold: bool) -> RecordingWorkers {
+            let claimed = Arc::new(Mutex::new(Vec::new()));
+            let gate = Arc::new(std::sync::Barrier::new(count));
+            let threads = (0..count)
+                .map(|_| {
+                    let (sched, claimed, gate) = (sched.clone(), claimed.clone(), gate.clone());
+                    std::thread::spawn(move || {
+                        let engine = Engine::sequential();
+                        let mut first = hold;
+                        while let Some(task) = sched.next_slice() {
+                            claimed.lock().unwrap().push(task.range.clone());
+                            if std::mem::take(&mut first) {
+                                gate.wait();
+                            }
+                            let counts = task.prepared.run_range(&engine, task.range.clone());
+                            sched.complete_slice(&task.key, counts);
+                        }
+                    })
+                })
+                .collect();
+            RecordingWorkers { claimed, threads }
+        }
+
+        /// The ranges claimed since the last call, in shot order.
+        fn take(&self) -> Vec<Range<u64>> {
+            let mut claimed = std::mem::take(&mut *self.claimed.lock().unwrap());
+            claimed.sort_by_key(|r| r.start);
+            claimed
+        }
+
+        /// Shuts the scheduler down and joins every worker.
+        fn stop(self, sched: &Scheduler) {
+            sched.shutdown();
+            for thread in self.threads {
+                thread.join().unwrap();
+            }
+        }
+    }
+
+    /// Blocks until `count` workers are parked.
+    fn wait_parked(sched: &Scheduler, count: usize) {
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        while sched.parked() != count {
+            assert!(Instant::now() < deadline, "workers never parked");
+            std::thread::yield_now();
+        }
+    }
+
+    fn pending(submission: Submission) -> mpsc::Receiver<Response> {
+        match submission {
+            Submission::Pending(rx) => rx,
+            Submission::Immediate(r) => panic!("expected pending, got {r:?}"),
+        }
+    }
+
+    #[test]
+    fn an_idle_pool_splits_a_job_into_one_share_per_worker() {
+        let sched = Scheduler::new(SchedulerConfig::default());
+        let workers = RecordingWorkers::spawn(&sched, 2, true);
+        wait_parked(&sched, 2);
+        let rx = pending(sched.submit(None, &run_request(2_000, 7)));
+        let response = rx.recv_timeout(std::time::Duration::from_secs(10));
+        assert_eq!(workers.take(), vec![0..1_000, 1_000..2_000]);
+        let mut c = Circuit::new(2, 2);
+        c.h(0).cx(0, 1).measure(0, 0).measure(1, 1);
+        let direct = Backend::Auto
+            .sample_shots(&c, 2_000, &engine::Executor::sequential(7))
+            .unwrap();
+        match response.unwrap() {
+            Response::Ok { tallies, .. } => assert_eq!(tallies, direct, "split serving diverged"),
+            other => panic!("unexpected response {other:?}"),
+        }
+        workers.stop(&sched);
+    }
+
+    #[test]
+    fn a_job_under_two_shares_never_splits() {
+        let sched = Scheduler::new(SchedulerConfig::default());
+        let workers = RecordingWorkers::spawn(&sched, 4, false);
+        for (seed, shots) in [(1, 1), (2, MIN_SHARE), (3, 2 * MIN_SHARE - 1)] {
+            wait_parked(&sched, 4);
+            let rx = pending(sched.submit(None, &run_request(shots, seed)));
+            rx.recv().unwrap();
+            assert_eq!(workers.take(), vec![0..shots]);
+        }
+        workers.stop(&sched);
+    }
+
+    #[test]
+    fn with_nobody_parked_the_carve_is_the_slice_quantum() {
+        let sched = Scheduler::new(SchedulerConfig {
+            slice_shots: 300,
+            ..SchedulerConfig::default()
+        });
+        let _rx = pending(sched.submit(None, &run_request(2_000, 7)));
+        let expected: Vec<Range<u64>> = (0..2_000)
+            .step_by(300)
+            .map(|start| start..(start + 300).min(2_000))
+            .collect();
+        assert_eq!(drain(&sched, &Engine::sequential()), expected);
+    }
+
+    #[test]
+    fn waiters_are_answered_outside_the_scheduler_lock() {
+        // The responder asks another thread for `stats()`: if the reply
+        // were sent under the scheduler lock, that read would wait for
+        // the responder itself.
+        let sched = Arc::new(Scheduler::new(SchedulerConfig::default()));
+        let (answered_tx, answered) = mpsc::channel();
+        let helper = Scheduler::clone(&sched);
+        let responder = Responder::Callback(Box::new(move |_response| {
+            let (tx, rx) = mpsc::channel();
+            let reader = std::thread::spawn(move || tx.send(helper.stats()).unwrap());
+            let took = rx.recv_timeout(std::time::Duration::from_secs(1));
+            answered_tx.send((took.is_ok(), reader)).unwrap();
+        }));
+        JobBackend::submit(&sched, None, &run_request(100, 1), responder);
+        drain(&sched, &Engine::sequential());
+        let (in_time, reader) = answered.recv().unwrap();
+        reader.join().unwrap();
+        assert!(in_time, "stats() waited on the reply");
+    }
+
+    #[test]
+    fn slow_traces_span_every_stage_they_list() {
+        let registry = obs::Registry::default();
+        let sched = Scheduler::new(SchedulerConfig {
+            metrics: Some(registry.clone()),
+            ..SchedulerConfig::default()
+        });
+        let engine = Engine::sequential();
+        for seed in 0..32 {
+            let rx = pending(sched.submit(None, &run_request(1, seed)));
+            drain(&sched, &engine);
+            rx.recv().unwrap();
+        }
+        let slow = registry.snapshot().slow;
+        assert_eq!(slow.len(), 32);
+        for trace in slow {
+            let stages: u64 = trace.stages.iter().map(|(_, ns)| ns).sum();
+            assert!(
+                trace.total_ns >= stages,
+                "total {} < stages {stages}: {:?}",
+                trace.total_ns,
+                trace.stages
+            );
         }
     }
 

@@ -33,8 +33,11 @@ pub struct ServiceConfig {
     /// Bind address; port 0 picks an ephemeral port (see
     /// [`FrontendHandle::addr`]).
     pub addr: String,
-    /// Execution workers. 0 admits jobs but never runs them —
-    /// useful only for deterministic backpressure tests.
+    /// Execution workers. A job arriving while several are parked is
+    /// split into one share per idle worker (no share under 256 shots),
+    /// so a small job still uses every free core. 0 admits jobs but
+    /// never runs them — useful only for deterministic backpressure
+    /// tests.
     pub workers: usize,
     /// Maximum in-flight jobs before `busy` rejections.
     pub queue_capacity: usize,
@@ -47,7 +50,10 @@ pub struct ServiceConfig {
     /// Size bound for the disk spill (bytes); LRU entries are deleted
     /// to fit. Ignored without `cache_dir`.
     pub cache_disk_bytes: u64,
-    /// Shots per scheduling slice (fairness quantum).
+    /// Most shots per scheduling slice (fairness quantum). Idle workers
+    /// split a job into smaller slices; under load every slice but a
+    /// job's last is exactly this size (see
+    /// [`SchedulerConfig::slice_shots`]).
     pub slice_shots: u64,
     /// Most in-flight shots one client identity may hold (see
     /// [`SchedulerConfig::client_quota_shots`]); `u64::MAX` disables
@@ -71,8 +77,10 @@ pub struct ServiceConfig {
     /// Most simultaneous connections the reactor serves.
     pub max_connections: usize,
     /// Engine each slice executes through. The default is sequential:
-    /// parallelism comes from the worker pool, one slice per worker.
-    /// Its policies are the service's: a recording engine
+    /// parallelism comes from the worker pool, one slice per worker —
+    /// across jobs under load, and across the shares of one job when
+    /// workers are idle. Its policies are the service's: a recording
+    /// engine
     /// ([`Engine::with_trace`]) records every executed slice (global
     /// shot indices, so a sliced job's records union to the full run)
     /// with served bytes unchanged.

@@ -271,12 +271,20 @@ fn concurrent_overlapping_clients_all_get_reference_tallies() {
 #[test]
 fn slicing_configuration_never_changes_results() {
     // The same job served under wildly different slicing/worker
-    // configurations produces byte-identical tally lines.
+    // configurations produces byte-identical tally lines. At the
+    // default quantum the job is split across however many workers
+    // are parked when it arrives (2 and 5 shares here).
     let backend = Backend::from_env();
     let circuit = noisy_ghz(5);
     let (shots, seed) = (1_500u64, 99u64);
     let mut lines = Vec::new();
-    for (workers, slice) in [(1usize, 10_000u64), (2, 64), (4, 17)] {
+    for (workers, slice) in [
+        (1usize, 10_000u64),
+        (2, 64),
+        (4, 17),
+        (2, 4_096),
+        (8, 4_096),
+    ] {
         let handle = Service::spawn(ServiceConfig {
             workers,
             slice_shots: slice,
@@ -287,11 +295,15 @@ fn slicing_configuration_never_changes_results() {
             handle.addr(),
             &Request::run(None, run_request(&circuit, shots, seed, backend)),
         );
+        let context = format!("{workers} workers, slice {slice}");
+        assert_matches_reference(&response, &circuit, shots, seed, backend, &context);
         lines.push(response.to_line());
         handle.shutdown();
     }
     assert_eq!(lines[0], lines[1], "slice size changed the served bytes");
     assert_eq!(lines[0], lines[2], "worker count changed the served bytes");
+    assert_eq!(lines[0], lines[3], "splitting changed the served bytes");
+    assert_eq!(lines[0], lines[4], "splitting changed the served bytes");
 }
 
 #[test]

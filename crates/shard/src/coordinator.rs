@@ -153,6 +153,27 @@ impl Coordinator {
     /// Propagates socket errors (bind/local_addr).
     pub fn spawn(config: CoordinatorConfig) -> std::io::Result<CoordinatorHandle> {
         let listener = TcpListener::bind(&config.addr)?;
+        let reactor = ReactorConfig {
+            max_line_bytes: MAX_LINE_BYTES,
+            idle_timeout: config.idle_timeout,
+            max_connections: config.max_connections,
+            metrics: config.metrics.clone(),
+            ..ReactorConfig::default()
+        };
+        let coordinator = Arc::new(Coordinator::new(config));
+        coordinator.pool.probe_all();
+        let heartbeat = {
+            let coordinator = coordinator.clone();
+            std::thread::Builder::new()
+                .name("shard-heartbeat".to_string())
+                .spawn(move || coordinator.heartbeat())
+                .expect("spawn heartbeat")
+        };
+        Frontend::spawn(listener, reactor, coordinator, vec![heartbeat])
+    }
+
+    /// The backend alone: worker pool (not yet probed) and cache.
+    fn new(config: CoordinatorConfig) -> Coordinator {
         let pool = WorkerPool::new(
             config.workers.clone(),
             PoolConfig {
@@ -162,7 +183,6 @@ impl Coordinator {
                 ..PoolConfig::default()
             },
         );
-        pool.probe_all();
         let cache = match config.cache_dir.clone() {
             Some(dir) => ResultCache::with_disk(
                 config.cache_capacity,
@@ -173,14 +193,7 @@ impl Coordinator {
             ),
             None => ResultCache::new(config.cache_capacity),
         };
-        let reactor = ReactorConfig {
-            max_line_bytes: MAX_LINE_BYTES,
-            idle_timeout: config.idle_timeout,
-            max_connections: config.max_connections,
-            metrics: config.metrics.clone(),
-            ..ReactorConfig::default()
-        };
-        let coordinator = Arc::new(Coordinator {
+        Coordinator {
             inner: Mutex::new(Inner {
                 jobs: HashMap::new(),
                 cache,
@@ -189,15 +202,7 @@ impl Coordinator {
             pool,
             config,
             stopping: AtomicBool::new(false),
-        });
-        let heartbeat = {
-            let coordinator = coordinator.clone();
-            std::thread::Builder::new()
-                .name("shard-heartbeat".to_string())
-                .spawn(move || coordinator.heartbeat())
-                .expect("spawn heartbeat")
-        };
-        Frontend::spawn(listener, reactor, coordinator, vec![heartbeat])
+        }
     }
 
     /// The heartbeat thread: probes every worker each
@@ -425,7 +430,9 @@ impl Coordinator {
         ))
     }
 
-    /// Lands a finished job: cache + respond to every waiter.
+    /// Lands a finished job: cache, then respond to every waiter once
+    /// the lock is released, so reply encoding never holds up
+    /// admission.
     fn complete(&self, key: &CacheKey, result: Result<Counts, String>) {
         let mut inner = self.lock();
         // Shutdown may have dropped the job meanwhile; its waiters are
@@ -440,6 +447,7 @@ impl Coordinator {
             }
             Err(_) => inner.stats.errors += 1,
         }
+        drop(inner);
         Waiter::answer_all(waiters, key, &result);
     }
 }
@@ -498,5 +506,41 @@ impl JobBackend for Coordinator {
         // Dropping the waiters fires their responders' abandoned path:
         // each pending client gets an error response.
         self.lock().jobs.clear();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    #[test]
+    fn waiters_are_answered_outside_the_coordinator_lock() {
+        // The responder asks another thread for `stats()`: if the reply
+        // were sent under the coordinator lock, that read would wait
+        // for the responder itself.
+        let coordinator = Arc::new(Coordinator::new(CoordinatorConfig::default()));
+        let run = RunRequest::new("OPENQASM 3.0;\nqubit[1] q;\nh q[0];\n", 10, 1, "auto");
+        let key = admit(&run).expect("admits").key;
+        let (answered_tx, answered) = mpsc::channel();
+        let helper = coordinator.clone();
+        let responder = Responder::Callback(Box::new(move |_response| {
+            let (tx, rx) = mpsc::channel();
+            let reader = std::thread::spawn(move || tx.send(JobBackend::stats(&*helper)).unwrap());
+            let took = rx.recv_timeout(Duration::from_secs(1));
+            answered_tx.send((took.is_ok(), reader)).unwrap();
+        }));
+        coordinator.lock().jobs.insert(
+            key.clone(),
+            vec![Waiter {
+                responder,
+                id: None,
+                coalesced: false,
+            }],
+        );
+        coordinator.complete(&key, Ok(Counts::new()));
+        let (in_time, reader) = answered.recv().unwrap();
+        reader.join().unwrap();
+        assert!(in_time, "stats() waited on the reply");
     }
 }
