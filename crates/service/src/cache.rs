@@ -10,9 +10,9 @@
 //! fingerprinted with FNV-1a 64; the resolved backend name, shot
 //! count, and root seed complete the key.
 //!
-//! Eviction is LRU over a fixed entry capacity. Hit/miss accounting
-//! lives in the scheduler's `ServiceStats` (the single counter source
-//! feeding the `stats` wire op).
+//! Eviction is LRU over a fixed entry capacity, counted where it
+//! happens (an insert or a disk hit's promotion to memory). Hit/miss
+//! accounting is the owning backend's, read by `stats` and `metrics`.
 //!
 //! ## Disk spill
 //!
@@ -352,7 +352,8 @@ pub struct ResultCache {
     tick: u64,
     entries: HashMap<CacheKey, CacheEntry>,
     disk: Option<DiskStore>,
-    evictions: u64,
+    /// `cache.evictions` when the owning scheduler has a registry.
+    pub(crate) evictions: obs::Counter,
 }
 
 impl ResultCache {
@@ -364,7 +365,7 @@ impl ResultCache {
             tick: 0,
             entries: HashMap::new(),
             disk: None,
-            evictions: 0,
+            evictions: obs::Counter::new(),
         }
     }
 
@@ -420,7 +421,7 @@ impl ResultCache {
                 .map(|(k, _)| k.clone())
             {
                 self.entries.remove(&lru);
-                self.evictions += 1;
+                self.evictions.inc();
             }
         }
         self.entries.insert(
@@ -430,12 +431,6 @@ impl ResultCache {
                 last_used: self.tick,
             },
         );
-    }
-
-    /// In-memory entries evicted by LRU pressure since construction
-    /// (monotone — the observability layer mirrors this counter).
-    pub fn evictions(&self) -> u64 {
-        self.evictions
     }
 
     /// Resident in-memory entry count.

@@ -135,6 +135,74 @@ pub fn ok_response(
     }
 }
 
+/// The `busy` reply: `in_flight` jobs ahead, and a crude retry hint
+/// that assumes each takes ~25 ms (at least one).
+pub fn busy(id: Option<String>, in_flight: u64) -> Response {
+    Response::Busy {
+        id,
+        in_flight,
+        retry_after_ms: 25 * in_flight.max(1),
+    }
+}
+
+/// The event counters behind the counter fields of [`ServiceStats`],
+/// one set per backend, each named like the field it fills. Each is the
+/// backend registry's counter (`sched.<field>`, or `cache.hits` and
+/// `cache.misses`), or unattached when there is no registry — so every
+/// event is recorded once, with no branch on whether a registry exists,
+/// and the `stats` op reads the same counters the `metrics` op exports.
+pub struct ServiceCounters {
+    pub received: obs::Counter,
+    pub completed: obs::Counter,
+    pub cache_hits: obs::Counter,
+    pub cache_misses: obs::Counter,
+    pub coalesced: obs::Counter,
+    pub rejected_busy: obs::Counter,
+    pub rejected_quota: obs::Counter,
+    pub rejected_rate: obs::Counter,
+    pub errors: obs::Counter,
+}
+
+impl ServiceCounters {
+    /// The counters, their registry names prefixed with `prefix` (`""`
+    /// for a server, `"shard."` for a coordinator, so a topology-wide
+    /// `metrics` merge never adds a coordinator's jobs to its
+    /// workers').
+    pub fn new(registry: Option<&obs::Registry>, prefix: &str) -> ServiceCounters {
+        let counter = |name: &str| {
+            registry.map_or_else(obs::Counter::new, |r| r.counter(&format!("{prefix}{name}")))
+        };
+        ServiceCounters {
+            received: counter("sched.received"),
+            completed: counter("sched.completed"),
+            cache_hits: counter("cache.hits"),
+            cache_misses: counter("cache.misses"),
+            coalesced: counter("sched.coalesced"),
+            rejected_busy: counter("sched.rejected_busy"),
+            rejected_quota: counter("sched.rejected_quota"),
+            rejected_rate: counter("sched.rejected_rate"),
+            errors: counter("sched.errors"),
+        }
+    }
+
+    /// The counter fields of a `stats` snapshot; the backend fills in
+    /// its gauges.
+    pub fn stats(&self) -> ServiceStats {
+        ServiceStats {
+            received: self.received.get(),
+            completed: self.completed.get(),
+            cache_hits: self.cache_hits.get(),
+            cache_misses: self.cache_misses.get(),
+            coalesced: self.coalesced.get(),
+            rejected_busy: self.rejected_busy.get(),
+            rejected_quota: self.rejected_quota.get(),
+            rejected_rate: self.rejected_rate.get(),
+            errors: self.errors.get(),
+            ..ServiceStats::default()
+        }
+    }
+}
+
 /// One `run` or `metrics` request in flight from the reactor to a
 /// submitter.
 struct SubmitTask {
@@ -229,7 +297,7 @@ impl LineHandler for Handler {
 fn spawn_submitters<B: JobBackend>(
     backend: &Arc<B>,
     rx: mpsc::Receiver<SubmitTask>,
-    encode: Option<obs::Histo>,
+    encode: obs::Histo,
 ) -> Vec<JoinHandle<()>> {
     let rx = Arc::new(Mutex::new(rx));
     (0..SUBMITTERS)
@@ -262,7 +330,7 @@ fn spawn_submitters<B: JobBackend>(
                     };
                     let encode = encode.clone();
                     let responder = Responder::Callback(Box::new(move |response: Response| {
-                        let span = encode.as_ref().map(obs::Span::enter);
+                        let span = obs::Span::enter(&encode);
                         let bytes = response.to_line().into_bytes();
                         drop(span);
                         completion.send(bytes);
@@ -292,7 +360,10 @@ impl Frontend {
         backend: Arc<B>,
         backend_threads: Vec<JoinHandle<()>>,
     ) -> std::io::Result<FrontendHandle<B>> {
-        let encode = config.metrics.as_ref().map(|r| r.histo("stage.encode"));
+        let encode = config
+            .metrics
+            .as_ref()
+            .map_or_else(obs::Histo::new, |r| r.histo("stage.encode"));
         let (submit, rx) = mpsc::channel();
         let submitters = spawn_submitters(&backend, rx, encode);
         let max_line_bytes = config.max_line_bytes;

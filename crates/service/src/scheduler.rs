@@ -55,7 +55,7 @@
 
 use crate::admission::admit;
 use crate::cache::{CacheKey, DiskCacheConfig, ResultCache};
-use crate::frontend::{ok_response, JobBackend, Waiter};
+use crate::frontend::{busy, ok_response, JobBackend, ServiceCounters, Waiter};
 use crate::protocol::{ClientRow, Response, RunRequest, ServiceStats};
 use engine::{merge_counts, Counts, PreparedJob};
 use std::collections::{HashMap, VecDeque};
@@ -109,12 +109,14 @@ pub struct SchedulerConfig {
     /// coalescing and cache hits stay free. `u64::MAX` (the default)
     /// disables rate limiting.
     pub client_quota_shots_per_sec: u64,
-    /// Optional observability registry. When set, the scheduler
-    /// records per-stage latency histograms (`stage.parse`,
-    /// `stage.admission`, `stage.cache_lookup`, `stage.compile`,
-    /// `stage.merge`), cache counters (`cache.{hits,misses,
-    /// evictions}`), admission counters (`sched.*`), and a slow-trace
-    /// ring. Instrumentation never changes a served byte.
+    /// Optional observability registry. The scheduler always records
+    /// per-stage latency histograms (`stage.parse`, `stage.admission`,
+    /// `stage.cache_lookup`, `stage.compile`, `stage.merge`), cache
+    /// counters (`cache.{hits,misses,evictions}`), admission counters
+    /// (`sched.*`) and a slow-trace ring; with a registry they are
+    /// exported under those names, without one they are kept but not
+    /// exported. The `stats` op reads the same counters either way.
+    /// Instrumentation never changes a served byte.
     pub metrics: Option<obs::Registry>,
     /// Optional disk tier for the result cache: completed results are
     /// persisted (write-through) and a restarted scheduler serves them
@@ -224,52 +226,44 @@ impl ClientTally {
     }
 }
 
-/// Resolved observability handles (see [`SchedulerConfig::metrics`]).
-/// Handle resolution locks the registry once at construction;
-/// recording afterwards is lock-free.
+/// The scheduler's recording handles (see [`SchedulerConfig::metrics`]):
+/// resolved from the registry once at construction, or unattached
+/// without one. Recording is lock-free either way.
 struct SchedObs {
+    counters: ServiceCounters,
+    admitted: obs::Counter,
     parse: obs::Histo,
     admission: obs::Histo,
     cache_lookup: obs::Histo,
     compile: obs::Histo,
     merge: obs::Histo,
-    cache_hits: obs::Counter,
-    cache_misses: obs::Counter,
-    cache_evictions: obs::Counter,
-    admitted: obs::Counter,
-    completed: obs::Counter,
-    coalesced: obs::Counter,
-    rejected_busy: obs::Counter,
-    rejected_quota: obs::Counter,
-    rejected_rate: obs::Counter,
-    errors: obs::Counter,
     slow: obs::SlowLog,
-    /// Evictions already mirrored from the cache's monotone counter.
-    published_evictions: u64,
 }
 
 impl SchedObs {
-    fn resolve(registry: &obs::Registry) -> SchedObs {
+    fn new(registry: Option<&obs::Registry>) -> SchedObs {
+        let histo = |name: &str| registry.map_or_else(obs::Histo::new, |r| r.histo(name));
         SchedObs {
-            parse: registry.histo("stage.parse"),
-            admission: registry.histo("stage.admission"),
-            cache_lookup: registry.histo("stage.cache_lookup"),
-            compile: registry.histo("stage.compile"),
-            merge: registry.histo("stage.merge"),
-            cache_hits: registry.counter("cache.hits"),
-            cache_misses: registry.counter("cache.misses"),
-            cache_evictions: registry.counter("cache.evictions"),
-            admitted: registry.counter("sched.admitted"),
-            completed: registry.counter("sched.completed"),
-            coalesced: registry.counter("sched.coalesced"),
-            rejected_busy: registry.counter("sched.rejected_busy"),
-            rejected_quota: registry.counter("sched.rejected_quota"),
-            rejected_rate: registry.counter("sched.rejected_rate"),
-            errors: registry.counter("sched.errors"),
-            slow: registry.slow().clone(),
-            published_evictions: 0,
+            counters: ServiceCounters::new(registry, ""),
+            admitted: registry.map_or_else(obs::Counter::new, |r| r.counter("sched.admitted")),
+            parse: histo("stage.parse"),
+            admission: histo("stage.admission"),
+            cache_lookup: histo("stage.cache_lookup"),
+            compile: histo("stage.compile"),
+            merge: histo("stage.merge"),
+            slow: registry.map_or_else(obs::SlowLog::default, |r| r.slow().clone()),
         }
     }
+}
+
+/// Which admission gate turned a distinct new job away.
+enum Rejection {
+    /// The job table is full (`queue_capacity`).
+    Queue,
+    /// The client's in-flight shot quota is exhausted.
+    Quota,
+    /// The client's shots-per-second token bucket is exhausted.
+    Rate,
 }
 
 struct Job {
@@ -297,7 +291,6 @@ struct Job {
 }
 
 struct Inner {
-    config: SchedulerConfig,
     /// Round-robin ring of clients that have jobs with unsliced shots.
     /// Invariant: `ring` holds exactly the keys of `client_queues`
     /// (each of which is non-empty), in rotation order.
@@ -307,8 +300,6 @@ struct Inner {
     client_stats: HashMap<String, ClientTally>,
     jobs: HashMap<CacheKey, Job>,
     cache: ResultCache,
-    stats: ServiceStats,
-    obs: Option<SchedObs>,
     /// Workers blocked in [`Scheduler::next_slice`]'s wait (counted
     /// from before the wait until after it returns, so a woken worker
     /// still counts until it holds the lock again).
@@ -329,20 +320,31 @@ fn elapsed_ns(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// How [`Scheduler::try_attach`] settled (or didn't).
-enum Attach {
-    /// Cache hit: the response is ready.
-    Hit(Response),
+/// How [`Scheduler::settle`] answered a request (or didn't).
+enum Settle {
+    /// The reply is ready: a cache hit, a rejection or an error.
+    Reply(Response),
     /// Joined an identical in-flight job (the responder was consumed).
     Joined,
-    /// No identical work exists; proceed to admission.
-    Miss,
+    /// Nothing answered it; proceed to queue it.
+    Admit,
 }
 
 /// The shared scheduling state. Cheap to clone (`Arc` internally).
 #[derive(Clone)]
 pub struct Scheduler {
-    shared: Arc<(Mutex<Inner>, Condvar)>,
+    shared: Arc<Shared>,
+}
+
+/// What every clone of a [`Scheduler`] shares: the immutable knobs and
+/// recording handles beside the lock, so reading or recording them
+/// never waits on queue surgery.
+struct Shared {
+    config: SchedulerConfig,
+    obs: SchedObs,
+    state: Mutex<Inner>,
+    /// Signalled when slices become available (or on shutdown).
+    work: Condvar,
 }
 
 impl Scheduler {
@@ -351,32 +353,33 @@ impl Scheduler {
     /// scans) the spill directory — a previous process's results are
     /// warm immediately.
     pub fn new(config: SchedulerConfig) -> Self {
-        let cache = match config.disk.clone() {
+        let mut cache = match config.disk.clone() {
             Some(disk) => ResultCache::with_disk(config.cache_capacity, disk),
             None => ResultCache::new(config.cache_capacity),
         };
-        let obs = config.metrics.as_ref().map(SchedObs::resolve);
+        let registry = config.metrics.as_ref();
+        cache.evictions = registry.map_or_else(obs::Counter::new, |r| r.counter("cache.evictions"));
+        let obs = SchedObs::new(registry);
         Scheduler {
-            shared: Arc::new((
-                Mutex::new(Inner {
-                    config,
+            shared: Arc::new(Shared {
+                config,
+                obs,
+                state: Mutex::new(Inner {
                     ring: VecDeque::new(),
                     client_queues: HashMap::new(),
                     client_stats: HashMap::new(),
                     jobs: HashMap::new(),
                     cache,
-                    stats: ServiceStats::default(),
-                    obs,
                     parked: 0,
                     shutdown: false,
                 }),
-                Condvar::new(),
-            )),
+                work: Condvar::new(),
+            }),
         }
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        self.shared.0.lock().expect("scheduler poisoned")
+        self.shared.state.lock().expect("scheduler poisoned")
     }
 
     /// Admits one run request: serves it from cache, coalesces it onto
@@ -409,19 +412,16 @@ impl Scheduler {
         // (backend parse, QASM parse, serving limits, shot-range
         // arithmetic, canonical fingerprint) is shared with the shard
         // coordinator in [`crate::admission`].
+        let obs = &self.shared.obs;
         let parse_started = Instant::now();
         let admitted = admit(run);
         let parse_ns = elapsed_ns(parse_started);
+        obs.parse.record(parse_ns);
+        obs.counters.received.inc();
         let admitted = match admitted {
             Ok(admitted) => admitted,
             Err(error) => {
-                let mut inner = self.lock();
-                inner.stats.received += 1;
-                inner.stats.errors += 1;
-                if let Some(obs) = &inner.obs {
-                    obs.parse.record(parse_ns);
-                    obs.errors.inc();
-                }
+                obs.counters.errors.inc();
                 return Some(Response::Error { id, error });
             }
         };
@@ -430,38 +430,15 @@ impl Scheduler {
         // First pass under the lock: cache, coalescing, admission.
         {
             let mut inner = self.lock();
-            inner.stats.received += 1;
-            if let Some(obs) = &inner.obs {
-                obs.parse.record(parse_ns);
-            }
-            match self.try_attach(&mut inner, &key, id.clone(), &client, responder) {
-                Attach::Hit(response) => return Some(response),
-                Attach::Joined => return None,
-                Attach::Miss => {}
-            }
-            if inner.shutdown {
-                inner.stats.errors += 1;
-                if let Some(obs) = &inner.obs {
-                    obs.errors.inc();
-                }
-                return Some(Response::Error {
-                    id,
-                    error: "server is shutting down".to_string(),
-                });
-            }
-            if let Some(response) =
-                Self::check_admission(&mut inner, &key, &client, id.clone(), false)
-            {
-                return Some(response);
+            match self.settle(&mut inner, &key, id.clone(), &client, responder, false) {
+                Settle::Reply(response) => return Some(response),
+                Settle::Joined => return None,
+                Settle::Admit => {}
             }
             if run.shots == 0 {
                 // Trivially complete; nothing to queue or cache.
-                inner.stats.cache_misses += 1;
-                inner.stats.completed += 1;
-                if let Some(obs) = &inner.obs {
-                    obs.cache_misses.inc();
-                    obs.completed.inc();
-                }
+                obs.counters.cache_misses.inc();
+                obs.counters.completed.inc();
                 return Some(ok_response(id, &key, Counts::new(), false, false));
             }
         }
@@ -477,15 +454,11 @@ impl Scheduler {
             run.root_seed,
         );
         let compile_ns = elapsed_ns(compile_started);
+        obs.compile.record(compile_ns);
         let prepared = match prepared {
             Ok((_resolved, job)) => Arc::new(job),
             Err(err) => {
-                let mut inner = self.lock();
-                inner.stats.errors += 1;
-                if let Some(obs) = &inner.obs {
-                    obs.compile.record(compile_ns);
-                    obs.errors.inc();
-                }
+                obs.counters.errors.inc();
                 return Some(Response::Error {
                     id,
                     error: err.to_string(),
@@ -493,34 +466,13 @@ impl Scheduler {
             }
         };
         let mut inner = self.lock();
-        if let Some(obs) = &inner.obs {
-            obs.compile.record(compile_ns);
+        match self.settle(&mut inner, &key, id.clone(), &client, responder, true) {
+            Settle::Reply(response) => return Some(response),
+            Settle::Joined => return None,
+            Settle::Admit => {}
         }
-        match self.try_attach(&mut inner, &key, id.clone(), &client, responder) {
-            Attach::Hit(response) => return Some(response),
-            Attach::Joined => return None,
-            Attach::Miss => {}
-        }
-        if inner.shutdown {
-            // Shutdown raced the compile: with the workers gone, a
-            // queued job would strand its waiter forever.
-            inner.stats.errors += 1;
-            if let Some(obs) = &inner.obs {
-                obs.errors.inc();
-            }
-            return Some(Response::Error {
-                id,
-                error: "server is shutting down".to_string(),
-            });
-        }
-        if let Some(response) = Self::check_admission(&mut inner, &key, &client, id.clone(), true) {
-            return Some(response);
-        }
-        inner.stats.cache_misses += 1;
-        if let Some(obs) = &inner.obs {
-            obs.cache_misses.inc();
-            obs.admitted.inc();
-        }
+        obs.counters.cache_misses.inc();
+        obs.admitted.inc();
         {
             let tally = inner.tally(&client);
             tally.admitted += 1;
@@ -555,127 +507,100 @@ impl Scheduler {
         if fresh_client {
             inner.ring.push_back(client);
         }
-        self.shared.1.notify_all();
+        self.shared.work.notify_all();
         None
     }
 
-    /// Capacity and quota gates, under the lock. `Some` is a `busy`
-    /// rejection. The gates run twice per admission (before and after
-    /// the compile); only the final pass (`charge = true`) deducts
-    /// from the client's rate-limit token bucket, so a job is charged
-    /// exactly once, when it is actually admitted. Gate latency feeds
-    /// the `stage.admission` histogram.
-    fn check_admission(
-        inner: &mut Inner,
-        key: &CacheKey,
-        client: &str,
-        id: Option<String>,
-        charge: bool,
-    ) -> Option<Response> {
-        let started = Instant::now();
-        let response = Self::check_admission_inner(inner, key, client, id, charge);
-        if let Some(obs) = &inner.obs {
-            obs.admission.record(elapsed_ns(started));
-        }
-        response
-    }
-
-    fn check_admission_inner(
-        inner: &mut Inner,
-        key: &CacheKey,
-        client: &str,
-        id: Option<String>,
-        charge: bool,
-    ) -> Option<Response> {
-        let in_flight = inner.jobs.len() as u64;
-        // Crude hint: assume each in-flight job takes ~25 ms.
-        let retry_after_ms = 25 * in_flight.max(1);
-        if inner.jobs.len() >= inner.config.queue_capacity {
-            inner.stats.rejected_busy += 1;
-            if let Some(obs) = &inner.obs {
-                obs.rejected_busy.inc();
-            }
-            return Some(Response::Busy {
-                id,
-                in_flight,
-                retry_after_ms,
-            });
-        }
-        let quota = inner.config.client_quota_shots;
-        if key.shots > 0 && inner.tally(client).inflight_shots.saturating_add(key.shots) > quota {
-            inner.stats.rejected_quota += 1;
-            inner.tally(client).rejected_quota += 1;
-            if let Some(obs) = &inner.obs {
-                obs.rejected_quota.inc();
-            }
-            return Some(Response::Busy {
-                id,
-                in_flight,
-                retry_after_ms,
-            });
-        }
-        let rate = inner.config.client_quota_shots_per_sec;
-        if rate != u64::MAX && key.shots > 0 {
-            let now = Instant::now();
-            let tally = inner.tally(client);
-            let tokens = tally.refill(rate, now);
-            if (key.shots as f64) > tokens {
-                tally.rejected_rate += 1;
-                inner.stats.rejected_rate += 1;
-                if let Some(obs) = &inner.obs {
-                    obs.rejected_rate.inc();
-                }
-                return Some(Response::Busy {
-                    id,
-                    in_flight,
-                    retry_after_ms,
-                });
-            }
-            if charge {
-                tally.bucket_tokens = tokens - key.shots as f64;
-            }
-        }
-        None
-    }
-
-    /// Cache lookup + coalescing check, under the lock.
-    fn try_attach(
+    /// Everything that can answer a request before it is queued, under
+    /// the lock and in order: the cache, an identical in-flight job,
+    /// shutdown, and the admission gates. It runs twice per admission,
+    /// before and after the compile. Only the final pass
+    /// (`charge = true`) deducts from the client's rate-limit token
+    /// bucket, so a job is charged exactly once, when it is admitted.
+    fn settle(
         &self,
         inner: &mut Inner,
         key: &CacheKey,
         id: Option<String>,
         client: &str,
         responder: &mut Option<Responder>,
-    ) -> Attach {
+        charge: bool,
+    ) -> Settle {
+        let obs = &self.shared.obs;
         let lookup_started = Instant::now();
         let hit = inner.cache.get(key);
-        if let Some(obs) = &inner.obs {
-            obs.cache_lookup.record(elapsed_ns(lookup_started));
-        }
+        obs.cache_lookup.record(elapsed_ns(lookup_started));
         if let Some(tallies) = hit {
-            inner.stats.cache_hits += 1;
-            if let Some(obs) = &inner.obs {
-                obs.cache_hits.inc();
-            }
-            return Attach::Hit(ok_response(id, key, tallies, true, false));
+            obs.counters.cache_hits.inc();
+            return Settle::Reply(ok_response(id, key, tallies, true, false));
         }
-        if inner.jobs.contains_key(key) {
-            inner.stats.coalesced += 1;
-            if let Some(obs) = &inner.obs {
-                obs.coalesced.inc();
-            }
-            // Coalescing is free — the work runs once regardless — so
-            // it is never charged against the client's quota.
-            inner.tally(client).coalesced += 1;
-            let job = inner.jobs.get_mut(key).expect("job just found");
+        if let Some(job) = inner.jobs.get_mut(key) {
+            obs.counters.coalesced.inc();
             job.waiters.push(Waiter {
                 responder: responder.take().expect("responder available to join"),
                 id,
                 coalesced: true,
             });
-            return Attach::Joined;
+            // Coalescing is free — the work runs once regardless — so
+            // it is never charged against the client's quota.
+            inner.tally(client).coalesced += 1;
+            return Settle::Joined;
         }
-        Attach::Miss
+        if inner.shutdown {
+            // With the workers gone (shutdown may also have raced the
+            // compile), a queued job would strand its waiter forever.
+            obs.counters.errors.inc();
+            let error = "server is shutting down".to_string();
+            return Settle::Reply(Response::Error { id, error });
+        }
+        let gates_started = Instant::now();
+        let gated = self.gate(inner, key, client, charge);
+        obs.admission.record(elapsed_ns(gates_started));
+        let Err(rejection) = gated else {
+            return Settle::Admit;
+        };
+        match rejection {
+            Rejection::Queue => obs.counters.rejected_busy.inc(),
+            Rejection::Quota => {
+                obs.counters.rejected_quota.inc();
+                inner.tally(client).rejected_quota += 1;
+            }
+            Rejection::Rate => {
+                obs.counters.rejected_rate.inc();
+                inner.tally(client).rejected_rate += 1;
+            }
+        }
+        Settle::Reply(busy(id, inner.jobs.len() as u64))
+    }
+
+    /// The capacity, quota and rate gates, in that order.
+    fn gate(
+        &self,
+        inner: &mut Inner,
+        key: &CacheKey,
+        client: &str,
+        charge: bool,
+    ) -> Result<(), Rejection> {
+        let config = &self.shared.config;
+        if inner.jobs.len() >= config.queue_capacity {
+            return Err(Rejection::Queue);
+        }
+        let quota = config.client_quota_shots;
+        if key.shots > 0 && inner.tally(client).inflight_shots.saturating_add(key.shots) > quota {
+            return Err(Rejection::Quota);
+        }
+        let rate = config.client_quota_shots_per_sec;
+        if rate != u64::MAX && key.shots > 0 {
+            let tally = inner.tally(client);
+            let tokens = tally.refill(rate, Instant::now());
+            if (key.shots as f64) > tokens {
+                return Err(Rejection::Rate);
+            }
+            if charge {
+                tally.bucket_tokens = tokens - key.shots as f64;
+            }
+        }
+        Ok(())
     }
 
     /// Blocks until a slice is available (or shutdown), then claims
@@ -699,7 +624,7 @@ impl Scheduler {
                 return None;
             }
             if let Some(client) = inner.ring.pop_front() {
-                let quantum = inner.config.slice_shots.max(1);
+                let quantum = self.shared.config.slice_shots.max(1);
                 // The claimer plus every parked sibling.
                 let idle = inner.parked as u64 + 1;
                 let key = inner
@@ -742,7 +667,7 @@ impl Scheduler {
                 });
             }
             inner.parked += 1;
-            inner = self.shared.1.wait(inner).expect("scheduler poisoned");
+            inner = self.shared.work.wait(inner).expect("scheduler poisoned");
             inner.parked -= 1;
         }
     }
@@ -765,40 +690,27 @@ impl Scheduler {
         let merge_ns = elapsed_ns(merge_started);
         job.merge_ns += merge_ns;
         let done = job.next_shot >= job.end && job.outstanding == 0;
-        if let Some(obs) = &inner.obs {
-            obs.merge.record(merge_ns);
-        }
+        let obs = &self.shared.obs;
+        obs.merge.record(merge_ns);
         if !done {
             return;
         }
-        let job = {
-            // Reborrow through the guard once so the field borrows
-            // below are disjoint.
-            let inner = &mut *inner;
-            let job = inner.jobs.remove(key).expect("job present");
-            inner.cache.insert(key.clone(), job.partial.clone());
-            inner.stats.completed += 1;
-            if let Some(obs) = &mut inner.obs {
-                obs.completed.inc();
-                let evictions = inner.cache.evictions();
-                obs.cache_evictions.add(evictions - obs.published_evictions);
-                obs.published_evictions = evictions;
-                obs.slow.record(obs::SlowTrace {
-                    label: format!("{} shots={}", key.backend, key.shots),
-                    total_ns: elapsed_ns(job.received_at),
-                    stages: vec![
-                        ("parse".to_string(), job.parse_ns),
-                        ("compile".to_string(), job.compile_ns),
-                        ("merge".to_string(), job.merge_ns),
-                    ],
-                });
-            }
-            let tally = inner.tally(&job.client);
-            tally.completed += 1;
-            tally.inflight_shots = tally.inflight_shots.saturating_sub(key.shots);
-            job
-        };
+        let job = inner.jobs.remove(key).expect("job present");
+        inner.cache.insert(key.clone(), job.partial.clone());
+        obs.counters.completed.inc();
+        let tally = inner.tally(&job.client);
+        tally.completed += 1;
+        tally.inflight_shots = tally.inflight_shots.saturating_sub(key.shots);
         drop(inner);
+        obs.slow.record(obs::SlowTrace {
+            label: format!("{} shots={}", key.backend, key.shots),
+            total_ns: elapsed_ns(job.received_at),
+            stages: vec![
+                ("parse".to_string(), job.parse_ns),
+                ("compile".to_string(), job.compile_ns),
+                ("merge".to_string(), job.merge_ns),
+            ],
+        });
         Waiter::answer_all(job.waiters, key, &Ok(job.partial));
     }
 
@@ -806,11 +718,12 @@ impl Scheduler {
     /// connection gauges are merged in by the serving layer).
     pub fn stats(&self) -> ServiceStats {
         let inner = self.lock();
-        let mut stats = inner.stats;
-        stats.in_flight = inner.jobs.len() as u64;
-        stats.cache_entries = inner.cache.len() as u64;
-        stats.cache_disk_entries = inner.cache.disk_len() as u64;
-        stats
+        ServiceStats {
+            in_flight: inner.jobs.len() as u64,
+            cache_entries: inner.cache.len() as u64,
+            cache_disk_entries: inner.cache.disk_len() as u64,
+            ..self.shared.obs.counters.stats()
+        }
     }
 
     /// Per-client counter rows for the `stats` op, sorted by client
@@ -848,7 +761,7 @@ impl Scheduler {
         for tally in inner.client_stats.values_mut() {
             tally.inflight_shots = 0;
         }
-        self.shared.1.notify_all();
+        self.shared.work.notify_all();
     }
 }
 
@@ -870,12 +783,9 @@ impl JobBackend for Scheduler {
     }
 
     fn note_error(&self) {
-        let mut inner = self.lock();
-        inner.stats.received += 1;
-        inner.stats.errors += 1;
-        if let Some(obs) = &inner.obs {
-            obs.errors.inc();
-        }
+        let counters = &self.shared.obs.counters;
+        counters.received.inc();
+        counters.errors.inc();
     }
 
     fn stats(&self) -> ServiceStats {
@@ -887,11 +797,8 @@ impl JobBackend for Scheduler {
     }
 
     fn metrics(&self) -> obs::Snapshot {
-        let registry = self.lock().config.metrics.clone();
-        registry
-            .as_ref()
-            .map(obs::Registry::snapshot)
-            .unwrap_or_default()
+        let registry = self.shared.config.metrics.as_ref();
+        registry.map(obs::Registry::snapshot).unwrap_or_default()
     }
 
     fn shutdown(&self) {

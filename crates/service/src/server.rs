@@ -69,8 +69,8 @@ pub struct ServiceConfig {
     /// the scheduler's per-stage histograms and cache counters, the
     /// worker pool's `stage.execute` timings, the submitters'
     /// `stage.encode` timings — and the wire `metrics` op answers with
-    /// its snapshot. Served bytes are unchanged (differential-tested);
-    /// `None` costs nothing.
+    /// its snapshot. Without one, counters and timers are kept but not
+    /// exported. Served bytes are unchanged (differential-tested).
     pub metrics: Option<obs::Registry>,
     /// Close connections idle longer than this.
     pub idle_timeout: Duration,
@@ -156,15 +156,15 @@ impl Service {
     }
 }
 
-/// Spawns the execution worker pool. With a registry, each slice's
-/// execution is timed into `stage.execute`.
+/// Spawns the execution worker pool. Each slice's execution is timed
+/// into `stage.execute` (exported only with a registry).
 fn spawn_workers(
     count: usize,
     scheduler: &Scheduler,
     engine: &Engine,
     metrics: Option<&obs::Registry>,
 ) -> Vec<JoinHandle<()>> {
-    let execute = metrics.map(|registry| registry.histo("stage.execute"));
+    let execute = metrics.map_or_else(obs::Histo::new, |r| r.histo("stage.execute"));
     (0..count)
         .map(|i| {
             let scheduler = scheduler.clone();
@@ -174,7 +174,7 @@ fn spawn_workers(
                 .name(format!("service-worker-{i}"))
                 .spawn(move || {
                     while let Some(task) = scheduler.next_slice() {
-                        let span = execute.as_ref().map(obs::Span::enter);
+                        let span = obs::Span::enter(&execute);
                         let counts = task.prepared.run_range(&engine, task.range.clone());
                         drop(span);
                         scheduler.complete_slice(&task.key, counts);

@@ -15,8 +15,8 @@ use circuit::circuit::Circuit;
 use circuit::qasm::to_qasm3;
 use engine::Engine;
 use service::{
-    Op, Request, Response, RunRequest, Scheduler, SchedulerConfig, Service, ServiceConfig,
-    Submission,
+    JobBackend, Op, Request, Response, RunRequest, Scheduler, SchedulerConfig, Service,
+    ServiceConfig, ServiceStats, Submission,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -93,8 +93,101 @@ fn instrumentation_never_changes_served_bytes() {
     let snapshot = instrumented.metrics_snapshot();
     assert!(snapshot.histo("stage.parse").is_some_and(|h| h.count > 0));
     assert!(snapshot.counter("cache.hits") >= Some(1));
+
+    // Without a registry the counters are still kept — `stats` agrees
+    // with the instrumented server's — but nothing is exported.
+    let counted = |stats: ServiceStats| stats.fields()[..COUNTERS.len()].to_vec();
+    assert_eq!(counted(plain.stats()), counted(instrumented.stats()));
+    let unexported = plain.metrics_snapshot();
+    assert!(unexported.counters.is_empty(), "{:?}", unexported.counters);
+    assert!(unexported.histos.is_empty(), "{:?}", unexported.histos);
     plain.shutdown();
     instrumented.shutdown();
+}
+
+/// Each counter field of `ServiceStats`, in wire order, with the
+/// registry counter it reads.
+const COUNTERS: [(&str, &str); 9] = [
+    ("received", "sched.received"),
+    ("completed", "sched.completed"),
+    ("cache_hits", "cache.hits"),
+    ("cache_misses", "cache.misses"),
+    ("coalesced", "sched.coalesced"),
+    ("rejected_busy", "sched.rejected_busy"),
+    ("rejected_quota", "sched.rejected_quota"),
+    ("rejected_rate", "sched.rejected_rate"),
+    ("errors", "sched.errors"),
+];
+
+#[test]
+fn stats_counters_are_the_registry_counters() {
+    let registry = obs::Registry::default();
+    let sched = Scheduler::new(SchedulerConfig {
+        queue_capacity: 3,
+        client_quota_shots: 1_000,
+        client_quota_shots_per_sec: 500,
+        metrics: Some(registry.clone()),
+        ..SchedulerConfig::default()
+    });
+    let engine = Engine::sequential();
+    let submit = |run: &RunRequest| sched.submit(None, run);
+    // Ok, with a coalesced twin, then a cache hit.
+    let (Submission::Pending(first), Submission::Pending(twin)) =
+        (submit(&run_request(100, 1)), submit(&run_request(100, 1)))
+    else {
+        panic!("first run and its twin should both wait");
+    };
+    while sched.stats().in_flight > 0 {
+        let task = sched.next_slice().expect("work pending");
+        let counts = task.prepared.run_range(&engine, task.range.clone());
+        sched.complete_slice(&task.key, counts);
+    }
+    assert!(matches!(first.recv().unwrap(), Response::Ok { .. }));
+    assert!(matches!(
+        twin.recv().unwrap(),
+        Response::Ok {
+            coalesced: true,
+            ..
+        }
+    ));
+    assert!(matches!(
+        submit(&run_request(100, 1)),
+        Submission::Immediate(Response::Ok { cached: true, .. })
+    ));
+    // Zero shots settle at once.
+    assert!(matches!(
+        submit(&run_request(0, 2)),
+        Submission::Immediate(Response::Ok { .. })
+    ));
+    // Over the in-flight quota, then over the rate bucket.
+    for (client, shots) in [("quota", 1_500), ("rate", 600)] {
+        assert!(matches!(
+            submit(&run_request(shots, 3).with_client(client)),
+            Submission::Immediate(Response::Busy { .. })
+        ));
+    }
+    // Three jobs fill the queue; the fourth is turned away.
+    let _queued: Vec<Submission> = (10..13)
+        .map(|seed| submit(&run_request(10, seed)))
+        .collect();
+    assert!(matches!(
+        submit(&run_request(10, 13)),
+        Submission::Immediate(Response::Busy { .. })
+    ));
+    // A parse error, and a request line the front end could not decode.
+    assert!(matches!(
+        submit(&RunRequest::new("not qasm", 1, 1, "auto")),
+        Submission::Immediate(Response::Error { .. })
+    ));
+    JobBackend::note_error(&sched);
+
+    let stats = sched.stats();
+    let snapshot = registry.snapshot();
+    for ((field, value), (expected, name)) in stats.fields().into_iter().zip(COUNTERS) {
+        assert_eq!(field, expected, "wire order");
+        assert!(value > 0, "{field} was never exercised");
+        assert_eq!(snapshot.counter(name), Some(value), "{field} vs {name}");
+    }
 }
 
 #[test]

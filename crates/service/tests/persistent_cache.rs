@@ -4,8 +4,11 @@
 
 use circuit::circuit::Circuit;
 use circuit::qasm::to_qasm3;
-use engine::Counts;
-use service::{Request, Response, RunRequest, Service, ServiceConfig};
+use engine::{Counts, Engine};
+use service::{
+    DiskCacheConfig, Request, Response, RunRequest, Scheduler, SchedulerConfig, Service,
+    ServiceConfig, Submission,
+};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -123,6 +126,48 @@ fn corrupted_spill_files_degrade_to_a_recompute_not_a_crash() {
         "recompute diverged from the cold run"
     );
     second.shutdown();
+}
+
+#[test]
+fn evictions_by_disk_promotion_are_counted_without_a_completion() {
+    let dir = TempDir::new("promote");
+    let scheduler = |capacity: usize, metrics: Option<obs::Registry>| {
+        Scheduler::new(SchedulerConfig {
+            cache_capacity: capacity,
+            metrics,
+            disk: Some(DiskCacheConfig::new(&dir.0)),
+            ..SchedulerConfig::default()
+        })
+    };
+    let runs = [bell_run(100, 1), bell_run(100, 2)];
+    let first = scheduler(2, None);
+    let engine = Engine::sequential();
+    for run in &runs {
+        let Submission::Pending(rx) = first.submit(None, run) else {
+            panic!("a cold run waits for execution");
+        };
+        while first.stats().in_flight > 0 {
+            let task = first.next_slice().expect("work pending");
+            let counts = task.prepared.run_range(&engine, task.range.clone());
+            first.complete_slice(&task.key, counts);
+        }
+        assert!(matches!(rx.recv().unwrap(), Response::Ok { .. }));
+    }
+
+    // Restarted with room for one entry: the second disk hit's
+    // promotion evicts the first.
+    let registry = obs::Registry::default();
+    let second = scheduler(1, Some(registry.clone()));
+    for run in &runs {
+        assert!(matches!(
+            second.submit(None, run),
+            Submission::Immediate(Response::Ok { cached: true, .. })
+        ));
+    }
+    let stats = second.stats();
+    assert_eq!(stats.completed, 0, "no job may have executed");
+    assert_eq!((stats.cache_entries, stats.cache_disk_entries), (1, 2));
+    assert_eq!(registry.snapshot().counter("cache.evictions"), Some(1));
 }
 
 #[test]

@@ -43,7 +43,7 @@ use crate::worker::{Dispatch, PoolConfig, WorkerPool};
 use engine::{merge_counts, partition_shots, Counts};
 use reactor::ReactorConfig;
 use service::cache::{CacheKey, DiskCacheConfig, ResultCache};
-use service::frontend::{ok_response, Waiter};
+use service::frontend::{busy, ok_response, ServiceCounters, Waiter};
 use service::{
     admit, Frontend, FrontendHandle, JobBackend, Request, Responder, Response, RunRequest,
     ServiceStats, WorkerRow, MAX_LINE_BYTES,
@@ -91,14 +91,16 @@ pub struct CoordinatorConfig {
     /// can keep their workers; the `compas-serve --coordinator` binary
     /// turns it on.
     pub propagate_shutdown: bool,
-    /// Observability registry. When set, the coordinator times its own
-    /// stages (`stage.parse`, `stage.merge`, and the front end's
-    /// `stage.encode`), the worker pool times
+    /// Observability registry. When set, the coordinator exports its
+    /// `stats` counters (`shard.sched.*`, `shard.cache.{hits,misses}`)
+    /// and times its own stages (`stage.parse`, `stage.merge`, and the
+    /// front end's `stage.encode`), the worker pool times
     /// dispatch round trips (`shard.dispatch`,
     /// `shard.worker.<addr>.dispatch`, `shard.redispatches`), the
     /// reactor publishes its connection gauges, and the wire `metrics`
     /// op answers with the coordinator's snapshot merged with a fresh
     /// snapshot from every live worker — the topology-wide view.
+    /// Without one, the counters and timers are kept but not exported.
     pub metrics: Option<obs::Registry>,
 }
 
@@ -127,7 +129,6 @@ impl Default for CoordinatorConfig {
 struct Inner {
     jobs: HashMap<CacheKey, Vec<Waiter>>,
     cache: ResultCache,
-    stats: ServiceStats,
 }
 
 /// The shard coordinator: a [`JobBackend`] that scatters each admitted
@@ -138,6 +139,12 @@ pub struct Coordinator {
     pool: WorkerPool,
     inner: Mutex<Inner>,
     stopping: AtomicBool,
+    /// The `stats` counters, under the `shard.` prefix so the
+    /// topology-wide `metrics` merge keeps them apart from the
+    /// workers' own.
+    counters: ServiceCounters,
+    parse: obs::Histo,
+    merge: obs::Histo,
 }
 
 /// Owner of a running coordinator's threads.
@@ -193,15 +200,19 @@ impl Coordinator {
             ),
             None => ResultCache::new(config.cache_capacity),
         };
+        let registry = config.metrics.as_ref();
+        let histo = |name: &str| registry.map_or_else(obs::Histo::new, |r| r.histo(name));
         Coordinator {
             inner: Mutex::new(Inner {
                 jobs: HashMap::new(),
                 cache,
-                stats: ServiceStats::default(),
             }),
             pool,
-            config,
             stopping: AtomicBool::new(false),
+            counters: ServiceCounters::new(registry, "shard."),
+            parse: histo("stage.parse"),
+            merge: histo("stage.merge"),
+            config,
         }
     }
 
@@ -254,17 +265,13 @@ impl Coordinator {
                 .map_err(|e| e.to_string())
                 .map(|()| a)
         });
-        if let Some(registry) = &self.config.metrics {
-            registry
-                .histo("stage.parse")
-                .record_duration(parse_started.elapsed());
-        }
+        self.parse.record_duration(parse_started.elapsed());
+        let counters = &self.counters;
+        counters.received.inc();
         let admitted = match admitted {
             Ok(admitted) => admitted,
             Err(error) => {
-                let mut inner = self.lock();
-                inner.stats.received += 1;
-                inner.stats.errors += 1;
+                counters.errors.inc();
                 return Some(Response::Error { id, error });
             }
         };
@@ -279,9 +286,8 @@ impl Coordinator {
         let key = admitted.key;
 
         let mut inner = self.lock();
-        inner.stats.received += 1;
         if let Some(tallies) = inner.cache.get(&key) {
-            inner.stats.cache_hits += 1;
+            counters.cache_hits.inc();
             return Some(ok_response(id, &key, tallies, true, false));
         }
         if let Some(waiters) = inner.jobs.get_mut(&key) {
@@ -290,38 +296,32 @@ impl Coordinator {
                 id,
                 coalesced: true,
             });
-            inner.stats.coalesced += 1;
+            counters.coalesced.inc();
             return None;
         }
         if self.stopping.load(Ordering::SeqCst) {
-            inner.stats.errors += 1;
+            counters.errors.inc();
             return Some(Response::Error {
                 id,
                 error: "coordinator is shutting down".to_string(),
             });
         }
         if self.pool.live() == 0 {
-            inner.stats.errors += 1;
+            counters.errors.inc();
             return Some(Response::Error {
                 id,
                 error: "no live workers".to_string(),
             });
         }
         if inner.jobs.len() >= self.config.queue_capacity || !self.pool.has_capacity() {
-            inner.stats.rejected_busy += 1;
-            let in_flight = (inner.jobs.len() as u64).max(1);
-            return Some(Response::Busy {
-                id,
-                in_flight,
-                retry_after_ms: 25 * in_flight,
-            });
+            counters.rejected_busy.inc();
+            return Some(busy(id, (inner.jobs.len() as u64).max(1)));
         }
+        counters.cache_misses.inc();
         if key.shots == 0 {
-            inner.stats.cache_misses += 1;
-            inner.stats.completed += 1;
+            counters.completed.inc();
             return Some(ok_response(id, &key, Counts::new(), false, false));
         }
-        inner.stats.cache_misses += 1;
         inner.jobs.insert(
             key.clone(),
             vec![Waiter {
@@ -364,11 +364,7 @@ impl Coordinator {
         for result in results {
             merge_counts(&mut merged, result?);
         }
-        if let Some(registry) = &self.config.metrics {
-            registry
-                .histo("stage.merge")
-                .record_duration(merge_started.elapsed());
-        }
+        self.merge.record_duration(merge_started.elapsed());
         Ok(merged)
     }
 
@@ -443,9 +439,9 @@ impl Coordinator {
         match &result {
             Ok(counts) => {
                 inner.cache.insert(key.clone(), counts.clone());
-                inner.stats.completed += 1;
+                self.counters.completed.inc();
             }
-            Err(_) => inner.stats.errors += 1,
+            Err(_) => self.counters.errors.inc(),
         }
         drop(inner);
         Waiter::answer_all(waiters, key, &result);
@@ -466,18 +462,18 @@ impl JobBackend for Coordinator {
     }
 
     fn note_error(&self) {
-        let mut inner = self.lock();
-        inner.stats.received += 1;
-        inner.stats.errors += 1;
+        self.counters.received.inc();
+        self.counters.errors.inc();
     }
 
     fn stats(&self) -> ServiceStats {
         let inner = self.lock();
-        let mut stats = inner.stats;
-        stats.in_flight = inner.jobs.len() as u64;
-        stats.cache_entries = inner.cache.len() as u64;
-        stats.cache_disk_entries = inner.cache.disk_len() as u64;
-        stats
+        ServiceStats {
+            in_flight: inner.jobs.len() as u64,
+            cache_entries: inner.cache.len() as u64,
+            cache_disk_entries: inner.cache.disk_len() as u64,
+            ..self.counters.stats()
+        }
     }
 
     fn worker_rows(&self) -> Vec<WorkerRow> {

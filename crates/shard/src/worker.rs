@@ -38,10 +38,11 @@ pub struct PoolConfig {
     /// Most concurrently dispatched ranges per worker; dispatch picks
     /// the least-loaded live worker below this bound.
     pub max_inflight: usize,
-    /// Observability registry. When set, every dispatch round trip is
-    /// timed into the `shard.dispatch` histogram (and a per-worker
+    /// Observability registry. Every dispatch round trip is timed into
+    /// the `shard.dispatch` histogram (and a per-worker
     /// `shard.worker.<addr>.dispatch` twin), and lost ranges bump the
-    /// `shard.redispatches` counter.
+    /// `shard.redispatches` counter; without a registry they are kept
+    /// but not exported.
     pub metrics: Option<obs::Registry>,
 }
 
@@ -63,6 +64,8 @@ struct WorkerState {
     inflight: usize,
     jobs: u64,
     redispatched: u64,
+    /// This worker's `shard.worker.<addr>.dispatch` histogram.
+    dispatch_time: obs::Histo,
 }
 
 /// How one dispatch ended.
@@ -83,27 +86,36 @@ pub enum Dispatch {
 pub struct WorkerPool {
     config: PoolConfig,
     workers: Mutex<Vec<WorkerState>>,
+    /// `shard.dispatch`: every dispatch round trip.
+    dispatch_time: obs::Histo,
+    /// `shard.redispatches`: ranges lost to a failed dispatch.
+    redispatches: obs::Counter,
 }
 
 impl WorkerPool {
     /// A pool over `addrs`; every worker starts dead until its first
     /// successful probe.
     pub fn new(addrs: Vec<String>, config: PoolConfig) -> WorkerPool {
+        let registry = config.metrics.as_ref();
+        let histo = |name: &str| registry.map_or_else(obs::Histo::new, |r| r.histo(name));
+        let workers = addrs
+            .into_iter()
+            .map(|addr| WorkerState {
+                dispatch_time: histo(&format!("shard.worker.{addr}.dispatch")),
+                addr,
+                alive: false,
+                last_ok: None,
+                inflight: 0,
+                jobs: 0,
+                redispatched: 0,
+            })
+            .collect();
         WorkerPool {
+            dispatch_time: histo("shard.dispatch"),
+            redispatches: registry
+                .map_or_else(obs::Counter::new, |r| r.counter("shard.redispatches")),
+            workers: Mutex::new(workers),
             config,
-            workers: Mutex::new(
-                addrs
-                    .into_iter()
-                    .map(|addr| WorkerState {
-                        addr,
-                        alive: false,
-                        last_ok: None,
-                        inflight: 0,
-                        jobs: 0,
-                        redispatched: 0,
-                    })
-                    .collect(),
-            ),
         }
     }
 
@@ -211,9 +223,7 @@ impl WorkerPool {
         workers[idx].redispatched += 1;
         workers[idx].alive = false;
         drop(workers);
-        if let Some(registry) = &self.config.metrics {
-            registry.counter("shard.redispatches").inc();
-        }
+        self.redispatches.inc();
     }
 
     /// Sends one ranged `run` request to worker `idx` and waits for its
@@ -224,22 +234,20 @@ impl WorkerPool {
     /// `io_timeout` regardless — a hung worker costs one timeout, not
     /// a stuck coordinator.
     pub fn dispatch(&self, idx: usize, request: &Request) -> Dispatch {
+        let (addr, worker_time) = {
+            let worker = &self.lock()[idx];
+            (worker.addr.clone(), worker.dispatch_time.clone())
+        };
         let started = Instant::now();
-        let outcome = self.dispatch_inner(idx, request);
-        if let Some(registry) = &self.config.metrics {
-            let elapsed = started.elapsed();
-            registry.histo("shard.dispatch").record_duration(elapsed);
-            let addr = self.lock()[idx].addr.clone();
-            registry
-                .histo(&format!("shard.worker.{addr}.dispatch"))
-                .record_duration(elapsed);
-        }
+        let outcome = self.dispatch_inner(idx, &addr, request);
+        let elapsed = started.elapsed();
+        self.dispatch_time.record_duration(elapsed);
+        worker_time.record_duration(elapsed);
         outcome
     }
 
-    fn dispatch_inner(&self, idx: usize, request: &Request) -> Dispatch {
-        let addr = self.lock()[idx].addr.clone();
-        let Some(stream) = connect(&addr, self.config.probe_timeout) else {
+    fn dispatch_inner(&self, idx: usize, addr: &str, request: &Request) -> Dispatch {
+        let Some(stream) = connect(addr, self.config.probe_timeout) else {
             return Dispatch::Failed(format!("worker {addr}: connect failed"));
         };
         let _ = stream.set_write_timeout(Some(self.config.io_timeout));

@@ -2,7 +2,8 @@
 //! answers with its own registry merged with a fresh snapshot from
 //! every live worker, so one round trip yields per-stage histograms
 //! covering the whole topology — including stages (like
-//! `stage.execute`) that only ever run on workers.
+//! `stage.execute`) that only ever run on workers. The coordinator's
+//! `stats` counters are its `shard.`-prefixed registry counters.
 
 use circuit::circuit::Circuit;
 use circuit::qasm::to_qasm3;
@@ -136,4 +137,98 @@ fn coordinator_metrics_merge_worker_snapshots_topology_wide() {
     for worker in workers {
         worker.shutdown();
     }
+}
+
+/// Each counter field of `ServiceStats`, in wire order, with the
+/// coordinator's registry counter it reads.
+const COUNTERS: [(&str, &str); 9] = [
+    ("received", "shard.sched.received"),
+    ("completed", "shard.sched.completed"),
+    ("cache_hits", "shard.cache.hits"),
+    ("cache_misses", "shard.cache.misses"),
+    ("coalesced", "shard.sched.coalesced"),
+    ("rejected_busy", "shard.sched.rejected_busy"),
+    ("rejected_quota", "shard.sched.rejected_quota"),
+    ("rejected_rate", "shard.sched.rejected_rate"),
+    ("errors", "shard.sched.errors"),
+];
+
+/// Sends one raw line and returns the decoded reply.
+fn send_line(addr: SocketAddr, line: &str) -> Response {
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    (&stream).write_all(line.as_bytes()).expect("send");
+    let mut reply = String::new();
+    assert!(reader.read_line(&mut reply).expect("recv") > 0);
+    Response::from_line(&reply).unwrap_or_else(|e| panic!("{e}: {reply}"))
+}
+
+#[test]
+fn coordinator_stats_counters_are_its_registry_counters() {
+    let worker = Service::spawn(ServiceConfig::default()).expect("spawn worker");
+    let spawn = |queue_capacity: usize| {
+        let registry = obs::Registry::default();
+        let handle = Coordinator::spawn(CoordinatorConfig {
+            workers: vec![worker.addr().to_string()],
+            queue_capacity,
+            metrics: Some(registry.clone()),
+            ..CoordinatorConfig::default()
+        })
+        .expect("spawn coordinator");
+        (handle, registry)
+    };
+    let run = |shots: u64| Request::run(None, RunRequest::new(bell_qasm(), shots, 5, "auto"));
+    let (coord, registry) = spawn(32);
+    assert!(matches!(
+        request_once(coord.addr(), &run(200)),
+        Response::Ok { cached: false, .. }
+    ));
+    assert!(matches!(
+        request_once(coord.addr(), &run(200)),
+        Response::Ok { cached: true, .. }
+    ));
+    assert!(matches!(
+        request_once(coord.addr(), &run(0)),
+        Response::Ok { shots: 0, .. }
+    ));
+    let bad = Request::run(None, RunRequest::new("not qasm", 10, 1, "auto"));
+    assert!(matches!(
+        request_once(coord.addr(), &bad),
+        Response::Error { .. }
+    ));
+    assert!(matches!(
+        send_line(coord.addr(), "not json\n"),
+        Response::Error { .. }
+    ));
+    let (full, full_registry) = spawn(0);
+    assert!(matches!(
+        request_once(full.addr(), &run(200)),
+        Response::Busy { .. }
+    ));
+
+    for (handle, registry, reachable) in [
+        (
+            &coord,
+            &registry,
+            &[
+                "received",
+                "completed",
+                "cache_hits",
+                "cache_misses",
+                "errors",
+            ][..],
+        ),
+        (&full, &full_registry, &["received", "rejected_busy"][..]),
+    ] {
+        let snapshot = registry.snapshot();
+        for ((field, value), (expected, name)) in handle.stats().fields().into_iter().zip(COUNTERS)
+        {
+            assert_eq!(field, expected, "wire order");
+            assert_eq!(reachable.contains(&field), value > 0, "{field} = {value}");
+            assert_eq!(snapshot.counter(name), Some(value), "{field} vs {name}");
+        }
+    }
+    coord.shutdown();
+    full.shutdown();
+    worker.shutdown();
 }
