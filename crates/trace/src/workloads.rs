@@ -18,8 +18,11 @@
 //! | `cooling` | §5 app: one dissipative cooling round | statevector |
 //! | `spectroscopy` | §5 app: Hadamard-test phase spectroscopy | statevector |
 //! | `renyi` | §5 app: Rényi-2 entropy via the k=2 SWAP test | statevector |
+//! | `ghz12_sv` | `serve-sharded`'s noisy GHZ-12, every qubit measured | statevector |
+//! | `zz14_sv` | `lib-wide-sv`'s two-layer ZZ shape at 14 qubits | statevector |
 
 use circuit::circuit::{Circuit, Instruction};
+use circuit::noise::NoiseModel;
 use compas::cswap::local_cswap_block;
 use compas::prelude::{fanout_gadget, monolithic_ghz, MonolithicSwapTest, MonolithicVariant};
 use engine::Backend;
@@ -235,8 +238,49 @@ fn renyi() -> Circuit {
     c
 }
 
+/// The benchmark's `serve-sharded` circuit: a 12-qubit GHZ chain under
+/// the standard noise model at `p = 0.002`, every qubit measured. A
+/// sparse state whose measurements see long live runs (the first one
+/// sums 2 048 amplitudes), so it pins the statevector's slice path for
+/// measurement and collapse.
+fn ghz12_sv() -> Circuit {
+    let mut prep = Circuit::new(12, 12);
+    prep.h(0);
+    for q in 1..12 {
+        prep.cx(q - 1, q);
+    }
+    let mut noisy = NoiseModel::standard(0.002).apply(&prep);
+    for q in 0..12 {
+        noisy.measure(q, q);
+    }
+    noisy
+}
+
+/// The benchmark's `lib-wide-sv` shape at 14 qubits, without its
+/// angle jitter: two layers of an `rx` mixer and a `cx·rz·cx` chain,
+/// every qubit measured. A dense state, so no measurement sum skips a
+/// chunk.
+fn zz14_sv() -> Circuit {
+    let n = 14;
+    let mut c = Circuit::new(n, n);
+    for layer in 0..2 {
+        for q in 0..n {
+            c.rx(q, 0.3 + 0.05 * (q + layer) as f64);
+        }
+        for q in 0..n - 1 {
+            c.cx(q, q + 1);
+            c.rz(q + 1, 0.4 + 0.03 * q as f64);
+            c.cx(q, q + 1);
+        }
+    }
+    for q in 0..n {
+        c.measure(q, q);
+    }
+    c
+}
+
 /// The registry. Order is presentation order (paper artifacts first,
-/// then the §5 applications); lookups go through [`find`].
+/// then the §5 applications, then the benchmark's statevector shapes); lookups go through [`find`].
 pub const WORKLOADS: &[Workload] = &[
     Workload {
         name: "table4",
@@ -309,6 +353,22 @@ pub const WORKLOADS: &[Workload] = &[
         shots: 256,
         root_seed: 0xC0_45,
         build: renyi,
+    },
+    Workload {
+        name: "ghz12_sv",
+        description: "noisy GHZ-12, all qubits measured (statevector)",
+        backend: Backend::StateVector,
+        shots: 256,
+        root_seed: 0xC0_45,
+        build: ghz12_sv,
+    },
+    Workload {
+        name: "zz14_sv",
+        description: "two-layer ZZ circuit on 14 qubits, all measured (statevector)",
+        backend: Backend::StateVector,
+        shots: 256,
+        root_seed: 0xC0_45,
+        build: zz14_sv,
     },
 ];
 
