@@ -8,6 +8,15 @@
 //! its live workers, dispatches the sub-ranges as `shot_range`
 //! requests, and merges the returned tallies (`engine::merge_counts`).
 //!
+//! ## No thread and no socket per request
+//!
+//! The coordinator starts no thread of its own per job. Admission
+//! hands the parts to the [`WorkerPool`]'s persistent data links
+//! (one thread and one kept connection each, opened on first use) and
+//! returns; the link that lands the last part merges and answers every
+//! waiter. A warm sharded request therefore starts no thread and opens
+//! no connection: `shard.connects` stays flat.
+//!
 //! ## Why failure handling is trivial
 //!
 //! Shot `i`'s RNG stream is a pure function of `(root_seed, i)` — not
@@ -21,15 +30,17 @@
 //!
 //! ## Robustness layers
 //!
-//! * **Heartbeats** — a background thread `stats`-probes every worker
-//!   each `heartbeat_interval`; a worker that stops answering is
-//!   marked dead, skipped by dispatch, and revived by a later
-//!   successful probe. On shutdown the same thread forwards the
-//!   `shutdown` to the workers (`propagate_shutdown`), never the
-//!   reactor thread.
+//! * **Heartbeats** — the pool's heartbeat thread `stats`-probes every
+//!   worker each `heartbeat_interval` over its control link, apart from
+//!   the data links, so a worker busy with a long range still answers;
+//!   a worker that stops answering is marked dead, skipped by dispatch,
+//!   and revived by a later successful probe. On shutdown the same
+//!   thread forwards the `shutdown` to the workers
+//!   (`propagate_shutdown`), never the reactor thread.
 //! * **Re-dispatch** — a range whose dispatch fails (dead worker, I/O
-//!   timeout, error response) moves to the next live worker, bounded
-//!   by `redispatch_limit` attempts.
+//!   timeout, error response, a reply that does not answer the range
+//!   sent) moves to the next live worker, bounded by
+//!   `redispatch_limit` attempts.
 //! * **Backpressure** — admission rejects with `busy` when the job
 //!   table is full or every live worker is at its in-flight bound;
 //!   `busy` answers *from workers* are waited out with the worker's
@@ -39,7 +50,7 @@
 //! ([`service::cache`], [`service::admit`]), so identical concurrent
 //! jobs scatter once and repeats are served from coordinator memory.
 
-use crate::worker::{Dispatch, PoolConfig, WorkerPool};
+use crate::worker::{Outcomes, PoolConfig, WorkerPool};
 use engine::{merge_counts, partition_shots, Counts};
 use reactor::ReactorConfig;
 use service::cache::{CacheKey, DiskCacheConfig, ResultCache};
@@ -48,9 +59,8 @@ use service::{
     admit, Frontend, FrontendHandle, JobBackend, Request, Responder, Response, RunRequest,
     ServiceStats, WorkerRow, MAX_LINE_BYTES,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::net::TcpListener;
-use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -80,7 +90,8 @@ pub struct CoordinatorConfig {
     pub heartbeat_interval: Duration,
     /// Most failed dispatch attempts per range before the job errors.
     pub redispatch_limit: usize,
-    /// Most concurrently dispatched ranges per worker.
+    /// Most concurrently dispatched ranges per worker, and so most
+    /// persistent data connections to it.
     pub max_inflight_per_worker: usize,
     /// Close client connections idle longer than this.
     pub idle_timeout: Duration,
@@ -96,7 +107,8 @@ pub struct CoordinatorConfig {
     /// and times its own stages (`stage.parse`, `stage.merge`, and the
     /// front end's `stage.encode`), the worker pool times
     /// dispatch round trips (`shard.dispatch`,
-    /// `shard.worker.<addr>.dispatch`, `shard.redispatches`), the
+    /// `shard.worker.<addr>.dispatch`, `shard.redispatches`) and counts
+    /// its connects (`shard.connects`), the
     /// reactor publishes its connection gauges, and the wire `metrics`
     /// op answers with the coordinator's snapshot merged with a fresh
     /// snapshot from every live worker — the topology-wide view.
@@ -152,12 +164,13 @@ pub type CoordinatorHandle = FrontendHandle<Coordinator>;
 
 impl Coordinator {
     /// Binds `config.addr`, probes the workers once so the live set is
-    /// warm, starts the heartbeat thread, and serves the coordinator
-    /// through [`Frontend::spawn`].
+    /// warm, starts the pool's heartbeat thread, and serves the
+    /// coordinator through [`Frontend::spawn`].
     ///
     /// # Errors
     ///
-    /// Propagates socket errors (bind/local_addr).
+    /// Propagates socket errors (bind/local_addr) and a failed
+    /// heartbeat thread spawn.
     pub fn spawn(config: CoordinatorConfig) -> std::io::Result<CoordinatorHandle> {
         let listener = TcpListener::bind(&config.addr)?;
         let reactor = ReactorConfig {
@@ -169,13 +182,10 @@ impl Coordinator {
         };
         let coordinator = Arc::new(Coordinator::new(config));
         coordinator.pool.probe_all();
-        let heartbeat = {
-            let coordinator = coordinator.clone();
-            std::thread::Builder::new()
-                .name("shard-heartbeat".to_string())
-                .spawn(move || coordinator.heartbeat())
-                .expect("spawn heartbeat")
-        };
+        let heartbeat = coordinator.pool.spawn_heartbeat(
+            coordinator.config.heartbeat_interval,
+            coordinator.config.propagate_shutdown,
+        )?;
         Frontend::spawn(listener, reactor, coordinator, vec![heartbeat])
     }
 
@@ -213,29 +223,6 @@ impl Coordinator {
             parse: histo("stage.parse"),
             merge: histo("stage.merge"),
             config,
-        }
-    }
-
-    /// The heartbeat thread: probes every worker each
-    /// `heartbeat_interval` until shutdown, then forwards the shutdown
-    /// to the workers when `propagate_shutdown` is set. Forwarding here
-    /// keeps worker round trips off the reactor thread that received
-    /// the `shutdown`; `join` and `shutdown` wait for this thread, so
-    /// the teardown stays one-shot.
-    fn heartbeat(&self) {
-        while !self.stopping.load(Ordering::SeqCst) {
-            self.pool.probe_all();
-            // Sleep in short slices so shutdown is prompt even under
-            // long heartbeat intervals.
-            let mut remaining = self.config.heartbeat_interval;
-            while !remaining.is_zero() && !self.stopping.load(Ordering::SeqCst) {
-                let step = remaining.min(Duration::from_millis(50));
-                std::thread::sleep(step);
-                remaining -= step;
-            }
-        }
-        if self.config.propagate_shutdown {
-            self.pool.shutdown_all();
         }
     }
 
@@ -332,98 +319,40 @@ impl Coordinator {
         );
         drop(inner);
 
-        // Scatter-gather runs on its own thread; every waiter's
-        // responder fires from `complete` when the merge lands.
+        // The parts go to the pool's data links and this call returns;
+        // the link that lands the last part runs the merge and
+        // `complete`, which answers every waiter.
+        let parts = partition_shots(key.range(), self.pool.live().max(1))
+            .into_iter()
+            .map(|range| {
+                let request = Request::run(
+                    None,
+                    RunRequest::new(canonical.as_str(), 0, key.root_seed, key.backend)
+                        .with_shot_range(range.start, range.end),
+                );
+                (range, request.to_line())
+            })
+            .collect();
         let coordinator = self.clone();
-        let qasm = canonical;
-        let _ = std::thread::Builder::new()
-            .name("shard-job".to_string())
-            .spawn(move || {
-                let result = coordinator.scatter_gather(&key, &qasm);
+        self.pool
+            .scatter(parts, self.config.redispatch_limit, move |outcomes| {
+                let result = coordinator.merge(outcomes);
                 coordinator.complete(&key, result);
             });
         None
     }
 
-    /// Partitions the job's global range over the live workers, runs
-    /// every sub-range (re-dispatching on failure), and merges.
-    fn scatter_gather(&self, key: &CacheKey, qasm: &str) -> Result<Counts, String> {
-        let parts = partition_shots(key.range(), self.pool.live().max(1));
-        let results: Vec<Result<Counts, String>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = parts
-                .iter()
-                .map(|range| scope.spawn(move || self.run_range(key, qasm, range.clone())))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("range thread"))
-                .collect()
-        });
+    /// Merges the parts' tallies, in part order; the first failed part
+    /// fails the job. `merge_counts` is commutative, so which link
+    /// landed first cannot change the result.
+    fn merge(&self, outcomes: Outcomes) -> Result<Counts, String> {
         let merge_started = std::time::Instant::now();
         let mut merged = Counts::new();
-        for result in results {
-            merge_counts(&mut merged, result?);
+        for outcome in outcomes {
+            merge_counts(&mut merged, outcome?);
         }
         self.merge.record_duration(merge_started.elapsed());
         Ok(merged)
-    }
-
-    /// Executes one sub-range to completion: dispatch, wait out `busy`
-    /// hints, and re-dispatch to a survivor on failure. Determinism
-    /// makes the retry free — any worker, any attempt, same tallies.
-    fn run_range(&self, key: &CacheKey, qasm: &str, range: Range<u64>) -> Result<Counts, String> {
-        let request = Request::run(
-            None,
-            RunRequest::new(qasm, 0, key.root_seed, key.backend)
-                .with_shot_range(range.start, range.end),
-        );
-        let mut failed: HashSet<usize> = HashSet::new();
-        let mut redispatches = 0usize;
-        let mut last_error = String::new();
-        while redispatches <= self.config.redispatch_limit {
-            if self.stopping.load(Ordering::SeqCst) {
-                return Err("coordinator is shutting down".to_string());
-            }
-            let Some(idx) = self.pool.acquire(&failed) else {
-                // Nothing usable right now. If a non-excluded worker
-                // exists it may just be saturated — yield and retry;
-                // otherwise the range is truly stranded.
-                if self.pool.live() == 0 || failed.len() >= self.pool.len() {
-                    return Err(format!(
-                        "shot range [{}, {}) has no live worker left{}",
-                        range.start,
-                        range.end,
-                        if last_error.is_empty() {
-                            String::new()
-                        } else {
-                            format!(" (last failure: {last_error})")
-                        }
-                    ));
-                }
-                std::thread::sleep(Duration::from_millis(10));
-                continue;
-            };
-            let outcome = self.pool.dispatch(idx, &request);
-            self.pool.release(idx);
-            match outcome {
-                Dispatch::Ok(counts) => return Ok(counts),
-                Dispatch::Busy { retry_after_ms } => {
-                    // The worker is healthy, just saturated: honor its
-                    // hint (capped) and try again without penalty.
-                    std::thread::sleep(Duration::from_millis(retry_after_ms.clamp(1, 200)));
-                }
-                Dispatch::Failed(error) => {
-                    self.pool.note_redispatch(idx);
-                    failed.insert(idx);
-                    redispatches += 1;
-                    last_error = error;
-                }
-            }
-        }
-        Err(format!(
-            "shot range [{}, {}) failed after {} dispatch attempts (last failure: {last_error})",
-            range.start, range.end, redispatches
-        ))
     }
 
     /// Lands a finished job: cache, then respond to every waiter once
@@ -502,6 +431,7 @@ impl JobBackend for Coordinator {
         // Dropping the waiters fires their responders' abandoned path:
         // each pending client gets an error response.
         self.lock().jobs.clear();
+        self.pool.close();
     }
 }
 
@@ -512,19 +442,16 @@ mod tests {
 
     #[test]
     fn waiters_are_answered_outside_the_coordinator_lock() {
-        // The responder asks another thread for `stats()`: if the reply
-        // were sent under the coordinator lock, that read would wait
-        // for the responder itself.
+        // The responder tries the coordinator lock: if the reply were
+        // sent under it, a `stats()` read would wait for the responder
+        // itself.
         let coordinator = Arc::new(Coordinator::new(CoordinatorConfig::default()));
         let run = RunRequest::new("OPENQASM 3.0;\nqubit[1] q;\nh q[0];\n", 10, 1, "auto");
         let key = admit(&run).expect("admits").key;
         let (answered_tx, answered) = mpsc::channel();
         let helper = coordinator.clone();
         let responder = Responder::Callback(Box::new(move |_response| {
-            let (tx, rx) = mpsc::channel();
-            let reader = std::thread::spawn(move || tx.send(JobBackend::stats(&*helper)).unwrap());
-            let took = rx.recv_timeout(Duration::from_secs(1));
-            answered_tx.send((took.is_ok(), reader)).unwrap();
+            answered_tx.send(helper.inner.try_lock().is_ok()).unwrap();
         }));
         coordinator.lock().jobs.insert(
             key.clone(),
@@ -535,8 +462,9 @@ mod tests {
             }],
         );
         coordinator.complete(&key, Ok(Counts::new()));
-        let (in_time, reader) = answered.recv().unwrap();
-        reader.join().unwrap();
-        assert!(in_time, "stats() waited on the reply");
+        assert!(
+            answered.recv().unwrap(),
+            "the reply was sent under the lock"
+        );
     }
 }

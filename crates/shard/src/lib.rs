@@ -40,9 +40,10 @@
 //!   end a single-machine server runs, so this crate hosts no server
 //!   of its own.
 //! * [`worker`] — the coordinator's socket layer toward its workers:
-//!   heartbeat probes via the `stats` op, ranged dispatch with
-//!   abort-on-death polling, the forwarded `shutdown`, per-worker
-//!   health/counter rows.
+//!   persistent links (data links carrying one ranged dispatch at a
+//!   time, with abort-on-death polling and re-dispatch; a control link
+//!   per worker for the `stats` heartbeat, the `metrics` gather and the
+//!   forwarded `shutdown`), per-worker health/counter rows.
 //!
 //! The `compas-serve` binary (this crate) runs all three roles:
 //! standalone (default), `--worker` (a plain server, named for the
@@ -53,4 +54,4 @@ pub mod coordinator;
 pub mod worker;
 
 pub use coordinator::{Coordinator, CoordinatorConfig, CoordinatorHandle};
-pub use worker::{Dispatch, PoolConfig, WorkerPool};
+pub use worker::{Outcomes, PoolConfig, WorkerPool};

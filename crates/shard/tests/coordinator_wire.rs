@@ -246,3 +246,85 @@ fn wire_shutdown_answers_at_once_and_the_heartbeat_forwards_it() {
         }
     }
 }
+
+/// A worker stand-in that answers `stats` like a healthy worker but
+/// replies to every `run` with a one-shot `ok`, whatever range it was
+/// sent.
+fn short_changing_worker() -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind stub");
+    let addr = listener.local_addr().expect("stub addr").to_string();
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(stream) = stream else { break };
+            std::thread::spawn(move || {
+                let mut writer = stream.try_clone().expect("clone");
+                for line in BufReader::new(stream).lines() {
+                    let Ok(line) = line else { break };
+                    let Ok(request) = Request::from_line(&line) else {
+                        break;
+                    };
+                    let reply = match request.op {
+                        Op::Stats => Response::Stats {
+                            id: request.id,
+                            stats: Default::default(),
+                            workers: Vec::new(),
+                            clients: Vec::new(),
+                        },
+                        Op::Run(_) => Response::Ok {
+                            id: request.id,
+                            backend: "statevector".to_string(),
+                            shots: 1,
+                            cached: false,
+                            coalesced: false,
+                            tallies: [(0, 1)].into_iter().collect(),
+                        },
+                        _ => break,
+                    };
+                    if writer.write_all(reply.to_line().as_bytes()).is_err() {
+                        break;
+                    }
+                }
+            });
+        }
+    });
+    addr
+}
+
+#[test]
+fn a_reply_for_the_wrong_shot_count_is_redispatched() {
+    // The coordinator merges only a reply that answers the range it
+    // sent: `shots` equal to the range length, tallies summing to it.
+    let healthy = Service::spawn(ServiceConfig::default()).expect("spawn worker");
+    let stub = short_changing_worker();
+    let coord = Coordinator::spawn(CoordinatorConfig {
+        workers: vec![healthy.addr().to_string(), stub.clone()],
+        ..CoordinatorConfig::default()
+    })
+    .expect("spawn coordinator");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !coord.worker_rows().iter().all(|r| r.alive) {
+        assert!(Instant::now() < deadline, "{:?}", coord.worker_rows());
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let request = Request::run(None, bell_run(500, 3));
+    let reference = Client::connect(healthy.addr()).round_trip(&request);
+    let Response::Ok {
+        tallies: expected, ..
+    } = reference
+    else {
+        panic!("reference run failed: {reference:?}");
+    };
+    let served = Client::connect(coord.addr()).round_trip(&request);
+    match served {
+        Response::Ok { shots, tallies, .. } => {
+            assert_eq!(shots, 500);
+            assert_eq!(tallies, expected, "a short-changed part was merged");
+        }
+        other => panic!("expected ok, got {other:?}"),
+    }
+    let rows = coord.worker_rows();
+    let stub_row = rows.iter().find(|r| r.addr == stub).expect("stub row");
+    assert!(stub_row.redispatched >= 1, "{rows:?}");
+    coord.shutdown();
+    healthy.shutdown();
+}

@@ -232,3 +232,37 @@ fn coordinator_stats_counters_are_its_registry_counters() {
     full.shutdown();
     worker.shutdown();
 }
+
+#[test]
+fn warm_links_serve_sharded_requests_without_connecting() {
+    // Every TCP connect the coordinator makes toward a worker bumps
+    // `shard.connects`. Once the heartbeat's control links and one
+    // data link per worker are open, requests reuse them.
+    let (workers, addrs) = spawn_instrumented_workers(2);
+    let registry = obs::Registry::default();
+    let coord = Coordinator::spawn(CoordinatorConfig {
+        workers: addrs,
+        metrics: Some(registry.clone()),
+        ..CoordinatorConfig::default()
+    })
+    .expect("spawn coordinator");
+    let run = |seed: u64| Request::run(None, RunRequest::new(bell_qasm(), 200, seed, "auto"));
+    assert!(matches!(
+        request_once(coord.addr(), &run(0)),
+        Response::Ok { cached: false, .. }
+    ));
+    let connects = || registry.snapshot().counter("shard.connects");
+    let warm = connects();
+    assert!(warm >= Some(4), "two control and two data links: {warm:?}");
+    for seed in 1..=100 {
+        assert!(matches!(
+            request_once(coord.addr(), &run(seed)),
+            Response::Ok { cached: false, .. }
+        ));
+    }
+    assert_eq!(connects(), warm, "a warm request connected");
+    coord.shutdown();
+    for worker in workers {
+        worker.shutdown();
+    }
+}

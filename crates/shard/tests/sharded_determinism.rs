@@ -442,3 +442,108 @@ fn coordinator_with_no_live_workers_answers_errors_not_hangs() {
     }
     coord.shutdown();
 }
+
+#[test]
+fn a_link_the_worker_closed_while_idle_is_reopened_quietly() {
+    // The worker closes connections idle for 100 ms. Heartbeats every
+    // 50 ms keep the control link busy, but the data link sits idle
+    // between the two requests and is closed under the coordinator.
+    // Reopening it is neither a death nor a re-dispatch.
+    let backend = Backend::from_env();
+    let worker = Service::spawn(ServiceConfig {
+        workers: 2,
+        idle_timeout: Duration::from_millis(100),
+        ..ServiceConfig::default()
+    })
+    .expect("spawn worker");
+    let registry = obs::Registry::default();
+    let coord = Coordinator::spawn(CoordinatorConfig {
+        workers: vec![worker.addr().to_string()],
+        heartbeat_interval: Duration::from_millis(50),
+        metrics: Some(registry.clone()),
+        ..CoordinatorConfig::default()
+    })
+    .expect("spawn coordinator");
+    await_all_alive(&coord, 1);
+    let circuit = bell();
+    let mut connects = Vec::new();
+    for seed in [31u64, 32] {
+        let response = request_once(
+            coord.addr(),
+            &Request::run(None, run_request(&circuit, 400, seed, backend)),
+        );
+        match (reference(&circuit, 400, seed, backend), response) {
+            (Some(expected), Response::Ok { tallies, .. }) => assert_eq!(tallies, expected),
+            (None, Response::Error { .. }) => {}
+            (expected, got) => panic!("reference {expected:?} but coordinator answered {got:?}"),
+        }
+        connects.push(registry.snapshot().counter("shard.connects"));
+        std::thread::sleep(Duration::from_millis(300));
+    }
+    let rows = coord.worker_rows();
+    assert_eq!(rows[0].redispatched, 0, "{rows:?}");
+    assert!(rows[0].alive, "{rows:?}");
+    if reference(&circuit, 400, 31, backend).is_some() {
+        assert!(
+            connects[1] > connects[0],
+            "the idle-closed data link was not reopened: {connects:?}"
+        );
+    }
+    coord.shutdown();
+    worker.shutdown();
+}
+
+#[test]
+fn a_busy_worker_is_not_a_dead_worker() {
+    // A worker with no execution workers holds its range, yet answers
+    // `stats` at once on the coordinator's control link: the heartbeat
+    // keeps it alive for the whole dispatch. Only the dispatch timeout
+    // takes its range away.
+    let backend = Backend::from_env();
+    let healthy = Service::spawn(ServiceConfig::default()).expect("spawn healthy worker");
+    let hung = Service::spawn(ServiceConfig {
+        workers: 0,
+        ..ServiceConfig::default()
+    })
+    .expect("spawn hung worker");
+    let hung_addr = hung.addr().to_string();
+    let coord = Coordinator::spawn(CoordinatorConfig {
+        workers: vec![healthy.addr().to_string(), hung_addr.clone()],
+        io_timeout: Duration::from_secs(3),
+        heartbeat_interval: Duration::from_millis(100),
+        ..CoordinatorConfig::default()
+    })
+    .expect("spawn coordinator");
+    await_all_alive(&coord, 2);
+    let circuit = bell();
+    let (shots, seed) = (1_000u64, 23u64);
+    let request = Request::run(None, run_request(&circuit, shots, seed, backend));
+    let coord_addr = coord.addr();
+    let client = std::thread::spawn(move || request_once(coord_addr, &request));
+    let hung_row = || {
+        coord
+            .worker_rows()
+            .into_iter()
+            .find(|r| r.addr == hung_addr)
+            .expect("hung worker row")
+    };
+    let expected = reference(&circuit, shots, seed, backend);
+    std::thread::sleep(Duration::from_secs(2));
+    if expected.is_some() {
+        let row = hung_row();
+        assert!(row.alive, "a busy worker was declared dead: {row:?}");
+        assert!(row.heartbeat_age_ms < 500, "heartbeat stalled: {row:?}");
+    }
+    let response = client.join().expect("client thread");
+    match (expected, response) {
+        (Some(expected), Response::Ok { tallies, .. }) => {
+            assert_eq!(tallies, expected);
+            assert!(hung_row().redispatched >= 1, "{:?}", hung_row());
+        }
+        (None, Response::Error { .. }) => {}
+        (expected, got) => panic!("reference {expected:?} but coordinator answered {got:?}"),
+    }
+    coord.shutdown();
+    healthy.shutdown();
+    hung.shutdown();
+}
