@@ -128,9 +128,9 @@ pub fn ghz_fidelity_exact(r: usize, p: f64) -> f64 {
         .partial_trace(1 << r, 1 << (total - r), TraceKeep::A);
     let ghz = ghz_statevector(r);
     reduced
-        .mul_vec(ghz.amplitudes())
+        .mul_vec(&ghz.amplitudes())
         .iter()
-        .zip(ghz.amplitudes())
+        .zip(&ghz.amplitudes())
         .map(|(a, b)| (b.conj() * *a).re)
         .sum()
 }

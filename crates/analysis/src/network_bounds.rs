@@ -53,7 +53,7 @@ pub fn remote_cnot_fidelity(phi: &[Complex], psi: &[Complex], p: f64) -> f64 {
         control: 0,
         target: 1,
     });
-    fidelity_with_pure(&reduced, want.amplitudes())
+    fidelity_with_pure(&reduced, &want.amplitudes())
 }
 
 /// Fidelity of the teleported Toffoli on `|a⟩|b⟩|c⟩` with a depolarized
@@ -81,7 +81,7 @@ pub fn remote_toffoli_fidelity(a: &[Complex], b: &[Complex], c: &[Complex], p: f
         control_b: 1,
         target: 2,
     });
-    fidelity_with_pure(&reduced, want.amplitudes())
+    fidelity_with_pure(&reduced, &want.amplitudes())
 }
 
 /// Fidelity of state teleportation of `|φ⟩` through a depolarized Bell
@@ -96,7 +96,7 @@ pub fn teledata_fidelity(phi: &[Complex], p: f64) -> f64 {
     let out = run_deferred(&circ, &initial);
     // Keep the destination (last qubit).
     let reduced = out.matrix().partial_trace(4, 2, TraceKeep::B);
-    fidelity_with_pure(&reduced, src.amplitudes())
+    fidelity_with_pure(&reduced, &src.amplitudes())
 }
 
 fn fidelity_with_pure(rho: &Matrix, psi: &[Complex]) -> f64 {

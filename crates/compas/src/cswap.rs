@@ -254,9 +254,9 @@ mod tests {
             let keep = 2 * n + 1;
             let reduced = rho.partial_trace(1 << keep, 1 << (total - keep), TraceKeep::A);
             let fid: f64 = reduced
-                .mul_vec(want.amplitudes())
+                .mul_vec(&want.amplitudes())
                 .iter()
-                .zip(want.amplitudes())
+                .zip(&want.amplitudes())
                 .map(|(a, b)| (b.conj() * *a).re)
                 .sum();
             assert!(
@@ -296,9 +296,9 @@ mod tests {
                 let reduced =
                     rho.partial_trace(1 << (2 * n + 1), 1 << (total - 2 * n - 1), TraceKeep::A);
                 let fid: f64 = reduced
-                    .mul_vec(want.amplitudes())
+                    .mul_vec(&want.amplitudes())
                     .iter()
-                    .zip(want.amplitudes())
+                    .zip(&want.amplitudes())
                     .map(|(a, b)| (b.conj() * *a).re)
                     .sum();
                 assert!((fid - 1.0).abs() < 1e-9, "n={n}: fidelity {fid}");

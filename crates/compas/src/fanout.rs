@@ -213,9 +213,9 @@ mod tests {
             let rho = out.state.to_density();
             let reduced = rho.partial_trace(1 << n_data, 1 << m, TraceKeep::A);
             let fid: f64 = reduced
-                .mul_vec(want.amplitudes())
+                .mul_vec(&want.amplitudes())
                 .iter()
-                .zip(want.amplitudes())
+                .zip(&want.amplitudes())
                 .map(|(a, b)| (b.conj() * *a).re)
                 .sum();
             assert!(

@@ -142,9 +142,9 @@ mod tests {
                 let rho = out.state.to_density();
                 let reduced = rho.partial_trace(1 << r, 1 << (circ.num_qubits() - r), TraceKeep::A);
                 let fid: f64 = reduced
-                    .mul_vec(ghz.amplitudes())
+                    .mul_vec(&ghz.amplitudes())
                     .iter()
-                    .zip(ghz.amplitudes())
+                    .zip(&ghz.amplitudes())
                     .map(|(a, b)| (b.conj() * *a).re)
                     .sum();
                 assert!((fid - 1.0).abs() < 1e-9, "r={r}: fidelity {fid}");

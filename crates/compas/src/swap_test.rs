@@ -153,8 +153,9 @@ impl ProtocolCircuits {
     /// two measurement channels run on decorrelated child contexts
     /// (`exec.derive(channel)`), each shot samples the input ensembles
     /// and plays the circuit on its own derived RNG stream, and workers
-    /// reuse statevector buffers across shots. For a fixed root seed the
-    /// estimate is bit-identical in every execution mode.
+    /// reuse their statevector, record and group buffers across shots.
+    /// For a fixed root seed the estimate is bit-identical in every
+    /// execution mode.
     fn estimate(&self, states: &[Matrix], shots: usize, exec: &Executor) -> TraceEstimate {
         assert_eq!(states.len(), self.state_qubits.len(), "need k states");
         let ensembles: Vec<PureEnsemble> = states.iter().map(PureEnsemble::from_density).collect();
@@ -170,16 +171,22 @@ impl ProtocolCircuits {
             let program = <StateVector as SimState>::compile(circ);
             *odd_count = exec.derive(channel as u64).run_count_with(
                 shots as u64,
-                || (StateVector::new(circ.num_qubits()), Vec::new()),
-                |(state, cbits), _shot, rng| {
+                || {
+                    let groups: Vec<(&[mathkit::complex::Complex], &[usize])> =
+                        Vec::with_capacity(ensembles.len());
+                    (StateVector::new(circ.num_qubits()), Vec::new(), groups)
+                },
+                |(state, cbits, groups), _shot, rng| {
                     // One draw per ensemble, in state order, placed
-                    // straight into the worker's reused buffer.
-                    let groups: Vec<(&[mathkit::complex::Complex], &[usize])> = ensembles
-                        .iter()
-                        .zip(&self.state_qubits)
-                        .map(|(ens, qs)| (ens.sample(rng), qs.as_slice()))
-                        .collect();
-                    state.set_product_state(&groups);
+                    // straight into the worker's reused buffers.
+                    groups.clear();
+                    groups.extend(
+                        ensembles
+                            .iter()
+                            .zip(&self.state_qubits)
+                            .map(|(ens, qs)| (ens.sample(rng), qs.as_slice())),
+                    );
+                    state.set_product_state(groups);
                     cbits.clear();
                     cbits.resize(circ.num_cbits(), false);
                     state.apply_compiled(&program, cbits, rng);
@@ -637,6 +644,12 @@ impl CompasProtocol {
     /// The compiled real-channel circuit.
     pub fn circuit(&self) -> &Circuit {
         &self.circuits.circuit_re
+    }
+
+    /// For each input state `0..k`, the qubits of [`CompasProtocol::circuit`]
+    /// that hold it (an estimate places each sampled state there).
+    pub fn state_qubits(&self) -> &[Vec<Qubit>] {
+        &self.circuits.state_qubits
     }
 
     /// Resources consumed by one execution (one channel).
@@ -1109,5 +1122,57 @@ mod tests {
         };
         assert_eq!(count_s(&c1), 0);
         assert_eq!(count_s(&c2), 1);
+    }
+
+    /// The stored sub-cube on the paper's own workload. Replayed op by
+    /// op from a product of random input states — interpreted, and
+    /// compiled one instruction per program — the k = 3 (12-qubit) and
+    /// k = 6 (23-qubit) teledata circuits never store more than 2⁸ and
+    /// 2¹³ amplitudes: the peak live width their pinned bits allow. A
+    /// full register would be 2¹² and 2²³.
+    #[test]
+    fn teledata_shots_store_only_their_live_sub_cube() {
+        for (k, peak) in [(3usize, 8u32), (6, 13)] {
+            let protocol = CompasProtocol::with_bell_error(k, 1, CswapScheme::Teledata, 0.01);
+            let circuit = protocol.circuit();
+            let n = circuit.num_qubits();
+            let mut rng = StdRng::seed_from_u64(k as u64);
+            let groups: Vec<(Vec<mathkit::complex::Complex>, Vec<usize>)> = protocol
+                .state_qubits()
+                .iter()
+                .map(|qs| (random_pure_state(qs.len(), &mut rng), qs.clone()))
+                .collect();
+            let start = StateVector::product_state(n, &groups);
+            let programs: Vec<_> = circuit
+                .instructions()
+                .iter()
+                .map(|instr| {
+                    let mut one = Circuit::new(n, circuit.num_cbits());
+                    one.push(instr.clone());
+                    <StateVector as SimState>::compile(&one)
+                })
+                .collect();
+            for seed in 0..3 {
+                for compiled in [false, true] {
+                    let mut sv = start.clone();
+                    let mut cbits = vec![false; circuit.num_cbits()];
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let mut widest = sv.stored_len();
+                    for (instr, program) in circuit.instructions().iter().zip(&programs) {
+                        if compiled {
+                            sv.apply_compiled(program, &mut cbits, &mut rng);
+                        } else {
+                            SimState::step(&mut sv, instr, &mut cbits, &mut rng);
+                        }
+                        widest = widest.max(sv.stored_len());
+                    }
+                    assert!(
+                        widest <= 1 << peak,
+                        "k = {k} ({n} qubits), seed {seed}, compiled {compiled}: \
+                         stored {widest} amplitudes, over 2^{peak}"
+                    );
+                }
+            }
+        }
     }
 }

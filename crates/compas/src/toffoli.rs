@@ -206,9 +206,9 @@ mod tests {
             let rho = out.state.to_density();
             let reduced = rho.partial_trace(1 << n_data, 1 << n, TraceKeep::A);
             let fid: f64 = reduced
-                .mul_vec(want.amplitudes())
+                .mul_vec(&want.amplitudes())
                 .iter()
-                .zip(want.amplitudes())
+                .zip(&want.amplitudes())
                 .map(|(x, y)| (y.conj() * *x).re)
                 .sum();
             assert!(

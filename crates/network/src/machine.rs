@@ -488,9 +488,9 @@ mod tests {
         let rho = out.to_density();
         let reduced = rho.partial_trace(1 << keep, 1 << (total - keep), TraceKeep::A);
         reduced
-            .mul_vec(want.amplitudes())
+            .mul_vec(&want.amplitudes())
             .iter()
-            .zip(want.amplitudes())
+            .zip(&want.amplitudes())
             .map(|(a, b)| (b.conj() * *a).re)
             .sum()
     }
@@ -576,9 +576,9 @@ mod tests {
         let rest = rho.partial_trace(2, 1 << (n - 1), TraceKeep::B);
         let dst_rho = rest.partial_trace(2, 1 << (n - 2), TraceKeep::A);
         let fid: f64 = dst_rho
-            .mul_vec(want.amplitudes())
+            .mul_vec(&want.amplitudes())
             .iter()
-            .zip(want.amplitudes())
+            .zip(&want.amplitudes())
             .map(|(a, b)| (b.conj() * *a).re)
             .sum();
         assert!((fid - 1.0).abs() < 1e-10, "fidelity {fid}");

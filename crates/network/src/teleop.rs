@@ -146,9 +146,9 @@ mod tests {
             let got_density = out.state.to_density();
             let reduced = got_density.partial_trace(4, 2, mathkit::matrix::TraceKeep::B);
             let fid = reduced
-                .mul_vec(want.amplitudes())
+                .mul_vec(&want.amplitudes())
                 .iter()
-                .zip(want.amplitudes())
+                .zip(&want.amplitudes())
                 .map(|(a, b)| (b.conj() * *a).re)
                 .sum::<f64>();
             assert!((fid - 1.0).abs() < 1e-10, "trial {trial}: fidelity {fid}");
@@ -178,9 +178,9 @@ mod tests {
             let got = out.state.to_density();
             let reduced = got.partial_trace(4, 4, mathkit::matrix::TraceKeep::A);
             let fid = reduced
-                .mul_vec(want.amplitudes())
+                .mul_vec(&want.amplitudes())
                 .iter()
-                .zip(want.amplitudes())
+                .zip(&want.amplitudes())
                 .map(|(a, b)| (b.conj() * *a).re)
                 .sum::<f64>();
             assert!((fid - 1.0).abs() < 1e-10, "fidelity {fid}");
@@ -225,9 +225,9 @@ mod tests {
             let got = out.state.to_density();
             let reduced = got.partial_trace(8, 4, mathkit::matrix::TraceKeep::A);
             let fid = reduced
-                .mul_vec(want.amplitudes())
+                .mul_vec(&want.amplitudes())
                 .iter()
-                .zip(want.amplitudes())
+                .zip(&want.amplitudes())
                 .map(|(x, y)| (y.conj() * *x).re)
                 .sum::<f64>();
             assert!((fid - 1.0).abs() < 1e-10, "fidelity {fid}");
@@ -266,9 +266,9 @@ mod tests {
             let got = out.state.to_density();
             let reduced = got.partial_trace(2, 4, mathkit::matrix::TraceKeep::A);
             let fid = reduced
-                .mul_vec(want.amplitudes())
+                .mul_vec(&want.amplitudes())
                 .iter()
-                .zip(want.amplitudes())
+                .zip(&want.amplitudes())
                 .map(|(x, y)| (y.conj() * *x).re)
                 .sum::<f64>();
             assert!((fid - 1.0).abs() < 1e-10);

@@ -11,9 +11,9 @@
 //!
 //! * a **kernel** is split by its *live* work units: each worker gets
 //!   an even share of the units that agree with the pins in force when
-//!   the kernel runs (`CompiledOp::live_range`, whose nothing-pinned
-//!   case is [`CompiledOp::worker_range`]) and applies the kernel to
-//!   exactly those, on the live sub-cube;
+//!   the kernel runs (`Placed::share`, whose full-register,
+//!   nothing-pinned case is [`CompiledOp::worker_range`]) and applies
+//!   the kernel to exactly those;
 //! * a **blocked group** — two or more consecutive kernels that all
 //!   stay inside one 1 MiB block of a larger buffer — runs block-major:
 //!   each worker takes an even share of the live blocks and applies the
@@ -24,6 +24,16 @@
 //! [`StateVector::apply_compiled`] is this driver with one worker on
 //! the calling thread (nothing spawned), so a sequential wide shot is
 //! blocked the same way.
+//!
+//! The workers run on the state's stored sub-cube (see
+//! [`crate::statevector`]). At a segment's entry the state inserts, in
+//! place, every pinned bit some kernel of the segment mixes — one
+//! resize, so no second buffer — and hands the workers the buffer, the
+//! `Layout` that places program masks into it (the width difference
+//! `widen` included), and the inserted bits as *entry pins in buffer
+//! coordinates*: their amplitudes off the entry values are still the
+//! insertion's zeros, so a kernel that has not mixed them yet skips
+//! those units.
 //!
 //! ## Determinism
 //!
@@ -59,7 +69,7 @@ use std::sync::Barrier;
 
 use crate::compile::{CompiledCircuit, CompiledOp};
 use crate::sim::{SimProgram, SimState};
-use crate::statevector::{Pins, StateVector};
+use crate::statevector::{Layout, Pins, StateVector};
 
 /// Number of workers actually worth spawning for a `len`-amplitude
 /// buffer: at least two amplitudes per worker, and never more workers
@@ -221,13 +231,24 @@ impl StateVector {
                 .position(|op| matches!(op, CompiledOp::Interp(_)))
                 .unwrap_or(ops.len() - at);
             let segment = &ops[at..at + seg_len];
-            // The state forgets what the whole segment mixes; every
-            // worker starts from the entry pins and folds the kernels'
-            // unpinning itself.
-            let entry = self.pins();
-            let mixed = segment.iter().fold(0, |m, op| m | op.mixed_bits());
-            let amps = self.amps_mut_unpinning(mixed << widen);
-            run_segment(amps, segment, widen, entry, workers);
+            // A lone permutation onto a pinned bit below every stored one
+            // grows the buffer and swaps in one pass.
+            if let [CompiledOp::PermuteSwap { ones, select, flip }] = segment {
+                if self.permute_growing(ones << widen, select << widen, flip << widen) {
+                    at += 1;
+                    continue;
+                }
+            }
+            // The state inserts what the whole segment mixes — each
+            // kernel judged against the pins the ones before it leave —
+            // and every worker starts from the inserted bits' entry
+            // values and folds the kernels' unpinning itself.
+            let (grown, _) = segment.iter().fold((0, self.pins()), |(grown, pins), op| {
+                let bits = op.grown_bits(widen, pins);
+                (grown | bits, pins.without(bits))
+            });
+            let (amps, layout, entry) = self.grow(grown, widen);
+            run_segment(amps, segment, layout, entry, workers);
             at += seg_len;
         }
     }
@@ -235,9 +256,15 @@ impl StateVector {
 
 /// Plays one Interp-free kernel run with `workers` workers: the calling
 /// thread is worker 0, the others are scoped threads.
-fn run_segment(amps: &mut [Complex], ops: &[CompiledOp], widen: usize, pins: Pins, workers: usize) {
+fn run_segment(
+    amps: &mut [Complex],
+    ops: &[CompiledOp],
+    layout: Layout,
+    pins: Pins,
+    workers: usize,
+) {
     if workers <= 1 {
-        worker_pass(amps, ops, widen, pins, 0, 1, None);
+        worker_pass(amps, ops, layout, pins, 0, 1, None);
         return;
     }
     let shared = SharedAmps {
@@ -255,7 +282,7 @@ fn run_segment(amps: &mut [Complex], ops: &[CompiledOp], widen: usize, pins: Pin
             // read of the next. The scope joins all workers before
             // `amps` is used again.
             let amps = unsafe { shared.amps() };
-            worker_pass(amps, ops, widen, pins, worker, workers, Some(&barrier));
+            worker_pass(amps, ops, layout, pins, worker, workers, Some(&barrier));
         };
         for worker in 1..workers {
             scope.spawn(move || pass(worker));
@@ -265,13 +292,13 @@ fn run_segment(amps: &mut [Complex], ops: &[CompiledOp], widen: usize, pins: Pin
 }
 
 /// Worker `worker`'s part of a kernel run, step by step, from the pins
-/// in force when the run starts. Every worker walks the same steps and
-/// folds the same pins — each kernel forgets its
-/// [`CompiledOp::mixed_bits`] before it runs — so nothing is shared but
-/// the amplitudes and the barrier between steps. A step is
+/// (buffer coordinates) in force when the run starts. Every worker
+/// walks the same steps and folds the same pins — each kernel forgets
+/// its `Placed::mixed` bits before it runs — so nothing is
+/// shared but the amplitudes and the barrier between steps. A step is
 ///
 /// * a **kernel**: the worker applies it to its even share of the
-///   kernel's *live* units ([`CompiledOp::live_range`]); or
+///   kernel's *live* units (`Placed::share`); or
 /// * a **blocked group**: a maximal run of ≥ 2 kernels whose mixed bits
 ///   all lie inside a [`BLOCK`] of a buffer larger than one. Such
 ///   kernels touch nothing outside the block they are applied to, so
@@ -287,7 +314,7 @@ fn run_segment(amps: &mut [Complex], ops: &[CompiledOp], widen: usize, pins: Pin
 fn worker_pass(
     amps: &mut [Complex],
     ops: &[CompiledOp],
-    widen: usize,
+    layout: Layout,
     mut pins: Pins,
     worker: usize,
     workers: usize,
@@ -295,11 +322,10 @@ fn worker_pass(
 ) -> usize {
     let len = amps.len();
     let mut samples = 0;
-    let unpin = |pins: Pins, op: &CompiledOp| pins.without(op.mixed_bits() << widen);
     let clocked = worker == 0 && barrier.is_some();
     let mut rest = ops;
     while !rest.is_empty() {
-        let in_block = |op: &&CompiledOp| op.mixed_bits() << widen < BLOCK;
+        let in_block = |op: &&CompiledOp| op.place(layout).mixed() < BLOCK;
         let blocked = if len > BLOCK {
             rest.iter().take_while(in_block).count()
         } else {
@@ -309,22 +335,26 @@ fn worker_pass(
         let started = clocked.then(std::time::Instant::now);
         let mut worked = false;
         if let [op] = step {
-            pins = unpin(pins, op);
-            let range = op.live_range(worker, workers, len, widen, pins);
+            let op = op.place(layout);
+            pins = pins.without(op.mixed());
+            let range = op.share(worker, workers, len, pins);
             worked = !range.is_empty();
-            op.apply_live(amps, range, widen, pins);
+            op.apply(amps, range, pins);
         } else {
             let blocks = pins.without(BLOCK - 1);
             let share = blocks.share_of(0, BLOCK - 1, worker, workers, len);
             for block in blocks.runs_in(0, BLOCK - 1, share, len) {
                 let mut pins = pins;
                 for op in step {
-                    pins = unpin(pins, op);
-                    op.apply_live(amps, block.start..block.start + BLOCK, widen, pins);
+                    let op = op.place(layout);
+                    pins = pins.without(op.mixed());
+                    op.apply(amps, block.start..block.start + BLOCK, pins);
                 }
                 worked = true;
             }
-            pins = step.iter().fold(pins, unpin);
+            pins = step
+                .iter()
+                .fold(pins, |pins, op| pins.without(op.place(layout).mixed()));
         }
         if let (Some(started), true) = (started, worked) {
             kernel_clock::record(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
@@ -417,16 +447,17 @@ mod tests {
         // barrier; the count is what that call added to the clock.
         let barrier = Barrier::new(2);
         let pass = |amps: &mut [Complex], ops: &[CompiledOp], pins: Pins, worker: usize| {
-            worker_pass(amps, ops, 0, pins, worker, 2, Some(&barrier))
+            worker_pass(amps, ops, Layout::dense(0), pins, worker, 2, Some(&barrier))
         };
         // One live unit (every other bit pinned), two workers: one
         // share is empty, and an empty share is not a sample.
         let n = 6;
         let h = compile(Circuit::new(n, 0).h(2)).ops().to_vec();
         let basis = StateVector::basis_state(n, 0b010011);
-        let mut amps = basis.amplitudes().to_vec();
+        let mut amps = basis.amplitudes();
+        let unpinned = basis.pins().without(h[0].mixed_bits());
         let shares: Vec<_> = (0..2)
-            .map(|w| h[0].live_range(w, 2, 1 << n, 0, basis.pins().without(h[0].mixed_bits())))
+            .map(|w| h[0].place(Layout::dense(0)).share(w, 2, 1 << n, unpinned))
             .collect();
         assert!(shares[0].is_empty() && !shares[1].is_empty(), "{shares:?}");
         let added: usize = (0..2).map(|w| pass(&mut amps, &h, basis.pins(), w)).sum();
@@ -435,7 +466,10 @@ mod tests {
         assert_eq!(pass(&mut amps, &h, Pins::NONE, 0), 1);
         assert_eq!(pass(&mut amps, &h, Pins::NONE, 1), 0);
         // A sequential replay keeps no time at all.
-        assert_eq!(worker_pass(&mut amps, &h, 0, Pins::NONE, 0, 1, None), 0);
+        assert_eq!(
+            worker_pass(&mut amps, &h, Layout::dense(0), Pins::NONE, 0, 1, None),
+            0
+        );
         // A blocked group is one step, so one sample, however many
         // kernels and blocks it holds.
         let n = 18;
@@ -490,7 +524,7 @@ mod tests {
             }
             for workers in [1, 2, 3] {
                 let mut amps = start.clone();
-                run_segment(&mut amps, &group, 0, pins, workers);
+                run_segment(&mut amps, &group, Layout::dense(0), pins, workers);
                 assert!(amps == one_by_one, "{pins:?}, {workers} workers");
             }
         }
@@ -545,13 +579,13 @@ mod tests {
             // `CompiledOp::apply` on the raw amplitudes, nothing pinned.
             let mut rng = StdRng::seed_from_u64(seed);
             let mut bits = vec![false; n];
-            let mut reference = StateVector::new(width).amplitudes().to_vec();
+            let mut reference = StateVector::new(width).amplitudes();
             for op in program.ops() {
                 match op {
                     CompiledOp::Interp(instr) => {
                         let mut sv = StateVector::from_amplitudes(std::mem::take(&mut reference));
                         SimState::step(&mut sv, instr, &mut bits, &mut rng);
-                        reference = sv.amplitudes().to_vec();
+                        reference = sv.amplitudes();
                     }
                     kernel => kernel.apply(&mut reference, widen),
                 }

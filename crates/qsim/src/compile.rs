@@ -34,7 +34,7 @@
 //! pairs, quads, swap orbits, or single amplitudes) are each *owned* by
 //! their lowest member index, and `apply_range(amps, lo, hi, widen)`
 //! processes exactly the units owned by `[lo, hi)`. Applying a kernel
-//! over **any** disjoint cover of `[0, 2ⁿ)` is therefore bit-identical
+//! over **any** disjoint cover of `[0, len)` is therefore bit-identical
 //! to the full pass — the contract the replay driver ([`crate::amp`])
 //! builds on, for its worker split and for its cache blocks alike.
 //!
@@ -42,7 +42,7 @@
 //!
 //! Under every kernel sits one enumerator (`Pins::runs_in` in
 //! [`crate::statevector`]): the maximal runs of *consecutive*
-//! representatives in a range that agree with the state's pinned bits,
+//! representatives in a range that agree with a set of pinned bits,
 //! found without scanning — the first by a bit trick, the rest by the
 //! submask step of [`for_each_masked`]. A run and its partner runs
 //! (one stride up; for a quad, three) are disjoint contiguous slices,
@@ -58,20 +58,22 @@
 //! expression's IEEE operations in its order, so amplitudes are `==`
 //! on every host.
 //!
-//! ## What a replay touches: the state's pinned bits
+//! ## What a replay touches: the stored sub-cube
 //!
 //! [`CompiledOp::apply`] / [`CompiledOp::apply_range`] are
-//! full-register passes over a raw slice, and
+//! full-register passes over a raw `2ⁿ` slice, and
 //! [`CompiledCircuit::kernel_bytes`] / [`CompiledOp::bytes_touched`]
-//! count what *they* move — **upper bounds** for a replay. Replayed
-//! through [`StateVector::apply_compiled`] or
-//! [`StateVector::apply_compiled_parallel`], a kernel runs only over
-//! the state's live sub-cube (see the [`crate::statevector`] module
-//! docs for the invariant): the replay unpins the bits the kernel mixes
-//! (its whole support, unless it is diagonal), then the same kernel
-//! code enumerates the runs of work units that agree with the remaining
-//! pins. Skipped units hold only exact zeros and surviving ones do the
-//! full pass's arithmetic, so the result is the full pass's, bit for
+//! count what *they* move — **upper bounds** for a replay. A
+//! [`StateVector`] stores only its live sub-cube (see the
+//! [`crate::statevector`] module docs), so replayed through
+//! [`StateVector::apply_compiled`] or
+//! [`StateVector::apply_compiled_parallel`] a kernel runs on that
+//! buffer: the replay first inserts the pinned bits the kernel mixes
+//! (a permutation's flip bits; a pinned control is a pattern test, and
+//! a diagonal kernel mixes nothing), then the kernel places its masks
+//! into buffer coordinates once per call (`Layout`) and runs the same
+//! slice loops densely. Every unit does the full pass's arithmetic on
+//! the full pass's values, so the result is the full pass's, bit for
 //! bit; the cost model is *work ∝ 2^live*, not passes × `2ⁿ` — on
 //! every replay path, at any worker count. On a buffer larger than a
 //! 1 MiB block the replay also runs consecutive in-block kernels block
@@ -112,7 +114,7 @@ use mathkit::complex::Complex;
 use rand::Rng;
 
 use crate::sim::SimProgram;
-use crate::statevector::{Pins, StateVector};
+use crate::statevector::{Layout, Pins, StateVector};
 
 /// A fused 2×2 unitary in row-major order.
 pub type Mat2 = [Complex; 4];
@@ -729,8 +731,8 @@ fn mat2_of_kernel(op: &CompiledOp, bit: usize) -> Mat2 {
 // ---------------------------------------------------------------------
 
 impl CompiledOp {
-    /// Applies this kernel to the whole amplitude buffer. Equivalent to
-    /// `apply_range(amps, 0, amps.len(), widen)`.
+    /// Applies this kernel to a whole full-register amplitude buffer.
+    /// Equivalent to `apply_range(amps, 0, amps.len(), widen)`.
     ///
     /// # Panics
     ///
@@ -759,90 +761,48 @@ impl CompiledOp {
     /// disjoint cover of `[0, len)` is **bit-identical** to one full
     /// pass, with no alignment requirement on the cover.
     ///
-    /// `widen` shifts the compiled masks up when the state is wider
-    /// than the program (see [`StateVector::apply_compiled`]); it is
-    /// applied once here rather than at every use site.
+    /// `amps` holds all `2ⁿ` amplitudes of the state; `widen` shifts
+    /// the compiled masks up when the state is wider than the program
+    /// (see [`StateVector::apply_compiled`]).
     ///
     /// # Panics
     ///
     /// Panics on [`CompiledOp::Interp`].
     pub fn apply_range(&self, amps: &mut [Complex], lo: usize, hi: usize, widen: usize) {
-        self.apply_live(amps, lo..hi, widen, Pins::NONE);
+        self.place(Layout::dense(widen))
+            .apply(amps, lo..hi, Pins::NONE);
     }
 
-    /// [`CompiledOp::apply_range`] over the live sub-cube of `pins`
-    /// only — the one implementation of every kernel; the public entry
-    /// points are its nothing-pinned case. The caller has already
-    /// unpinned [`CompiledOp::mixed_bits`]; work units that disagree
-    /// with the remaining pins hold only exact zeros and are skipped,
-    /// the others do the full pass's arithmetic.
+    /// This kernel with its masks in the buffer coordinates of
+    /// `layout`, placed once for a call (see [`Placed`]).
     ///
-    /// Picks, per call, the widest instantiation of the kernel bodies
-    /// the CPU supports (see [`CompiledOp::apply_live_baseline`]).
+    /// # Panics
+    ///
+    /// Panics on [`CompiledOp::Interp`].
     #[inline]
-    pub(crate) fn apply_live(
-        &self,
-        amps: &mut [Complex],
-        range: std::ops::Range<usize>,
-        widen: usize,
-        pins: Pins,
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the CPU was just seen to support `avx2`.
-            return unsafe { self.apply_live_avx2(amps, range, widen, pins) };
-        }
-        self.apply_live_baseline(amps, range, widen, pins);
-    }
-
-    /// The kernel bodies, written once over the disjoint slices of each
-    /// run of live work units ([`Pins::runs_in`]) and `#[inline(always)]`
-    /// so that each caller is an *instantiation*: this one at the
-    /// build's baseline instruction set, and on x86-64
-    /// `apply_live_avx2`, whose `#[target_feature]` lets the
-    /// autovectoriser use wider lanes on the very same source. No
-    /// intrinsics and never `fma`: a lane does the separate IEEE
-    /// multiplies and adds of the scalar expression in its order, so
-    /// amplitudes are `==` whichever instantiation runs — results do
-    /// not depend on the host.
-    ///
-    /// There is no `avx512f` instantiation: measured, it was worth
-    /// under 3 % of a 20-qubit shot over AVX2 (the 4×4 kernel is at the
-    /// FMA-less peak of one 512-bit or two 256-bit pipes either way,
-    /// the full-register passes at the L3 rate).
-    #[inline(always)]
-    pub(crate) fn apply_live_baseline(
-        &self,
-        amps: &mut [Complex],
-        range: std::ops::Range<usize>,
-        widen: usize,
-        pins: Pins,
-    ) {
-        debug_assert!(range.start <= range.end && range.end <= amps.len());
-        debug_assert!(amps.len().is_power_of_two());
+    pub(crate) fn place(&self, layout: Layout) -> Placed<'_> {
         match self {
-            CompiledOp::Unitary1 { stride, matrix } => {
-                unitary1(amps, stride << widen, matrix, range, pins);
-            }
+            CompiledOp::Unitary1 { stride, matrix } => Placed::Unitary1 {
+                stride: layout.place(*stride),
+                matrix,
+            },
+            // Placing is monotone: `mask_hi` stays the higher bit.
             CompiledOp::Unitary2 {
                 mask_hi,
                 mask_lo,
                 matrix,
-            } => {
-                unitary2(
-                    amps,
-                    mask_hi << widen,
-                    mask_lo << widen,
-                    matrix,
-                    range,
-                    pins,
-                );
-            }
-            CompiledOp::Phase(k) => phase(amps, k, widen, range, pins),
+            } => Placed::Unitary2 {
+                mask_hi: layout.place(*mask_hi),
+                mask_lo: layout.place(*mask_lo),
+                matrix,
+            },
+            CompiledOp::Phase(kernel) => Placed::Phase { kernel, layout },
             CompiledOp::PermuteSwap { ones, select, flip } => {
                 debug_assert_eq!(flip & !select, 0, "flip must lie within select");
-                let (ones, select, flip) = (ones << widen, select << widen, flip << widen);
-                permute_swap(amps, ones, select, flip, range, pins);
+                match layout.place_permutation(*ones, *select, *flip) {
+                    Some((ones, select, flip)) => Placed::PermuteSwap { ones, select, flip },
+                    None => Placed::Nothing,
+                }
             }
             CompiledOp::Interp(instr) => {
                 panic!("Interp({instr:?}) has no kernel; step it through SimState")
@@ -850,24 +810,10 @@ impl CompiledOp {
         }
     }
 
-    /// [`CompiledOp::apply_live_baseline`] compiled with AVX2.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    pub(crate) fn apply_live_avx2(
-        &self,
-        amps: &mut [Complex],
-        range: std::ops::Range<usize>,
-        widen: usize,
-        pins: Pins,
-    ) {
-        self.apply_live_baseline(amps, range, widen, pins);
-    }
-
     /// The program-relative index bits whose amplitudes this kernel
-    /// mixes: what a replay must stop treating as classical before the
-    /// kernel runs. Zero for diagonal kernels (and the degenerate
-    /// `Interp` case, whose pins
-    /// [`SimState::step`](crate::sim::SimState::step) maintains).
+    /// mixes. Zero for diagonal kernels (and the degenerate `Interp`
+    /// case, whose storage [`SimState::step`](crate::sim::SimState::step)
+    /// maintains).
     pub(crate) fn mixed_bits(&self) -> usize {
         match self {
             CompiledOp::Unitary1 { stride, .. } => *stride,
@@ -879,10 +825,24 @@ impl CompiledOp {
         }
     }
 
+    /// The bits of `pins` (a state's: the bits it does not store) this
+    /// kernel, shifted up by `widen`, needs stored before it runs: the
+    /// bits it mixes — for a permutation only its flip bits, its pinned
+    /// controls being pattern tests (none at all if one contradicts).
+    pub(crate) fn grown_bits(&self, widen: usize, pins: Pins) -> usize {
+        match self {
+            CompiledOp::PermuteSwap { ones, select, flip } => pins
+                .permutation_growth(ones << widen, select << widen, flip << widen)
+                .unwrap_or(0),
+            op => pins.pinned(op.mixed_bits() << widen),
+        }
+    }
+
     /// The contiguous amplitude range worker `worker` of `workers` owns
-    /// for this kernel on a `len`-amplitude buffer — an equal-work
-    /// partition of the kernel's units whose ranges tile `[0, len)`;
-    /// the nothing-pinned case of the live split the amp workers use.
+    /// for this kernel on a full-register `len`-amplitude buffer — an
+    /// equal-work partition of the kernel's units whose ranges tile
+    /// `[0, len)`; the full-register, nothing-pinned case of the live
+    /// split the amp workers use (`Placed::share`).
     ///
     /// Equal *index* splits are not equal *work* splits for strided
     /// kernels: a `Unitary1` on the state's MSB keeps every pair
@@ -898,30 +858,8 @@ impl CompiledOp {
         len: usize,
         widen: usize,
     ) -> std::ops::Range<usize> {
-        self.live_range(worker, workers, len, widen, Pins::NONE)
-    }
-
-    /// [`CompiledOp::worker_range`] on the live sub-cube of `pins`
-    /// (with this kernel's [`CompiledOp::mixed_bits`] already
-    /// unpinned): the *live* units are split evenly — pinned bits are
-    /// not free bits, their values sit in every representative — and
-    /// the ranges still tile `[0, len)`.
-    #[inline]
-    pub(crate) fn live_range(
-        &self,
-        worker: usize,
-        workers: usize,
-        len: usize,
-        widen: usize,
-        pins: Pins,
-    ) -> std::ops::Range<usize> {
-        // Phase kernels (and the degenerate Interp case) mix nothing:
-        // uniform per-index work.
-        let ones = match self {
-            CompiledOp::PermuteSwap { ones, .. } => ones << widen,
-            _ => 0,
-        };
-        pins.share_of(ones, self.mixed_bits() << widen, worker, workers, len)
+        self.place(Layout::dense(widen))
+            .share(worker, workers, len, Pins::NONE)
     }
 
     /// Bytes a full-register pass of this kernel moves over a
@@ -949,6 +887,149 @@ impl CompiledOp {
             }
             CompiledOp::Interp(_) => 0,
         }
+    }
+}
+
+/// A kernel with its masks placed into a buffer's coordinates — a
+/// state's stored sub-cube, or a full register — once per call
+/// ([`CompiledOp::place`]): what the replay driver's workers run.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Placed<'a> {
+    Unitary1 {
+        stride: usize,
+        matrix: &'a Mat2,
+    },
+    Unitary2 {
+        mask_hi: usize,
+        mask_lo: usize,
+        matrix: &'a Mat4,
+    },
+    /// Phase terms are placed by the pass itself (see [`phase`]).
+    Phase {
+        kernel: &'a PhaseKernel,
+        layout: Layout,
+    },
+    PermuteSwap {
+        ones: usize,
+        select: usize,
+        flip: usize,
+    },
+    /// A permutation whose pinned control contradicts its pattern: it
+    /// moves nothing.
+    Nothing,
+}
+
+impl Placed<'_> {
+    /// The buffer bits whose amplitudes this kernel mixes: what a pass
+    /// must stop treating as pinned before it runs.
+    #[inline]
+    pub(crate) fn mixed(self) -> usize {
+        match self {
+            Placed::Unitary1 { stride, .. } => stride,
+            Placed::Unitary2 {
+                mask_hi, mask_lo, ..
+            } => mask_hi | mask_lo,
+            Placed::PermuteSwap { select, .. } => select,
+            Placed::Phase { .. } | Placed::Nothing => 0,
+        }
+    }
+
+    /// Worker `worker`'s share of this kernel on a `len`-amplitude
+    /// buffer, over the units that agree with `pins` (this kernel's
+    /// [`Placed::mixed`] bits already forgotten): the *live* units are
+    /// split evenly — pinned bits are not free bits, their values sit
+    /// in every representative — and the ranges tile `[0, len)`.
+    #[inline]
+    pub(crate) fn share(
+        self,
+        worker: usize,
+        workers: usize,
+        len: usize,
+        pins: Pins,
+    ) -> std::ops::Range<usize> {
+        // Phase kernels mix nothing: uniform per-index work.
+        let ones = match self {
+            Placed::PermuteSwap { ones, .. } => ones,
+            _ => 0,
+        };
+        pins.share_of(ones, self.mixed(), worker, workers, len)
+    }
+
+    /// [`CompiledOp::apply_range`] on this kernel's buffer, skipping the
+    /// work units that disagree with `pins` (buffer coordinates): the
+    /// one implementation of every kernel; the public entry points are
+    /// its full-register, nothing-pinned case. The caller has already
+    /// inserted the bits the kernel mixes ([`CompiledOp::grown_bits`])
+    /// and forgotten its [`Placed::mixed`] bits from `pins`; skipped
+    /// units hold only exact zeros, the others do the full pass's
+    /// arithmetic.
+    ///
+    /// Picks, per call, the widest instantiation of the kernel bodies
+    /// the CPU supports (see [`Placed::apply_baseline`]).
+    #[inline]
+    pub(crate) fn apply(self, amps: &mut [Complex], range: std::ops::Range<usize>, pins: Pins) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU was just seen to support `avx2`.
+            return unsafe { self.apply_avx2(amps, range, pins) };
+        }
+        self.apply_baseline(amps, range, pins);
+    }
+
+    /// The kernel bodies, written once over the disjoint slices of each
+    /// run of live work units ([`Pins::runs_in`]) and `#[inline(always)]`
+    /// so that each caller is an *instantiation*: this one at the
+    /// build's baseline instruction set, and on x86-64 `apply_avx2`,
+    /// whose `#[target_feature]` lets the autovectoriser use wider
+    /// lanes on the very same source. No intrinsics and never `fma`: a
+    /// lane does the separate IEEE multiplies and adds of the scalar
+    /// expression in its order, so amplitudes are `==` whichever
+    /// instantiation runs — results do not depend on the host.
+    ///
+    /// There is no `avx512f` instantiation: measured, it was worth
+    /// under 3 % of a 20-qubit shot over AVX2 (the 4×4 kernel is at the
+    /// FMA-less peak of one 512-bit or two 256-bit pipes either way,
+    /// the full-register passes at the L3 rate).
+    #[inline(always)]
+    pub(crate) fn apply_baseline(
+        self,
+        amps: &mut [Complex],
+        range: std::ops::Range<usize>,
+        pins: Pins,
+    ) {
+        debug_assert!(range.start <= range.end && range.end <= amps.len());
+        debug_assert!(amps.len().is_power_of_two());
+        // The matrices are copied out of the borrowed program: a
+        // reference held in `self` carries no promise that it does not
+        // alias `amps`, and without one the loops reload every entry
+        // after every store instead of vectorising.
+        match self {
+            Placed::Unitary1 { stride, matrix } => {
+                unitary1(amps, stride, &{ *matrix }, range, pins)
+            }
+            Placed::Unitary2 {
+                mask_hi,
+                mask_lo,
+                matrix,
+            } => unitary2(amps, mask_hi, mask_lo, &{ *matrix }, range, pins),
+            Placed::Phase { kernel, layout } => phase(amps, kernel, layout, range, pins),
+            Placed::PermuteSwap { ones, select, flip } => {
+                permute_swap(amps, ones, select, flip, range, pins);
+            }
+            Placed::Nothing => {}
+        }
+    }
+
+    /// [`Placed::apply_baseline`] compiled with AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    pub(crate) fn apply_avx2(
+        self,
+        amps: &mut [Complex],
+        range: std::ops::Range<usize>,
+        pins: Pins,
+    ) {
+        self.apply_baseline(amps, range, pins);
     }
 }
 
@@ -1064,12 +1145,17 @@ fn quad_streams(
     }
 }
 
-/// Diagonal pass: one slice per run of live amplitudes.
+/// Diagonal pass: one slice per run of live amplitudes. The terms are
+/// placed into buffer coordinates once per call: a term a bit the buffer
+/// does not store contradicts applies to no amplitude and drops out, a
+/// bit it does not store and matches drops out of the term's mask.
+/// Amplitude by amplitude the products are the full pass's, in its
+/// order.
 #[inline(always)]
 fn phase(
     amps: &mut [Complex],
     k: &PhaseKernel,
-    widen: usize,
+    layout: Layout,
     range: std::ops::Range<usize>,
     pins: Pins,
 ) {
@@ -1077,19 +1163,39 @@ fn phase(
     if k.global == Complex::ONE && k.terms.len() == 1 {
         // Single conditional term: touch only the selected amplitudes.
         let (mask, p) = k.terms[0];
-        let mask = mask << widen;
-        for run in pins.runs_in(mask, mask, range, len) {
+        let Some((ones, select)) = layout.place_pattern(mask, mask) else {
+            return;
+        };
+        for run in pins.runs_in(ones, select, range, len) {
             for a in &mut amps[run] {
                 *a *= p;
             }
         }
     } else {
+        // On the stack unless the kernel is unusually wide.
+        let mut stack = [(0, Complex::ZERO); 16];
+        let mut heap = Vec::new();
+        let placed = k
+            .terms
+            .iter()
+            .filter_map(|&(mask, p)| Some((layout.place_pattern(mask, mask)?.0, p)));
+        let terms: &[(usize, Complex)] = if k.terms.len() <= stack.len() {
+            let mut count = 0;
+            for (slot, term) in stack.iter_mut().zip(placed) {
+                *slot = term;
+                count += 1;
+            }
+            &stack[..count]
+        } else {
+            heap.extend(placed);
+            &heap
+        };
         for run in pins.runs_in(0, 0, range, len) {
             let first = run.start;
             for (offset, a) in amps[run].iter_mut().enumerate() {
                 let mut ph = k.global;
-                for &(mask, p) in &k.terms {
-                    if (first + offset) & (mask << widen) == mask << widen {
+                for &(mask, p) in terms {
+                    if (first + offset) & mask == mask {
                         ph *= p;
                     }
                 }
@@ -1141,19 +1247,21 @@ fn permute_swap(
 
 impl StateVector {
     /// Replays a compiled program through this state: fused kernels run
-    /// directly on the amplitude buffer — over its live sub-cube only,
-    /// each unpinning the bits it mixes first (module docs);
+    /// directly on the stored sub-cube, each segment inserting the bits
+    /// its kernels mix first (module docs);
     /// [`CompiledOp::Interp`] points go through
     /// [`SimState::step`](crate::sim::SimState::step), consuming `rng`
     /// in exactly the interpreted order.
     ///
     /// This is the replay driver of [`crate::amp`] with one worker, on
-    /// the calling thread: nothing is spawned and nothing allocated.
+    /// the calling thread: nothing is spawned, and nothing allocated
+    /// once the state's buffer has held its widest sub-cube.
     ///
     /// The state may be **wider** than the program, matching the
     /// interpreted contract (qubit 0 is the *state's* most significant
     /// bit): the compiled masks, which are relative to the program
-    /// width, are shifted up by the width difference at replay.
+    /// width, are shifted up by the width difference at replay — one
+    /// step of the `Layout` that places them into the stored buffer.
     ///
     /// # Panics
     ///
@@ -1577,9 +1685,9 @@ mod tests {
                     let mut balanced = start.clone();
                     for p in 0..parts {
                         let range = len * p / parts..len * (p + 1) / parts;
-                        op.apply_live(&mut split, range, 0, pins);
-                        let share = op.live_range(p, parts, len, 0, pins);
-                        op.apply_live(&mut balanced, share, 0, pins);
+                        op.place(Layout::dense(0)).apply(&mut split, range, pins);
+                        let share = op.place(Layout::dense(0)).share(p, parts, len, pins);
+                        op.place(Layout::dense(0)).apply(&mut balanced, share, pins);
                     }
                     assert_eq!(split, full, "{op:?}, {pins:?}, {parts} even parts");
                     assert_eq!(balanced, full, "{op:?}, {pins:?}, {parts} live shares");
@@ -1612,15 +1720,20 @@ mod tests {
                 };
                 for range in [0..len, 37..len - 101] {
                     let mut baseline = start.clone();
-                    op.apply_live_baseline(&mut baseline, range.clone(), 0, pins);
+                    op.place(Layout::dense(0))
+                        .apply_baseline(&mut baseline, range.clone(), pins);
                     let mut dispatched = start.clone();
-                    op.apply_live(&mut dispatched, range.clone(), 0, pins);
+                    op.place(Layout::dense(0))
+                        .apply(&mut dispatched, range.clone(), pins);
                     assert_eq!(dispatched, baseline, "{op:?}, {pins:?}, {range:?}");
                     #[cfg(target_arch = "x86_64")]
                     if avx2 {
                         let mut wide = start.clone();
                         // SAFETY: `avx2` was detected above.
-                        unsafe { op.apply_live_avx2(&mut wide, range.clone(), 0, pins) };
+                        unsafe {
+                            op.place(Layout::dense(0))
+                                .apply_avx2(&mut wide, range.clone(), pins)
+                        };
                         assert_eq!(wide, baseline, "avx2: {op:?}, {pins:?}, {range:?}");
                     }
                 }
@@ -1656,7 +1769,7 @@ mod tests {
                     let mut next = 0;
                     let mut unit_counts = Vec::new();
                     for w in 0..workers {
-                        let r = op.live_range(w, workers, len, 0, pins);
+                        let r = op.place(Layout::dense(0)).share(w, workers, len, pins);
                         if trial == 0 {
                             assert_eq!(r, op.worker_range(w, workers, len, 0));
                         }

@@ -111,12 +111,9 @@ impl DensityMatrix {
 
     /// Fidelity `⟨ψ|ρ|ψ⟩` with a pure state.
     pub fn fidelity_pure(&self, psi: &StateVector) -> f64 {
-        let v = self.rho.mul_vec(psi.amplitudes());
-        psi.amplitudes()
-            .iter()
-            .zip(&v)
-            .map(|(a, b)| (a.conj() * *b).re)
-            .sum()
+        let amps = psi.amplitudes();
+        let v = self.rho.mul_vec(&amps);
+        amps.iter().zip(&v).map(|(a, b)| (a.conj() * *b).re).sum()
     }
 
     /// Expectation value `tr(Oρ)` of a full-register observable.

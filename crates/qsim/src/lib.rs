@@ -5,11 +5,11 @@
 //! * [`statevector`] — pure-state simulation with mid-circuit measurement,
 //!   reset, feed-forward, and stochastic Pauli noise (the workhorse behind
 //!   the paper's shot-based CSWAP fidelity experiments, §5.2). The state
-//!   remembers which qubits sit at a known classical value (*pinned
-//!   bits*: every amplitude disagreeing with a pin is exactly zero) and
-//!   every amplitude loop, interpreted or compiled, visits only the live
-//!   sub-cube — work ∝ `2^live`, bit-identical to the full-register
-//!   simulation;
+//!   stores only its live sub-cube: the qubits at a known classical
+//!   value (*pinned bits*) are not stored, so its buffer holds
+//!   `2^live` amplitudes in index order and every amplitude loop,
+//!   interpreted or compiled, is a dense pass over it — work ∝
+//!   `2^live`, bit-identical to the full-register simulation;
 //! * [`density`] — exact density-matrix simulation with depolarizing /
 //!   readout / reset channels and deferred-measurement execution of
 //!   feed-forward circuits (the reference used for GHZ fidelity, §5.3, and
@@ -23,8 +23,8 @@
 //!   statevector kernels (gate fusion, two-qubit 4×4 fusion, phase-mask
 //!   merging, precomputed permutation masks) replayed by every shot of
 //!   a plan, each kernel one vectorisable loop over the slices of its
-//!   live runs behind the range-aware
-//!   [`compile::CompiledOp::apply_range`] seam;
+//!   runs, its masks placed into the stored buffer once per call,
+//!   behind the range-aware [`compile::CompiledOp::apply_range`] seam;
 //! * [`amp`] — the replay driver of compiled programs, sequential and
 //!   amplitude-parallel: one big shot's *live* amplitude space split
 //!   across workers, consecutive in-block kernels run block by block

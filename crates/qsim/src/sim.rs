@@ -39,7 +39,7 @@ use circuit::circuit::{Circuit, Instruction};
 use rand::Rng;
 
 use crate::compile::CompiledCircuit;
-use crate::qrand::random_pauli_on;
+use crate::qrand::{pauli_gates, random_pauli_code};
 use crate::statevector::StateVector;
 
 pub use circuit::caps::Unsupported;
@@ -214,7 +214,7 @@ impl SimState for StateVector {
             }
             Instruction::Depolarizing { qubits, p } => {
                 if rng.random::<f64>() < *p {
-                    for gate in random_pauli_on(qubits, rng) {
+                    for gate in pauli_gates(random_pauli_code(qubits.len(), rng), qubits) {
                         self.apply_gate(&gate);
                     }
                 }

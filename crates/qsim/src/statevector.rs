@@ -1,70 +1,77 @@
 //! Pure-state (statevector) simulation.
 //!
-//! [`StateVector`] stores the `2ⁿ` complex amplitudes of an `n`-qubit pure
+//! [`StateVector`] holds the complex amplitudes of an `n`-qubit pure
 //! state and applies the gate set of the [`circuit`] crate in place.
 //!
 //! **Bit convention.** Qubit 0 is the *most significant* bit of the basis
 //! index, so for 3 qubits the basis state `|q₀q₁q₂⟩ = |110⟩` is index 6.
 //! This matches [`circuit::gate::Gate::unitary`].
 //!
-//! **Pinned bits.** A dynamic circuit keeps most of its qubits at a known
-//! classical value most of the time: never touched yet, just measured,
-//! just reset. The state remembers which (a pinned-bit mask and the
-//! pinned values, private to [`StateVector`]) under one invariant:
-//!
-//! > every amplitude whose index disagrees with a pin is exactly zero.
+//! **The stored sub-cube.** A dynamic circuit keeps most of its qubits
+//! at a known classical value most of the time: never touched yet, just
+//! measured, just reset. A state stores only the amplitudes that can be
+//! nonzero. Its *pins* (private to [`StateVector`]) name the basis-index
+//! bits it does **not** store and their values; the buffer holds the
+//! `2^(n − pinned)` amplitudes of the *live sub-cube*
+//! `i & mask == values`, in index order: stored index `k` is full index
+//! `spread(k, free) | values`, where `spread` deals the bits of `k` out
+//! to the unpinned (`free`) bit positions, lowest to lowest.
 //!
 //! *Who pins:* [`StateVector::new`] and [`StateVector::basis_state`] pin
-//! every bit (and with nothing live allocate nothing: the `2ⁿ` buffer
-//! appears when the amplitudes are first read or changed),
-//! [`StateVector::product_state`] pins the qubits no group
-//! owns, and collapse (so [`StateVector::measure`],
-//! [`StateVector::collapse`], [`StateVector::reset`]) pins the measured
-//! bit. *Who unpins:* a non-diagonal gate or compiled kernel forgets the
-//! pins on its support before it runs; a Pauli `X`/`Y` on a pinned bit
-//! only flips the stored value. Diagonal gates and phase kernels change
-//! nothing, and [`StateVector::from_amplitudes`] /
-//! [`StateVector::apply_unitary`] pin nothing.
+//! every bit (one stored amplitude), [`StateVector::product_state`] pins
+//! the qubits no group owns, and collapse (so [`StateVector::measure`],
+//! [`StateVector::collapse`], [`StateVector::reset`]) drops the measured
+//! bit from the buffer as it scales the kept half. *Who unpins:* a gate
+//! or compiled kernel that mixes a bit the buffer does not store first
+//! inserts that bit in place — a descending spread, the new half set to
+//! `+0.0`. The exceptions keep a pinned bit classical: a controlled
+//! permutation tests a pinned control against its pattern instead
+//! (matched, the control drops out; contradicted, the gate moves
+//! nothing); `X`/`Y` on a pinned bit flip its value, `Y` also scaling
+//! every amplitude by `±i`; a diagonal gate or phase kernel applies the
+//! pinned bit's fixed factor, or nothing. [`StateVector::from_amplitudes`]
+//! pins nothing.
 //!
-//! Every amplitude loop then enumerates only the *live sub-cube*
-//! `i & mask == values` — work ∝ `2^live`, not `2ⁿ` — through one
-//! enumerator (`Pins::runs_in`): the maximal runs of consecutive live
-//! indices matching a bit pattern inside any index range, found without
-//! scanning. The compiled kernels take the runs as slices, on the
-//! sequential and the amplitude-parallel path alike (the workers of
-//! [`crate::amp`] split the *live* units and keep the pins); the
-//! interpreter's pair loops take them index by index. Measurement goes
-//! by run length, like the kernels: runs of at least `SLICE_MIN`
-//! amplitudes as slices — the collapse scales each kept run and fills
-//! its partner run with zeros, the outcome sum reads eight norms at a
-//! time and skips a chunk whose norms are all zero — and shorter runs
-//! index by index, since a run of one cannot pay for a slice. The sum
-//! stays serial in ascending index order, so its rounding never
-//! depends on how anything was split. This is exact, not
-//! approximate: a skipped work unit holds only zeros, and any gate maps
-//! zeros to zeros (of either sign, which no later sum or product can
-//! tell apart), while a surviving unit does the full-register
-//! arithmetic in the full-register order. The slice loops change no
-//! bit either: a run's indices share the measured bit and every bit
-//! above it, so XOR-ing that bit onto the run's start shifts the whole
-//! run onto its contiguous partner; a scale is per element, so its
-//! order is immaterial, and `x · 1.0 == x` bitwise, so a scale of
-//! exactly one is skipped; the sum starts at `+0.0` and every norm is
-//! `≥ +0.0`, so a skipped zero term is `p + 0.0 == p`. Amplitudes
-//! (`==`), probabilities, RNG draws and records are therefore those of
-//! the unpinned simulation bit for bit; pins are knowledge *about* the
-//! amplitudes, not state, and take no part in equality.
+//! So every amplitude loop is a dense pass over `2^live` contiguous
+//! amplitudes — the compiled kernels place their masks into buffer
+//! coordinates once per call (`Layout`), then run the plain slice loops
+//! of [`crate::compile`]. Readers of the full vector
+//! ([`StateVector::amplitudes`], [`StateVector::inner`],
+//! [`StateVector::to_density`], `==`) get it materialised on demand.
+//!
+//! This is exact, not approximate. The map from stored to full index is
+//! strictly monotone, so every ascending sum adds the same terms in the
+//! same order as the full-register simulation, minus terms that are
+//! exact zeros: the sum starts at `+0.0` and every norm is `≥ +0.0`, so
+//! a dropped zero term is `p + 0.0 == p`. Every per-unit operation does
+//! the full register's arithmetic on the same values; a unit the buffer
+//! does not hold holds only zeros there, and any gate maps zeros to
+//! zeros (of either sign, which no later sum or product can tell
+//! apart). Measurement goes by run length: an outcome sum over runs of
+//! at least `SLICE_MIN` amplitudes reads eight norms at a time and
+//! skips a chunk whose norms are all zero, and a collapse over blocks
+//! that long moves each kept block as a slice; shorter ones go index by
+//! index, since a run of one cannot pay for a slice. The sum stays
+//! serial in ascending index order, so its rounding never depends on
+//! how anything was split, and a scale is per element, with
+//! `x · 1.0 == x` bitwise, so a scale of exactly one is skipped.
+//! Amplitudes (`==`), probabilities, RNG draws and records are
+//! therefore those of the full-register simulation bit for bit; pins
+//! are knowledge *about* the amplitudes, not state, and take no part in
+//! equality.
 //!
 //! ```
 //! use qsim::statevector::StateVector;
 //! use circuit::gate::Gate;
 //!
 //! let mut psi = StateVector::new(2);
+//! assert_eq!(psi.stored_len(), 1); // |00⟩: every bit pinned
 //! psi.apply_gate(&Gate::H(0));
 //! psi.apply_gate(&Gate::Cx { control: 0, target: 1 });
 //! // Bell state: equal weight on |00⟩ and |11⟩.
 //! assert!((psi.probability(0) - 0.5).abs() < 1e-12);
 //! assert!((psi.probability(3) - 0.5).abs() < 1e-12);
+//! assert_eq!(psi.stored_len(), 4);
 //! ```
 
 use circuit::circuit::Basis;
@@ -73,12 +80,15 @@ use mathkit::complex::{c64, Complex};
 use mathkit::matrix::Matrix;
 use rand::Rng;
 use std::f64::consts::FRAC_1_SQRT_2;
-use std::sync::OnceLock;
 
-/// Basis-index bits known to hold a classical value: every amplitude
-/// whose index disagrees with them is exactly zero (see the module
-/// docs).
-#[derive(Debug, Clone, Copy)]
+use crate::compile::qubit_mask;
+
+/// Basis-index bits with a known classical value. A state's pins are
+/// the bits its buffer does not store (see the module docs); the
+/// kernels of [`crate::compile`] also take pins *in buffer
+/// coordinates* — bits the buffer stores whose amplitudes off the
+/// pinned values are exactly zero — and skip the units those rule out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Pins {
     /// The pinned index bits.
     mask: usize,
@@ -87,7 +97,7 @@ pub(crate) struct Pins {
 }
 
 impl Pins {
-    /// Nothing pinned: every loop is the full-register pass.
+    /// Nothing pinned: every loop is the full pass.
     pub(crate) const NONE: Pins = Pins { mask: 0, vals: 0 };
 
     /// Whether no bit is pinned.
@@ -101,6 +111,26 @@ impl Pins {
             mask: self.mask & !bits,
             vals: self.vals & !bits,
         }
+    }
+
+    /// The bits of `bits` that are pinned.
+    pub(crate) fn pinned(self, bits: usize) -> usize {
+        bits & self.mask
+    }
+
+    /// The pinned bits a controlled permutation — for every index `i`
+    /// with `i & select == ones`, swap `i` and `i ^ flip` — must
+    /// insert before it runs: its flip bits. A pinned *control* is a
+    /// pattern test instead, and `None` says one contradicts the
+    /// pattern, so the permutation moves nothing.
+    pub(crate) fn permutation_growth(
+        self,
+        ones: usize,
+        select: usize,
+        flip: usize,
+    ) -> Option<usize> {
+        let controls = select & !flip & self.mask;
+        ((ones ^ self.vals) & controls == 0).then_some(flip & self.mask)
     }
 
     /// The one enumerator under every amplitude loop: ascending, the
@@ -155,7 +185,7 @@ impl Pins {
 
     /// [`Pins::runs_in`] over the whole index space.
     #[inline(always)]
-    fn runs(self, ones: usize, select: usize, len: usize) -> Runs {
+    pub(crate) fn runs(self, ones: usize, select: usize, len: usize) -> Runs {
         self.runs_in(ones, select, 0..len, len)
     }
 
@@ -166,7 +196,7 @@ impl Pins {
     ///
     /// Equal *index* splits are not equal *work* splits: a pair kernel
     /// on the top bit keeps every representative in the lower half of
-    /// the buffer, and pinned bits leave most of the buffer dead. So the
+    /// the buffer, and pinned bits leave part of the buffer dead. So the
     /// live unit counter is split evenly and mapped back to indices
     /// through the (monotone) spread of its bits over the free bit
     /// positions, the fixed bits at their pattern.
@@ -198,6 +228,82 @@ impl Pins {
     }
 }
 
+/// Where a compiled program's index masks land in a state's buffer:
+/// shifted up by `widen` (a program may run on a wider state, qubit 0
+/// being the state's most significant bit) and then gathered onto the
+/// stored bits, which the buffer packs lowest to lowest. Built once per
+/// kernel segment ([`StateVector::grow`]); a kernel places its masks once
+/// per call.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Layout {
+    /// The width difference between state and program.
+    widen: usize,
+    /// The full-index bits the buffer stores.
+    free: usize,
+    /// The values of the bits it does not store.
+    vals: usize,
+}
+
+impl Layout {
+    /// A full `2ⁿ` buffer: every bit stored, masks only shifted — the
+    /// layout of the public raw-slice seam [`crate::compile::CompiledOp::apply`].
+    pub(crate) fn dense(widen: usize) -> Layout {
+        Layout {
+            widen,
+            free: usize::MAX,
+            vals: 0,
+        }
+    }
+
+    /// Program mask `mask` in buffer coordinates; the buffer stores
+    /// every one of its bits.
+    #[inline]
+    pub(crate) fn place(self, mask: usize) -> usize {
+        let mask = mask << self.widen;
+        debug_assert_eq!(
+            mask & !self.free,
+            0,
+            "placing a bit the buffer does not store"
+        );
+        gather(mask, self.free)
+    }
+
+    /// A program bit pattern — the indices with `i & select == ones` —
+    /// in buffer coordinates: `None` if a bit the buffer does not store
+    /// contradicts it (the pattern selects nothing), else its stored
+    /// part, the rest being met by every stored amplitude.
+    #[inline]
+    pub(crate) fn place_pattern(self, ones: usize, select: usize) -> Option<(usize, usize)> {
+        let (ones, select) = (ones << self.widen, select << self.widen);
+        if (ones ^ self.vals) & select & !self.free != 0 {
+            return None;
+        }
+        Some((
+            gather(ones & self.free, self.free),
+            gather(select & self.free, self.free),
+        ))
+    }
+
+    /// A controlled permutation's `(ones, select, flip)` in buffer
+    /// coordinates, or `None` when it moves nothing: a control the
+    /// buffer does not store contradicts its pattern, or a flip bit is
+    /// not stored — which happens only when its segment grew
+    /// ([`Pins::permutation_growth`]) while a control still contradicted.
+    #[inline]
+    pub(crate) fn place_permutation(
+        self,
+        ones: usize,
+        select: usize,
+        flip: usize,
+    ) -> Option<(usize, usize, usize)> {
+        if (flip << self.widen) & !self.free != 0 {
+            return None;
+        }
+        let (ones, select) = self.place_pattern(ones, select)?;
+        Some((ones, select, self.place(flip)))
+    }
+}
+
 /// The smallest `y ≥ x` with `y & fixed == pattern`, if there is one
 /// below `len` (`pattern ⊆ fixed ⊆ len - 1`, `x < len`).
 ///
@@ -225,8 +331,7 @@ fn first_match(x: usize, pattern: usize, fixed: usize, len: usize) -> Option<usi
 
 /// Distributes the low bits of `k` over the set bit positions of
 /// `free`, lowest to lowest. Strictly monotone in `k`, and surjective
-/// onto the submasks of `free` — the inverse of "gather the free bits
-/// of an index into a dense counter".
+/// onto the submasks of `free` — the inverse of [`gather`].
 fn spread(mut k: usize, mut free: usize) -> usize {
     let mut out = 0;
     while free != 0 {
@@ -236,6 +341,24 @@ fn spread(mut k: usize, mut free: usize) -> usize {
         }
         k >>= 1;
         free &= free - 1;
+    }
+    out
+}
+
+/// Collects the bits of `mask` (a submask of `free`) into a dense
+/// counter: bit `b` of `mask` lands at the number of `free` bits below
+/// `b`. The identity when everything is free.
+#[inline]
+fn gather(mask: usize, free: usize) -> usize {
+    if free == usize::MAX {
+        return mask;
+    }
+    let mut out = 0;
+    let mut rest = mask;
+    while rest != 0 {
+        let bit = rest & rest.wrapping_neg();
+        out |= 1 << (free & (bit - 1)).count_ones();
+        rest &= rest - 1;
     }
     out
 }
@@ -300,11 +423,10 @@ impl Iterator for Runs {
 #[derive(Debug, Clone)]
 pub struct StateVector {
     num_qubits: usize,
-    /// Unset while the state is a *bare* basis state, as created by
-    /// [`StateVector::basis_state`] or copied from one: every bit
-    /// pinned, amplitude one at `pins.vals`. The `2ⁿ` buffer appears
-    /// on first use.
-    amps: OnceLock<Vec<Complex>>,
+    /// The live sub-cube in index order (module docs): entry `k` is the
+    /// amplitude of full index `spread(k, free) | pins.vals`.
+    amps: Vec<Complex>,
+    /// The bits the buffer does not store, and their values.
     pins: Pins,
 }
 
@@ -312,7 +434,12 @@ pub struct StateVector {
 /// state.
 impl PartialEq for StateVector {
     fn eq(&self, other: &Self) -> bool {
-        self.num_qubits == other.num_qubits && self.amps() == other.amps()
+        self.num_qubits == other.num_qubits
+            && if self.pins == other.pins {
+                self.amps == other.amps
+            } else {
+                self.amplitudes() == other.amplitudes()
+            }
     }
 }
 
@@ -339,21 +466,18 @@ impl StateVector {
         );
         StateVector {
             num_qubits,
-            amps: OnceLock::from(amps),
+            amps,
             pins: Pins::NONE,
         }
     }
 
-    /// The computational basis state `|index⟩`. It is *bare* — it owns
-    /// no amplitude buffer — until something reads or changes its
-    /// amplitudes; [`Clone`] and [`StateVector::copy_from`] keep it so.
-    /// A sampling call's template state is only ever cloned and copied
-    /// from, so it never costs `2ⁿ` amplitudes.
+    /// The computational basis state `|index⟩`: every bit pinned, one
+    /// stored amplitude.
     pub fn basis_state(num_qubits: usize, index: usize) -> Self {
         assert!(index < (1 << num_qubits), "basis index out of range");
         StateVector {
             num_qubits,
-            amps: OnceLock::new(),
+            amps: vec![Complex::ONE],
             pins: Pins {
                 mask: (1 << num_qubits) - 1,
                 vals: index,
@@ -378,8 +502,8 @@ impl StateVector {
 
     /// [`StateVector::product_state`] in place, on this state's own
     /// register: overwrites the state, reusing its allocation, and
-    /// writes only the `2^owned` entries a product state can make
-    /// nonzero — each with the arithmetic of a full scan
+    /// stores the `2^owned` entries a product state can make nonzero —
+    /// each with the arithmetic of a full scan
     /// (`1 · g₀[s₀] · g₁[s₁] · …`, groups in order). The per-shot
     /// set-up of `compas`'s trace estimates.
     ///
@@ -397,12 +521,11 @@ impl StateVector {
             );
             for &q in qubits.as_ref() {
                 assert!(q < n, "group {gi}: qubit {q} out of range");
-                let mask = crate::compile::qubit_mask(q, n);
+                let mask = qubit_mask(q, n);
                 assert!(owned & mask == 0, "qubit {q} claimed by two groups");
                 owned |= mask;
             }
         }
-        self.zero_live();
         // Uncovered qubits are 0 in the basis index of every nonzero
         // entry.
         let len = 1usize << n;
@@ -411,7 +534,7 @@ impl StateVector {
             vals: 0,
         };
         self.pins = pins;
-        let amps = self.amps_mut();
+        self.amps.clear();
         let mut norm_sqr = 0.0;
         for i in pins.runs(0, 0, len).singles() {
             let mut val = Complex::ONE;
@@ -422,57 +545,22 @@ impl StateVector {
                     .fold(0, |sub, &q| (sub << 1) | bit(i, q, n));
                 val *= g_amps.as_ref()[sub];
             }
-            amps[i] = val;
+            self.amps.push(val);
             norm_sqr += val.norm_sqr();
         }
         debug_assert!((norm_sqr - 1.0).abs() < 1e-9);
     }
 
-    /// Zeroes the live sub-cube — by the pin invariant, the whole
-    /// buffer.
-    fn zero_live(&mut self) {
-        let pins = self.pins;
-        let amps = self.amps_mut();
-        for run in pins.runs(0, 0, amps.len()) {
-            amps[run].fill(Complex::ZERO);
-        }
-    }
-
     /// Overwrites this state with a copy of `other`, reusing the
-    /// existing amplitude allocation when capacities allow — the
+    /// existing amplitude allocation when its capacity allows — the
     /// buffer-reuse primitive behind `runner::run_shot_into` and the
-    /// engine crate's per-worker scratch states.
-    ///
-    /// Between equal-width states the cost follows the two live
-    /// sub-cubes, not `2ⁿ`: zero this state's, copy `other`'s, take its
-    /// pins. Outside both everything is already zero, so the result is
-    /// the full copy exactly. A bare basis state (see
-    /// [`StateVector::basis_state`]) is copied without giving it a
-    /// buffer.
+    /// engine crate's per-worker scratch states. Costs `other`'s stored
+    /// sub-cube, not `2ⁿ`.
     pub fn copy_from(&mut self, other: &StateVector) {
-        let same_width = self.num_qubits == other.num_qubits;
-        match other.amps.get() {
-            Some(src) if same_width && !other.pins.is_none() => {
-                self.zero_live();
-                let amps = self.amps_mut();
-                for run in other.pins.runs(0, 0, src.len()) {
-                    amps[run.clone()].copy_from_slice(&src[run]);
-                }
-            }
-            Some(src) => {
-                let mut amps = self.amps.take().unwrap_or_default();
-                amps.clear();
-                amps.extend_from_slice(src);
-                self.amps = OnceLock::from(amps);
-            }
-            None if same_width && self.amps.get().is_some() => {
-                self.zero_live();
-                self.amps_mut()[other.pins.vals] = Complex::ONE;
-            }
-            None => self.amps = OnceLock::new(),
-        }
         self.num_qubits = other.num_qubits;
         self.pins = other.pins;
+        self.amps.clear();
+        self.amps.extend_from_slice(&other.amps);
     }
 
     /// Number of qubits.
@@ -480,63 +568,139 @@ impl StateVector {
         self.num_qubits
     }
 
-    /// The amplitude vector in basis order.
-    pub fn amplitudes(&self) -> &[Complex] {
-        self.amps()
+    /// The full `2ⁿ` amplitude vector in basis order, materialised from
+    /// the stored sub-cube (every other amplitude is zero).
+    pub fn amplitudes(&self) -> Vec<Complex> {
+        let len = 1usize << self.num_qubits;
+        let mut full = vec![Complex::ZERO; len];
+        let mut stored = self.amps.as_slice();
+        for run in self.pins.runs(0, 0, len) {
+            let (head, rest) = stored.split_at(run.len());
+            full[run].copy_from_slice(head);
+            stored = rest;
+        }
+        full
     }
 
-    /// The amplitudes; gives a bare basis state its buffer.
-    fn amps(&self) -> &[Complex] {
-        self.amps.get_or_init(|| {
-            let len = 1usize << self.num_qubits;
-            debug_assert_eq!(self.pins.mask, len - 1, "a bare state has every bit pinned");
-            let mut amps = vec![Complex::ZERO; len];
-            amps[self.pins.vals] = Complex::ONE;
-            amps
-        })
+    /// How many amplitudes the state stores: `2^live`, one per basis
+    /// state its pinned bits leave possible (module docs).
+    pub fn stored_len(&self) -> usize {
+        self.amps.len()
     }
 
-    /// [`StateVector::amps`], mutably. Call it before changing the
-    /// pins: a bare basis state reads its index off them.
-    fn amps_mut(&mut self) -> &mut Vec<Complex> {
-        self.amps();
-        self.amps.get_mut().expect("initialised on the line above")
-    }
-
-    /// The pins in force.
+    /// The pins in force: the bits the buffer does not store.
     pub(crate) fn pins(&self) -> Pins {
         self.pins
     }
 
-    /// Forgets the pins on the index `bits` an operation is about to
-    /// mix and hands out the whole amplitude buffer. The replay driver
-    /// of [`crate::amp`] reads [`StateVector::pins`] first and lets
-    /// every kernel of a segment fold its own unpinning.
-    pub(crate) fn amps_mut_unpinning(&mut self, bits: usize) -> &mut [Complex] {
-        self.amps_mut();
-        self.pins = self.pins.without(bits);
-        self.amps_mut()
+    /// The full-index bits the buffer stores.
+    fn free(&self) -> usize {
+        ((1usize << self.num_qubits) - 1) & !self.pins.mask
     }
 
-    /// Whether the pin invariant holds: every amplitude whose index
-    /// disagrees with a pin is exactly zero.
+    /// Where a program's masks, shifted up by `widen`, land in the
+    /// buffer.
+    fn layout(&self, widen: usize) -> Layout {
+        Layout {
+            widen,
+            free: self.free(),
+            vals: self.pins.vals,
+        }
+    }
+
+    /// Starts storing the pinned full-index `bits`: the buffer grows in
+    /// place, each stored amplitude moving to its spread position (a
+    /// descending pass, so nothing is overwritten before it is read) and
+    /// every new entry `+0.0`. At most one allocation, and none once
+    /// the buffer's capacity has seen this width.
+    fn insert(&mut self, bits: usize) {
+        debug_assert_eq!(bits & !self.pins.mask, 0, "inserting a stored bit");
+        if bits == 0 {
+            return;
+        }
+        let free = self.free();
+        let wider = free | bits;
+        let (kept, vals) = (gather(free, wider), gather(self.pins.vals & bits, wider));
+        let old_len = self.amps.len();
+        if bits.is_power_of_two() && kept == (old_len - 1) << 1 {
+            // One bit below every stored one: entry `k` moves to
+            // `2k + value`, an interleave with zeros.
+            interleave_in_place(&mut self.amps, vals != 0, None);
+        } else {
+            self.amps
+                .resize(old_len << bits.count_ones(), Complex::ZERO);
+            spread_in_place(&mut self.amps, old_len, kept, vals);
+        }
+        self.pins = self.pins.without(bits);
+    }
+
+    /// A controlled permutation (full-index masks: for every `i` with
+    /// `i & select == ones`, swap `i` and `i ^ flip`) whose one flip bit
+    /// is pinned below every stored bit, run as the insertion of that
+    /// bit: a stored amplitude whose controls match lands on the flipped
+    /// value, every other one on the pinned value — one interleaving
+    /// pass ([`interleave_in_place`]) instead of an insertion and then a
+    /// swap pass, with the same amplitudes in the same places. The
+    /// shape of every `Cx` down a GHZ chain. Returns `false`, having
+    /// done nothing, for any other permutation.
+    pub(crate) fn permute_growing(&mut self, ones: usize, select: usize, flip: usize) -> bool {
+        let free = self.free();
+        let below_all = flip.is_power_of_two() && free & (flip - 1) == 0;
+        if !below_all || self.pins.permutation_growth(ones, select, flip) != Some(flip) {
+            return false;
+        }
+        // The controls in the current buffer's coordinates, pinned ones
+        // already matched.
+        let (ones, select) = self
+            .layout(0)
+            .place_pattern(ones & !flip, select & !flip)
+            .expect("pinned controls matched");
+        let one = self.pins.vals & flip != 0;
+        interleave_in_place(&mut self.amps, one, Some((ones, select)));
+        self.pins = self.pins.without(flip);
+        true
+    }
+
+    /// Inserts the pinned full-index `bits` a kernel segment mixes and
+    /// hands out what its workers run on: the buffer, its [`Layout`]
+    /// for program masks shifted up by `widen`, and the inserted bits as
+    /// pins in buffer coordinates — their amplitudes off the entry
+    /// values are the insertion's zeros until a kernel of the segment
+    /// mixes them.
+    pub(crate) fn grow(&mut self, bits: usize, widen: usize) -> (&mut [Complex], Layout, Pins) {
+        let entry = self.pins;
+        self.insert(bits);
+        let layout = self.layout(widen);
+        let pins = Pins {
+            mask: gather(bits, layout.free),
+            vals: gather(entry.vals & bits, layout.free),
+        };
+        (&mut self.amps, layout, pins)
+    }
+
+    /// Whether the storage invariant holds: the buffer holds exactly
+    /// `2^(n − pinned)` amplitudes, and the pins lie in the register.
     #[cfg(test)]
     pub(crate) fn pins_hold(&self) -> bool {
         let Pins { mask, vals } = self.pins;
-        self.amps()
-            .iter()
-            .enumerate()
-            .all(|(i, a)| i & mask == vals || *a == Complex::ZERO)
+        let all = (1usize << self.num_qubits) - 1;
+        mask & !all == 0
+            && vals & !mask == 0
+            && self.amps.len() == 1 << (self.num_qubits - mask.count_ones() as usize)
     }
 
     /// Squared norm (should be 1 up to round-off).
     pub fn norm_sqr(&self) -> f64 {
-        self.amps().iter().map(|a| a.norm_sqr()).sum()
+        self.amps.iter().map(|a| a.norm_sqr()).sum()
     }
 
     /// Probability of observing basis state `index` on full measurement.
     pub fn probability(&self, index: usize) -> f64 {
-        self.amps()[index].norm_sqr()
+        let Pins { mask, vals } = self.pins;
+        if index & mask != vals {
+            return 0.0;
+        }
+        self.amps[gather(index & !mask, self.free())].norm_sqr()
     }
 
     /// Inner product `⟨self|other⟩`.
@@ -546,9 +710,9 @@ impl StateVector {
     /// Panics if qubit counts differ.
     pub fn inner(&self, other: &StateVector) -> Complex {
         assert_eq!(self.num_qubits, other.num_qubits);
-        self.amps()
+        self.amplitudes()
             .iter()
-            .zip(other.amps())
+            .zip(&other.amplitudes())
             .map(|(a, b)| a.conj() * *b)
             .sum()
     }
@@ -565,47 +729,30 @@ impl StateVector {
     /// Applies a gate in place.
     ///
     /// This interpreter is the differential reference for the compiled
-    /// kernels: its arithmetic is untouched by the pins, it only
-    /// maintains them (and lets its pair loops skip dead pairs).
+    /// kernels: it does the full register's arithmetic on every stored
+    /// unit, and keeps a pinned bit pinned wherever the gate leaves it
+    /// classical (module docs).
     pub fn apply_gate(&mut self, gate: &Gate) {
-        // The pins change first: give a bare basis state its buffer
-        // while they still name its index.
-        self.amps_mut();
         let n = self.num_qubits;
-        let mask_of = |q| crate::compile::qubit_mask(q, n);
-        match *gate {
-            // Diagonal: zeros stay zeros where they are.
-            Gate::Z(_)
-            | Gate::S(_)
-            | Gate::Sdg(_)
-            | Gate::T(_)
-            | Gate::Tdg(_)
-            | Gate::Rz(..)
-            | Gate::Cz(..) => {}
-            // A Pauli flip moves the zeros to the other half.
-            Gate::X(q) | Gate::Y(q) => self.pins.vals ^= mask_of(q) & self.pins.mask,
-            _ => {
-                let support = gate.qubits().iter().fold(0, |m, &q| m | mask_of(q));
-                self.pins = self.pins.without(support);
-            }
-        }
         match *gate {
             Gate::H(q) => {
                 let h = FRAC_1_SQRT_2;
                 self.map_pairs(q, |a0, a1| ((a0 + a1).scale(h), (a0 - a1).scale(h)));
             }
-            Gate::X(q) => self.map_pairs(q, |a0, a1| (a1, a0)),
-            Gate::Y(q) => self.map_pairs(q, |a0, a1| (a1 * c64(0.0, -1.0), a0 * Complex::I)),
-            Gate::Z(q) => self.map_pairs(q, |a0, a1| (a0, -a1)),
-            Gate::S(q) => self.map_pairs(q, |a0, a1| (a0, a1 * Complex::I)),
-            Gate::Sdg(q) => self.map_pairs(q, |a0, a1| (a0, a1 * -Complex::I)),
+            Gate::X(q) => self.map_classical(q, true, |a0, a1| (a1, a0)),
+            Gate::Y(q) => {
+                self.map_classical(q, true, |a0, a1| (a1 * c64(0.0, -1.0), a0 * Complex::I))
+            }
+            Gate::Z(q) => self.map_classical(q, false, |a0, a1| (a0, -a1)),
+            Gate::S(q) => self.map_classical(q, false, |a0, a1| (a0, a1 * Complex::I)),
+            Gate::Sdg(q) => self.map_classical(q, false, |a0, a1| (a0, a1 * -Complex::I)),
             Gate::T(q) => {
                 let w = Complex::from_polar(1.0, std::f64::consts::FRAC_PI_4);
-                self.map_pairs(q, |a0, a1| (a0, a1 * w));
+                self.map_classical(q, false, |a0, a1| (a0, a1 * w));
             }
             Gate::Tdg(q) => {
                 let w = Complex::from_polar(1.0, -std::f64::consts::FRAC_PI_4);
-                self.map_pairs(q, |a0, a1| (a0, a1 * w));
+                self.map_classical(q, false, |a0, a1| (a0, a1 * w));
             }
             Gate::Rx(q, ang) => {
                 let (c, s) = ((ang / 2.0).cos(), (ang / 2.0).sin());
@@ -623,28 +770,39 @@ impl StateVector {
                     Complex::from_polar(1.0, -ang / 2.0),
                     Complex::from_polar(1.0, ang / 2.0),
                 );
-                self.map_pairs(q, |a0, a1| (a0 * m, a1 * p));
+                self.map_classical(q, false, |a0, a1| (a0 * m, a1 * p));
             }
             Gate::Cz(a, b) => {
-                // Touch only the 2^(n-2) amplitudes with both bits set
-                // instead of scanning (and bit-testing) all 2^n.
-                let mask = mask_of(a) | mask_of(b);
-                let pins = self.pins;
-                let amps = self.amps_mut();
-                for i in pins.runs(mask, mask, amps.len()).singles() {
-                    amps[i] = -amps[i];
+                // Touch only the amplitudes with both bits set; a bit
+                // pinned to 0 leaves none, one pinned to 1 drops out.
+                let mask = qubit_mask(a, n) | qubit_mask(b, n);
+                if let Some((ones, select)) = self.layout(0).place_pattern(mask, mask) {
+                    let len = self.amps.len();
+                    for i in Pins::NONE.runs(ones, select, len).singles() {
+                        self.amps[i] = -self.amps[i];
+                    }
                 }
             }
             Gate::Cx { .. } | Gate::Swap(..) | Gate::Ccx { .. } | Gate::Cswap { .. } => {
-                // A controlled permutation swaps, in place, each live
-                // index matching the pattern with its partner — the
-                // masks the compiler lowers the same gate to.
+                // A controlled permutation swaps, in place, each index
+                // matching the pattern with its partner — the masks the
+                // compiler lowers the same gate to.
                 let (ones, select, flip) = crate::compile::permutation_masks(gate, n)
                     .expect("the four controlled permutations have masks");
-                let pins = self.pins;
-                let amps = self.amps_mut();
-                for i in pins.runs(ones, select, amps.len()).singles() {
-                    amps.swap(i, i ^ flip);
+                if self.permute_growing(ones, select, flip) {
+                    return;
+                }
+                let Some(grow) = self.pins.permutation_growth(ones, select, flip) else {
+                    return;
+                };
+                self.insert(grow);
+                let (ones, select, flip) = self
+                    .layout(0)
+                    .place_permutation(ones, select, flip)
+                    .expect("flip bits stored, pinned controls matched");
+                let len = self.amps.len();
+                for i in Pins::NONE.runs(ones, select, len).singles() {
+                    self.amps.swap(i, i ^ flip);
                 }
             }
         }
@@ -669,18 +827,18 @@ impl StateVector {
             assert!(!seen[q], "repeated qubit {q}");
             seen[q] = true;
         }
+        let select = qubits.iter().fold(0usize, |m, &q| m | qubit_mask(q, n));
+        self.insert(self.pins.pinned(select));
+        let layout = self.layout(0);
         let dim_sub = 1usize << k;
         let mut scratch = vec![Complex::ZERO; dim_sub];
-        // Precompute the sub-index → global-offset table once
+        // Precompute the sub-index → buffer-offset table once
         // (`qubits[0]` is the MSB of `u`'s basis ordering), so the
         // gather/scatter loops are a single OR per element instead of
         // per-qubit shift arithmetic.
-        let select = qubits
-            .iter()
-            .fold(0usize, |m, &q| m | crate::compile::qubit_mask(q, n));
         let mut sub_mask = vec![0usize; dim_sub];
         for (bi, &q) in qubits.iter().enumerate() {
-            let m = crate::compile::qubit_mask(q, n);
+            let m = layout.place(qubit_mask(q, n));
             let sub_bit = 1usize << (k - 1 - bi);
             for (s, offset) in sub_mask.iter_mut().enumerate() {
                 if s & sub_bit != 0 {
@@ -691,8 +849,8 @@ impl StateVector {
         // The base indices — every assignment of the non-target qubits,
         // target bits clear — are exactly the indices with no `select`
         // bit set.
-        let amps = self.amps_mut_unpinning(select);
-        crate::compile::for_each_masked(0, select, amps.len(), |base| {
+        let amps = &mut self.amps;
+        crate::compile::for_each_masked(0, layout.place(select), amps.len(), |base| {
             for (s, slot) in scratch.iter_mut().enumerate() {
                 *slot = amps[base | sub_mask[s]];
             }
@@ -703,18 +861,54 @@ impl StateVector {
         });
     }
 
-    /// Maps every live amplitude pair of qubit `q`. A pin on `q` itself
-    /// says one member is zero, not that the pair is dead, so the pairs
-    /// are those of the *other* pins.
+    /// Maps every amplitude pair of qubit `q`, inserting `q` first if it
+    /// is pinned.
     fn map_pairs(&mut self, q: usize, f: impl Fn(Complex, Complex) -> (Complex, Complex)) {
-        let stride = crate::compile::qubit_mask(q, self.num_qubits);
-        let pins = self.pins.without(stride);
-        let amps = self.amps_mut();
-        for i in pins.runs(0, stride, amps.len()).singles() {
-            let j = i | stride;
-            let (b0, b1) = f(amps[i], amps[j]);
-            amps[i] = b0;
-            amps[j] = b1;
+        let mask = qubit_mask(q, self.num_qubits);
+        self.insert(self.pins.pinned(mask));
+        // The pairs of a stored bit: each `2·stride` block's lower half
+        // against its upper half.
+        let stride = self.layout(0).place(mask);
+        if stride == 1 {
+            for pair in self.amps.chunks_exact_mut(2) {
+                (pair[0], pair[1]) = f(pair[0], pair[1]);
+            }
+            return;
+        }
+        for block in self.amps.chunks_exact_mut(2 * stride) {
+            let (low, high) = block.split_at_mut(stride);
+            for (a0, a1) in low.iter_mut().zip(high) {
+                (*a0, *a1) = f(*a0, *a1);
+            }
+        }
+    }
+
+    /// [`StateVector::map_pairs`] for a gate that keeps a classical `q`
+    /// classical — diagonal (`flips` false) or a Pauli flip (`flips`
+    /// true). On a pinned `q` it maps each stored amplitude as the pair
+    /// it forms with its zero partner, keeps the member the gate lands
+    /// it on, and flips the pin if `flips`.
+    fn map_classical(
+        &mut self,
+        q: usize,
+        flips: bool,
+        f: impl Fn(Complex, Complex) -> (Complex, Complex),
+    ) {
+        let mask = qubit_mask(q, self.num_qubits);
+        if self.pins.pinned(mask) == 0 {
+            return self.map_pairs(q, f);
+        }
+        let one = self.pins.vals & mask != 0;
+        for a in &mut self.amps {
+            let (b0, b1) = if one {
+                f(Complex::ZERO, *a)
+            } else {
+                f(*a, Complex::ZERO)
+            };
+            *a = if one != flips { b1 } else { b0 };
+        }
+        if flips {
+            self.pins.vals ^= mask;
         }
     }
 
@@ -724,19 +918,30 @@ impl StateVector {
 
     /// Probability that measuring qubit `q` in the Z basis yields 1.
     pub fn probability_of_one(&self, q: usize) -> f64 {
-        // Sum only the live one-bit amplitudes, in ascending index
-        // order: the accumulation order of a full filtered scan with
-        // its `+ 0.0` terms dropped, so the result is bit-identical to
-        // it — down to the exact `0.0` of a bit pinned to 0.
-        let mask = crate::compile::qubit_mask(q, self.num_qubits);
-        let amps = self.amps();
-        let runs = self.pins.runs(mask, mask, amps.len());
-        if runs.run_len() >= SLICE_MIN {
-            return sum_norms_skipping_zeros(amps, runs);
+        // Sum the one-bit amplitudes in ascending index order: the
+        // accumulation order of a full filtered scan with its `+ 0.0`
+        // terms dropped, so the result is bit-identical to it — down to
+        // the exact `0.0` of a bit pinned to 0. A stored bit selects the
+        // upper half of every `2·bit` block of the buffer; a bit pinned
+        // to 1, all of it.
+        let mask = qubit_mask(q, self.num_qubits);
+        let Some((_, bit)) = self.layout(0).place_pattern(mask, mask) else {
+            return 0.0;
+        };
+        let (width, offset) = match bit {
+            0 => (self.amps.len(), 0),
+            bit => (bit, bit),
+        };
+        let runs = self
+            .amps
+            .chunks_exact(width + offset)
+            .map(|block| &block[offset..]);
+        if width >= SLICE_MIN {
+            return sum_norms_skipping_zeros(runs);
         }
         let mut p = 0.0;
         for run in runs {
-            for a in &amps[run] {
+            for a in run {
                 p += a.norm_sqr();
             }
         }
@@ -763,27 +968,26 @@ impl StateVector {
     fn collapse_known(&mut self, q: usize, outcome: bool, p: f64) {
         assert!(p > 1e-15, "collapse onto a zero-probability outcome");
         let scale = 1.0 / p.sqrt();
-        // Scale the kept half and zero the discarded half — each run of
-        // the one sits one `mask` from its run of the other, and long
-        // runs go as slices ([`SLICE_MIN`]) — then pin the bit. A bit
-        // already pinned to `outcome` is still scaled (`p` is 1 only
-        // up to round-off) and its other half, all zeros, zeroed again.
-        let mask = crate::compile::qubit_mask(q, self.num_qubits);
+        let mask = qubit_mask(q, self.num_qubits);
         let keep = if outcome { mask } else { 0 };
-        let pins = self.pins;
-        let amps = self.amps_mut();
-        let runs = pins.without(mask).runs(keep, mask, amps.len());
-        if runs.run_len() >= SLICE_MIN {
-            collapse_runs(amps, runs, mask, scale);
-        } else {
-            for i in runs.singles() {
-                amps[i] = amps[i].scale(scale);
-                amps[i ^ mask] = Complex::ZERO;
+        if self.pins.pinned(mask) != 0 {
+            // Already classical: the kept half is everything (still
+            // scaled, `p` is 1 only up to round-off) or nothing.
+            if self.pins.vals & mask == keep {
+                scale_all(&mut self.amps, scale);
+            } else {
+                self.amps.fill(Complex::ZERO);
+                self.pins.vals ^= mask;
             }
+            return;
         }
+        // Keep the half whose stored bit is `outcome`, scaled, packed
+        // into the lower half; then the bit is pinned.
+        let bit = self.layout(0).place(mask);
+        keep_half(&mut self.amps, bit, outcome, scale);
         self.pins = Pins {
-            mask: pins.mask | mask,
-            vals: pins.vals & !mask | keep,
+            mask: self.pins.mask | mask,
+            vals: self.pins.vals | keep,
         };
     }
 
@@ -829,21 +1033,30 @@ impl StateVector {
     }
 
     /// Samples a full Z-basis measurement outcome *without* collapsing.
+    /// Only an index of nonzero probability is ever returned — also for
+    /// a draw of exactly `0.0`, and when round-off leaves the draw above
+    /// the total (then the last such index).
     pub fn sample_bits(&self, rng: &mut impl Rng) -> usize {
         let mut r = rng.random::<f64>();
-        let amps = self.amps();
-        for (i, a) in amps.iter().enumerate() {
-            r -= a.norm_sqr();
+        let mut last = None;
+        let indices = self.pins.runs(0, 0, 1 << self.num_qubits).singles();
+        for (a, i) in self.amps.iter().zip(indices) {
+            let p = a.norm_sqr();
+            if p == 0.0 {
+                continue;
+            }
+            r -= p;
+            last = Some(i);
             if r <= 0.0 {
                 return i;
             }
         }
-        amps.len() - 1
+        last.expect("a normalised state has an index of nonzero probability")
     }
 
     /// The density matrix `|ψ⟩⟨ψ|` of this state.
     pub fn to_density(&self) -> Matrix {
-        let amps = self.amps();
+        let amps = self.amplitudes();
         let dim = amps.len();
         let mut rho = Matrix::zeros(dim, dim);
         for i in 0..dim {
@@ -855,17 +1068,139 @@ impl StateVector {
     }
 }
 
+/// Moves entry `k < old_len` of `amps` to `spread(k, kept) | vals` and
+/// zeroes every other entry — the insertion behind
+/// [`StateVector::insert`], `kept` and `vals` in the grown buffer's
+/// coordinates. The map is strictly monotone with `spread(k) ≥ k`, so a
+/// descending pass reads every entry before anything lands on it. The
+/// stored bits below the lowest inserted one keep their positions, so
+/// blocks of that many entries move as one slice.
+fn spread_in_place(amps: &mut [Complex], old_len: usize, kept: usize, vals: usize) {
+    let block = 1usize << kept.trailing_ones();
+    let high = kept & !(block - 1);
+    // The spread of the current block's first index: the submasks of
+    // `high`, counted down from the last block's.
+    let mut to = high;
+    let mut from = old_len;
+    while from > 0 {
+        from -= block;
+        let dst = to | vals;
+        if dst != from {
+            if block == 1 {
+                amps[dst] = std::mem::replace(&mut amps[from], Complex::ZERO);
+            } else {
+                amps.copy_within(from..from + block, dst);
+                amps[from..(from + block).min(dst)].fill(Complex::ZERO);
+            }
+        }
+        to = to.wrapping_sub(1) & high;
+    }
+}
+
+/// [`spread_in_place`] for one inserted bit below every stored one,
+/// doubling `amps`: entry `k` moves to `2k + one`, or to `2k + !one`
+/// where `moved = Some((ones, select))` has `k & select == ones`, and
+/// the other entry of its pair is zeroed. The entries in `[h/2, h)`
+/// land in `[h, 2h)`, past every entry not yet read, so each halving of
+/// `h` is one pass over two disjoint slices; only entry 0 lands on
+/// itself. The first pass writes the new half straight into the spare
+/// capacity: every entry of it is written exactly once, so it is never
+/// zero-filled first.
+///
+/// The slot an entry takes is constant along runs of `2^z` entries,
+/// `z` the trailing zeros of `select`, and those runs are the loops: a
+/// slot that varies entry by entry costs a data-dependent store each.
+/// A lone control on bit 0 — each `Cx` down a GHZ chain — alternates,
+/// so there a pair of entries is the unit, with fixed slots.
+fn interleave_in_place(amps: &mut Vec<Complex>, one: bool, moved: Option<(usize, usize)>) {
+    let old_len = amps.len();
+    let slot =
+        |k: usize| usize::from(one != moved.is_some_and(|(ones, select)| k & select == ones));
+    let pair_of = |k: usize, a: Complex| {
+        let mut pair = [Complex::ZERO; 2];
+        pair[slot(k)] = a;
+        pair
+    };
+    let alternating = matches!(moved, Some((_, 1)));
+    let quad_of = |a: [Complex; 2]| {
+        let mut quad = [Complex::ZERO; 4];
+        quad[slot(0)] = a[0];
+        quad[2 + slot(1)] = a[1];
+        quad
+    };
+    amps.reserve(old_len);
+    let base = amps.as_mut_ptr();
+    let pairs = if alternating && old_len >= 4 {
+        old_len / 2
+    } else {
+        0
+    };
+    for k in (old_len / 2..old_len).step_by(2).take(pairs / 2) {
+        // SAFETY: as for the loop below, two entries at a time: entries
+        // `k, k + 1` land in `[2k, 2k + 4) ⊆ [old_len, 2·old_len)`.
+        unsafe {
+            let quad = quad_of([base.add(k).read(), base.add(k + 1).read()]);
+            base.add(2 * k).cast::<[Complex; 4]>().write_unaligned(quad);
+        }
+    }
+    for k in old_len / 2 + pairs..old_len {
+        // SAFETY: `reserve` made room for `2·old_len` entries. Entry
+        // `k < old_len` is initialised and read before its pair
+        // `2k, 2k + 1 < 2·old_len` is written; the pair lies in the
+        // spare `[old_len, 2·old_len)` (`old_len` is a power of two, so
+        // `2k ≥ old_len`) except for a one-entry buffer, whose pair
+        // starts at the entry itself. Nothing else touches `amps`
+        // meanwhile.
+        unsafe {
+            let pair = pair_of(k, base.add(k).read());
+            base.add(2 * k).write(pair[0]);
+            base.add(2 * k + 1).write(pair[1]);
+        }
+    }
+    // SAFETY: the loop above wrote every entry of `[old_len, 2·old_len)`.
+    unsafe { amps.set_len(2 * old_len) };
+    let run = match moved {
+        Some((_, select)) if select != 0 => 1usize << select.trailing_zeros(),
+        _ => old_len,
+    };
+    let mut top = old_len / 2;
+    while top > 1 {
+        let (low, high) = amps.split_at_mut(top);
+        let (sources, dests) = (&low[top / 2..], &mut high[..top]);
+        if alternating && top >= 4 {
+            for (quad, pair) in dests.chunks_exact_mut(4).zip(sources.chunks_exact(2)) {
+                quad.copy_from_slice(&quad_of([pair[0], pair[1]]));
+            }
+        } else {
+            let run = run.min(top / 2);
+            let runs = dests
+                .chunks_exact_mut(2 * run)
+                .zip(sources.chunks_exact(run));
+            for (start, (dest, source)) in (top / 2..).step_by(run).zip(runs) {
+                let at = slot(start);
+                for (pair, &a) in dest.chunks_exact_mut(2).zip(source) {
+                    pair[at] = a;
+                    pair[at ^ 1] = Complex::ZERO;
+                }
+            }
+        }
+        top /= 2;
+    }
+    if old_len > 1 {
+        [amps[0], amps[1]] = pair_of(0, amps[0]);
+    }
+}
+
 /// Runs at least this long take measurement's slice loops
-/// ([`sum_norms_skipping_zeros`], [`collapse_runs`]); shorter ones keep
+/// ([`sum_norms_skipping_zeros`], [`keep_half`]); shorter ones keep
 /// the index loops. Slices ÷ index loops on 12-qubit states (a 2-core
 /// Xeon, best of three), sum per amplitude and collapse per pair, dense
 /// state / GHZ: runs of 1 1.8 / 1.6 and 6.4 / 6.9; of 2 1.6 / 1.3 and
 /// 1.9 / 1.4; of 4 0.92 / 0.84 and 1.2 / 0.95; of 8 0.95 / 0.41 and
 /// 0.77 / 0.86; of 64 and more 1.06 / 0.71 and ≈ 0.55 / 0.5. So a run
-/// of one or two cannot pay for a slice, and the runs of `lib-compas`'s
-/// teledata shots are all 1–3 long (≈ 1 250 of length 1 per shot).
-/// The length is tested once per call, with the slice loops out of
-/// line, so the short path compiles to the plain index loops.
+/// of one or two cannot pay for a slice. The length is tested once per
+/// call, with the slice loops out of line, so the short path compiles
+/// to the plain index loops.
 const SLICE_MIN: usize = 8;
 
 /// [`StateVector::probability_of_one`]'s sum over long runs, bit for
@@ -874,13 +1209,14 @@ const SLICE_MIN: usize = 8;
 ///
 /// Exact because the sum starts at `+0.0` and every norm is `≥ +0.0`
 /// (never `-0.0`: a sum of squares), so adding a zero norm is
-/// `p + 0.0 == p` bitwise — the argument by which the pinned-bit loops
-/// already drop dead amplitudes. Nothing is reassociated.
+/// `p + 0.0 == p` bitwise — the argument by which the stored sub-cube
+/// already drops the amplitudes it does not hold. Nothing is
+/// reassociated.
 #[inline(never)]
-fn sum_norms_skipping_zeros(amps: &[Complex], runs: Runs) -> f64 {
+fn sum_norms_skipping_zeros<'a>(runs: impl Iterator<Item = &'a [Complex]>) -> f64 {
     let mut p = 0.0;
     for run in runs {
-        let chunks = amps[run].chunks_exact(8);
+        let chunks = run.chunks_exact(8);
         let rest = chunks.remainder();
         for chunk in chunks {
             let norms: [f64; 8] = std::array::from_fn(|k| chunk[k].norm_sqr());
@@ -898,28 +1234,53 @@ fn sum_norms_skipping_zeros(amps: &[Complex], runs: Runs) -> f64 {
     p
 }
 
-/// [`StateVector::collapse_known`]'s loop over long runs, bit for bit:
-/// each kept run is scaled as a slice and its partner run, one `mask`
-/// away, filled with zeros.
-///
-/// Exact because the runs of `Pins::runs` with `mask` selected share
-/// the measured bit and every bit above it, so XOR-ing `mask` onto a
-/// run's start shifts the whole run onto a contiguous partner (built
-/// from the start: the exclusive end may carry into the measured bit);
-/// the scale is per element, so its order is immaterial; and
-/// `x · 1.0 == x` bitwise, so a scale of exactly `1.0` is skipped.
-#[inline(never)]
-fn collapse_runs(amps: &mut [Complex], runs: Runs, mask: usize, scale: f64) {
-    for run in runs {
-        let partner = run.start ^ mask;
-        let len = run.len();
-        if scale != 1.0 {
-            for a in &mut amps[run] {
-                *a = a.scale(scale);
+/// Scales every amplitude by `scale`; `x · 1.0 == x` bitwise, so a
+/// scale of exactly `1.0` is skipped.
+fn scale_all(amps: &mut [Complex], scale: f64) {
+    if scale != 1.0 {
+        for a in amps {
+            *a = a.scale(scale);
+        }
+    }
+}
+
+/// [`StateVector::collapse_known`]'s compaction: the entries whose
+/// buffer bit `bit` is `keep`, scaled, move down into the lower half in
+/// order, and the buffer is cut to it. Entry `k` of the result comes
+/// from `k` with a `keep` bit inserted at `bit`, which is never below
+/// `k`, so an ascending pass reads every entry before anything lands on
+/// it. The kept entries come in blocks of `bit`: long blocks move as
+/// slices ([`SLICE_MIN`]), short ones index by index. The scale is per
+/// element, so neither order changes a bit.
+fn keep_half(amps: &mut Vec<Complex>, bit: usize, keep: bool, scale: f64) {
+    let half = amps.len() / 2;
+    let offset = if keep { bit } else { 0 };
+    if bit >= SLICE_MIN {
+        for to in (0..half).step_by(bit) {
+            let from = 2 * to + offset;
+            if from == to {
+                scale_all(&mut amps[to..to + bit], scale);
+                continue;
+            }
+            // `to + bit ≤ from`: the block moves down clear of itself.
+            let (low, high) = amps.split_at_mut(from);
+            let (kept, dst) = (&high[..bit], &mut low[to..to + bit]);
+            if scale == 1.0 {
+                dst.copy_from_slice(kept);
+            } else {
+                for (d, a) in dst.iter_mut().zip(kept) {
+                    *d = a.scale(scale);
+                }
             }
         }
-        amps[partner..partner + len].fill(Complex::ZERO);
+    } else {
+        let low = bit - 1;
+        for to in 0..half {
+            let from = (to & low) | ((to & !low) << 1) | offset;
+            amps[to] = amps[from].scale(scale);
+        }
     }
+    amps.truncate(half);
 }
 
 /// Value of qubit `q`'s bit within basis index `i` of an `n`-qubit register.
@@ -1165,8 +1526,8 @@ mod tests {
             assert!(dest.pins_hold());
             assert_eq!(dest.probability(0b111), 1.0);
         }
-        // Copying from it, and cloning it, gave it no buffer.
-        assert!(bare.amps.get().is_none() && bare.clone().amps.get().is_none());
+        // Copying from it, and cloning it, stores one amplitude.
+        assert!(bare.stored_len() == 1 && bare.clone().stored_len() == 1);
         // The other direction: a bare destination takes any source.
         let mut dest = StateVector::new(3);
         dest.copy_from(&unpinned);
@@ -1276,7 +1637,7 @@ mod tests {
         starts.push(measured);
         for start in &starts {
             for gate in &gates {
-                let expected = permute_by_scratch_vector(start.amplitudes(), gate, n);
+                let expected = permute_by_scratch_vector(&start.amplitudes(), gate, n);
                 let mut sv = start.clone();
                 sv.apply_gate(gate);
                 assert_eq!(sv.amplitudes(), expected, "{gate}");
@@ -1541,39 +1902,45 @@ mod tests {
 
     // ---- measurement: slice loops ≡ index loops, bit for bit ------
 
-    /// The reference for [`collapse_runs`]: the short path's loop at
-    /// every run length, index by index, the kept amplitude scaled and
-    /// its partner zeroed.
-    fn collapse_by_index(sv: &mut StateVector, q: usize, outcome: bool, p: f64) {
+    /// The reference for [`keep_half`]: the full-register index loop,
+    /// every amplitude with qubit `q` at `outcome` scaled and every
+    /// other one zeroed.
+    fn collapse_by_index(sv: &StateVector, q: usize, outcome: bool, p: f64) -> Vec<Complex> {
         let scale = 1.0 / p.sqrt();
         let mask = crate::compile::qubit_mask(q, sv.num_qubits);
         let keep = if outcome { mask } else { 0 };
-        let pins = sv.pins;
-        let amps = sv.amps_mut();
-        for i in pins.without(mask).runs(keep, mask, amps.len()).singles() {
-            amps[i] = amps[i].scale(scale);
-            amps[i ^ mask] = Complex::ZERO;
-        }
+        sv.amplitudes()
+            .iter()
+            .enumerate()
+            .map(|(i, a)| {
+                if i & mask == keep {
+                    a.scale(scale)
+                } else {
+                    Complex::ZERO
+                }
+            })
+            .collect()
     }
 
     /// The reference for [`sum_norms_skipping_zeros`]: the short
-    /// path's sum at every run length, each live one-bit norm added in
-    /// ascending order.
+    /// path's sum at every run length, each stored one-bit norm added
+    /// in ascending order.
     fn probability_of_one_by_run(sv: &StateVector, q: usize) -> f64 {
         let mask = crate::compile::qubit_mask(q, sv.num_qubits);
-        let amps = sv.amps();
+        let Some((ones, select)) = sv.layout(0).place_pattern(mask, mask) else {
+            return 0.0;
+        };
         let mut p = 0.0;
-        for run in sv.pins.runs(mask, mask, amps.len()) {
-            for a in &amps[run] {
+        for run in Pins::NONE.runs(ones, select, sv.amps.len()) {
+            for a in &sv.amps[run] {
                 p += a.norm_sqr();
             }
         }
         p
     }
 
-    fn amplitude_bits(sv: &StateVector) -> Vec<(u64, u64)> {
-        sv.amplitudes()
-            .iter()
+    fn amplitude_bits(amps: &[Complex]) -> Vec<(u64, u64)> {
+        amps.iter()
             .map(|a| (a.re.to_bits(), a.im.to_bits()))
             .collect()
     }
@@ -1583,7 +1950,8 @@ mod tests {
     /// filtered ascending scan and the per-run loop, `collapse_known`
     /// onto both outcomes — at the outcome's probability and at exactly
     /// 1, a scale of exactly `1.0` — against [`collapse_by_index`].
-    /// Returns which sides of [`SLICE_MIN`] the collapse runs fell on.
+    /// Returns which sides of [`SLICE_MIN`] the stored qubits' collapse
+    /// blocks fell on.
     fn assert_measurement_matches_index_loops(sv: &StateVector) -> [bool; 2] {
         let n = sv.num_qubits();
         let mut sides = [false; 2];
@@ -1608,19 +1976,20 @@ mod tests {
                     if p <= 1e-15 {
                         continue;
                     }
-                    let (mut slices, mut singles) = (sv.clone(), sv.clone());
+                    let mut slices = sv.clone();
                     slices.collapse_known(q, outcome, p);
-                    collapse_by_index(&mut singles, q, outcome, p);
                     assert_eq!(
-                        amplitude_bits(&slices),
-                        amplitude_bits(&singles),
+                        amplitude_bits(&slices.amplitudes()),
+                        amplitude_bits(&collapse_by_index(sv, q, outcome, p)),
                         "qubit {q}, outcome {outcome}, p {p}"
                     );
                     assert!(slices.pins_hold());
                 }
             }
-            let run_len = sv.pins.without(mask).runs(0, mask, 1 << n).run_len();
-            sides[usize::from(run_len >= SLICE_MIN)] = true;
+            if sv.pins.pinned(mask) == 0 {
+                let bit = sv.layout(0).place(mask);
+                sides[usize::from(bit >= SLICE_MIN)] = true;
+            }
         }
         sides
     }
@@ -1705,6 +2074,44 @@ mod tests {
             }
         }
         assert!((count3 as f64 / 1000.0 - 0.5).abs() < 0.07);
+    }
+
+    /// An `RngCore` that yields the same word forever.
+    struct Constant(u64);
+
+    impl rand::RngCore for Constant {
+        fn next_u32(&mut self) -> u32 {
+            self.0 as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+        fn fill_bytes(&mut self, dest: &mut [u8]) {
+            dest.fill(self.0 as u8);
+        }
+    }
+
+    #[test]
+    fn sample_bits_returns_only_indices_of_nonzero_amplitude() {
+        // A draw of exactly 0.0 when index 0 has amplitude zero.
+        let one_one = StateVector::basis_state(2, 0b11);
+        assert_eq!(one_one.sample_bits(&mut Constant(0)), 0b11);
+        let mut bell = StateVector::new(2);
+        bell.apply_gate(&Gate::X(1));
+        bell.apply_gate(&Gate::H(0));
+        bell.apply_gate(&Gate::Cx {
+            control: 0,
+            target: 1,
+        });
+        assert_eq!(bell.sample_bits(&mut Constant(0)), 0b01);
+        // A draw just below 1.0 above a total that round-off left
+        // short: the last index of nonzero amplitude, not the last index.
+        let mut amps = vec![Complex::ZERO; 4];
+        amps[0] = c64(1e-4, 0.0);
+        amps[1] = c64((1.0 - 1e-8 - 5e-7f64).sqrt(), 0.0);
+        let short = StateVector::from_amplitudes(amps);
+        assert!(short.norm_sqr() < 1.0 - 1e-7);
+        assert_eq!(short.sample_bits(&mut Constant(u64::MAX)), 1);
     }
 
     #[test]

@@ -20,11 +20,13 @@
 //! | `renyi` | §5 app: Rényi-2 entropy via the k=2 SWAP test | statevector |
 //! | `ghz12_sv` | `serve-sharded`'s noisy GHZ-12, every qubit measured | statevector |
 //! | `zz14_sv` | `lib-wide-sv`'s two-layer ZZ shape at 14 qubits | statevector |
+//! | `compas_teledata_sv` | `lib-compas`'s k=3 teledata protocol, real channel | statevector |
 
 use circuit::circuit::{Circuit, Instruction};
 use circuit::noise::NoiseModel;
-use compas::cswap::local_cswap_block;
+use compas::cswap::{local_cswap_block, CswapScheme};
 use compas::prelude::{fanout_gadget, monolithic_ghz, MonolithicSwapTest, MonolithicVariant};
+use compas::swap_test::CompasProtocol;
 use engine::Backend;
 
 /// A named, fully pinned benchmark run: circuit builder plus the run
@@ -279,6 +281,25 @@ fn zz14_sv() -> Circuit {
     c
 }
 
+/// The benchmark's `lib-compas` circuit: the real channel of the k = 3,
+/// n = 1 teledata COMPAS protocol with 1 % Bell-link noise, each input
+/// state a fixed `ry` rotation of `|0⟩` instead of a sampled one. Most
+/// of its qubits sit at a classical value most of the time — Bell
+/// halves measured out, teleported states reset — so it pins the
+/// statevector on a small live sub-cube scattered over 12 index bits.
+fn compas_teledata_sv() -> Circuit {
+    let protocol = CompasProtocol::with_bell_error(3, 1, CswapScheme::Teledata, 0.01);
+    let body = protocol.circuit();
+    let mut c = Circuit::new(body.num_qubits(), body.num_cbits());
+    for (i, qubits) in protocol.state_qubits().iter().enumerate() {
+        for &q in qubits {
+            c.ry(q, 0.4 + 0.7 * i as f64);
+        }
+    }
+    c.extend(body);
+    c
+}
+
 /// The registry. Order is presentation order (paper artifacts first,
 /// then the §5 applications, then the benchmark's statevector shapes); lookups go through [`find`].
 pub const WORKLOADS: &[Workload] = &[
@@ -369,6 +390,14 @@ pub const WORKLOADS: &[Workload] = &[
         shots: 256,
         root_seed: 0xC0_45,
         build: zz14_sv,
+    },
+    Workload {
+        name: "compas_teledata_sv",
+        description: "k=3 teledata COMPAS protocol, real channel, noisy Bell links (statevector)",
+        backend: Backend::StateVector,
+        shots: 256,
+        root_seed: 0xC0_45,
+        build: compas_teledata_sv,
     },
 ];
 
