@@ -5,7 +5,7 @@ use rand::rngs::StdRng;
 use std::collections::HashMap;
 use std::hash::Hash;
 
-use crate::pool::{merge_tallies, replay_shot, Counts, Engine, ShotPlan};
+use crate::pool::{merge_tallies, replay_shot, Counts, Engine, PrefixTally, ShotPlan};
 use crate::seed::shot_rng;
 
 /// One independent sampling job a [`BatchRunner`] can execute: a shot
@@ -51,8 +51,21 @@ impl<S: SimState> ShotJob for ShotPlan<S> {
         (self.initial().clone(), Vec::new())
     }
 
+    /// Starts from the plan's noiseless prefix when the shot's prefix
+    /// sites stay silent (the plan builds it unless it is a one-shot
+    /// job). A batch keeps no prefix counters.
     fn run_shot(&self, ws: &mut Self::Workspace, _shot: u64, rng: &mut StdRng) -> usize {
-        replay_shot(self.program(), self.initial(), ws, rng)
+        let prefix = self.prefix(self.shots());
+        let mut uncounted = PrefixTally::default();
+        replay_shot(
+            self.program(),
+            self.initial(),
+            prefix,
+            ws,
+            rng,
+            1,
+            &mut uncounted,
+        )
     }
 }
 

@@ -31,7 +31,7 @@ use std::collections::HashMap;
 use std::hash::Hash;
 
 use crate::batch::{BatchRunner, ShotJob};
-use crate::pool::{check_plan, Counts, Engine};
+use crate::pool::{check_plan, Counts, Engine, PrefixCell};
 use crate::seed::derive_stream_seed;
 
 /// An execution context: the [`Engine`] a deterministic sampling
@@ -140,7 +140,10 @@ impl Executor {
     /// statevector kernels where the backend has a compiler) and the
     /// program replayed across all shots and workers; see
     /// [`Executor::sample_shots_interpreted`] for the re-interpreting
-    /// reference path, which tallies identically per root seed.
+    /// reference path, which tallies identically per root seed. With
+    /// two or more shots the call also builds the program's noiseless
+    /// prefix, and every shot whose prefix sites stay silent starts from
+    /// it (see the crate docs) — the same counts, bit for bit.
     ///
     /// Generic over the simulation backend (any [`SimState`]); pass
     /// `&StateVector::new(n)`, `&CliffordState::new(n)`, or a prepared
@@ -169,16 +172,22 @@ impl Executor {
     ) -> Counts {
         check_plan(circuit, initial);
         let program = S::compile(circuit);
-        self.engine
-            .run_program_range(&program, initial, self.root_seed, 0..shots as u64)
+        self.engine.run_program_range(
+            &program,
+            initial,
+            &PrefixCell::new(),
+            self.root_seed,
+            0..shots as u64,
+        )
     }
 
     /// Interpreted reference for [`Executor::sample_shots`]: every shot
     /// re-steps the raw instruction stream instead of replaying a
     /// compiled program (and always shot-parallel). Record-identical to
     /// the compiled path per root seed — the equivalence the engine's
-    /// `compiled_equivalence` property tests assert. Use the compiled
-    /// path for production sampling.
+    /// `compiled_equivalence` property tests assert. It builds no
+    /// noiseless prefix: every shot plays the whole circuit. Use the
+    /// compiled path for production sampling.
     pub fn sample_shots_interpreted<S: SimState>(
         &self,
         circuit: &Circuit,
@@ -190,7 +199,7 @@ impl Executor {
             0..shots as u64,
             self.root_seed,
             || (initial.clone(), Vec::new()),
-            |(state, cbits), rng| {
+            |(state, cbits), rng, _| {
                 run_shot_into(circuit, initial, state, cbits, rng);
                 pack_cbits(cbits)
             },

@@ -74,6 +74,31 @@
 //! range-splitting capability (`SimState::AMP_PARALLEL`), and the
 //! machine.
 //!
+//! ## Shots start from the job's noiseless prefix
+//!
+//! The ops of a statevector program before its first `Measure`, `Reset`
+//! or `Conditional` are kernels and depolarizing sites, and a site's
+//! draws (`u < p`, then a Pauli code) read no state. So every shot whose
+//! prefix sites stay silent reaches the same state there. A
+//! [`ShotPlan`] builds that state once
+//! (`qsim::sim::SimState::noiseless_prefix`), lazily, on its first
+//! range of two or more shots; [`Executor::sample_shots`] builds it for
+//! its own call under the same rule, and a one-shot run never builds or
+//! copies one. Each shot then draws its prefix site tests on a **clone**
+//! of its own stream: if none fires, the shot adopts the advanced clone,
+//! copies the prefix's state and replays only the rest of the program;
+//! if one fires, it replays the whole program on its untouched stream.
+//! Both arms draw the same values in the same order and apply the same
+//! kernels to the same values — the prefix's state is built by the very
+//! replay a shot runs — so records, tallies, stream positions and golden
+//! bytes are unchanged; a state copy replaces the prefix's kernels. The
+//! rule reads only the backend (the stabilizer and density matrix build
+//! no prefix), the shot count and the program: nothing to configure.
+//! One per-shot function takes the choice on every loop — the
+//! shot-parallel and amp-parallel arms and [`BatchRunner`] jobs — and
+//! [`Engine::with_metrics`] counts its two outcomes
+//! (`engine.prefix_shots`, `engine.prefix_fallbacks`) once per run.
+//!
 //! ## Recording is a policy, not an API
 //!
 //! The same holds for shot traces. Every run that produces [`Counts`]

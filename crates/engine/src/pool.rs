@@ -1,15 +1,15 @@
 //! The worker pool: chunked, deterministic parallel folding of shots.
 
 use circuit::circuit::Circuit;
-use qsim::runner::{pack_cbits, run_program_into, run_program_into_parallel};
-use qsim::sim::SimState;
+use qsim::runner::{pack_cbits, run_program_into_from_prefix};
+use qsim::sim::{NoiselessPrefix, SimState};
 use qsim::statevector::StateVector;
 use rand::rngs::StdRng;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use crate::config::EngineConfig;
@@ -47,6 +47,36 @@ pub struct ShotPlan<S: SimState = StateVector> {
     /// every worker replays this instead of re-interpreting the
     /// instruction stream.
     program: S::Program,
+    /// The program's noiseless prefix ([`SimState::noiseless_prefix`]),
+    /// built on the plan's first range of [`PREFIX_MIN_SHOTS`] or more
+    /// shots — at most once — and shared by every later range.
+    prefix: PrefixCell<S>,
+}
+
+/// Where a job keeps its noiseless prefix once built: `None` inside
+/// means the backend or the program has none.
+pub(crate) type PrefixCell<S> = OnceLock<Option<NoiselessPrefix<S>>>;
+
+/// A run of at least this many shots starts them from the job's
+/// noiseless prefix; a one-shot run never builds or copies one, so a
+/// single wide shot costs no second state.
+const PREFIX_MIN_SHOTS: u64 = 2;
+
+/// The job's noiseless prefix for a run of `shots` shots: built into
+/// `cell` on the first run of at least [`PREFIX_MIN_SHOTS`], its kernels
+/// split across up to `threads` workers, and never for fewer.
+fn prefix_for<'c, S: SimState>(
+    cell: &'c PrefixCell<S>,
+    program: &S::Program,
+    initial: &S,
+    shots: u64,
+    threads: usize,
+) -> Option<&'c NoiselessPrefix<S>> {
+    if shots < PREFIX_MIN_SHOTS {
+        return None;
+    }
+    cell.get_or_init(|| S::noiseless_prefix(program, initial, threads))
+        .as_ref()
 }
 
 impl<S: SimState> ShotPlan<S> {
@@ -67,6 +97,7 @@ impl<S: SimState> ShotPlan<S> {
             shots,
             root_seed,
             program,
+            prefix: PrefixCell::new(),
         }
     }
 
@@ -94,6 +125,12 @@ impl<S: SimState> ShotPlan<S> {
     pub fn program(&self) -> &S::Program {
         &self.program
     }
+
+    /// The noiseless prefix a run of `shots` shots starts from (see
+    /// [`prefix_for`]), built on one thread.
+    pub(crate) fn prefix(&self, shots: u64) -> Option<&NoiselessPrefix<S>> {
+        prefix_for(&self.prefix, &self.program, &self.initial, shots, 1)
+    }
 }
 
 /// The once-per-job checks: the state covers the circuit and, under
@@ -116,16 +153,47 @@ pub(crate) fn check_plan<S: SimState>(circuit: &Circuit, initial: &S) {
     );
 }
 
-/// One compiled shot on a worker's `(state, register)` workspace: reset
-/// to `initial`, replay `program`, pack the record.
+/// The engine's one per-shot function: one compiled shot on a worker's
+/// `(state, register)` workspace, its state space split across up to
+/// `threads` workers, the record packed. With the job's noiseless
+/// `prefix` the shot starts from the prefix's state unless a prefix
+/// site fires ([`run_program_into_from_prefix`]); `tally` counts which.
 pub(crate) fn replay_shot<S: SimState>(
     program: &S::Program,
     initial: &S,
+    prefix: Option<&NoiselessPrefix<S>>,
     (state, cbits): &mut (S, Vec<bool>),
     rng: &mut StdRng,
+    threads: usize,
+    tally: &mut PrefixTally,
 ) -> usize {
-    run_program_into(program, initial, state, cbits, rng);
+    match run_program_into_from_prefix(program, initial, prefix, state, cbits, rng, threads) {
+        Some(true) => tally.shots += 1,
+        Some(false) => tally.fallbacks += 1,
+        None => {}
+    }
     pack_cbits(cbits)
+}
+
+/// How the shots of one run began: from the job's noiseless prefix, or
+/// — a prefix site having fired — from the top of the program. Counted
+/// in plain integers per worker and added to `engine.prefix_shots` /
+/// `engine.prefix_fallbacks` once per run, so no shot touches an atomic.
+#[derive(Default, Clone, Copy)]
+pub(crate) struct PrefixTally {
+    /// Shots that started from the prefix's state.
+    shots: u64,
+    /// Shots that replayed the whole program because a prefix site fired.
+    fallbacks: u64,
+}
+
+impl PrefixTally {
+    fn merge(self, other: PrefixTally) -> PrefixTally {
+        PrefixTally {
+            shots: self.shots + other.shots,
+            fallbacks: self.fallbacks + other.fallbacks,
+        }
+    }
 }
 
 /// Resolved observability handles: the engine's execution timings.
@@ -140,6 +208,19 @@ struct EngineObs {
     /// or per blocked group of kernels, that gave worker 0 work —
     /// mirrored from `qsim::amp::kernel_clock`.
     amp_kernel: obs::Histo,
+    /// Shots that started from their job's noiseless prefix.
+    prefix_shots: obs::Counter,
+    /// Shots that had a prefix but replayed the whole program because
+    /// one of its sites fired.
+    prefix_fallbacks: obs::Counter,
+}
+
+impl EngineObs {
+    /// Adds one run's [`PrefixTally`] — once per run, not per shot.
+    fn count_prefix(&self, tally: PrefixTally) {
+        self.prefix_shots.add(tally.shots);
+        self.prefix_fallbacks.add(tally.fallbacks);
+    }
 }
 
 /// The shot-execution engine: a configured worker pool over which every
@@ -179,14 +260,21 @@ impl Engine {
     /// per amp-parallel shot, and `engine.amp_kernel` the amp path's
     /// per-step apply times (mirrored from `qsim::amp::kernel_clock`:
     /// one sample per kernel or blocked kernel group, none for a step
-    /// that left worker 0 without a live unit). Timing is observation
-    /// only — every tally stays bit-identical to the unobserved
-    /// engine's.
+    /// that left worker 0 without a live unit). The counters
+    /// `engine.prefix_shots` and `engine.prefix_fallbacks` split the
+    /// shots of every compiled [`Counts`] run that had a noiseless
+    /// prefix into those that started from it and those that replayed
+    /// the whole program because a prefix site fired (a run without a
+    /// prefix — one shot, or a backend that builds none — adds to
+    /// neither). Observation only — every tally stays bit-identical to
+    /// the unobserved engine's.
     pub fn with_metrics(mut self, registry: &obs::Registry) -> Engine {
         self.obs = Some(EngineObs {
             chunk: registry.histo("engine.chunk"),
             amp_shot: registry.histo("engine.amp_shot"),
             amp_kernel: registry.histo("engine.amp_kernel"),
+            prefix_shots: registry.counter("engine.prefix_shots"),
+            prefix_fallbacks: registry.counter("engine.prefix_fallbacks"),
         });
         self
     }
@@ -452,31 +540,44 @@ impl Engine {
             range.end,
             plan.shots
         );
-        self.run_program_range(&plan.program, &plan.initial, plan.root_seed, range)
+        self.run_program_range(
+            &plan.program,
+            &plan.initial,
+            &plan.prefix,
+            plan.root_seed,
+            range,
+        )
     }
 
     /// The one compiled shot loop, under [`Engine::run_plan_range`] and
     /// [`Executor::sample_shots`](crate::Executor::sample_shots): shot
     /// `i` of `range` replays `program` from `initial` on
-    /// `shot_rng(root_seed, i)`. It alone decides between shot-level
-    /// parallelism ([`Engine::run_records`]) and, when
-    /// [`Engine::amp_engaged`], amplitude-level: shots in order on the
-    /// calling thread, each split across [`EngineConfig::amp_threads`]
-    /// workers and bit-identical to its sequential replay — so counts
-    /// and records are the same on either arm, under any partition.
+    /// `shot_rng(root_seed, i)` — through [`replay_shot`], from the
+    /// job's noiseless prefix (kept in `prefix`, built there by the
+    /// first run of two or more shots, on this run's threads) when the
+    /// shot's prefix sites stay silent, which changes no record. It alone decides
+    /// between shot-level parallelism ([`Engine::run_records`]) and,
+    /// when [`Engine::amp_engaged`], amplitude-level: shots in order on
+    /// the calling thread, each split across
+    /// [`EngineConfig::amp_threads`] workers and bit-identical to its
+    /// sequential replay — so counts and records are the same on either
+    /// arm, under any partition.
     pub(crate) fn run_program_range<S: SimState>(
         &self,
         program: &S::Program,
         initial: &S,
+        prefix: &PrefixCell<S>,
         root_seed: u64,
         range: Range<u64>,
     ) -> Counts {
+        let shots = range.end.saturating_sub(range.start);
         if !self.amp_engaged::<S>(initial.num_qubits()) {
+            let prefix = prefix_for(prefix, program, initial, shots, 1);
             return self.run_records(
                 range,
                 root_seed,
                 || (initial.clone(), Vec::new()),
-                |ws, rng| replay_shot(program, initial, ws, rng),
+                |ws, rng, tally| replay_shot(program, initial, prefix, ws, rng, 1, tally),
             );
         }
         // Baseline of qsim's process-wide kernel clock; the delta over
@@ -485,25 +586,27 @@ impl Engine {
             .obs
             .as_ref()
             .map(|_| qsim::amp::kernel_clock::snapshot());
+        let amp_threads = self.config.amp_threads;
+        let prefix = prefix_for(prefix, program, initial, shots, amp_threads);
         let mut buffer = TraceBuffer::new(self.trace.as_deref());
         // One clock reading per shot feeds both `engine.amp_shot` and
         // the record's `nanos`.
         let timed = self.obs.is_some() || buffer.recording();
         let mut counts = Counts::new();
-        let mut state = initial.clone();
-        let mut cbits = Vec::new();
+        let mut tally = PrefixTally::default();
+        let mut ws = (initial.clone(), Vec::new());
         for shot in range {
             let started = timed.then(Instant::now);
             let mut rng = shot_rng(root_seed, shot);
-            run_program_into_parallel(
+            let record = replay_shot(
                 program,
                 initial,
-                &mut state,
-                &mut cbits,
+                prefix,
+                &mut ws,
                 &mut rng,
-                self.config.amp_threads,
+                amp_threads,
+                &mut tally,
             );
-            let record = pack_cbits(&cbits);
             if let Some(started) = started {
                 let elapsed = started.elapsed();
                 if let Some(obs) = &self.obs {
@@ -514,6 +617,9 @@ impl Engine {
             *counts.entry(record).or_insert(0) += 1;
         }
         buffer.flush();
+        if let Some(obs) = &self.obs {
+            obs.count_prefix(tally);
+        }
         if let (Some(obs), Some((base_buckets, base_sum))) = (&self.obs, kernel_base) {
             let (now_buckets, now_sum) = qsim::amp::kernel_clock::snapshot();
             for (b, &base) in base_buckets.iter().enumerate() {
@@ -533,6 +639,8 @@ impl Engine {
     /// global shot index in `range` and, on a recording engine
     /// ([`Engine::with_trace`]), times each shot and delivers its record
     /// through a per-worker buffer. Without a sink it reads no clock.
+    /// `record_of` counts how its shots began into the worker's
+    /// [`PrefixTally`]; the merged tally reaches the registry once.
     pub(crate) fn run_records<W, MW, F>(
         &self,
         range: Range<u64>,
@@ -543,31 +651,40 @@ impl Engine {
     where
         W: Send,
         MW: Fn() -> W + Sync,
-        F: Fn(&mut W, &mut StdRng) -> usize + Sync,
+        F: Fn(&mut W, &mut StdRng, &mut PrefixTally) -> usize + Sync,
     {
         let sink = self.trace.as_deref();
-        let (counts, mut buffer) = self.run_fold_range_with(
+        let (counts, mut buffer, tally) = self.run_fold_range_with(
             range,
             root_seed,
             make_ws,
-            || (Counts::new(), TraceBuffer::new(sink)),
-            |(counts, buffer), ws, shot, rng| {
+            || {
+                (
+                    Counts::new(),
+                    TraceBuffer::new(sink),
+                    PrefixTally::default(),
+                )
+            },
+            |(counts, buffer, tally), ws, shot, rng| {
                 let started = buffer.recording().then(Instant::now);
-                let record = record_of(ws, rng);
+                let record = record_of(ws, rng, tally);
                 if let Some(started) = started {
                     buffer.push(root_seed, shot, record, started.elapsed());
                 }
                 *counts.entry(record).or_insert(0) += 1;
             },
-            |(mut counts_a, buffer_a), (counts_b, mut buffer_b)| {
+            |(mut counts_a, buffer_a, tally_a), (counts_b, mut buffer_b, tally_b)| {
                 // The joined worker's buffer ends here: flush its tail.
                 buffer_b.flush();
                 merge_counts(&mut counts_a, counts_b);
-                (counts_a, buffer_a)
+                (counts_a, buffer_a, tally_a.merge(tally_b))
             },
         );
         // The surviving buffer (the only one, with a single worker).
         buffer.flush();
+        if let Some(obs) = &self.obs {
+            obs.count_prefix(tally);
+        }
         counts
     }
 }

@@ -197,29 +197,26 @@ impl StateVector {
         threads: usize,
     ) {
         let workers = effective_workers(threads, 1 << self.num_qubits());
-        self.replay(program, cbits, rng, workers);
+        self.replay(program, 0, cbits, rng, workers);
     }
 
-    /// The one replay driver: interpretation points step on the calling
-    /// thread, every maximal kernel run in between is a segment played
-    /// by `workers` workers ([`worker_pass`]) — with one worker, by the
-    /// calling thread itself.
+    /// The one replay driver, from op `from` of `program` on:
+    /// interpretation points step on the calling thread, every maximal
+    /// kernel run in between is a segment played by `workers` workers
+    /// ([`worker_pass`]) — with one worker, by the calling thread
+    /// itself. `from` is 0 for a whole shot and a noiseless prefix's
+    /// `rest` for the shot that starts from its state.
     pub(crate) fn replay(
         &mut self,
         program: &CompiledCircuit,
+        from: usize,
         cbits: &mut [bool],
         rng: &mut impl Rng,
         workers: usize,
     ) {
-        assert!(
-            program.num_qubits() <= self.num_qubits(),
-            "program needs {} qubits but the state has {}",
-            program.num_qubits(),
-            self.num_qubits()
-        );
-        let widen = self.num_qubits() - program.num_qubits();
+        let widen = self.widen_for(program);
         let ops = program.ops();
-        let mut at = 0;
+        let mut at = from;
         while at < ops.len() {
             if let CompiledOp::Interp(instr) = &ops[at] {
                 SimState::step(self, instr, cbits, rng);
@@ -230,27 +227,54 @@ impl StateVector {
                 .iter()
                 .position(|op| matches!(op, CompiledOp::Interp(_)))
                 .unwrap_or(ops.len() - at);
-            let segment = &ops[at..at + seg_len];
-            // A lone permutation onto a pinned bit below every stored one
-            // grows the buffer and swaps in one pass.
-            if let [CompiledOp::PermuteSwap { ones, select, flip }] = segment {
-                if self.permute_growing(ones << widen, select << widen, flip << widen) {
-                    at += 1;
-                    continue;
-                }
-            }
-            // The state inserts what the whole segment mixes — each
-            // kernel judged against the pins the ones before it leave —
-            // and every worker starts from the inserted bits' entry
-            // values and folds the kernels' unpinning itself.
-            let (grown, _) = segment.iter().fold((0, self.pins()), |(grown, pins), op| {
-                let bits = op.grown_bits(widen, pins);
-                (grown | bits, pins.without(bits))
-            });
-            let (amps, layout, entry) = self.grow(grown, widen);
-            run_segment(amps, segment, layout, entry, workers);
+            self.run_kernels(&ops[at..at + seg_len], widen, workers);
             at += seg_len;
         }
+    }
+
+    /// The state the first `end` ops of `program` leave when none of
+    /// their sites fires: every maximal kernel run among them played in
+    /// order, as [`StateVector::replay`] plays it, and every
+    /// interpretation point skipped, each run by `workers` workers. The
+    /// noiseless prefix's state (see [`crate::sim`]), so the ops up to
+    /// `end` must be kernels and `Depolarizing` sites only.
+    pub(crate) fn replay_kernels(&mut self, program: &CompiledCircuit, end: usize, workers: usize) {
+        let widen = self.widen_for(program);
+        let ops = &program.ops()[..end];
+        debug_assert!(
+            end <= program.prefix_end(),
+            "a prefix runs past a measurement"
+        );
+        for segment in ops.split(|op| matches!(op, CompiledOp::Interp(_))) {
+            if !segment.is_empty() {
+                self.run_kernels(segment, widen, workers);
+            }
+        }
+    }
+
+    /// How far the program's masks shift up to this state's width.
+    fn widen_for(&self, program: &CompiledCircuit) -> usize {
+        assert!(
+            program.num_qubits() <= self.num_qubits(),
+            "program needs {} qubits but the state has {}",
+            program.num_qubits(),
+            self.num_qubits()
+        );
+        self.num_qubits() - program.num_qubits()
+    }
+
+    /// Plays one maximal kernel run with `workers` workers. The state
+    /// inserts what the whole run mixes — each kernel judged against
+    /// the pins the ones before it leave — and every worker starts from
+    /// the inserted bits' entry values and folds the kernels' unpinning
+    /// itself.
+    fn run_kernels(&mut self, segment: &[CompiledOp], widen: usize, workers: usize) {
+        let (grown, _) = segment.iter().fold((0, self.pins()), |(grown, pins), op| {
+            let bits = op.grown_bits(widen, pins);
+            (grown | bits, pins.without(bits))
+        });
+        let (amps, layout, entry) = self.grow(grown, widen);
+        run_segment(amps, segment, layout, entry, workers);
     }
 }
 

@@ -226,6 +226,7 @@ pub struct CompiledCircuit {
     num_cbits: usize,
     ops: Vec<CompiledOp>,
     source_instructions: usize,
+    prefix_end: usize,
 }
 
 impl CompiledCircuit {
@@ -250,6 +251,17 @@ impl CompiledCircuit {
     /// Number of instructions in the source circuit.
     pub fn source_instructions(&self) -> usize {
         self.source_instructions
+    }
+
+    /// Where the program's noiseless prefix ends: the index of its
+    /// first `Measure`, `Reset` or `Conditional` op, or
+    /// [`CompiledCircuit::num_ops`] if it has none. Every op before it
+    /// is a kernel or a `Depolarizing` site, and a site's draws read no
+    /// state — so the prefix's state is the same in every shot whose
+    /// sites all stay silent (see
+    /// [`SimState::noiseless_prefix`](crate::sim::SimState::noiseless_prefix)).
+    pub fn prefix_end(&self) -> usize {
+        self.prefix_end
     }
 
     /// Number of fused kernel passes over the amplitude buffer
@@ -295,6 +307,7 @@ impl CompiledCircuit {
                 num_cbits: self.num_cbits,
                 ops: vec![op.clone()],
                 source_instructions: self.source_instructions,
+                prefix_end: prefix_end(std::slice::from_ref(op)),
             })
             .collect()
     }
@@ -331,12 +344,26 @@ pub fn compile(circuit: &Circuit) -> CompiledCircuit {
     }
     b.flush_all();
     b.finalize();
+    let ops = fuse_adjacent_pairs(b.ops);
     CompiledCircuit {
         num_qubits: n,
         num_cbits: circuit.num_cbits(),
-        ops: fuse_adjacent_pairs(b.ops),
+        prefix_end: prefix_end(&ops),
+        ops,
         source_instructions: circuit.instructions().len(),
     }
+}
+
+/// The index of the first op of `ops` that reads the classical register
+/// or the state's outcome distribution — a `Measure`, `Reset` or
+/// `Conditional` — or `ops.len()`: see [`CompiledCircuit::prefix_end`].
+fn prefix_end(ops: &[CompiledOp]) -> usize {
+    ops.iter()
+        .position(|op| {
+            matches!(op, CompiledOp::Interp(instr)
+                if !matches!(instr, Instruction::Depolarizing { .. }))
+        })
+        .unwrap_or(ops.len())
 }
 
 /// Compile-time state: kernels emitted so far plus, per qubit, a fused
@@ -1273,7 +1300,7 @@ impl StateVector {
         cbits: &mut [bool],
         rng: &mut impl Rng,
     ) {
-        self.replay(program, cbits, rng, 1);
+        self.replay(program, 0, cbits, rng, 1);
     }
 }
 

@@ -33,7 +33,9 @@
 //! * [`runner`] — shot sampling over circuits, generic over the
 //!   [`sim::SimState`] backend, interpreted ([`runner::run_shot_into`])
 //!   or compiled ([`runner::run_program_into`] /
-//!   [`runner::run_program_into_parallel`]);
+//!   [`runner::run_program_into_parallel`]), and the one shot function
+//!   that starts from a job's noiseless prefix when the shot's prefix
+//!   sites stay silent ([`runner::run_program_into_from_prefix`]);
 //! * [`qrand`] — random states, random density matrices, and the
 //!   eigen-ensembles used for trajectory simulation of mixed states.
 //!
@@ -66,9 +68,9 @@ pub mod prelude {
         PureEnsemble,
     };
     pub use crate::runner::{
-        pack_cbits, run_program_into, run_program_into_parallel, run_shot, run_shot_into,
-        run_unitary, sample_shots, ShotOutcome,
+        pack_cbits, run_program_into, run_program_into_from_prefix, run_program_into_parallel,
+        run_shot, run_shot_into, run_unitary, sample_shots, ShotOutcome,
     };
-    pub use crate::sim::{SimProgram, SimState, Unsupported};
+    pub use crate::sim::{NoiselessPrefix, SimProgram, SimState, Unsupported};
     pub use crate::statevector::StateVector;
 }

@@ -18,6 +18,17 @@ use mathkit::eigen::eigh;
 use mathkit::matrix::Matrix;
 use rand::Rng;
 
+/// Whether a depolarizing site of probability `p` fires: one uniform
+/// draw, `u < p`, that reads no state. [`SimState::step`]'s site and
+/// the noiseless-prefix look-ahead ([`NoiselessPrefix::look_ahead`])
+/// both test sites here, so they consume a shot's stream alike.
+///
+/// [`SimState::step`]: crate::sim::SimState::step
+/// [`NoiselessPrefix::look_ahead`]: crate::sim::NoiselessPrefix::look_ahead
+pub fn site_fires(p: f64, rng: &mut impl Rng) -> bool {
+    rng.random::<f64>() < p
+}
+
 /// Draws the code of a uniform non-identity Pauli on `k` qubits: an
 /// integer in `1..=4ᵏ − 1` that [`pauli_gates`] decodes. One
 /// `random_range` draw — the whole randomness of a firing depolarizing

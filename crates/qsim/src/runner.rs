@@ -25,7 +25,7 @@ use circuit::circuit::{Circuit, Instruction};
 use rand::Rng;
 use std::collections::HashMap;
 
-use crate::sim::{SimProgram, SimState};
+use crate::sim::{NoiselessPrefix, SimProgram, SimState};
 use crate::statevector::StateVector;
 
 /// Result of playing a circuit once.
@@ -163,6 +163,47 @@ pub fn run_program_into_parallel<S: SimState>(
     cbits.resize(program.num_cbits(), false);
     state.run_program_parallel(program, cbits, rng, threads);
     state.finish(cbits, rng);
+}
+
+/// The one shot function that may start from the job's noiseless
+/// prefix (see [`crate::sim`]): with `prefix` given and none of its
+/// sites firing on the look-ahead ([`NoiselessPrefix::look_ahead`]),
+/// the shot copies the prefix's state and replays the ops from its
+/// `rest` on; otherwise it replays the whole program from `initial` on
+/// the untouched stream, as [`run_program_into_parallel`]. Either way
+/// the record, the final state and the stream position are
+/// [`run_program_into`]'s. Returns whether the shot started from the
+/// prefix — `None` without one.
+///
+/// # Panics
+///
+/// Panics if the program needs more qubits than `initial` has.
+pub fn run_program_into_from_prefix<S: SimState, R: Rng + Clone>(
+    program: &S::Program,
+    initial: &S,
+    prefix: Option<&NoiselessPrefix<S>>,
+    state: &mut S,
+    cbits: &mut Vec<bool>,
+    rng: &mut R,
+    threads: usize,
+) -> Option<bool> {
+    assert!(
+        program.num_qubits() <= initial.num_qubits(),
+        "program needs {} qubits but the state has {}",
+        program.num_qubits(),
+        initial.num_qubits()
+    );
+    let from_prefix = prefix.map(|prefix| prefix.look_ahead(rng));
+    let (start, from) = match prefix.zip(from_prefix) {
+        Some((prefix, true)) => (prefix.state(), prefix.rest()),
+        _ => (initial, 0),
+    };
+    state.reset_from(start);
+    cbits.clear();
+    cbits.resize(program.num_cbits(), false);
+    state.run_program_from(program, from, cbits, rng, threads);
+    state.finish(cbits, rng);
+    from_prefix
 }
 
 /// Packs a classical register into an integer, bit 0 least significant —

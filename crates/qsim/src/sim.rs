@@ -34,12 +34,39 @@
 //! [`Circuit::required_caps`]. The shot loop itself only
 //! `debug_assert!`s the probe; production runs route through
 //! `engine::Backend`, which probes once at the boundary.
+//!
+//! ## The noiseless prefix: the same state in most shots
+//!
+//! A program's ops before its first `Measure`, `Reset` or
+//! `Conditional` are kernels and `Depolarizing` sites only. A site
+//! draws `u < p` ([`site_fires`]) and, if it fires, a Pauli code;
+//! neither draw reads the state. So every shot whose prefix sites all
+//! stay silent reaches the *same* state there, having drawn one uniform
+//! per site. [`SimState::noiseless_prefix`] builds that state once per
+//! plan, with the sites' probabilities and the op index where the rest
+//! begins ([`NoiselessPrefix`]). A shot then draws its site tests on a
+//! **clone** of its own stream ([`NoiselessPrefix::look_ahead`]):
+//!
+//! * no site fires — the shot adopts the advanced clone, copies the
+//!   prefix's state and replays only the rest
+//!   ([`SimState::run_program_from`]);
+//! * a site fires — the shot replays the whole program on its untouched
+//!   stream, exactly as without a prefix.
+//!
+//! Both arms draw the same values in the same order and apply the same
+//! kernels to the same values (the prefix state is built by the very
+//! replay that plays the kernels in a shot), so records, final states
+//! and stream positions are those of the plain replay, bit for bit; a
+//! state copy replaces the prefix's kernels.
+//! [`run_program_into_from_prefix`](crate::runner::run_program_into_from_prefix)
+//! is the one shot function that takes the choice.
 
 use circuit::circuit::{Circuit, Instruction};
 use rand::Rng;
 
-use crate::compile::CompiledCircuit;
-use crate::qrand::{pauli_gates, random_pauli_code};
+use crate::amp::effective_workers;
+use crate::compile::{CompiledCircuit, CompiledOp};
+use crate::qrand::{pauli_gates, random_pauli_code, site_fires};
 use crate::statevector::StateVector;
 
 pub use circuit::caps::Unsupported;
@@ -82,6 +109,44 @@ pub fn run_interpreted<S: SimState>(
 ) {
     for instr in circuit.instructions() {
         state.step(instr, cbits, rng);
+    }
+}
+
+/// A job's noiseless prefix on one backend (module docs): the state its
+/// program reaches before the first `Measure`, `Reset` or `Conditional`
+/// when no site fires, the probabilities of the sites on the way, in
+/// order, and the op index where the rest of the program begins. Built
+/// once per plan by [`SimState::noiseless_prefix`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct NoiselessPrefix<S> {
+    state: S,
+    sites: Vec<f64>,
+    rest: usize,
+}
+
+impl<S> NoiselessPrefix<S> {
+    /// The state after the prefix's kernels, no site firing.
+    pub fn state(&self) -> &S {
+        &self.state
+    }
+
+    /// The op index where the rest of the program begins.
+    pub fn rest(&self) -> usize {
+        self.rest
+    }
+
+    /// Draws the prefix's site tests on a clone of `rng`. If none fires,
+    /// `rng` adopts the advanced clone and the answer is `true`: the shot
+    /// starts from [`NoiselessPrefix::state`] at op
+    /// [`NoiselessPrefix::rest`]. If one fires, `rng` is untouched and
+    /// the answer is `false`: the shot replays the whole program.
+    pub fn look_ahead<R: Rng + Clone>(&self, rng: &mut R) -> bool {
+        let mut ahead = rng.clone();
+        if self.sites.iter().any(|&p| site_fires(p, &mut ahead)) {
+            return false;
+        }
+        *rng = ahead;
+        true
     }
 }
 
@@ -175,6 +240,42 @@ pub trait SimState: Clone + Send + Sync {
         let _ = threads;
         self.run_program(program, cbits, rng);
     }
+
+    /// The noiseless prefix of `program` from `initial` (module docs),
+    /// built once per plan with its state-space work split across up to
+    /// `threads` workers (bit-identical at any count), or `None`: the
+    /// default, for backends whose shots gain nothing from one — the
+    /// stabilizer's sign replay does no per-shot tableau work, and the
+    /// density matrix samples no noise.
+    fn noiseless_prefix(
+        program: &Self::Program,
+        initial: &Self,
+        threads: usize,
+    ) -> Option<NoiselessPrefix<Self>> {
+        let _ = (program, initial, threads);
+        None
+    }
+
+    /// [`SimState::run_program_parallel`] from op `from` of `program`
+    /// on: the rest of a shot that starts from a [`NoiselessPrefix`]'s
+    /// state. A backend is only asked for the `rest` of a prefix its own
+    /// [`SimState::noiseless_prefix`] built, so the default, for
+    /// backends that build none, plays the whole program.
+    ///
+    /// # Panics
+    ///
+    /// The default panics if `from` is not 0.
+    fn run_program_from(
+        &mut self,
+        program: &Self::Program,
+        from: usize,
+        cbits: &mut [bool],
+        rng: &mut impl Rng,
+        threads: usize,
+    ) {
+        assert_eq!(from, 0, "{} builds no noiseless prefix", Self::NAME);
+        self.run_program_parallel(program, cbits, rng, threads);
+    }
 }
 
 impl SimState for StateVector {
@@ -213,7 +314,7 @@ impl SimState for StateVector {
                 }
             }
             Instruction::Depolarizing { qubits, p } => {
-                if rng.random::<f64>() < *p {
+                if site_fires(*p, rng) {
                     for gate in pauli_gates(random_pauli_code(qubits.len(), rng), qubits) {
                         self.apply_gate(&gate);
                     }
@@ -255,6 +356,44 @@ impl SimState for StateVector {
         threads: usize,
     ) {
         self.apply_compiled_parallel(program, cbits, rng, threads);
+    }
+
+    /// The prefix's state is the replay's own: its kernel runs, played
+    /// by the driver that plays them in a shot, the sites skipped.
+    /// `None` when no kernel precedes the program's first `Measure`,
+    /// `Reset` or `Conditional` — a copy of `initial` saves nothing.
+    fn noiseless_prefix(
+        program: &CompiledCircuit,
+        initial: &Self,
+        threads: usize,
+    ) -> Option<NoiselessPrefix<Self>> {
+        let rest = program.prefix_end();
+        let prefix = &program.ops()[..rest];
+        let mut sites = Vec::new();
+        for op in prefix {
+            if let CompiledOp::Interp(Instruction::Depolarizing { p, .. }) = op {
+                sites.push(*p);
+            }
+        }
+        if sites.len() == prefix.len() {
+            return None;
+        }
+        let mut state = initial.clone();
+        let workers = effective_workers(threads, 1 << state.num_qubits());
+        state.replay_kernels(program, rest, workers);
+        Some(NoiselessPrefix { state, sites, rest })
+    }
+
+    fn run_program_from(
+        &mut self,
+        program: &CompiledCircuit,
+        from: usize,
+        cbits: &mut [bool],
+        rng: &mut impl Rng,
+        threads: usize,
+    ) {
+        let workers = effective_workers(threads, 1 << self.num_qubits());
+        self.replay(program, from, cbits, rng, workers);
     }
 }
 

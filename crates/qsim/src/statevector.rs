@@ -625,40 +625,13 @@ impl StateVector {
         if bits.is_power_of_two() && kept == (old_len - 1) << 1 {
             // One bit below every stored one: entry `k` moves to
             // `2k + value`, an interleave with zeros.
-            interleave_in_place(&mut self.amps, vals != 0, None);
+            interleave_in_place(&mut self.amps, vals != 0);
         } else {
             self.amps
                 .resize(old_len << bits.count_ones(), Complex::ZERO);
             spread_in_place(&mut self.amps, old_len, kept, vals);
         }
         self.pins = self.pins.without(bits);
-    }
-
-    /// A controlled permutation (full-index masks: for every `i` with
-    /// `i & select == ones`, swap `i` and `i ^ flip`) whose one flip bit
-    /// is pinned below every stored bit, run as the insertion of that
-    /// bit: a stored amplitude whose controls match lands on the flipped
-    /// value, every other one on the pinned value — one interleaving
-    /// pass ([`interleave_in_place`]) instead of an insertion and then a
-    /// swap pass, with the same amplitudes in the same places. The
-    /// shape of every `Cx` down a GHZ chain. Returns `false`, having
-    /// done nothing, for any other permutation.
-    pub(crate) fn permute_growing(&mut self, ones: usize, select: usize, flip: usize) -> bool {
-        let free = self.free();
-        let below_all = flip.is_power_of_two() && free & (flip - 1) == 0;
-        if !below_all || self.pins.permutation_growth(ones, select, flip) != Some(flip) {
-            return false;
-        }
-        // The controls in the current buffer's coordinates, pinned ones
-        // already matched.
-        let (ones, select) = self
-            .layout(0)
-            .place_pattern(ones & !flip, select & !flip)
-            .expect("pinned controls matched");
-        let one = self.pins.vals & flip != 0;
-        interleave_in_place(&mut self.amps, one, Some((ones, select)));
-        self.pins = self.pins.without(flip);
-        true
     }
 
     /// Inserts the pinned full-index `bits` a kernel segment mixes and
@@ -789,9 +762,6 @@ impl StateVector {
                 // compiler lowers the same gate to.
                 let (ones, select, flip) = crate::compile::permutation_masks(gate, n)
                     .expect("the four controlled permutations have masks");
-                if self.permute_growing(ones, select, flip) {
-                    return;
-                }
                 let Some(grow) = self.pins.permutation_growth(ones, select, flip) else {
                     return;
                 };
@@ -1098,52 +1068,24 @@ fn spread_in_place(amps: &mut [Complex], old_len: usize, kept: usize, vals: usiz
 }
 
 /// [`spread_in_place`] for one inserted bit below every stored one,
-/// doubling `amps`: entry `k` moves to `2k + one`, or to `2k + !one`
-/// where `moved = Some((ones, select))` has `k & select == ones`, and
-/// the other entry of its pair is zeroed. The entries in `[h/2, h)`
-/// land in `[h, 2h)`, past every entry not yet read, so each halving of
-/// `h` is one pass over two disjoint slices; only entry 0 lands on
-/// itself. The first pass writes the new half straight into the spare
-/// capacity: every entry of it is written exactly once, so it is never
-/// zero-filled first.
-///
-/// The slot an entry takes is constant along runs of `2^z` entries,
-/// `z` the trailing zeros of `select`, and those runs are the loops: a
-/// slot that varies entry by entry costs a data-dependent store each.
-/// A lone control on bit 0 — each `Cx` down a GHZ chain — alternates,
-/// so there a pair of entries is the unit, with fixed slots.
-fn interleave_in_place(amps: &mut Vec<Complex>, one: bool, moved: Option<(usize, usize)>) {
+/// doubling `amps`: entry `k` moves to `2k + one`, and the other entry
+/// of its pair is zeroed. The entries in `[h/2, h)` land in `[h, 2h)`,
+/// past every entry not yet read, so each halving of `h` is one pass
+/// over two disjoint slices; only entry 0 lands on itself. The first
+/// pass writes the new half straight into the spare capacity: every
+/// entry of it is written exactly once, so it is never zero-filled
+/// first.
+fn interleave_in_place(amps: &mut Vec<Complex>, one: bool) {
     let old_len = amps.len();
-    let slot =
-        |k: usize| usize::from(one != moved.is_some_and(|(ones, select)| k & select == ones));
-    let pair_of = |k: usize, a: Complex| {
+    let slot = usize::from(one);
+    let pair_of = |a: Complex| {
         let mut pair = [Complex::ZERO; 2];
-        pair[slot(k)] = a;
+        pair[slot] = a;
         pair
-    };
-    let alternating = matches!(moved, Some((_, 1)));
-    let quad_of = |a: [Complex; 2]| {
-        let mut quad = [Complex::ZERO; 4];
-        quad[slot(0)] = a[0];
-        quad[2 + slot(1)] = a[1];
-        quad
     };
     amps.reserve(old_len);
     let base = amps.as_mut_ptr();
-    let pairs = if alternating && old_len >= 4 {
-        old_len / 2
-    } else {
-        0
-    };
-    for k in (old_len / 2..old_len).step_by(2).take(pairs / 2) {
-        // SAFETY: as for the loop below, two entries at a time: entries
-        // `k, k + 1` land in `[2k, 2k + 4) ⊆ [old_len, 2·old_len)`.
-        unsafe {
-            let quad = quad_of([base.add(k).read(), base.add(k + 1).read()]);
-            base.add(2 * k).cast::<[Complex; 4]>().write_unaligned(quad);
-        }
-    }
-    for k in old_len / 2 + pairs..old_len {
+    for k in old_len / 2..old_len {
         // SAFETY: `reserve` made room for `2·old_len` entries. Entry
         // `k < old_len` is initialised and read before its pair
         // `2k, 2k + 1 < 2·old_len` is written; the pair lies in the
@@ -1152,42 +1094,23 @@ fn interleave_in_place(amps: &mut Vec<Complex>, one: bool, moved: Option<(usize,
         // starts at the entry itself. Nothing else touches `amps`
         // meanwhile.
         unsafe {
-            let pair = pair_of(k, base.add(k).read());
+            let pair = pair_of(base.add(k).read());
             base.add(2 * k).write(pair[0]);
             base.add(2 * k + 1).write(pair[1]);
         }
     }
     // SAFETY: the loop above wrote every entry of `[old_len, 2·old_len)`.
     unsafe { amps.set_len(2 * old_len) };
-    let run = match moved {
-        Some((_, select)) if select != 0 => 1usize << select.trailing_zeros(),
-        _ => old_len,
-    };
     let mut top = old_len / 2;
     while top > 1 {
         let (low, high) = amps.split_at_mut(top);
-        let (sources, dests) = (&low[top / 2..], &mut high[..top]);
-        if alternating && top >= 4 {
-            for (quad, pair) in dests.chunks_exact_mut(4).zip(sources.chunks_exact(2)) {
-                quad.copy_from_slice(&quad_of([pair[0], pair[1]]));
-            }
-        } else {
-            let run = run.min(top / 2);
-            let runs = dests
-                .chunks_exact_mut(2 * run)
-                .zip(sources.chunks_exact(run));
-            for (start, (dest, source)) in (top / 2..).step_by(run).zip(runs) {
-                let at = slot(start);
-                for (pair, &a) in dest.chunks_exact_mut(2).zip(source) {
-                    pair[at] = a;
-                    pair[at ^ 1] = Complex::ZERO;
-                }
-            }
+        for (pair, &a) in high[..top].chunks_exact_mut(2).zip(&low[top / 2..]) {
+            pair.copy_from_slice(&pair_of(a));
         }
         top /= 2;
     }
     if old_len > 1 {
-        [amps[0], amps[1]] = pair_of(0, amps[0]);
+        [amps[0], amps[1]] = pair_of(amps[0]);
     }
 }
 

@@ -10,8 +10,12 @@
 //!   be: a job larger than the one-second burst capacity is always
 //!   rejected, and the rejection is visible in `stats`, per-client
 //!   rows, and the registry.
+//! * The engine's prefix counters split a served statevector job's
+//!   shots into those that started from its noiseless prefix and those
+//!   that fell back; one-shot and stabilizer jobs add to neither.
 
 use circuit::circuit::Circuit;
+use circuit::noise::NoiseModel;
 use circuit::qasm::to_qasm3;
 use engine::Engine;
 use service::{
@@ -241,6 +245,71 @@ fn metrics_op_serves_stage_histograms_from_a_standalone_server() {
     // The snapshot exposes the Prometheus text form, too.
     let text = snapshot.to_prometheus("compas");
     assert!(text.contains("# TYPE compas_stage_execute histogram"));
+    handle.shutdown();
+}
+
+/// The `ghz12_sv_noisy` workload's circuit: a GHZ-12 chain under the
+/// standard noise model at `p = 0.05`, every qubit measured.
+fn noisy_ghz12_qasm() -> String {
+    let mut prep = Circuit::new(12, 12);
+    prep.h(0);
+    for q in 1..12 {
+        prep.cx(q - 1, q);
+    }
+    let mut noisy = NoiseModel::standard(0.05).apply(&prep);
+    for q in 0..12 {
+        noisy.measure(q, q);
+    }
+    to_qasm3(&noisy)
+}
+
+#[test]
+fn prefix_counters_split_the_shots_of_a_served_statevector_job() {
+    let handle = Service::spawn(ServiceConfig {
+        workers: 2,
+        slice_shots: 64,
+        metrics: Some(obs::Registry::default()),
+        ..ServiceConfig::default()
+    })
+    .expect("spawn");
+    let run = |qasm: String, shots: u64, backend: &str| {
+        let request = Request::run(None, RunRequest::new(qasm, shots, 0xC0_45, backend));
+        match Response::from_line(&request_line(handle.addr(), &request)).expect("parse") {
+            Response::Ok { shots: ran, .. } => assert_eq!(ran, shots),
+            other => panic!("expected ok, got {other:?}"),
+        }
+    };
+    let prefix_counters = || {
+        let metrics = Request {
+            id: None,
+            op: Op::Metrics,
+        };
+        let line = request_line(handle.addr(), &metrics);
+        let Response::Metrics { snapshot, .. } = Response::from_line(&line).expect("parse") else {
+            panic!("expected metrics response: {line}");
+        };
+        (
+            snapshot.counter("engine.prefix_shots").unwrap_or(0),
+            snapshot.counter("engine.prefix_fallbacks").unwrap_or(0),
+        )
+    };
+
+    // A one-shot statevector job builds no prefix; a stabilizer job has
+    // none.
+    run(noisy_ghz12_qasm(), 1, "statevector");
+    assert_eq!(prefix_counters(), (0, 0));
+    run(ghz_qasm(12), 256, "stabilizer");
+    assert_eq!(prefix_counters(), (0, 0));
+
+    // Every shot of a served statevector job either starts from the
+    // prefix or falls back; at p = 0.05 both happen.
+    run(noisy_ghz12_qasm(), 256, "statevector");
+    let (from_prefix, fallbacks) = prefix_counters();
+    assert_eq!(from_prefix + fallbacks, 256);
+    assert!(
+        from_prefix > 0 && fallbacks > 0,
+        "{from_prefix} / {fallbacks}"
+    );
     handle.shutdown();
 }
 

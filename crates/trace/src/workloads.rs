@@ -19,6 +19,7 @@
 //! | `spectroscopy` | §5 app: Hadamard-test phase spectroscopy | statevector |
 //! | `renyi` | §5 app: Rényi-2 entropy via the k=2 SWAP test | statevector |
 //! | `ghz12_sv` | `serve-sharded`'s noisy GHZ-12, every qubit measured | statevector |
+//! | `ghz12_sv_noisy` | the same GHZ-12 at `p = 0.05`: 43 % of shots fire a site before measuring | statevector |
 //! | `zz14_sv` | `lib-wide-sv`'s two-layer ZZ shape at 14 qubits | statevector |
 //! | `compas_teledata_sv` | `lib-compas`'s k=3 teledata protocol, real channel | statevector |
 
@@ -246,12 +247,25 @@ fn renyi() -> Circuit {
 /// sums 2 048 amplitudes), so it pins the statevector's slice path for
 /// measurement and collapse.
 fn ghz12_sv() -> Circuit {
+    ghz12_measured(0.002)
+}
+
+/// [`ghz12_sv`] at `p = 0.05`: about 43 % of shots fire a noise site
+/// before the first measurement, so it pins the shots that cannot
+/// start from the job's noiseless prefix and replay the whole program.
+fn ghz12_sv_noisy() -> Circuit {
+    ghz12_measured(0.05)
+}
+
+/// A 12-qubit GHZ chain under the standard noise model at `p`, every
+/// qubit measured.
+fn ghz12_measured(p: f64) -> Circuit {
     let mut prep = Circuit::new(12, 12);
     prep.h(0);
     for q in 1..12 {
         prep.cx(q - 1, q);
     }
-    let mut noisy = NoiseModel::standard(0.002).apply(&prep);
+    let mut noisy = NoiseModel::standard(p).apply(&prep);
     for q in 0..12 {
         noisy.measure(q, q);
     }
@@ -382,6 +396,14 @@ pub const WORKLOADS: &[Workload] = &[
         shots: 256,
         root_seed: 0xC0_45,
         build: ghz12_sv,
+    },
+    Workload {
+        name: "ghz12_sv_noisy",
+        description: "GHZ-12 at p = 0.05, all qubits measured (statevector)",
+        backend: Backend::StateVector,
+        shots: 256,
+        root_seed: 0xC0_45,
+        build: ghz12_sv_noisy,
     },
     Workload {
         name: "zz14_sv",
