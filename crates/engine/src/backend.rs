@@ -273,7 +273,7 @@ impl PreparedJob {
                 range,
                 *root_seed,
                 || vec![false; *num_cbits],
-                |cbits, rng, _| {
+                |cbits, rng| {
                     cbits.iter_mut().for_each(|b| *b = false);
                     rho.sample_record(cbits, rng);
                     pack_cbits(cbits)

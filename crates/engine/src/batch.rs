@@ -53,7 +53,7 @@ impl<S: SimState> ShotJob for ShotPlan<S> {
 
     /// Starts from the plan's noiseless prefix when the shot's prefix
     /// sites stay silent (the plan builds it unless it is a one-shot
-    /// job). A batch keeps no prefix counters.
+    /// job or 20 or more qubits wide). A batch keeps no prefix counters.
     fn run_shot(&self, ws: &mut Self::Workspace, _shot: u64, rng: &mut StdRng) -> usize {
         let prefix = self.prefix(self.shots());
         let mut uncounted = PrefixTally::default();

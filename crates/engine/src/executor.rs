@@ -199,7 +199,7 @@ impl Executor {
             0..shots as u64,
             self.root_seed,
             || (initial.clone(), Vec::new()),
-            |(state, cbits), rng, _| {
+            |(state, cbits), rng| {
                 run_shot_into(circuit, initial, state, cbits, rng);
                 pack_cbits(cbits)
             },

@@ -83,8 +83,10 @@
 //! [`ShotPlan`] builds that state once
 //! (`qsim::sim::SimState::noiseless_prefix`), lazily, on its first
 //! range of two or more shots; [`Executor::sample_shots`] builds it for
-//! its own call under the same rule, and a one-shot run never builds or
-//! copies one. Each shot then draws its prefix site tests on a **clone**
+//! its own call under the same rule. A one-shot run never builds or
+//! copies one, and neither does a state of 20 or more qubits: the
+//! prefix is a second state for the life of the job, which would double
+//! a wide multi-shot job's peak memory. Each shot then draws its prefix site tests on a **clone**
 //! of its own stream: if none fires, the shot adopts the advanced clone,
 //! copies the prefix's state and replays only the rest of the program;
 //! if one fires, it replays the whole program on its untouched stream.
@@ -93,7 +95,8 @@
 //! replay a shot runs — so records, tallies, stream positions and golden
 //! bytes are unchanged; a state copy replaces the prefix's kernels. The
 //! rule reads only the backend (the stabilizer and density matrix build
-//! no prefix), the shot count and the program: nothing to configure.
+//! no prefix), the shot count and the program's width: nothing to
+//! configure.
 //! One per-shot function takes the choice on every loop — the
 //! shot-parallel and amp-parallel arms and [`BatchRunner`] jobs — and
 //! [`Engine::with_metrics`] counts its two outcomes

@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use std::hash::Hash;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 use crate::config::EngineConfig;
@@ -49,7 +49,9 @@ pub struct ShotPlan<S: SimState = StateVector> {
     program: S::Program,
     /// The program's noiseless prefix ([`SimState::noiseless_prefix`]),
     /// built on the plan's first range of [`PREFIX_MIN_SHOTS`] or more
-    /// shots — at most once — and shared by every later range.
+    /// shots — at most once, and only on a state narrower than
+    /// [`PREFIX_MAX_QUBITS`] — and shared by every later range. It is a
+    /// second state beside the workers' own for the life of the plan.
     prefix: PrefixCell<S>,
 }
 
@@ -58,13 +60,22 @@ pub struct ShotPlan<S: SimState = StateVector> {
 pub(crate) type PrefixCell<S> = OnceLock<Option<NoiselessPrefix<S>>>;
 
 /// A run of at least this many shots starts them from the job's
-/// noiseless prefix; a one-shot run never builds or copies one, so a
-/// single wide shot costs no second state.
+/// noiseless prefix; a one-shot run never builds or copies one.
 const PREFIX_MIN_SHOTS: u64 = 2;
 
+/// A state at least this wide builds no noiseless prefix. The prefix
+/// keeps a second state beside each worker's workspace: below 20 qubits
+/// that is at most 8 MiB, but from here up (16 MiB at 20 qubits, 1 GiB
+/// at 26) it would double a wide multi-shot job's peak memory — a
+/// 4-shot 20-qubit ZZ job peaks at 36 MiB with one, 19 MiB without —
+/// so those jobs replay every shot from the top, as a one-shot job
+/// does.
+const PREFIX_MAX_QUBITS: usize = 20;
+
 /// The job's noiseless prefix for a run of `shots` shots: built into
-/// `cell` on the first run of at least [`PREFIX_MIN_SHOTS`], its kernels
-/// split across up to `threads` workers, and never for fewer.
+/// `cell` on the first run of at least [`PREFIX_MIN_SHOTS`] on a state
+/// narrower than [`PREFIX_MAX_QUBITS`], its kernels split across up to
+/// `threads` workers; never otherwise.
 fn prefix_for<'c, S: SimState>(
     cell: &'c PrefixCell<S>,
     program: &S::Program,
@@ -72,7 +83,7 @@ fn prefix_for<'c, S: SimState>(
     shots: u64,
     threads: usize,
 ) -> Option<&'c NoiselessPrefix<S>> {
-    if shots < PREFIX_MIN_SHOTS {
+    if shots < PREFIX_MIN_SHOTS || initial.num_qubits() >= PREFIX_MAX_QUBITS {
         return None;
     }
     cell.get_or_init(|| S::noiseless_prefix(program, initial, threads))
@@ -196,6 +207,21 @@ impl PrefixTally {
     }
 }
 
+/// One worker's [`PrefixTally`] on the shot-parallel arm, kept in its
+/// workspace and merged into the run's `total` when the workspace
+/// drops — once per worker, at the end of its run.
+struct WorkerTally<'t> {
+    tally: PrefixTally,
+    total: &'t Mutex<PrefixTally>,
+}
+
+impl Drop for WorkerTally<'_> {
+    fn drop(&mut self) {
+        let mut total = self.total.lock().unwrap_or_else(PoisonError::into_inner);
+        *total = total.merge(self.tally);
+    }
+}
+
 /// Resolved observability handles: the engine's execution timings.
 #[derive(Clone)]
 struct EngineObs {
@@ -213,14 +239,6 @@ struct EngineObs {
     /// Shots that had a prefix but replayed the whole program because
     /// one of its sites fired.
     prefix_fallbacks: obs::Counter,
-}
-
-impl EngineObs {
-    /// Adds one run's [`PrefixTally`] — once per run, not per shot.
-    fn count_prefix(&self, tally: PrefixTally) {
-        self.prefix_shots.add(tally.shots);
-        self.prefix_fallbacks.add(tally.fallbacks);
-    }
 }
 
 /// The shot-execution engine: a configured worker pool over which every
@@ -265,9 +283,9 @@ impl Engine {
     /// shots of every compiled [`Counts`] run that had a noiseless
     /// prefix into those that started from it and those that replayed
     /// the whole program because a prefix site fired (a run without a
-    /// prefix — one shot, or a backend that builds none — adds to
-    /// neither). Observation only — every tally stays bit-identical to
-    /// the unobserved engine's.
+    /// prefix — one shot, a state of 20 or more qubits, or a backend
+    /// that builds none — adds to neither). Observation only — every
+    /// tally stays bit-identical to the unobserved engine's.
     pub fn with_metrics(mut self, registry: &obs::Registry) -> Engine {
         self.obs = Some(EngineObs {
             chunk: registry.histo("engine.chunk"),
@@ -309,6 +327,15 @@ impl Engine {
     /// An engine with exactly `threads` workers.
     pub fn with_threads(threads: usize) -> Self {
         Engine::new(EngineConfig::with_threads(threads))
+    }
+
+    /// Adds one run's [`PrefixTally`] to the registry — once per run,
+    /// not per shot.
+    fn count_prefix(&self, tally: PrefixTally) {
+        if let Some(obs) = &self.obs {
+            obs.prefix_shots.add(tally.shots);
+            obs.prefix_fallbacks.add(tally.fallbacks);
+        }
     }
 
     /// The configured worker count.
@@ -573,12 +600,23 @@ impl Engine {
         let shots = range.end.saturating_sub(range.start);
         if !self.amp_engaged::<S>(initial.num_qubits()) {
             let prefix = prefix_for(prefix, program, initial, shots, 1);
-            return self.run_records(
+            let total = Mutex::new(PrefixTally::default());
+            let counts = self.run_records(
                 range,
                 root_seed,
-                || (initial.clone(), Vec::new()),
-                |ws, rng, tally| replay_shot(program, initial, prefix, ws, rng, 1, tally),
+                || {
+                    let tally = WorkerTally {
+                        tally: PrefixTally::default(),
+                        total: &total,
+                    };
+                    ((initial.clone(), Vec::new()), tally)
+                },
+                |(ws, worker), rng| {
+                    replay_shot(program, initial, prefix, ws, rng, 1, &mut worker.tally)
+                },
             );
+            self.count_prefix(total.into_inner().unwrap_or_else(PoisonError::into_inner));
+            return counts;
         }
         // Baseline of qsim's process-wide kernel clock; the delta over
         // this call mirrors into `engine.amp_kernel` afterwards.
@@ -617,9 +655,7 @@ impl Engine {
             *counts.entry(record).or_insert(0) += 1;
         }
         buffer.flush();
-        if let Some(obs) = &self.obs {
-            obs.count_prefix(tally);
-        }
+        self.count_prefix(tally);
         if let (Some(obs), Some((base_buckets, base_sum))) = (&self.obs, kernel_base) {
             let (now_buckets, now_sum) = qsim::amp::kernel_clock::snapshot();
             for (b, &base) in base_buckets.iter().enumerate() {
@@ -639,8 +675,6 @@ impl Engine {
     /// global shot index in `range` and, on a recording engine
     /// ([`Engine::with_trace`]), times each shot and delivers its record
     /// through a per-worker buffer. Without a sink it reads no clock.
-    /// `record_of` counts how its shots began into the worker's
-    /// [`PrefixTally`]; the merged tally reaches the registry once.
     pub(crate) fn run_records<W, MW, F>(
         &self,
         range: Range<u64>,
@@ -651,40 +685,31 @@ impl Engine {
     where
         W: Send,
         MW: Fn() -> W + Sync,
-        F: Fn(&mut W, &mut StdRng, &mut PrefixTally) -> usize + Sync,
+        F: Fn(&mut W, &mut StdRng) -> usize + Sync,
     {
         let sink = self.trace.as_deref();
-        let (counts, mut buffer, tally) = self.run_fold_range_with(
+        let (counts, mut buffer) = self.run_fold_range_with(
             range,
             root_seed,
             make_ws,
-            || {
-                (
-                    Counts::new(),
-                    TraceBuffer::new(sink),
-                    PrefixTally::default(),
-                )
-            },
-            |(counts, buffer, tally), ws, shot, rng| {
+            || (Counts::new(), TraceBuffer::new(sink)),
+            |(counts, buffer), ws, shot, rng| {
                 let started = buffer.recording().then(Instant::now);
-                let record = record_of(ws, rng, tally);
+                let record = record_of(ws, rng);
                 if let Some(started) = started {
                     buffer.push(root_seed, shot, record, started.elapsed());
                 }
                 *counts.entry(record).or_insert(0) += 1;
             },
-            |(mut counts_a, buffer_a, tally_a), (counts_b, mut buffer_b, tally_b)| {
+            |(mut counts_a, buffer_a), (counts_b, mut buffer_b)| {
                 // The joined worker's buffer ends here: flush its tail.
                 buffer_b.flush();
                 merge_counts(&mut counts_a, counts_b);
-                (counts_a, buffer_a, tally_a.merge(tally_b))
+                (counts_a, buffer_a)
             },
         );
         // The surviving buffer (the only one, with a single worker).
         buffer.flush();
-        if let Some(obs) = &self.obs {
-            obs.count_prefix(tally);
-        }
         counts
     }
 }

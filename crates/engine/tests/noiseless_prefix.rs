@@ -10,7 +10,8 @@
 //! * Through the engine: a noisy-GHZ plan's counts under every slicing,
 //!   in a batch, on the amp-parallel arm, and from `sample_shots`
 //!   against the interpreted reference, with the prefix counters
-//!   splitting exactly the shots that had a prefix.
+//!   splitting exactly the shots that had a prefix — and no prefix on a
+//!   state of 20 or more qubits, on either arm.
 
 use circuit::circuit::{Circuit, Instruction};
 use circuit::noise::NoiseModel;
@@ -324,4 +325,36 @@ fn sample_shots_counts_like_the_interpreted_reference() {
     assert_eq!(exec.sample_shots(&circuit, &initial, 400), reference);
     let (from_prefix, fallbacks) = prefix_counters(&registry);
     assert_eq!(from_prefix + fallbacks, 400);
+}
+
+#[test]
+fn a_state_of_twenty_qubits_builds_no_prefix() {
+    // One live qubit, so the state is two stored amplitudes: the rule
+    // reads the width, which bounds what a prefix could hold.
+    let plan = |n: usize| {
+        let mut c = Circuit::new(n, 1);
+        c.h(0).push(Instruction::Depolarizing {
+            qubits: vec![0],
+            p: 0.2,
+        });
+        c.measure(0, 0);
+        ShotPlan::new(c, StateVector::new(n), 64, 5)
+    };
+    for amp_threads in [1, 2] {
+        let registry = obs::Registry::new();
+        let engine = Engine::new(
+            EngineConfig::with_threads(2)
+                .with_amp_threads(amp_threads)
+                .with_amp_threshold(20),
+        )
+        .with_metrics(&registry);
+        assert_eq!(engine.amp_engaged::<StateVector>(20), amp_threads > 1);
+        let wide = engine.run_plan(&plan(20));
+        assert_eq!(prefix_counters(&registry), (0, 0));
+        let narrow = engine.run_plan(&plan(19));
+        let (from_prefix, fallbacks) = prefix_counters(&registry);
+        assert_eq!(from_prefix + fallbacks, 64);
+        // The idle qubits change no record.
+        assert_eq!(wide, narrow);
+    }
 }

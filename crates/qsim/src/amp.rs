@@ -396,7 +396,7 @@ fn worker_pass(
 mod tests {
     use super::*;
     use crate::compile::compile;
-    use crate::runner::run_program_into_parallel;
+    use crate::runner::run_program_into_from_prefix;
     use circuit::circuit::Circuit;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -459,7 +459,15 @@ mod tests {
             let mut par = StateVector::new(0);
             let mut par_bits = Vec::new();
             let mut rng = StdRng::seed_from_u64(seed);
-            run_program_into_parallel(&program, &initial, &mut par, &mut par_bits, &mut rng, 4);
+            run_program_into_from_prefix(
+                &program,
+                &initial,
+                None,
+                &mut par,
+                &mut par_bits,
+                &mut rng,
+                4,
+            );
             assert_eq!(par_bits, seq_bits, "seed {seed}");
             assert_eq!(par, seq, "seed {seed}");
         }

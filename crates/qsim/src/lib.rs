@@ -32,10 +32,11 @@
 //!   bit-identical at any worker count;
 //! * [`runner`] — shot sampling over circuits, generic over the
 //!   [`sim::SimState`] backend, interpreted ([`runner::run_shot_into`])
-//!   or compiled ([`runner::run_program_into`] /
-//!   [`runner::run_program_into_parallel`]), and the one shot function
-//!   that starts from a job's noiseless prefix when the shot's prefix
-//!   sites stay silent ([`runner::run_program_into_from_prefix`]);
+//!   or compiled ([`runner::run_program_into`]), and the one
+//!   amplitude-parallel shot function, which starts from a job's
+//!   noiseless prefix when the shot's prefix sites stay silent
+//!   ([`runner::run_program_into_from_prefix`];
+//!   [`runner::run_program_into_parallel`] is its prefix-free case);
 //! * [`qrand`] — random states, random density matrices, and the
 //!   eigen-ensembles used for trajectory simulation of mixed states.
 //!

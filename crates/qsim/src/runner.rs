@@ -134,35 +134,24 @@ pub fn run_program_into<S: SimState>(
 }
 
 /// [`run_program_into`] with the shot's state-space work split across
-/// up to `threads` workers (see [`SimState::run_program_parallel`]) —
-/// bit-identical to the sequential variant at any thread count. Shot
-/// loops that trade shot-level for amplitude-level parallelism (the
-/// engine's amp-parallel policy on big statevectors) call this with the
-/// pool's thread budget; everything else should keep calling
-/// [`run_program_into`].
+/// up to `threads` workers (see [`SimState::run_program_from`]) —
+/// bit-identical to the sequential variant at any thread count: the
+/// prefix-free case of [`run_program_into_from_prefix`], for callers
+/// that time or check one amp-parallel shot on its own. The engine's
+/// shot loops call [`run_program_into_from_prefix`] directly.
 ///
 /// # Panics
 ///
 /// Panics if the program needs more qubits than `initial` has.
-pub fn run_program_into_parallel<S: SimState>(
+pub fn run_program_into_parallel<S: SimState, R: Rng + Clone>(
     program: &S::Program,
     initial: &S,
     state: &mut S,
     cbits: &mut Vec<bool>,
-    rng: &mut impl Rng,
+    rng: &mut R,
     threads: usize,
 ) {
-    assert!(
-        program.num_qubits() <= initial.num_qubits(),
-        "program needs {} qubits but the state has {}",
-        program.num_qubits(),
-        initial.num_qubits()
-    );
-    state.reset_from(initial);
-    cbits.clear();
-    cbits.resize(program.num_cbits(), false);
-    state.run_program_parallel(program, cbits, rng, threads);
-    state.finish(cbits, rng);
+    run_program_into_from_prefix(program, initial, None, state, cbits, rng, threads);
 }
 
 /// The one shot function that may start from the job's noiseless
@@ -170,10 +159,10 @@ pub fn run_program_into_parallel<S: SimState>(
 /// sites firing on the look-ahead ([`NoiselessPrefix::look_ahead`]),
 /// the shot copies the prefix's state and replays the ops from its
 /// `rest` on; otherwise it replays the whole program from `initial` on
-/// the untouched stream, as [`run_program_into_parallel`]. Either way
-/// the record, the final state and the stream position are
-/// [`run_program_into`]'s. Returns whether the shot started from the
-/// prefix — `None` without one.
+/// the untouched stream. Either way the record, the final state and the
+/// stream position are [`run_program_into`]'s, and the state-space work
+/// is split across up to `threads` workers. Returns whether the shot
+/// started from the prefix — `None` without one.
 ///
 /// # Panics
 ///

@@ -217,29 +217,11 @@ pub trait SimState: Clone + Send + Sync {
     /// call [`SimState::finish`] (the loop entry points do).
     fn run_program(&mut self, program: &Self::Program, cbits: &mut [bool], rng: &mut impl Rng);
 
-    /// Whether [`SimState::run_program_parallel`] actually splits one
-    /// shot's work across threads. `false` (the default) means the
-    /// parallel entry point is just [`SimState::run_program`], and the
-    /// engine's amp-parallel policy never engages for this backend.
+    /// Whether [`SimState::run_program_from`] actually splits one
+    /// shot's work across threads. `false` (the default) means it is
+    /// just [`SimState::run_program`], and the engine's amp-parallel
+    /// policy never engages for this backend.
     const AMP_PARALLEL: bool = false;
-
-    /// [`SimState::run_program`] with the single shot's state-space
-    /// work split across up to `threads` workers — **bit-identical**
-    /// to the sequential replay at any thread count (callers rely on
-    /// this for thread-count-invariant tallies). Backends without an
-    /// amplitude-parallel path (every backend with
-    /// [`SimState::AMP_PARALLEL`]` == false`) fall back to the
-    /// sequential replay.
-    fn run_program_parallel(
-        &mut self,
-        program: &Self::Program,
-        cbits: &mut [bool],
-        rng: &mut impl Rng,
-        threads: usize,
-    ) {
-        let _ = threads;
-        self.run_program(program, cbits, rng);
-    }
 
     /// The noiseless prefix of `program` from `initial` (module docs),
     /// built once per plan with its state-space work split across up to
@@ -256,11 +238,17 @@ pub trait SimState: Clone + Send + Sync {
         None
     }
 
-    /// [`SimState::run_program_parallel`] from op `from` of `program`
-    /// on: the rest of a shot that starts from a [`NoiselessPrefix`]'s
-    /// state. A backend is only asked for the `rest` of a prefix its own
-    /// [`SimState::noiseless_prefix`] built, so the default, for
-    /// backends that build none, plays the whole program.
+    /// [`SimState::run_program`] from op `from` of `program` on, with
+    /// the single shot's state-space work split across up to `threads`
+    /// workers — **bit-identical** to the sequential replay at any
+    /// thread count (callers rely on this for thread-count-invariant
+    /// tallies). `from` is 0 for a whole shot and a
+    /// [`NoiselessPrefix`]'s `rest` for one that starts from its state.
+    /// A backend is only asked for the `rest` of a prefix its own
+    /// [`SimState::noiseless_prefix`] built, so the default — for
+    /// backends without a prefix or an amplitude-parallel path
+    /// ([`SimState::AMP_PARALLEL`]` == false`) — plays the whole
+    /// program sequentially.
     ///
     /// # Panics
     ///
@@ -274,7 +262,8 @@ pub trait SimState: Clone + Send + Sync {
         threads: usize,
     ) {
         assert_eq!(from, 0, "{} builds no noiseless prefix", Self::NAME);
-        self.run_program_parallel(program, cbits, rng, threads);
+        let _ = threads;
+        self.run_program(program, cbits, rng);
     }
 }
 
@@ -347,16 +336,6 @@ impl SimState for StateVector {
     }
 
     const AMP_PARALLEL: bool = true;
-
-    fn run_program_parallel(
-        &mut self,
-        program: &CompiledCircuit,
-        cbits: &mut [bool],
-        rng: &mut impl Rng,
-        threads: usize,
-    ) {
-        self.apply_compiled_parallel(program, cbits, rng, threads);
-    }
 
     /// The prefix's state is the replay's own: its kernel runs, played
     /// by the driver that plays them in a shot, the sites skipped.
