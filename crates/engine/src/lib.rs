@@ -85,22 +85,37 @@
 //! range of two or more shots; [`Executor::sample_shots`] builds it for
 //! its own call under the same rule. A one-shot run never builds or
 //! copies one, and neither does a state of 20 or more qubits: the
-//! prefix is a second state for the life of the job, which would double
-//! a wide multi-shot job's peak memory. Each shot then draws its prefix site tests on a **clone**
-//! of its own stream: if none fires, the shot adopts the advanced clone,
-//! copies the prefix's state and replays only the rest of the program;
-//! if one fires, it replays the whole program on its untouched stream.
-//! Both arms draw the same values in the same order and apply the same
-//! kernels to the same values — the prefix's state is built by the very
-//! replay a shot runs — so records, tallies, stream positions and golden
-//! bytes are unchanged; a state copy replaces the prefix's kernels. The
-//! rule reads only the backend (the stabilizer and density matrix build
-//! no prefix), the shot count and the program's width: nothing to
-//! configure.
+//! prefix and its tree hold up to four root states for the life of the
+//! job, which would dwarf a wide multi-shot job's own state. Each shot then draws its
+//! prefix site tests on a **clone** of its own stream: if one fires, it
+//! replays the whole program on its untouched stream; if none fires,
+//! the shot adopts the advanced clone and walks the prefix's **tree of
+//! branch states**. At each `Measure` or `Reset` past the prefix it
+//! draws the outcome (and the readout flip) exactly as the measurement
+//! would, compares it with the op's `p1` — summed once per node by the
+//! measurement's own probe — and moves to the child for that outcome,
+//! built once, on the first shot that takes it, by the measurement's
+//! own collapse and the kernels up to the next interpretation point. It
+//! copies the state where it leaves the tree and replays only the ops
+//! from there: none at the program's end; at a `Conditional`, a
+//! depolarizing site, or a child the tree's budget refused, the rest
+//! (the refused child's outcome draw put back). The budget caps a tree
+//! at four root states of stored amplitudes; a fork whose outcome is
+//! certain keeps no state, so a GHZ-12 tree is its root and two
+//! one-amplitude leaves. Every arm draws the same values in the same
+//! order and applies the same functions to the same values, so
+//! records, tallies, stream positions and golden bytes are unchanged; a
+//! walk and one state copy replace the prefix's kernels and the tree's
+//! measurements. The rule reads only the backend (the stabilizer and
+//! density matrix build no prefix), the shot count and the program's
+//! width: nothing to configure.
 //! One per-shot function takes the choice on every loop — the
 //! shot-parallel and amp-parallel arms and [`BatchRunner`] jobs — and
-//! [`Engine::with_metrics`] counts its two outcomes
-//! (`engine.prefix_shots`, `engine.prefix_fallbacks`) once per run.
+//! [`Engine::with_metrics`] counts its outcomes once per run:
+//! `engine.prefix_shots` and `engine.prefix_fallbacks` split the shots
+//! that walked the tree from those that fell back, and
+//! `engine.branch_exits` counts the walks that left the tree before the
+//! program's end and replayed ops.
 //!
 //! ## Recording is a policy, not an API
 //!

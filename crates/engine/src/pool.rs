@@ -2,7 +2,7 @@
 
 use circuit::circuit::Circuit;
 use qsim::runner::{pack_cbits, run_program_into_from_prefix};
-use qsim::sim::{NoiselessPrefix, SimState};
+use qsim::sim::{NoiselessPrefix, SimState, Walk};
 use qsim::statevector::StateVector;
 use rand::rngs::StdRng;
 use std::collections::HashMap;
@@ -50,8 +50,9 @@ pub struct ShotPlan<S: SimState = StateVector> {
     /// The program's noiseless prefix ([`SimState::noiseless_prefix`]),
     /// built on the plan's first range of [`PREFIX_MIN_SHOTS`] or more
     /// shots — at most once, and only on a state narrower than
-    /// [`PREFIX_MAX_QUBITS`] — and shared by every later range. It is a
-    /// second state beside the workers' own for the life of the plan.
+    /// [`PREFIX_MAX_QUBITS`] — and shared by every later range. Its
+    /// tree of branch states holds up to four root-sized states beside
+    /// the workers' own for the life of the plan.
     prefix: PrefixCell<S>,
 }
 
@@ -64,12 +65,14 @@ pub(crate) type PrefixCell<S> = OnceLock<Option<NoiselessPrefix<S>>>;
 const PREFIX_MIN_SHOTS: u64 = 2;
 
 /// A state at least this wide builds no noiseless prefix. The prefix
-/// keeps a second state beside each worker's workspace: below 20 qubits
-/// that is at most 8 MiB, but from here up (16 MiB at 20 qubits, 1 GiB
-/// at 26) it would double a wide multi-shot job's peak memory — a
-/// 4-shot 20-qubit ZZ job peaks at 36 MiB with one, 19 MiB without —
-/// so those jobs replay every shot from the top, as a one-shot job
-/// does.
+/// keeps its root state and up to three more root states of branches
+/// beside each worker's workspace: below 20 qubits that is at most
+/// 32 MiB (on a 2-core host a 64-shot 19-qubit ZZ job peaks at
+/// 43 MiB with the tree, 19 MiB with the root alone, in 0.08 s against
+/// 0.14 s), but from here up (64 MiB at 20 qubits, 4 GiB at 26) it would dwarf a wide
+/// multi-shot job's own state — a 4-shot 20-qubit ZZ job peaked at
+/// 36 MiB with the root alone, 19 MiB without — so those jobs replay
+/// every shot from the top, as a one-shot job does.
 const PREFIX_MAX_QUBITS: usize = 20;
 
 /// The job's noiseless prefix for a run of `shots` shots: built into
@@ -167,8 +170,8 @@ pub(crate) fn check_plan<S: SimState>(circuit: &Circuit, initial: &S) {
 /// The engine's one per-shot function: one compiled shot on a worker's
 /// `(state, register)` workspace, its state space split across up to
 /// `threads` workers, the record packed. With the job's noiseless
-/// `prefix` the shot starts from the prefix's state unless a prefix
-/// site fires ([`run_program_into_from_prefix`]); `tally` counts which.
+/// `prefix` the shot walks the prefix's tree unless a prefix site fires
+/// ([`run_program_into_from_prefix`]); `tally` counts where it started.
 pub(crate) fn replay_shot<S: SimState>(
     program: &S::Program,
     initial: &S,
@@ -179,8 +182,11 @@ pub(crate) fn replay_shot<S: SimState>(
     tally: &mut PrefixTally,
 ) -> usize {
     match run_program_into_from_prefix(program, initial, prefix, state, cbits, rng, threads) {
-        Some(true) => tally.shots += 1,
-        Some(false) => tally.fallbacks += 1,
+        Some(Walk::Fallback) => tally.fallbacks += 1,
+        Some(walk) => {
+            tally.shots += 1;
+            tally.exits += u64::from(walk == Walk::Exit);
+        }
         None => {}
     }
     pack_cbits(cbits)
@@ -189,13 +195,17 @@ pub(crate) fn replay_shot<S: SimState>(
 /// How the shots of one run began: from the job's noiseless prefix, or
 /// — a prefix site having fired — from the top of the program. Counted
 /// in plain integers per worker and added to `engine.prefix_shots` /
-/// `engine.prefix_fallbacks` once per run, so no shot touches an atomic.
+/// `engine.prefix_fallbacks` / `engine.branch_exits` once per run, so
+/// no shot touches an atomic.
 #[derive(Default, Clone, Copy)]
 pub(crate) struct PrefixTally {
-    /// Shots that started from the prefix's state.
+    /// Shots that started from the prefix: walked its tree.
     shots: u64,
     /// Shots that replayed the whole program because a prefix site fired.
     fallbacks: u64,
+    /// Of `shots`, those that left the tree before the program's end
+    /// and replayed ops.
+    exits: u64,
 }
 
 impl PrefixTally {
@@ -203,6 +213,7 @@ impl PrefixTally {
         PrefixTally {
             shots: self.shots + other.shots,
             fallbacks: self.fallbacks + other.fallbacks,
+            exits: self.exits + other.exits,
         }
     }
 }
@@ -239,6 +250,9 @@ struct EngineObs {
     /// Shots that had a prefix but replayed the whole program because
     /// one of its sites fired.
     prefix_fallbacks: obs::Counter,
+    /// Shots that started from the prefix but left its tree before the
+    /// program's end and replayed ops.
+    branch_exits: obs::Counter,
 }
 
 /// The shot-execution engine: a configured worker pool over which every
@@ -284,7 +298,10 @@ impl Engine {
     /// prefix into those that started from it and those that replayed
     /// the whole program because a prefix site fired (a run without a
     /// prefix — one shot, a state of 20 or more qubits, or a backend
-    /// that builds none — adds to neither). Observation only — every
+    /// that builds none — adds to neither); `engine.branch_exits`
+    /// counts the shots of the first kind that left the prefix's tree of
+    /// branch states before the program's end and replayed ops from
+    /// there. Observation only — every
     /// tally stays bit-identical to the unobserved engine's.
     pub fn with_metrics(mut self, registry: &obs::Registry) -> Engine {
         self.obs = Some(EngineObs {
@@ -293,6 +310,7 @@ impl Engine {
             amp_kernel: registry.histo("engine.amp_kernel"),
             prefix_shots: registry.counter("engine.prefix_shots"),
             prefix_fallbacks: registry.counter("engine.prefix_fallbacks"),
+            branch_exits: registry.counter("engine.branch_exits"),
         });
         self
     }
@@ -335,6 +353,7 @@ impl Engine {
         if let Some(obs) = &self.obs {
             obs.prefix_shots.add(tally.shots);
             obs.prefix_fallbacks.add(tally.fallbacks);
+            obs.branch_exits.add(tally.exits);
         }
     }
 

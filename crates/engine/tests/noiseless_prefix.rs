@@ -4,22 +4,25 @@
 //! * Shot by shot, on random dynamic circuits: the prefix replay
 //!   (`run_program_into_from_prefix`) against `run_program_into` — equal
 //!   records, `==` final states, and the same next `u64` on both
-//!   streams — on both arms: shots whose prefix sites stay silent and
-//!   start from the prefix's state, and shots that fall back because
-//!   one fired.
+//!   streams — on every arm: shots whose prefix sites stay silent and
+//!   walk the prefix's tree of branch states to the program's end
+//!   (Z-, X- and Y-basis measurements, readout flips, resets), shots
+//!   that leave the tree at an op it does not model or at a child the
+//!   budget refused (a dense 8-qubit state exhausts it), and shots that
+//!   fall back because a prefix site fired.
 //! * Through the engine: a noisy-GHZ plan's counts under every slicing,
 //!   in a batch, on the amp-parallel arm, and from `sample_shots`
 //!   against the interpreted reference, with the prefix counters
 //!   splitting exactly the shots that had a prefix — and no prefix on a
 //!   state of 20 or more qubits, on either arm.
 
-use circuit::circuit::{Circuit, Instruction};
+use circuit::circuit::{Basis, Circuit, Instruction};
 use circuit::noise::NoiseModel;
 use engine::{shot_rng, BatchRunner, Counts, Engine, EngineConfig, Executor, ShotPlan};
 use qsim::compile::compile;
 use qsim::qrand::random_pure_state;
 use qsim::runner::{run_program_into, run_program_into_from_prefix};
-use qsim::sim::SimState;
+use qsim::sim::{SimState, Walk};
 use qsim::statevector::StateVector;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -71,10 +74,27 @@ fn random_site(c: &mut Circuit, n: usize, rng: &mut StdRng) {
     c.push(Instruction::Depolarizing { qubits, p });
 }
 
-/// A random dynamic circuit on `n` qubits: an opening, then gates,
-/// sites, measurements, feedback and resets in any order, every qubit
-/// measured at the end.
-fn random_circuit(seed: u64, n: usize, opening: Opening) -> Circuit {
+/// Appends a measurement of qubit `q` into cbit `q` in a random basis,
+/// its record flipped with probability 0 or 0.2.
+fn random_measure(c: &mut Circuit, q: usize, rng: &mut StdRng) {
+    let basis = [Basis::Z, Basis::X, Basis::Y][rng.random_range(0..3usize)];
+    let flip_prob = if rng.random_range(0..3) == 0 {
+        0.2
+    } else {
+        0.0
+    };
+    c.push(Instruction::Measure {
+        qubit: q,
+        cbit: q,
+        basis,
+        flip_prob,
+    });
+}
+
+/// A random dynamic circuit on `n` qubits: an opening, then — unless
+/// `measure_only` — gates, sites, measurements, feedback and resets in
+/// any order, every qubit measured at the end.
+fn random_circuit(seed: u64, n: usize, opening: Opening, measure_only: bool) -> Circuit {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut c = Circuit::new(n, n);
     match opening {
@@ -96,10 +116,18 @@ fn random_circuit(seed: u64, n: usize, opening: Opening) -> Circuit {
             };
         }
     }
-    for _ in 0..rng.random_range(0..12) {
+    let middle = if measure_only {
+        0
+    } else {
+        rng.random_range(0..12)
+    };
+    for _ in 0..middle {
         let q = rng.random_range(0..n);
         match rng.random_range(0..6) {
-            0 => c.measure(q, q),
+            0 => {
+                random_measure(&mut c, q, &mut rng);
+                &mut c
+            }
             1 => c.reset(q),
             2 => c.cond_z(q, &[rng.random_range(0..n)]),
             3 => {
@@ -113,7 +141,7 @@ fn random_circuit(seed: u64, n: usize, opening: Opening) -> Circuit {
         };
     }
     for q in 0..n {
-        c.measure(q, q);
+        random_measure(&mut c, q, &mut rng);
     }
     c
 }
@@ -121,8 +149,17 @@ fn random_circuit(seed: u64, n: usize, opening: Opening) -> Circuit {
 /// How often each arm ran.
 #[derive(Default, Debug)]
 struct Arms {
-    from_prefix: usize,
+    leaf: usize,
+    exit: usize,
     fallback: usize,
+}
+
+impl Arms {
+    fn add(&mut self, other: Arms) {
+        self.leaf += other.leaf;
+        self.exit += other.exit;
+        self.fallback += other.fallback;
+    }
 }
 
 /// Plays `shots` shots of `circuit` from `initial` both ways on
@@ -177,18 +214,22 @@ fn assert_prefix_replay_is_the_replay(
         );
         assert_eq!(from_prefix.is_some(), prefix.is_some());
         match from_prefix {
-            Some(true) => arms.from_prefix += 1,
-            Some(false) => arms.fallback += 1,
+            Some(Walk::Leaf) => arms.leaf += 1,
+            Some(Walk::Exit) => arms.exit += 1,
+            Some(Walk::Fallback) => arms.fallback += 1,
             None => {}
         }
         // A silent site never fires and a certain one always does.
         if sites.iter().all(|&p| p == 0.0) {
-            assert_ne!(from_prefix, Some(false), "shot {i}: a p = 0 site fired");
-        }
-        if sites.contains(&1.0) {
             assert_ne!(
                 from_prefix,
-                Some(true),
+                Some(Walk::Fallback),
+                "shot {i}: a p = 0 site fired"
+            );
+        }
+        if sites.contains(&1.0) {
+            assert!(
+                !matches!(from_prefix, Some(Walk::Leaf | Walk::Exit)),
                 "shot {i}: a p = 1 site stayed silent"
             );
         }
@@ -206,7 +247,7 @@ fn prefix_replay_equals_the_whole_replay_shot_by_shot() {
         } else {
             Opening::Prefix
         };
-        let circuit = random_circuit(seed, n, opening);
+        let circuit = random_circuit(seed, n, opening, seed % 4 == 2);
         // Every third initial state is a dense random one, every fifth
         // a wider register than the circuit needs.
         let width = n + usize::from(seed % 5 == 1);
@@ -224,15 +265,73 @@ fn prefix_replay_equals_the_whole_replay_shot_by_shot() {
             );
         }
         let threads = if seed % 2 == 0 { 1 } else { 3 };
-        let arms = assert_prefix_replay_is_the_replay(&circuit, &initial, seed, 24, threads);
-        total.from_prefix += arms.from_prefix;
-        total.fallback += arms.fallback;
+        total.add(assert_prefix_replay_is_the_replay(
+            &circuit, &initial, seed, 24, threads,
+        ));
     }
-    assert!(
-        total.from_prefix > 0,
-        "no shot started from a prefix: {total:?}"
-    );
+    // A dense 8-qubit state measured qubit by qubit: its full tree is
+    // nine root states, so the budget refuses children — the only way a
+    // shot leaves a measure-only rest early.
+    let mut rng = StdRng::seed_from_u64(0xDE_45E);
+    let initial = StateVector::from_amplitudes(random_pure_state(8, &mut rng));
+    let mut dense = Circuit::new(8, 8);
+    for q in 0..8 {
+        dense.ry(q, 0.3 + 0.1 * q as f64);
+    }
+    for q in 0..8 {
+        random_measure(&mut dense, q, &mut rng);
+    }
+    let arms = assert_prefix_replay_is_the_replay(&dense, &initial, 0xDE_45E, 96, 1);
+    assert!(arms.exit > 0, "the dense tree fit its budget: {arms:?}");
+    total.add(arms);
+    assert!(total.leaf > 0, "no shot walked to a leaf: {total:?}");
+    assert!(total.exit > 0, "no shot left the tree: {total:?}");
     assert!(total.fallback > 0, "no shot fell back: {total:?}");
+}
+
+/// An RNG whose every uniform draw is exactly one half.
+#[derive(Clone)]
+struct Half;
+
+impl RngCore for Half {
+    fn next_u32(&mut self) -> u32 {
+        1 << 31
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        1 << 63
+    }
+
+    fn fill_bytes(&mut self, dest: &mut [u8]) {
+        dest.fill(0);
+    }
+}
+
+#[test]
+fn a_draw_equal_to_p1_is_outcome_zero_on_the_walk_too() {
+    // Four amplitudes of exactly 1/2: measuring qubit 0 has p1 = 1/2
+    // exactly, so a draw of 1/2 is outcome 0 (`u < p1`) on every path.
+    let initial = StateVector::from_amplitudes(vec![mathkit::complex::c64(0.5, 0.0); 4]);
+    let mut circuit = Circuit::new(2, 2);
+    circuit.z(0).measure(0, 0).measure(1, 1);
+    let program = compile(&circuit);
+    let prefix = StateVector::noiseless_prefix(&program, &initial, 1);
+    let (mut whole, mut whole_bits) = (StateVector::new(0), Vec::new());
+    run_program_into(&program, &initial, &mut whole, &mut whole_bits, &mut Half);
+    let (mut walked, mut walked_bits) = (StateVector::new(0), Vec::new());
+    let walk = run_program_into_from_prefix(
+        &program,
+        &initial,
+        prefix.as_ref(),
+        &mut walked,
+        &mut walked_bits,
+        &mut Half,
+        1,
+    );
+    assert_eq!(walk, Some(Walk::Leaf));
+    assert!(!whole_bits[0], "the plain replay read 1/2 as outcome 1");
+    assert_eq!(walked_bits, whole_bits);
+    assert!(walked == whole);
 }
 
 /// The `ghz12_sv_noisy` shape on `n` qubits: a GHZ chain under the

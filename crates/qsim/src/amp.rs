@@ -223,13 +223,42 @@ impl StateVector {
                 at += 1;
                 continue;
             }
-            let seg_len = ops[at..]
-                .iter()
-                .position(|op| matches!(op, CompiledOp::Interp(_)))
-                .unwrap_or(ops.len() - at);
-            self.run_kernels(&ops[at..at + seg_len], widen, workers);
-            at += seg_len;
+            at = self.kernels_from(ops, at, widen, workers);
         }
+    }
+
+    /// Plays the maximal kernel run that starts at op `at` of `program`
+    /// (none if op `at` is an interpretation point) with `workers`
+    /// workers, as [`StateVector::replay`] plays it, and returns the
+    /// index of the op after it: the next interpretation point, or
+    /// [`CompiledCircuit::num_ops`].
+    pub(crate) fn run_to_interp(
+        &mut self,
+        program: &CompiledCircuit,
+        at: usize,
+        workers: usize,
+    ) -> usize {
+        let widen = self.widen_for(program);
+        self.kernels_from(program.ops(), at, widen, workers)
+    }
+
+    /// [`StateVector::run_to_interp`] on `ops` with its masks shifted up
+    /// by `widen`.
+    fn kernels_from(
+        &mut self,
+        ops: &[CompiledOp],
+        at: usize,
+        widen: usize,
+        workers: usize,
+    ) -> usize {
+        let end = ops[at..]
+            .iter()
+            .position(|op| matches!(op, CompiledOp::Interp(_)))
+            .map_or(ops.len(), |len| at + len);
+        if end > at {
+            self.run_kernels(&ops[at..end], widen, workers);
+        }
+        end
     }
 
     /// The state the first `end` ops of `program` leave when none of

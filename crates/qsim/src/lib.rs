@@ -72,6 +72,6 @@ pub mod prelude {
         pack_cbits, run_program_into, run_program_into_from_prefix, run_program_into_parallel,
         run_shot, run_shot_into, run_unitary, sample_shots, ShotOutcome,
     };
-    pub use crate::sim::{NoiselessPrefix, SimProgram, SimState, Unsupported};
+    pub use crate::sim::{NoiselessPrefix, SimProgram, SimState, Unsupported, Walk};
     pub use crate::statevector::StateVector;
 }

@@ -25,7 +25,7 @@ use circuit::circuit::{Circuit, Instruction};
 use rand::Rng;
 use std::collections::HashMap;
 
-use crate::sim::{NoiselessPrefix, SimProgram, SimState};
+use crate::sim::{NoiselessPrefix, SimProgram, SimState, Walk};
 use crate::statevector::StateVector;
 
 /// Result of playing a circuit once.
@@ -157,12 +157,13 @@ pub fn run_program_into_parallel<S: SimState, R: Rng + Clone>(
 /// The one shot function that may start from the job's noiseless
 /// prefix (see [`crate::sim`]): with `prefix` given and none of its
 /// sites firing on the look-ahead ([`NoiselessPrefix::look_ahead`]),
-/// the shot copies the prefix's state and replays the ops from its
-/// `rest` on; otherwise it replays the whole program from `initial` on
-/// the untouched stream. Either way the record, the final state and the
+/// the shot walks the prefix's tree of branch states and copies the
+/// state where it leaves it, replaying only the ops from there;
+/// otherwise it replays the whole program from `initial` on the
+/// untouched stream. Either way the record, the final state and the
 /// stream position are [`run_program_into`]'s, and the state-space work
-/// is split across up to `threads` workers. Returns whether the shot
-/// started from the prefix — `None` without one.
+/// is split across up to `threads` workers. Returns where the shot
+/// started ([`Walk`]) — `None` without a prefix.
 ///
 /// # Panics
 ///
@@ -175,24 +176,27 @@ pub fn run_program_into_from_prefix<S: SimState, R: Rng + Clone>(
     cbits: &mut Vec<bool>,
     rng: &mut R,
     threads: usize,
-) -> Option<bool> {
+) -> Option<Walk> {
     assert!(
         program.num_qubits() <= initial.num_qubits(),
         "program needs {} qubits but the state has {}",
         program.num_qubits(),
         initial.num_qubits()
     );
-    let from_prefix = prefix.map(|prefix| prefix.look_ahead(rng));
-    let (start, from) = match prefix.zip(from_prefix) {
-        Some((prefix, true)) => (prefix.state(), prefix.rest()),
-        _ => (initial, 0),
-    };
-    state.reset_from(start);
     cbits.clear();
     cbits.resize(program.num_cbits(), false);
+    let (start, from, walk) = match prefix {
+        None => (initial, 0, None),
+        Some(prefix) if !prefix.look_ahead(rng) => (initial, 0, Some(Walk::Fallback)),
+        Some(prefix) => {
+            let (start, from, walk) = prefix.walk(program, cbits, rng);
+            (start, from, Some(walk))
+        }
+    };
+    state.reset_from(start);
     state.run_program_from(program, from, cbits, rng, threads);
     state.finish(cbits, rng);
-    from_prefix
+    walk
 }
 
 /// Packs a classical register into an integer, bit 0 least significant —

@@ -43,26 +43,60 @@
 //! neither draw reads the state. So every shot whose prefix sites all
 //! stay silent reaches the *same* state there, having drawn one uniform
 //! per site. [`SimState::noiseless_prefix`] builds that state once per
-//! plan, with the sites' probabilities and the op index where the rest
-//! begins ([`NoiselessPrefix`]). A shot then draws its site tests on a
+//! plan, with the sites' probabilities, as the root of a tree of branch
+//! states ([`NoiselessPrefix`]). A shot then draws its site tests on a
 //! **clone** of its own stream ([`NoiselessPrefix::look_ahead`]):
 //!
-//! * no site fires — the shot adopts the advanced clone, copies the
-//!   prefix's state and replays only the rest
-//!   ([`SimState::run_program_from`]);
+//! * no site fires — the shot adopts the advanced clone and walks the
+//!   prefix's tree (below);
 //! * a site fires — the shot replays the whole program on its untouched
-//!   stream, exactly as without a prefix.
+//!   stream, exactly as without a prefix ([`Walk::Fallback`]).
 //!
-//! Both arms draw the same values in the same order and apply the same
-//! kernels to the same values (the prefix state is built by the very
-//! replay that plays the kernels in a shot), so records, final states
-//! and stream positions are those of the plain replay, bit for bit; a
-//! state copy replaces the prefix's kernels.
+//! ### The tree of branch states
+//!
+//! Past the prefix, a shot's outcomes only choose between a few
+//! collapsed states. The prefix's state is the root of a tree. A node
+//! holds the state before one op; at a `Measure` or `Reset` it also
+//! holds the op's `p1`, summed once by the very code a shot's
+//! measurement runs (`rotate_basis_in`, then `probability_of_one`).
+//! Child `o` is the parent's state run through the same collapse path
+//! (`collapse_known` onto `o` with `p1` or `1 − p1`, `rotate_basis_out`,
+//! the reset's `X`), then through the kernels up to the next
+//! interpretation point. It is built once, on the first shot that
+//! takes it, behind a `OnceLock`. Where `p1` is exactly 0 or 1 the
+//! outcome is certain (a draw lies in `[0, 1)`), so the child is built
+//! with the node, from its state in place, and the node keeps no state.
+//! A shot walks the tree drawing what its measurements would draw — the
+//! outcome uniform, compared as `u < p1`, and the readout flip if
+//! `flip_prob > 0` — and writes the record. It leaves at the program's
+//! end ([`Walk::Leaf`]), at any other interpretation point (a
+//! `Conditional` or a `Depolarizing` site), or at a node whose child
+//! the budget refused: there it puts back the outcome draw, copies the
+//! node's state and replays the ops from it
+//! ([`SimState::run_program_from`], [`Walk::Exit`]).
+//!
+//! The tree's stored amplitudes, the root's included, are capped at
+//! four root states. A child is built only after its parent's size is
+//! reserved, and kept only if what it stores fits; a refused child is
+//! refused for good. A GHZ-12 tree is its root and two one-amplitude
+//! leaves (every outcome past the first is certain); a dense tree is
+//! cut off where the budget runs out. Which nodes exist may depend on
+//! thread timing; what a built node holds and what any shot does do
+//! not.
+//!
+//! Every arm draws the same values in the same order, compares them
+//! with the same `f64`s and applies the same functions to the same
+//! states (the prefix state is built by the very replay that plays the
+//! kernels in a shot), so records, final states and stream positions
+//! are those of the plain replay, bit for bit; a walk and one state
+//! copy replace the prefix's kernels and the tree's measurements.
 //! [`run_program_into_from_prefix`](crate::runner::run_program_into_from_prefix)
 //! is the one shot function that takes the choice.
 
-use circuit::circuit::{Circuit, Instruction};
+use circuit::circuit::{Basis, Circuit, Instruction};
 use rand::Rng;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use crate::amp::effective_workers;
 use crate::compile::{CompiledCircuit, CompiledOp};
@@ -112,34 +146,131 @@ pub fn run_interpreted<S: SimState>(
     }
 }
 
-/// A job's noiseless prefix on one backend (module docs): the state its
-/// program reaches before the first `Measure`, `Reset` or `Conditional`
-/// when no site fires, the probabilities of the sites on the way, in
-/// order, and the op index where the rest of the program begins. Built
-/// once per plan by [`SimState::noiseless_prefix`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct NoiselessPrefix<S> {
-    state: S,
+/// A job's noiseless prefix on one backend (module docs): the
+/// probabilities of the sites before the program's first `Measure`,
+/// `Reset` or `Conditional`, in order, and the tree of branch states
+/// whose root is the state the program reaches there when no site
+/// fires. Built once per plan by [`SimState::noiseless_prefix`]; its
+/// tree grows as shots walk it.
+#[derive(Debug, Clone)]
+pub struct NoiselessPrefix<S: SimState> {
     sites: Vec<f64>,
-    rest: usize,
+    root: Branch<S>,
+    /// Stored amplitudes the tree may still take.
+    budget: Budget,
+    /// How the backend that built the prefix grows child `outcome` of a
+    /// fork: its collapse path, then its kernels up to the next
+    /// interpretation point, within the budget.
+    grow: Grow<S>,
 }
 
-impl<S> NoiselessPrefix<S> {
-    /// The state after the prefix's kernels, no site firing.
-    pub fn state(&self) -> &S {
-        &self.state
+type Grow<S> = fn(&Branch<S>, &<S as SimState>::Program, bool, &Budget) -> Option<Branch<S>>;
+
+/// Where a shot that had a noiseless prefix started.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Walk {
+    /// A prefix site fired: the whole program from the top.
+    Fallback,
+    /// Walked the tree to the program's end: no op replayed.
+    Leaf,
+    /// Left the tree before the program's end and replayed the ops
+    /// from there.
+    Exit,
+}
+
+/// A node of a [`NoiselessPrefix`]'s tree: the state before op `at`.
+#[derive(Debug, Clone)]
+struct Branch<S> {
+    /// `None` at a fork whose outcome is certain (`p1` exactly 0 or 1):
+    /// its one reachable child was settled from this state in place.
+    state: Option<S>,
+    at: usize,
+    next: Next<S>,
+}
+
+impl<S> Branch<S> {
+    /// The state a shot that leaves the tree here copies.
+    fn kept(&self) -> &S {
+        // A shot leaves at a leaf or at a refused child; a certain fork
+        // is neither, as its child is built with it and `u < p1` is
+        // decided for `u` in `[0, 1)`.
+        self.state
+            .as_ref()
+            .expect("a shot leaves the tree at a kept state")
+    }
+}
+
+/// What op `at` of a [`Branch`] is to the tree.
+#[derive(Debug, Clone)]
+enum Next<S> {
+    /// The program's end.
+    End,
+    /// An op the tree does not model: the shot replays from it.
+    Replay,
+    /// A `Measure` or `Reset`.
+    Fork(Fork<S>),
+}
+
+/// A branch point: the op's probability of outcome one and the
+/// children, built on first visit — `None` inside once the budget has
+/// refused one.
+#[derive(Debug, Clone)]
+struct Fork<S> {
+    p1: f64,
+    /// A `Measure`'s classical bit and readout flip probability; `None`
+    /// for a `Reset`.
+    record: Option<(usize, f64)>,
+    children: [OnceLock<Option<Box<Branch<S>>>>; 2],
+}
+
+impl<S> Fork<S> {
+    fn new(p1: f64, record: Option<(usize, f64)>) -> Self {
+        Fork {
+            p1,
+            record,
+            children: Default::default(),
+        }
     }
 
-    /// The op index where the rest of the program begins.
-    pub fn rest(&self) -> usize {
-        self.rest
+    /// A fork whose `outcome` is certain, with its child.
+    fn certain(p1: f64, record: Option<(usize, f64)>, outcome: bool, child: Branch<S>) -> Self {
+        let fork = Fork::new(p1, record);
+        let _ = fork.children[usize::from(outcome)].set(Some(Box::new(child)));
+        fork
+    }
+}
+
+/// The stored amplitudes a tree may still take.
+#[derive(Debug)]
+struct Budget(AtomicUsize);
+
+impl Budget {
+    /// Takes `amps` if that many are left.
+    fn take(&self, amps: usize) -> bool {
+        self.0
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |left| {
+                left.checked_sub(amps)
+            })
+            .is_ok()
     }
 
+    fn give(&self, amps: usize) {
+        self.0.fetch_add(amps, Ordering::Relaxed);
+    }
+}
+
+impl Clone for Budget {
+    fn clone(&self) -> Self {
+        Budget(AtomicUsize::new(self.0.load(Ordering::Relaxed)))
+    }
+}
+
+impl<S: SimState> NoiselessPrefix<S> {
     /// Draws the prefix's site tests on a clone of `rng`. If none fires,
     /// `rng` adopts the advanced clone and the answer is `true`: the shot
-    /// starts from [`NoiselessPrefix::state`] at op
-    /// [`NoiselessPrefix::rest`]. If one fires, `rng` is untouched and
-    /// the answer is `false`: the shot replays the whole program.
+    /// walks the tree (module docs). If one fires, `rng` is
+    /// untouched and the answer is `false`: the shot replays the whole
+    /// program.
     pub fn look_ahead<R: Rng + Clone>(&self, rng: &mut R) -> bool {
         let mut ahead = rng.clone();
         if self.sites.iter().any(|&p| site_fires(p, &mut ahead)) {
@@ -147,6 +278,39 @@ impl<S> NoiselessPrefix<S> {
         }
         *rng = ahead;
         true
+    }
+
+    /// Walks one shot down the tree from the root (module docs),
+    /// drawing its outcomes from `rng` and writing its records into
+    /// `cbits`. Returns the state the shot continues from, the op its
+    /// replay starts at, and [`Walk::Leaf`] or [`Walk::Exit`].
+    pub(crate) fn walk<R: Rng + Clone>(
+        &self,
+        program: &S::Program,
+        cbits: &mut [bool],
+        rng: &mut R,
+    ) -> (&S, usize, Walk) {
+        let mut node = &self.root;
+        loop {
+            let fork = match &node.next {
+                Next::End => return (node.kept(), node.at, Walk::Leaf),
+                Next::Replay => return (node.kept(), node.at, Walk::Exit),
+                Next::Fork(fork) => fork,
+            };
+            let before = rng.clone();
+            let outcome = rng.random::<f64>() < fork.p1;
+            let child = fork.children[usize::from(outcome)]
+                .get_or_init(|| (self.grow)(node, program, outcome, &self.budget).map(Box::new));
+            let Some(child) = child else {
+                *rng = before;
+                return (node.kept(), node.at, Walk::Exit);
+            };
+            if let Some((cbit, flip_prob)) = fork.record {
+                let flipped = flip_prob > 0.0 && rng.random::<f64>() < flip_prob;
+                cbits[cbit] = outcome ^ flipped;
+            }
+            node = child;
+        }
     }
 }
 
@@ -338,9 +502,11 @@ impl SimState for StateVector {
     const AMP_PARALLEL: bool = true;
 
     /// The prefix's state is the replay's own: its kernel runs, played
-    /// by the driver that plays them in a shot, the sites skipped.
-    /// `None` when no kernel precedes the program's first `Measure`,
-    /// `Reset` or `Conditional` — a copy of `initial` saves nothing.
+    /// by the replay that plays them in a shot, the sites skipped. The
+    /// tree's children are grown on one thread, and it holds at most
+    /// four root states (`TREE_ROOTS`). `None` when no kernel precedes the
+    /// program's first `Measure`, `Reset` or `Conditional` — a copy of
+    /// `initial` saves nothing.
     fn noiseless_prefix(
         program: &CompiledCircuit,
         initial: &Self,
@@ -360,7 +526,13 @@ impl SimState for StateVector {
         let mut state = initial.clone();
         let workers = effective_workers(threads, 1 << state.num_qubits());
         state.replay_kernels(program, rest, workers);
-        Some(NoiselessPrefix { state, sites, rest })
+        let (root, held) = branch(state, program, rest);
+        Some(NoiselessPrefix {
+            sites,
+            root,
+            budget: Budget(AtomicUsize::new((TREE_ROOTS - 1) * held)),
+            grow: grow_branch,
+        })
     }
 
     fn run_program_from(
@@ -374,6 +546,130 @@ impl SimState for StateVector {
         let workers = effective_workers(threads, 1 << self.num_qubits());
         self.replay(program, from, cbits, rng, workers);
     }
+}
+
+/// A statevector prefix's tree stores at most this many root states'
+/// worth of amplitudes, the root's own included. A GHZ-12 tree keeps
+/// two amplitudes beyond its root (past the first measurement every
+/// outcome is certain); a dense tree is cut off where the budget runs
+/// out.
+const TREE_ROOTS: usize = 4;
+
+/// The tree node for `state` before op `at` of `program`, and the
+/// amplitudes it stores. At a `Measure` or `Reset` it sums `p1` with
+/// the shot's own probe; if the outcome is certain it settles `state`
+/// on it in place and goes on to the next interpretation point, keeping
+/// no state at the fork, until it reaches a fork whose outcome is not
+/// certain, another interpretation point or the program's end.
+fn branch(
+    mut state: StateVector,
+    program: &CompiledCircuit,
+    mut at: usize,
+) -> (Branch<StateVector>, usize) {
+    // The certain forks on the way: (at, p1, record, outcome).
+    let mut certain = Vec::new();
+    let next = loop {
+        let op = match program.ops().get(at) {
+            None => break Next::End,
+            Some(CompiledOp::Interp(
+                op @ (Instruction::Measure { .. } | Instruction::Reset(_)),
+            )) => op,
+            Some(_) => break Next::Replay,
+        };
+        let record = match *op {
+            Instruction::Measure {
+                cbit, flip_prob, ..
+            } => Some((cbit, flip_prob)),
+            _ => None,
+        };
+        let p1 = probe(&mut state, op);
+        if p1 != 0.0 && p1 != 1.0 {
+            break Next::Fork(Fork::new(p1, record));
+        }
+        let outcome = p1 == 1.0;
+        settle(&mut state, op, outcome, p1);
+        certain.push((at, p1, record, outcome));
+        at = state.run_to_interp(program, at + 1, 1);
+    };
+    state.shrink_to_fit();
+    let held = state.stored_len();
+    let tail = Branch {
+        state: Some(state),
+        at,
+        next,
+    };
+    let branch = certain
+        .into_iter()
+        .rev()
+        .fold(tail, |child, (at, p1, record, outcome)| Branch {
+            state: None,
+            at,
+            next: Next::Fork(Fork::certain(p1, record, outcome, child)),
+        });
+    (branch, held)
+}
+
+/// `p1` of the fork op `op` (a `Measure` or `Reset`) on `state`, by
+/// [`StateVector::measure_probe`] — on a rotated copy for an X or Y
+/// basis, since a node keeps the state before its op.
+fn probe(state: &mut StateVector, op: &Instruction) -> f64 {
+    match *op {
+        Instruction::Measure {
+            qubit,
+            basis: Basis::Z,
+            ..
+        }
+        | Instruction::Reset(qubit) => state.measure_probe(qubit, Basis::Z),
+        Instruction::Measure { qubit, basis, .. } => state.clone().measure_probe(qubit, basis),
+        _ => unreachable!("{op:?} is not a fork"),
+    }
+}
+
+/// Settles `state`, the state before the fork op `op`, on `outcome`
+/// (its probe gave `p1`) by the path a shot's `Measure` or `Reset`
+/// takes.
+fn settle(state: &mut StateVector, op: &Instruction, outcome: bool, p1: f64) {
+    match *op {
+        Instruction::Measure { qubit, basis, .. } => {
+            state.rotate_basis_in(qubit, basis);
+            state.measure_settle(qubit, basis, outcome, p1);
+        }
+        Instruction::Reset(q) => state.reset_settle(q, outcome, p1),
+        _ => unreachable!("{op:?} is not a fork"),
+    }
+}
+
+/// Child `outcome` of the fork `parent`: the parent's state settled on
+/// `outcome`, then run through the kernels up to the next
+/// interpretation point ([`branch`]). Reserves the parent's size from
+/// `budget` before building and keeps the child only if what it stores
+/// fits; `None` if either fails.
+fn grow_branch(
+    parent: &Branch<StateVector>,
+    program: &CompiledCircuit,
+    outcome: bool,
+    budget: &Budget,
+) -> Option<Branch<StateVector>> {
+    let (Some(state), Next::Fork(fork), CompiledOp::Interp(op)) =
+        (&parent.state, &parent.next, &program.ops()[parent.at])
+    else {
+        unreachable!("only a fork that keeps its state grows children");
+    };
+    let reserved = state.stored_len();
+    if !budget.take(reserved) {
+        return None;
+    }
+    let mut state = state.clone();
+    settle(&mut state, op, outcome, fork.p1);
+    let at = state.run_to_interp(program, parent.at + 1, 1);
+    let (child, held) = branch(state, program, at);
+    if held <= reserved {
+        budget.give(reserved - held);
+    } else if !budget.take(held - reserved) {
+        budget.give(reserved);
+        return None;
+    }
+    Some(child)
 }
 
 #[cfg(test)]
@@ -415,5 +711,103 @@ mod tests {
             assert_eq!(cbits, cbits2);
             assert_eq!(state, state2);
         }
+    }
+
+    /// The amplitudes and the nodes a tree holds: every kept state of
+    /// its built nodes.
+    fn held(node: &Branch<StateVector>) -> (usize, usize) {
+        let mut total = (node.state.as_ref().map_or(0, StateVector::stored_len), 1);
+        if let Next::Fork(fork) = &node.next {
+            for child in fork.children.iter().filter_map(|c| c.get()).flatten() {
+                let (amps, nodes) = held(child);
+                total = (total.0 + amps, total.1 + nodes);
+            }
+        }
+        total
+    }
+
+    /// Plays `shots` shots of `circuit` from its prefix on two threads,
+    /// shot `i` on stream `i`, checking after each that the tree holds
+    /// no more than [`TREE_ROOTS`] root states. Returns the prefix and
+    /// how many shots ended at a leaf, left the tree, and fell back.
+    fn walk_shots(circuit: &Circuit, shots: u64) -> (NoiselessPrefix<StateVector>, [usize; 3]) {
+        let program = crate::compile::compile(circuit);
+        let initial = StateVector::new(circuit.num_qubits());
+        let prefix = StateVector::noiseless_prefix(&program, &initial, 1).expect("a prefix");
+        let root = held(&prefix.root).0;
+        let walks = std::sync::Mutex::new([0; 3]);
+        std::thread::scope(|scope| {
+            for worker in 0..2 {
+                let (program, initial, prefix, walks) = (&program, &initial, &prefix, &walks);
+                scope.spawn(move || {
+                    let (mut state, mut cbits) = (StateVector::new(0), Vec::new());
+                    for shot in (worker..shots).step_by(2) {
+                        let mut rng = StdRng::seed_from_u64(shot);
+                        let walk = crate::runner::run_program_into_from_prefix(
+                            program,
+                            initial,
+                            Some(prefix),
+                            &mut state,
+                            &mut cbits,
+                            &mut rng,
+                            1,
+                        );
+                        let arm = match walk.expect("a prefix") {
+                            Walk::Leaf => 0,
+                            Walk::Exit => 1,
+                            Walk::Fallback => 2,
+                        };
+                        walks.lock().unwrap()[arm] += 1;
+                        let (amps, _) = held(&prefix.root);
+                        assert!(amps <= TREE_ROOTS * root, "{amps} > {TREE_ROOTS} × {root}");
+                    }
+                });
+            }
+        });
+        (prefix, walks.into_inner().unwrap())
+    }
+
+    #[test]
+    fn a_dense_tree_stays_within_its_budget() {
+        // The `zz14_sv` trace workload's shape: a dense 14-qubit state,
+        // every qubit measured. Its full tree is fifteen root states.
+        let n = 14;
+        let mut c = Circuit::new(n, n);
+        for layer in 0..2 {
+            for q in 0..n {
+                c.rx(q, 0.3 + 0.05 * (q + layer) as f64);
+            }
+            for q in 0..n - 1 {
+                c.cx(q, q + 1).rz(q + 1, 0.4 + 0.03 * q as f64).cx(q, q + 1);
+            }
+        }
+        for q in 0..n {
+            c.measure(q, q);
+        }
+        let (_, [leaf, exit, fallback]) = walk_shots(&c, 256);
+        assert_eq!(fallback, 0);
+        assert_eq!(leaf + exit, 256);
+        assert!(exit > 0, "the budget refused no child");
+    }
+
+    #[test]
+    fn a_ghz_tree_is_built_wherever_its_shots_go() {
+        // The `ghz12_sv` trace workload: a noisy GHZ-12 chain, every
+        // qubit measured. Past the first measurement every outcome is
+        // certain, so the tree is the root and two one-amplitude leaves.
+        let mut prep = Circuit::new(12, 12);
+        prep.h(0);
+        for q in 1..12 {
+            prep.cx(q - 1, q);
+        }
+        let mut c = circuit::noise::NoiseModel::standard(0.002).apply(&prep);
+        for q in 0..12 {
+            c.measure(q, q);
+        }
+        let (prefix, [leaf, exit, fallback]) = walk_shots(&c, 256);
+        assert_eq!(exit, 0, "a shot left the tree");
+        assert_eq!(leaf + fallback, 256);
+        assert!(leaf > 200, "{leaf} leaves");
+        assert_eq!(held(&prefix.root), (4096 + 2, 1 + 2 * 12));
     }
 }

@@ -563,6 +563,11 @@ impl StateVector {
         self.amps.extend_from_slice(&other.amps);
     }
 
+    /// Drops the buffer's spare capacity.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.amps.shrink_to_fit();
+    }
+
     /// Number of qubits.
     pub fn num_qubits(&self) -> usize {
         self.num_qubits
@@ -964,23 +969,51 @@ impl StateVector {
     /// Measures qubit `q` in `basis`, sampling the outcome with `rng` and
     /// collapsing the state. Returns the outcome.
     pub fn measure(&mut self, q: usize, basis: Basis, rng: &mut impl Rng) -> bool {
-        self.rotate_basis_in(q, basis);
-        let p1 = self.probability_of_one(q);
+        let p1 = self.measure_probe(q, basis);
         let outcome = rng.random::<f64>() < p1;
+        self.measure_settle(q, basis, outcome, p1);
+        outcome
+    }
+
+    /// The first half of [`StateVector::measure`]: rotates qubit `q`
+    /// into `basis` and returns the probability of outcome one. Shared
+    /// with the noiseless prefix's branch points (see [`crate::sim`]),
+    /// so a shot that walks them compares its draw with this very sum.
+    #[inline]
+    pub(crate) fn measure_probe(&mut self, q: usize, basis: Basis) -> f64 {
+        self.rotate_basis_in(q, basis);
+        self.probability_of_one(q)
+    }
+
+    /// The second half of [`StateVector::measure`], on the state
+    /// [`StateVector::measure_probe`] left: collapses qubit `q` onto
+    /// `outcome` (the probe returned `p1`) and rotates back out of
+    /// `basis`.
+    #[inline]
+    pub(crate) fn measure_settle(&mut self, q: usize, basis: Basis, outcome: bool, p1: f64) {
         self.collapse_known(q, outcome, if outcome { p1 } else { 1.0 - p1 });
         self.rotate_basis_out(q, basis);
-        outcome
     }
 
     /// Resets qubit `q` to `|0⟩` by measuring and flipping if needed.
     pub fn reset(&mut self, q: usize, rng: &mut impl Rng) {
-        let outcome = self.measure(q, Basis::Z, rng);
+        let p1 = self.measure_probe(q, Basis::Z);
+        let outcome = rng.random::<f64>() < p1;
+        self.reset_settle(q, outcome, p1);
+    }
+
+    /// [`StateVector::measure_settle`] for a reset: the Z-basis
+    /// collapse, then `X` if the outcome was one.
+    #[inline]
+    pub(crate) fn reset_settle(&mut self, q: usize, outcome: bool, p1: f64) {
+        self.measure_settle(q, Basis::Z, outcome, p1);
         if outcome {
             self.apply_gate(&Gate::X(q));
         }
     }
 
-    fn rotate_basis_in(&mut self, q: usize, basis: Basis) {
+    /// Rotates qubit `q` so that `basis` reads as the Z basis.
+    pub(crate) fn rotate_basis_in(&mut self, q: usize, basis: Basis) {
         match basis {
             Basis::Z => {}
             Basis::X => self.apply_gate(&Gate::H(q)),

@@ -251,16 +251,41 @@ fn metrics_op_serves_stage_histograms_from_a_standalone_server() {
 /// The `ghz12_sv_noisy` workload's circuit: a GHZ-12 chain under the
 /// standard noise model at `p = 0.05`, every qubit measured.
 fn noisy_ghz12_qasm() -> String {
+    ghz12_qasm_at(0.05)
+}
+
+/// A GHZ-12 chain under the standard noise model at `p`, every qubit
+/// measured (the `ghz12_sv` trace workload at `p = 0.002`).
+fn ghz12_qasm_at(p: f64) -> String {
     let mut prep = Circuit::new(12, 12);
     prep.h(0);
     for q in 1..12 {
         prep.cx(q - 1, q);
     }
-    let mut noisy = NoiseModel::standard(0.05).apply(&prep);
+    let mut noisy = NoiseModel::standard(p).apply(&prep);
     for q in 0..12 {
         noisy.measure(q, q);
     }
     to_qasm3(&noisy)
+}
+
+/// The `zz14_sv` trace workload: a dense 14-qubit ZZ state, every qubit
+/// measured — more branch states than its tree's budget holds.
+fn zz14_qasm() -> String {
+    let n = 14;
+    let mut c = Circuit::new(n, n);
+    for layer in 0..2 {
+        for q in 0..n {
+            c.rx(q, 0.3 + 0.05 * (q + layer) as f64);
+        }
+        for q in 0..n - 1 {
+            c.cx(q, q + 1).rz(q + 1, 0.4 + 0.03 * q as f64).cx(q, q + 1);
+        }
+    }
+    for q in 0..n {
+        c.measure(q, q);
+    }
+    to_qasm3(&c)
 }
 
 #[test]
@@ -279,7 +304,7 @@ fn prefix_counters_split_the_shots_of_a_served_statevector_job() {
             other => panic!("expected ok, got {other:?}"),
         }
     };
-    let prefix_counters = || {
+    let counter = |name: &str| {
         let metrics = Request {
             id: None,
             op: Op::Metrics,
@@ -288,9 +313,12 @@ fn prefix_counters_split_the_shots_of_a_served_statevector_job() {
         let Response::Metrics { snapshot, .. } = Response::from_line(&line).expect("parse") else {
             panic!("expected metrics response: {line}");
         };
+        snapshot.counter(name).unwrap_or(0)
+    };
+    let prefix_counters = || {
         (
-            snapshot.counter("engine.prefix_shots").unwrap_or(0),
-            snapshot.counter("engine.prefix_fallbacks").unwrap_or(0),
+            counter("engine.prefix_shots"),
+            counter("engine.prefix_fallbacks"),
         )
     };
 
@@ -300,6 +328,7 @@ fn prefix_counters_split_the_shots_of_a_served_statevector_job() {
     assert_eq!(prefix_counters(), (0, 0));
     run(ghz_qasm(12), 256, "stabilizer");
     assert_eq!(prefix_counters(), (0, 0));
+    assert_eq!(counter("engine.branch_exits"), 0);
 
     // Every shot of a served statevector job either starts from the
     // prefix or falls back; at p = 0.05 both happen.
@@ -310,6 +339,17 @@ fn prefix_counters_split_the_shots_of_a_served_statevector_job() {
         from_prefix > 0 && fallbacks > 0,
         "{from_prefix} / {fallbacks}"
     );
+
+    // A GHZ-12 job's tree holds every branch its shots take: none
+    // leaves it early.
+    run(ghz12_qasm_at(0.002), 256, "statevector");
+    let (shots, falls) = prefix_counters();
+    assert_eq!(shots + falls - from_prefix - fallbacks, 256);
+    assert_eq!(counter("engine.branch_exits"), 0);
+
+    // A dense 14-qubit job has more branches than its tree's budget.
+    run(zz14_qasm(), 256, "statevector");
+    assert!(counter("engine.branch_exits") > 0);
     handle.shutdown();
 }
 

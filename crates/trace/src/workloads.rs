@@ -20,7 +20,7 @@
 //! | `renyi` | §5 app: Rényi-2 entropy via the k=2 SWAP test | statevector |
 //! | `ghz12_sv` | `serve-sharded`'s noisy GHZ-12, every qubit measured | statevector |
 //! | `ghz12_sv_noisy` | the same GHZ-12 at `p = 0.05`: 43 % of shots fire a site before measuring | statevector |
-//! | `zz14_sv` | `lib-wide-sv`'s two-layer ZZ shape at 14 qubits | statevector |
+//! | `zz14_sv` | `lib-wide-sv`'s two-layer ZZ shape at 14 qubits: random branches that outgrow the prefix tree's budget | statevector |
 //! | `compas_teledata_sv` | `lib-compas`'s k=3 teledata protocol, real channel | statevector |
 
 use circuit::circuit::{Circuit, Instruction};
@@ -275,7 +275,9 @@ fn ghz12_measured(p: f64) -> Circuit {
 /// The benchmark's `lib-wide-sv` shape at 14 qubits, without its
 /// angle jitter: two layers of an `rx` mixer and a `cx·rz·cx` chain,
 /// every qubit measured. A dense state, so no measurement sum skips a
-/// chunk.
+/// chunk, and its outcomes branch at random: the noiseless prefix's
+/// tree runs out of budget, so its shots leave the tree part-way and
+/// replay the rest.
 fn zz14_sv() -> Circuit {
     let n = 14;
     let mut c = Circuit::new(n, n);
