@@ -85,8 +85,8 @@
 //! range of two or more shots; [`Executor::sample_shots`] builds it for
 //! its own call under the same rule. A one-shot run never builds or
 //! copies one, and neither does a state of 20 or more qubits: the
-//! prefix and its tree hold up to four root states for the life of the
-//! job, which would dwarf a wide multi-shot job's own state. Each shot then draws its
+//! prefix is a second state for the life of the job, which would double
+//! a wide multi-shot job's peak memory. Each shot then draws its
 //! prefix site tests on a **clone** of its own stream: if one fires, it
 //! replays the whole program on its untouched stream; if none fires,
 //! the shot adopts the advanced clone and walks the prefix's **tree of
@@ -99,8 +99,9 @@
 //! copies the state where it leaves the tree and replays only the ops
 //! from there: none at the program's end; at a `Conditional`, a
 //! depolarizing site, or a child the tree's budget refused, the rest
-//! (the refused child's outcome draw put back). The budget caps a tree
-//! at four root states of stored amplitudes; a fork whose outcome is
+//! (the refused child's outcome draw put back). The budget caps what a
+//! tree stores beyond its root at two root states and at 512 KiB, so a
+//! state of 16 or more qubits grows no child; a fork whose outcome is
 //! certain keeps no state, so a GHZ-12 tree is its root and two
 //! one-amplitude leaves. Every arm draws the same values in the same
 //! order and applies the same functions to the same values, so

@@ -50,9 +50,9 @@ pub struct ShotPlan<S: SimState = StateVector> {
     /// The program's noiseless prefix ([`SimState::noiseless_prefix`]),
     /// built on the plan's first range of [`PREFIX_MIN_SHOTS`] or more
     /// shots — at most once, and only on a state narrower than
-    /// [`PREFIX_MAX_QUBITS`] — and shared by every later range. Its
-    /// tree of branch states holds up to four root-sized states beside
-    /// the workers' own for the life of the plan.
+    /// [`PREFIX_MAX_QUBITS`] — and shared by every later range. It is a
+    /// second state beside the workers' own for the life of the plan;
+    /// its tree of branch states adds at most 512 KiB of amplitudes.
     prefix: PrefixCell<S>,
 }
 
@@ -65,14 +65,13 @@ pub(crate) type PrefixCell<S> = OnceLock<Option<NoiselessPrefix<S>>>;
 const PREFIX_MIN_SHOTS: u64 = 2;
 
 /// A state at least this wide builds no noiseless prefix. The prefix
-/// keeps its root state and up to three more root states of branches
-/// beside each worker's workspace: below 20 qubits that is at most
-/// 32 MiB (on a 2-core host a 64-shot 19-qubit ZZ job peaks at
-/// 43 MiB with the tree, 19 MiB with the root alone, in 0.08 s against
-/// 0.14 s), but from here up (64 MiB at 20 qubits, 4 GiB at 26) it would dwarf a wide
-/// multi-shot job's own state — a 4-shot 20-qubit ZZ job peaked at
-/// 36 MiB with the root alone, 19 MiB without — so those jobs replay
-/// every shot from the top, as a one-shot job does.
+/// keeps a second state beside each worker's workspace (its tree of
+/// branch states adds at most 512 KiB, and nothing from 16 qubits on):
+/// below 20 qubits that is at most 8 MiB, but from here up (16 MiB at
+/// 20 qubits, 1 GiB at 26) it would double a wide multi-shot job's peak
+/// memory — a 4-shot 20-qubit ZZ job peaks at 36 MiB with one, 19 MiB
+/// without — so those jobs replay every shot from the top, as a
+/// one-shot job does.
 const PREFIX_MAX_QUBITS: usize = 20;
 
 /// The job's noiseless prefix for a run of `shots` shots: built into

@@ -75,14 +75,15 @@
 //! node's state and replays the ops from it
 //! ([`SimState::run_program_from`], [`Walk::Exit`]).
 //!
-//! The tree's stored amplitudes, the root's included, are capped at
-//! four root states. A child is built only after its parent's size is
-//! reserved, and kept only if what it stores fits; a refused child is
-//! refused for good. A GHZ-12 tree is its root and two one-amplitude
-//! leaves (every outcome past the first is certain); a dense tree is
-//! cut off where the budget runs out. Which nodes exist may depend on
-//! thread timing; what a built node holds and what any shot does do
-//! not.
+//! Beyond its root, the tree stores at most two root states' worth of
+//! amplitudes, and never more than 2¹⁵ (512 KiB). A child is built
+//! only after its parent's size is reserved, and kept only if what it
+//! stores fits; a refused child is refused for good. A GHZ-12 tree is
+//! its root and two one-amplitude leaves (every outcome past the first
+//! is certain), each built from a copy of the root; a dense tree is cut
+//! off where the budget runs out, and a state of 16 or more qubits
+//! grows no child at all. Which nodes exist may depend on thread
+//! timing; what a built node holds and what any shot does do not.
 //!
 //! Every arm draws the same values in the same order, compares them
 //! with the same `f64`s and applies the same functions to the same
@@ -297,12 +298,20 @@ impl<S: SimState> NoiselessPrefix<S> {
                 Next::Replay => return (node.kept(), node.at, Walk::Exit),
                 Next::Fork(fork) => fork,
             };
-            let before = rng.clone();
+            // Only a fork that keeps its state and has a child not yet
+            // built can refuse the shot; only there is the stream copied,
+            // to put the outcome draw back.
+            let open = node.state.is_some()
+                && fork
+                    .children
+                    .iter()
+                    .any(|child| !matches!(child.get(), Some(Some(_))));
+            let before = open.then(|| rng.clone());
             let outcome = rng.random::<f64>() < fork.p1;
             let child = fork.children[usize::from(outcome)]
                 .get_or_init(|| (self.grow)(node, program, outcome, &self.budget).map(Box::new));
             let Some(child) = child else {
-                *rng = before;
+                *rng = before.expect("a fork that refuses a child was open");
                 return (node.kept(), node.at, Walk::Exit);
             };
             if let Some((cbit, flip_prob)) = fork.record {
@@ -503,8 +512,8 @@ impl SimState for StateVector {
 
     /// The prefix's state is the replay's own: its kernel runs, played
     /// by the replay that plays them in a shot, the sites skipped. The
-    /// tree's children are grown on one thread, and it holds at most
-    /// four root states (`TREE_ROOTS`). `None` when no kernel precedes the
+    /// tree's children are grown on one thread, within its budget
+    /// (`TREE_MAX_AMPS`). `None` when no kernel precedes the
     /// program's first `Measure`, `Reset` or `Conditional` — a copy of
     /// `initial` saves nothing.
     fn noiseless_prefix(
@@ -530,7 +539,7 @@ impl SimState for StateVector {
         Some(NoiselessPrefix {
             sites,
             root,
-            budget: Budget(AtomicUsize::new((TREE_ROOTS - 1) * held)),
+            budget: Budget(AtomicUsize::new(tree_budget(held))),
             grow: grow_branch,
         })
     }
@@ -548,12 +557,23 @@ impl SimState for StateVector {
     }
 }
 
-/// A statevector prefix's tree stores at most this many root states'
-/// worth of amplitudes, the root's own included. A GHZ-12 tree keeps
-/// two amplitudes beyond its root (past the first measurement every
-/// outcome is certain); a dense tree is cut off where the budget runs
-/// out.
-const TREE_ROOTS: usize = 4;
+/// The most amplitudes a statevector prefix's tree stores beyond its
+/// root: 512 KiB. Below it the budget is two root states, which the
+/// GHZ-12 tree of the sharded service workload needs — two
+/// one-amplitude leaves, each built from a copy of the root that the
+/// budget reserves, and two workers may build them at once. The cap
+/// bounds what the tree adds to a multi-shot job's peak memory: a
+/// 256-shot dense ZZ job reads at most ≈ 15 % more than with the
+/// prefix alone, at 14 and 15 qubits. From 16 qubits on a root state
+/// alone exceeds the cap, so no child is grown and a job holds what
+/// the prefix alone holds.
+const TREE_MAX_AMPS: usize = 1 << 15;
+
+/// The stored amplitudes a tree whose root holds `root` may take
+/// beyond it ([`TREE_MAX_AMPS`]).
+fn tree_budget(root: usize) -> usize {
+    (2 * root).min(TREE_MAX_AMPS)
+}
 
 /// The tree node for `state` before op `at` of `program`, and the
 /// amplitudes it stores. At a `Measure` or `Reset` it sums `p1` with
@@ -728,7 +748,7 @@ mod tests {
 
     /// Plays `shots` shots of `circuit` from its prefix on two threads,
     /// shot `i` on stream `i`, checking after each that the tree holds
-    /// no more than [`TREE_ROOTS`] root states. Returns the prefix and
+    /// no more than its root and [`tree_budget`]. Returns the prefix and
     /// how many shots ended at a leaf, left the tree, and fell back.
     fn walk_shots(circuit: &Circuit, shots: u64) -> (NoiselessPrefix<StateVector>, [usize; 3]) {
         let program = crate::compile::compile(circuit);
@@ -759,7 +779,8 @@ mod tests {
                         };
                         walks.lock().unwrap()[arm] += 1;
                         let (amps, _) = held(&prefix.root);
-                        assert!(amps <= TREE_ROOTS * root, "{amps} > {TREE_ROOTS} × {root}");
+                        let most = root + tree_budget(root);
+                        assert!(amps <= most, "{amps} > {most} (root {root})");
                     }
                 });
             }
@@ -767,11 +788,9 @@ mod tests {
         (prefix, walks.into_inner().unwrap())
     }
 
-    #[test]
-    fn a_dense_tree_stays_within_its_budget() {
-        // The `zz14_sv` trace workload's shape: a dense 14-qubit state,
-        // every qubit measured. Its full tree is fifteen root states.
-        let n = 14;
+    /// The `zz14_sv` trace workload's shape on `n` qubits: a dense
+    /// state, every qubit measured.
+    fn zz(n: usize) -> Circuit {
         let mut c = Circuit::new(n, n);
         for layer in 0..2 {
             for q in 0..n {
@@ -784,10 +803,25 @@ mod tests {
         for q in 0..n {
             c.measure(q, q);
         }
-        let (_, [leaf, exit, fallback]) = walk_shots(&c, 256);
+        c
+    }
+
+    #[test]
+    fn a_dense_tree_stays_within_its_budget() {
+        // Its full tree is fifteen root states; its budget is two.
+        let (_, [leaf, exit, fallback]) = walk_shots(&zz(14), 256);
         assert_eq!(fallback, 0);
         assert_eq!(leaf + exit, 256);
         assert!(exit > 0, "the budget refused no child");
+    }
+
+    #[test]
+    fn a_state_of_sixteen_qubits_grows_no_child() {
+        // A root state alone is past the tree's cap: every shot leaves
+        // at the root, and the tree holds only the root.
+        let (prefix, [leaf, exit, fallback]) = walk_shots(&zz(16), 8);
+        assert_eq!((leaf, exit, fallback), (0, 8, 0));
+        assert_eq!(held(&prefix.root), (1 << 16, 1));
     }
 
     #[test]
