@@ -16,7 +16,7 @@
 //! `2^(2n+1)` basis states when that is ≤ 300, else 300 random ones.
 
 use compas::cswap::CswapScheme;
-use engine::{Executor, ShotJob};
+use engine::Executor;
 use mathkit::stats::linear_fit;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -248,8 +248,7 @@ pub fn cswap_classical_fidelity(
     inputs: &[usize],
     shots: usize,
 ) -> f64 {
-    // Same shot-space layout as CswapFidelityJob (shot s exercises input
-    // s / shots), borrowing the model instead of cloning it per call.
+    // Shot s exercises input s / shots.
     let ideal: Vec<Vec<bool>> = inputs
         .iter()
         .map(|&input| ideal_cswap_bits(model.n, input))
@@ -261,73 +260,6 @@ pub fn cswap_classical_fidelity(
         noisy_cswap_shot(scheme, model, inputs[which], rng) == ideal[which]
     });
     matches as f64 / (inputs.len() * shots).max(1) as f64
-}
-
-/// One Fig 9b fidelity evaluation as an engine [`ShotJob`]: the shot
-/// space is `inputs × shots_per_input` (shot `s` exercises input
-/// `s / shots_per_input`), and each shot keys on whether the noisy run
-/// reproduced the ideal output bits.
-pub struct CswapFidelityJob {
-    /// The CSWAP realisation under test.
-    pub scheme: CswapScheme,
-    model: CswapNoiseModel,
-    inputs: Vec<usize>,
-    ideal: Vec<Vec<bool>>,
-    shots_per_input: u64,
-    root_seed: u64,
-}
-
-impl CswapFidelityJob {
-    /// Builds the job over `inputs` with `shots_per_input` each.
-    pub fn new(
-        scheme: CswapScheme,
-        model: CswapNoiseModel,
-        inputs: Vec<usize>,
-        shots_per_input: usize,
-        root_seed: u64,
-    ) -> Self {
-        let ideal = inputs
-            .iter()
-            .map(|&input| ideal_cswap_bits(model.n, input))
-            .collect();
-        CswapFidelityJob {
-            scheme,
-            model,
-            inputs,
-            ideal,
-            shots_per_input: shots_per_input as u64,
-            root_seed,
-        }
-    }
-
-    /// The state width this job evaluates.
-    pub fn width(&self) -> usize {
-        self.model.n
-    }
-
-    /// The classical fidelity from this job's tally.
-    pub fn fidelity(&self, tally: &std::collections::HashMap<bool, u64>) -> f64 {
-        let total: u64 = tally.values().sum();
-        *tally.get(&true).unwrap_or(&0) as f64 / total.max(1) as f64
-    }
-}
-
-impl ShotJob for CswapFidelityJob {
-    type Key = bool;
-    type Workspace = ();
-
-    fn shots(&self) -> u64 {
-        self.inputs.len() as u64 * self.shots_per_input
-    }
-    fn root_seed(&self) -> u64 {
-        self.root_seed
-    }
-    fn workspace(&self) {}
-    fn run_shot(&self, _ws: &mut (), shot: u64, rng: &mut StdRng) -> bool {
-        let which = (shot / self.shots_per_input) as usize;
-        let got = noisy_cswap_shot(self.scheme, &self.model, self.inputs[which], rng);
-        got == self.ideal[which]
-    }
 }
 
 /// One Fig 9b series: classical fidelity vs state width for one scheme
@@ -344,13 +276,12 @@ pub struct CswapFidelitySeries {
     pub fit: mathkit::stats::LinearFit,
 }
 
-/// Sweeps Fig 9b: `n` over `widths` for each scheme × noise level. Per
-/// grid point `(scheme, p, n)` the primitive characterisation runs
-/// under a derived child context, then **all** the fidelity evaluations
-/// execute as a single batch of [`CswapFidelityJob`]s through the
-/// executor's pool. Point seeds (characterisation, input choice,
-/// fidelity shots) derive from the executor's root by grid position, so
-/// the figure is deterministic in every execution mode.
+/// Sweeps Fig 9b: `n` over `widths` for each scheme × noise level, point
+/// by point. Grid point `idx` (scheme-major, then noise level, then
+/// width) characterises its primitives under `exec.derive(3·idx)`,
+/// draws its inputs from `exec.derive(3·idx + 1)`'s root seed and runs
+/// [`cswap_classical_fidelity`] under `exec.derive(3·idx + 2)`, so the
+/// figure is deterministic in every execution mode.
 pub fn fig9b(
     exec: &Executor,
     widths: &[usize],
@@ -359,39 +290,26 @@ pub fn fig9b(
     shots_per_input: usize,
 ) -> Vec<CswapFidelitySeries> {
     use rand::SeedableRng;
-    let mut jobs = Vec::new();
+    let mut series = Vec::new();
+    let mut idx = 0u64;
     for scheme in [CswapScheme::Teledata, CswapScheme::Telegate] {
         for &p in noise_levels {
+            let mut points = Vec::with_capacity(widths.len());
             for &n in widths {
-                let idx = jobs.len() as u64;
                 let model =
                     CswapNoiseModel::characterize(&exec.derive(3 * idx), n, p, characterize_shots);
                 let mut input_rng = StdRng::seed_from_u64(exec.derive(3 * idx + 1).root_seed());
                 let inputs = fig9b_inputs(n, &mut input_rng);
-                jobs.push(CswapFidelityJob::new(
+                let fidelity = cswap_classical_fidelity(
+                    &exec.derive(3 * idx + 2),
                     scheme,
-                    model,
-                    inputs,
+                    &model,
+                    &inputs,
                     shots_per_input,
-                    exec.derive(3 * idx + 2).root_seed(),
-                ));
+                );
+                points.push((n, fidelity));
+                idx += 1;
             }
-        }
-    }
-    let tallies = exec.run_batch(&jobs);
-
-    let mut series = Vec::new();
-    let mut cursor = 0usize;
-    for scheme in [CswapScheme::Teledata, CswapScheme::Telegate] {
-        for &p in noise_levels {
-            let points: Vec<(usize, f64)> = widths
-                .iter()
-                .map(|&n| {
-                    let f = jobs[cursor].fidelity(&tallies[cursor]);
-                    cursor += 1;
-                    (n, f)
-                })
-                .collect();
             let xs: Vec<f64> = points.iter().map(|&(n, _)| n as f64).collect();
             let ys: Vec<f64> = points.iter().map(|&(_, f)| f).collect();
             series.push(CswapFidelitySeries {

@@ -16,11 +16,9 @@
 use circuit::circuit::Circuit;
 use circuit::noise::NoiseModel;
 use compas::fanout::fanout_gadget;
-use engine::{Executor, ExperimentBuilder, ShotJob};
-use rand::rngs::StdRng;
+use engine::Executor;
 use stabilizer::frame::FrameSimulator;
 use stabilizer::pauli::PauliString;
-use std::collections::HashMap;
 
 use crate::table_io::ResultTable;
 
@@ -53,6 +51,10 @@ pub fn noisy_fanout_circuit(targets: usize, p: f64) -> Circuit {
 /// `[control, t_1…t_m]` under `exec` and returns the `top` most probable
 /// non-identity patterns. Deterministic for a fixed root seed in every
 /// execution mode.
+///
+/// # Panics
+///
+/// Panics if the frame simulator cannot run the noisy gadget.
 pub fn fanout_error_distribution(
     exec: &Executor,
     targets: usize,
@@ -60,20 +62,14 @@ pub fn fanout_error_distribution(
     shots: usize,
     top: usize,
 ) -> FanoutNoiseRow {
-    let job = FanoutResidualJob::new(targets, p, shots, exec.root_seed());
-    let hist = exec.run_tally(job.shots, |shot, rng| job.run_shot(&mut (), shot, rng));
-    row_from_histogram(p, targets, shots, top, hist)
-}
-
-/// Turns a residual-error histogram into a [`FanoutNoiseRow`] (shared by
-/// the sequential and engine paths).
-fn row_from_histogram(
-    p: f64,
-    targets: usize,
-    shots: usize,
-    top: usize,
-    hist: HashMap<PauliString, u64>,
-) -> FanoutNoiseRow {
+    let circuit = noisy_fanout_circuit(targets, p);
+    if let Err(e) = FrameSimulator::supports(&circuit) {
+        panic!("fanout residual sampler: {e}");
+    }
+    let data: Vec<usize> = (0..=targets).collect();
+    let hist = exec.run_tally(shots as u64, |_, rng| {
+        FrameSimulator::sample_residual(&circuit, rng).restricted_to(&data)
+    });
     let identity = PauliString::identity(targets + 1);
     let identity_probability = hist.get(&identity).copied().unwrap_or(0) as f64 / shots as f64;
     let mut entries: Vec<(PauliString, f64)> = hist
@@ -91,74 +87,22 @@ fn row_from_histogram(
     }
 }
 
-/// One grid point of the Table 4 workload as an engine [`ShotJob`]:
-/// each shot frame-samples the residual Pauli of the noisy Fanout,
-/// restricted to `[control, targets…]`.
-pub struct FanoutResidualJob {
-    /// Two-qubit error rate.
-    pub p: f64,
-    /// Number of Fanout targets.
-    pub targets: usize,
-    circuit: Circuit,
-    data: Vec<usize>,
-    shots: u64,
-    root_seed: u64,
-}
-
-impl FanoutResidualJob {
-    /// Builds the job for `shots` samples at `(targets, p)`, probing
-    /// the frame simulator's capability contract up front.
-    pub fn new(targets: usize, p: f64, shots: usize, root_seed: u64) -> Self {
-        let circuit = noisy_fanout_circuit(targets, p);
-        if let Err(e) = FrameSimulator::supports(&circuit) {
-            panic!("fanout residual job: {e}");
-        }
-        FanoutResidualJob {
-            p,
-            targets,
-            circuit,
-            data: (0..=targets).collect(),
-            shots: shots as u64,
-            root_seed,
-        }
-    }
-}
-
-impl ShotJob for FanoutResidualJob {
-    type Key = PauliString;
-    type Workspace = ();
-
-    fn shots(&self) -> u64 {
-        self.shots
-    }
-    fn root_seed(&self) -> u64 {
-        self.root_seed
-    }
-    fn workspace(&self) {}
-    fn run_shot(&self, _ws: &mut (), _shot: u64, rng: &mut StdRng) -> PauliString {
-        FrameSimulator::sample_residual(&self.circuit, rng).restricted_to(&self.data)
-    }
-}
-
-/// Regenerates Table 4: the grid of target counts × noise levels. Every
-/// grid point becomes one [`FanoutResidualJob`] and the whole grid runs
-/// as a single batch through the executor's pool, so all workers stay
-/// busy across the uneven points; point seeds derive from the
-/// executor's root by grid position (the [`ExperimentBuilder`] seed
-/// contract).
+/// Regenerates Table 4 over the `target_counts × noise_levels` grid,
+/// point by point in outer-major order: point `i = m_index ·
+/// |noise_levels| + p_index` runs [`fanout_error_distribution`] (top 4)
+/// under `exec.derive(i)`, so the table is reproducible from the
+/// executor's root seed in every mode.
 pub fn table4(
     exec: &Executor,
     noise_levels: &[f64],
     target_counts: &[usize],
     shots: usize,
 ) -> Vec<FanoutNoiseRow> {
-    ExperimentBuilder::grid(target_counts, noise_levels)
-        .shots(shots)
-        .run_jobs(exec, |&(m, p), shots, seed| {
-            FanoutResidualJob::new(m, p, shots, seed)
-        })
-        .into_iter()
-        .map(|(job, hist)| row_from_histogram(job.p, job.targets, shots, 4, hist))
+    target_counts
+        .iter()
+        .flat_map(|&m| noise_levels.iter().map(move |&p| (m, p)))
+        .enumerate()
+        .map(|(i, (m, p))| fanout_error_distribution(&exec.derive(i as u64), m, p, shots, 4))
         .collect()
 }
 

@@ -14,13 +14,12 @@
 use circuit::circuit::Circuit;
 use circuit::noise::NoiseModel;
 use compas::ghz::{distributed_ghz, ghz_statevector};
-use engine::{Executor, ExperimentBuilder, ShotJob};
+use engine::Executor;
 use mathkit::matrix::TraceKeep;
 use mathkit::stats::{linear_fit, LinearFit};
 use network::machine::DistributedMachine;
 use network::topology::Topology;
 use qsim::density::{run_deferred, DensityMatrix};
-use rand::rngs::StdRng;
 use stabilizer::frame::FrameSimulator;
 use stabilizer::pauli::PauliString;
 
@@ -53,66 +52,20 @@ pub fn preserves_ghz(residual: &PauliString) -> bool {
 /// Estimates `⟨GHZ|ρ|GHZ⟩` of the noisy `r`-party preparation by frame
 /// sampling (`shots` trajectories) under `exec`. Deterministic for a
 /// fixed root seed in every execution mode.
+///
+/// # Panics
+///
+/// Panics if the frame simulator cannot run the noisy circuit.
 pub fn ghz_fidelity_sampled(exec: &Executor, r: usize, p: f64, shots: usize) -> f64 {
-    let job = GhzFidelityJob::new(r, p, shots, exec.root_seed());
-    let good = exec.run_count(job.shots, |shot, rng| job.run_shot(&mut (), shot, rng));
+    let circuit = noisy_distributed_ghz_circuit(r, p);
+    if let Err(e) = FrameSimulator::supports(&circuit) {
+        panic!("GHZ fidelity sampler: {e}");
+    }
+    let data: Vec<usize> = (0..r).collect();
+    let good = exec.run_count(shots as u64, |_, rng| {
+        preserves_ghz(&FrameSimulator::sample_residual(&circuit, rng).restricted_to(&data))
+    });
     good as f64 / shots.max(1) as f64
-}
-
-/// One Fig 9a grid point as an engine [`ShotJob`]: each shot
-/// frame-samples a residual and keys on whether it preserves the GHZ
-/// state, so the tally is the (good, bad) split.
-pub struct GhzFidelityJob {
-    /// Party count.
-    pub r: usize,
-    /// Two-qubit error rate.
-    pub p: f64,
-    circuit: Circuit,
-    data: Vec<usize>,
-    shots: u64,
-    root_seed: u64,
-}
-
-impl GhzFidelityJob {
-    /// Builds the job for `shots` trajectories at `(r, p)`, probing the
-    /// frame simulator's capability contract up front.
-    pub fn new(r: usize, p: f64, shots: usize, root_seed: u64) -> Self {
-        let circuit = noisy_distributed_ghz_circuit(r, p);
-        if let Err(e) = FrameSimulator::supports(&circuit) {
-            panic!("GHZ fidelity job: {e}");
-        }
-        GhzFidelityJob {
-            r,
-            p,
-            circuit,
-            data: (0..r).collect(),
-            shots: shots as u64,
-            root_seed,
-        }
-    }
-
-    /// The fidelity estimate from this job's tally.
-    pub fn fidelity(&self, tally: &std::collections::HashMap<bool, u64>) -> f64 {
-        *tally.get(&true).unwrap_or(&0) as f64 / self.shots.max(1) as f64
-    }
-}
-
-impl ShotJob for GhzFidelityJob {
-    type Key = bool;
-    type Workspace = ();
-
-    fn shots(&self) -> u64 {
-        self.shots
-    }
-    fn root_seed(&self) -> u64 {
-        self.root_seed
-    }
-    fn workspace(&self) {}
-    fn run_shot(&self, _ws: &mut (), _shot: u64, rng: &mut StdRng) -> bool {
-        let residual =
-            FrameSimulator::sample_residual(&self.circuit, rng).restricted_to(&self.data);
-        preserves_ghz(&residual)
-    }
 }
 
 /// Exact `⟨GHZ|ρ|GHZ⟩` by deferred-measurement density-matrix evolution.
@@ -147,22 +100,16 @@ pub struct GhzFidelitySeries {
     pub fit: LinearFit,
 }
 
-/// Sweeps Fig 9a: the full `noise_levels × parties` grid runs as one
-/// batch of [`GhzFidelityJob`]s through the executor's pool — every
-/// worker stays busy until the last point finishes, and point seeds
-/// derive from the executor's root by grid position (the
-/// [`ExperimentBuilder`] seed contract).
+/// Sweeps Fig 9a over the `noise_levels × parties` grid, point by
+/// point in outer-major order: point `i = p_index · |parties| +
+/// r_index` runs [`ghz_fidelity_sampled`] under `exec.derive(i)`, so the
+/// figure is reproducible from the executor's root seed in every mode.
 pub fn fig9a(
     exec: &Executor,
     parties: &[usize],
     noise_levels: &[f64],
     shots: usize,
 ) -> Vec<GhzFidelitySeries> {
-    let results = ExperimentBuilder::grid(noise_levels, parties)
-        .shots(shots)
-        .run_jobs(exec, |&(p, r), shots, seed| {
-            GhzFidelityJob::new(r, p, shots, seed)
-        });
     noise_levels
         .iter()
         .enumerate()
@@ -171,8 +118,8 @@ pub fn fig9a(
                 .iter()
                 .enumerate()
                 .map(|(ri, &r)| {
-                    let (job, tally) = &results[pi * parties.len() + ri];
-                    (r, job.fidelity(tally))
+                    let point = (pi * parties.len() + ri) as u64;
+                    (r, ghz_fidelity_sampled(&exec.derive(point), r, p, shots))
                 })
                 .collect();
             let xs: Vec<f64> = points.iter().map(|&(r, _)| r as f64).collect();

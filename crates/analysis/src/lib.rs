@@ -38,16 +38,15 @@ pub mod prelude {
         qubit_reuse_ablation, topology_ablation,
     };
     pub use crate::cswap_fidelity::{
-        cswap_classical_fidelity, fig9b, fig9b_inputs, fig9b_result, CswapFidelityJob,
-        CswapFidelitySeries, CswapNoiseModel,
+        cswap_classical_fidelity, fig9b, fig9b_inputs, fig9b_result, CswapFidelitySeries,
+        CswapNoiseModel,
     };
     pub use crate::distillation_codes::{catalog, DistillationCode};
     pub use crate::fanout_noise::{
-        fanout_error_distribution, table4, table4_result, FanoutNoiseRow, FanoutResidualJob,
+        fanout_error_distribution, table4, table4_result, FanoutNoiseRow,
     };
     pub use crate::ghz_fidelity::{
-        fig9a, fig9a_result, ghz_fidelity_exact, ghz_fidelity_sampled, GhzFidelityJob,
-        GhzFidelitySeries,
+        fig9a, fig9a_result, ghz_fidelity_exact, ghz_fidelity_sampled, GhzFidelitySeries,
     };
     pub use crate::network_bounds::{
         fig10, fig10_result, k_upper_bound, remote_cnot_fidelity, remote_toffoli_fidelity,

@@ -1,9 +1,9 @@
 //! Regenerates Fig 9a: distributed GHZ fidelity vs party count with
 //! linear fits, r ∈ 4..=12, p2q ∈ {1e-3, 3e-3, 5e-3}.
 //!
-//! The full 27-point grid runs as one batch through the shared
-//! `Executor` — deterministic for the fixed root seed at any
-//! `COMPAS_THREADS` setting.
+//! The 27 grid points run one after another on the shared `Executor`,
+//! point `i` under `exec.derive(i)` — deterministic for the fixed root
+//! seed at any `COMPAS_THREADS` setting.
 
 use analysis::ghz_fidelity::{fig9a, fig9a_result};
 use bench::Scale;

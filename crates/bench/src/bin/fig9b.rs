@@ -1,9 +1,9 @@
 //! Regenerates Fig 9b: classical fidelity of the two-party CSWAP vs
 //! state width, for the teledata and telegate schemes.
 //!
-//! Primitive characterisation runs per grid point under derived child
-//! contexts, and all fidelity evaluations execute as one batch through
-//! the shared `Executor` — deterministic for the fixed root seed at any
+//! Each grid point characterises its primitives and evaluates its
+//! fidelity under child contexts derived from the shared `Executor` by
+//! grid position — deterministic for the fixed root seed at any
 //! `COMPAS_THREADS` setting.
 
 use analysis::cswap_fidelity::{fig9b, fig9b_result};

@@ -2,9 +2,9 @@
 //! constant-depth Fanout gadget (paper settings: 100 000 shots per grid
 //! point, p ∈ {1e-3, 3e-3, 5e-3}, targets ∈ {4, 6, 8}).
 //!
-//! The 9-point grid runs as one batch through the shared `Executor` —
-//! deterministic for the fixed root seed at any `COMPAS_THREADS`
-//! setting.
+//! The 9 grid points run one after another on the shared `Executor`,
+//! point `i` under `exec.derive(i)` — deterministic for the fixed root
+//! seed at any `COMPAS_THREADS` setting.
 
 use analysis::fanout_noise::{table4, table4_result};
 use bench::Scale;

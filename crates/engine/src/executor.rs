@@ -30,7 +30,6 @@ use rand::rngs::StdRng;
 use std::collections::HashMap;
 use std::hash::Hash;
 
-use crate::batch::{BatchRunner, ShotJob};
 use crate::pool::{check_plan, Counts, Engine, PrefixCell};
 use crate::seed::derive_stream_seed;
 
@@ -40,9 +39,17 @@ use crate::seed::derive_stream_seed;
 /// Shot `i` runs on `derive_stream_seed(root_seed, i)` whatever the
 /// engine's worker count, so `Executor::sequential(s)` and
 /// `Executor::pooled(engine, s)` produce **bit-identical** results for
-/// every workload that follows the engine's fold contract (see
-/// [`Engine::run_fold_with`]); layers above take `&Executor` instead of
-/// forking into sequential/parallel twin APIs.
+/// every workload that follows the fold contract; layers above take
+/// `&Executor` instead of forking into sequential/parallel twin APIs.
+///
+/// **Fold contract:** the per-shot closure of [`Executor::run_count`],
+/// [`Executor::run_count_with`] or [`Executor::run_tally`] must return
+/// a value that depends only on the shot index and the shot's own RNG
+/// stream (a workspace is scratch, reused across the shots one worker
+/// runs). Counts and histograms merge commutatively, so the result is
+/// then identical at every thread count and chunk size. Each claimed
+/// chunk of shots is one `engine.chunk` sample on an engine built with
+/// [`Engine::with_metrics`].
 #[derive(Debug, Clone)]
 pub struct Executor {
     engine: Engine,
@@ -91,15 +98,22 @@ impl Executor {
     }
 
     /// Counts the shots for which `pred` holds, with a per-worker
-    /// workspace.
+    /// workspace. The workhorse behind fidelity estimates (the fraction
+    /// of "good" trajectories).
     pub fn run_count_with<W, MW, F>(&self, shots: u64, make_ws: MW, pred: F) -> u64
     where
         W: Send,
         MW: Fn() -> W + Sync,
         F: Fn(&mut W, u64, &mut StdRng) -> bool + Sync,
     {
-        self.engine
-            .run_count_with(shots, self.root_seed, make_ws, pred)
+        self.engine.run_fold_range_with(
+            0..shots,
+            self.root_seed,
+            make_ws,
+            || 0u64,
+            |acc, ws, shot, rng| *acc += u64::from(pred(ws, shot, rng)),
+            |a, b| a + b,
+        )
     }
 
     /// Workspace-free variant of [`Executor::run_count_with`].
@@ -107,25 +121,24 @@ impl Executor {
     where
         F: Fn(u64, &mut StdRng) -> bool + Sync,
     {
-        self.engine.run_count(shots, self.root_seed, pred)
+        self.run_count_with(shots, || (), |(), shot, rng| pred(shot, rng))
     }
 
-    /// Histograms one key per shot.
+    /// Histograms one key per shot. The workhorse behind residual-error
+    /// distributions and outcome tallies.
     pub fn run_tally<K, F>(&self, shots: u64, key_of: F) -> HashMap<K, u64>
     where
         K: Eq + Hash + Send,
         F: Fn(u64, &mut StdRng) -> K + Sync,
     {
-        self.engine.run_tally(shots, self.root_seed, key_of)
-    }
-
-    /// Runs a batch of independent [`ShotJob`]s through this context's
-    /// pool (one shared work list, per-job histograms). Each job carries
-    /// its own root seed — derive them from this executor (e.g. via
-    /// [`Executor::derive`] or [`derive_stream_seed`]) to keep the batch
-    /// reproducible.
-    pub fn run_batch<J: ShotJob>(&self, jobs: &[J]) -> Vec<HashMap<J::Key, u64>> {
-        BatchRunner::new(&self.engine).run_batch(jobs)
+        self.engine.run_fold_range_with(
+            0..shots,
+            self.root_seed,
+            || (),
+            HashMap::new,
+            |acc, (), shot, rng| *acc.entry(key_of(shot, rng)).or_insert(0) += 1,
+            merge_tallies,
+        )
     }
 
     /// Executor-backed equivalent of [`qsim::runner::sample_shots`]:
@@ -207,6 +220,17 @@ impl Executor {
     }
 }
 
+/// Commutative merge of two histograms.
+pub(crate) fn merge_tallies<K: Eq + Hash>(
+    mut a: HashMap<K, u64>,
+    b: HashMap<K, u64>,
+) -> HashMap<K, u64> {
+    for (k, v) in b {
+        *a.entry(k).or_insert(0) += v;
+    }
+    a
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,6 +281,29 @@ mod tests {
         assert_eq!(seq, pooled);
         let frac = seq as f64 / 10_000.0;
         assert!((frac - 0.25).abs() < 0.02, "got {frac}");
+    }
+
+    #[test]
+    fn fold_chunks_are_timed_into_engine_chunk_without_changing_tallies() {
+        let config = crate::EngineConfig {
+            threads: 2,
+            chunk_size: 64,
+            ..crate::EngineConfig::default()
+        };
+        let registry = obs::Registry::new();
+        let timed = Engine::new(config.clone()).with_metrics(&registry);
+        let plain = Engine::new(config);
+        let key = |_: u64, rng: &mut StdRng| rng.random::<f64>() < 0.3;
+        for (i, shots) in [100, 150, 200].into_iter().enumerate() {
+            let seed = 7 + i as u64;
+            assert_eq!(
+                Executor::pooled(timed.clone(), seed).run_tally(shots, key),
+                Executor::pooled(plain.clone(), seed).run_tally(shots, key)
+            );
+        }
+        // 100, 150 and 200 shots in 64-shot units: 2 + 3 + 4.
+        let snapshot = registry.snapshot();
+        assert_eq!(snapshot.histo("engine.chunk").unwrap().count, 9);
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! *what* simulates a shot (statevector, density matrix, stabilizer
 //! tableau — any `qsim::sim::SimState`) is selected once, per circuit,
 //! via `COMPAS_BACKEND` / `--backend` or [`Backend::Auto`]'s
-//! Clifford routing — while [`ShotPlan`], [`BatchRunner`], and
+//! Clifford routing — while [`ShotPlan`] and
 //! [`Executor::sample_shots`] stay generic over the backend. The
 //! selection is executed in one place, [`PreparedJob`]:
 //! [`Backend::sample_shots`] runs `0..shots` of one, the serving layer
@@ -47,8 +47,9 @@
 //! [`qsim::statevector::StateVector`] buffer for statevector shots — and
 //! the per-worker tallies merge once at a single join point, the
 //! partitioned pattern for embarrassingly parallel sampling. That
-//! claim-and-join loop is written once: ranged folds and
-//! [`BatchRunner`] batches differ only in what a work unit is.
+//! claim-and-join loop is written once, as the engine's one ranged
+//! fold: the [`Executor`]'s counts and tallies and every shot-parallel
+//! compiled run are folds over it.
 //!
 //! ## Amplitude-level parallelism is a policy, not an API
 //!
@@ -110,10 +111,9 @@
 //! measurements. The rule reads only the backend (the stabilizer and
 //! density matrix build no prefix), the shot count and the program's
 //! width: nothing to configure.
-//! One per-shot function takes the choice on every loop — the
-//! shot-parallel and amp-parallel arms and [`BatchRunner`] jobs — and
-//! [`Engine::with_metrics`] counts its outcomes once per run:
-//! `engine.prefix_shots` and `engine.prefix_fallbacks` split the shots
+//! One per-shot function takes the choice on both arms — shot-parallel
+//! and amp-parallel — and [`Engine::with_metrics`] counts its outcomes
+//! once per run: `engine.prefix_shots` and `engine.prefix_fallbacks` split the shots
 //! that walked the tree from those that fell back, and
 //! `engine.branch_exits` counts the walks that left the tree before the
 //! program's end and replayed ops.
@@ -136,19 +136,17 @@
 //! [`partition_shots`] deterministically splits a job's global shot
 //! range into per-worker sub-ranges and [`merge_counts`] folds the
 //! results back — executed *anywhere* (the ranged primitives
-//! [`Engine::run_plan_range`] / [`Engine::run_fold_range_with`] take
-//! global shot indices), the merged tallies are bit-identical to one
+//! [`Engine::run_plan_range`] / [`PreparedJob::run_range`] take global
+//! shot indices), the merged tallies are bit-identical to one
 //! local run. `crates/shard` builds the multi-machine coordinator on
 //! exactly this seam.
 //!
 //! [`ShotPlan`] describes one sampling job on any backend (circuit,
 //! initial state, shot count, root seed — compiled once at
-//! construction); [`BatchRunner`] executes many
-//! independent jobs — one per noise point, qubit count, or table row,
-//! the common shape of the `bench` binaries — concurrently through one
-//! shared worker pool. [`ExperimentBuilder`] layers a declarative grid
-//! (points × shots × executor) on top, with a fixed per-point seed
-//! derivation.
+//! construction). A grid of jobs — one per noise point, qubit count or
+//! table row, the common shape of the `bench` binaries — runs point by
+//! point, point `i` under the child context [`Executor::derive`]`(i)`,
+//! so the grid is reproducible from one root seed in every mode.
 //!
 //! ## Environment knobs
 //!
@@ -173,20 +171,16 @@
 //! ```
 
 mod backend;
-mod batch;
 mod config;
 mod executor;
-mod experiment;
 mod pool;
 mod seed;
 mod sharding;
 mod trace;
 
 pub use backend::{Backend, PreparedJob};
-pub use batch::{BatchRunner, ShotJob};
 pub use config::EngineConfig;
 pub use executor::Executor;
-pub use experiment::ExperimentBuilder;
 pub use pool::{Counts, Engine, ShotPlan};
 pub use seed::{derive_stream_seed, shot_rng};
 pub use sharding::{merge_counts, partition_shots};

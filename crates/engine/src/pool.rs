@@ -6,7 +6,6 @@ use qsim::sim::{NoiselessPrefix, SimState, Walk};
 use qsim::statevector::StateVector;
 use rand::rngs::StdRng;
 use std::collections::HashMap;
-use std::hash::Hash;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -138,12 +137,6 @@ impl<S: SimState> ShotPlan<S> {
     pub fn program(&self) -> &S::Program {
         &self.program
     }
-
-    /// The noiseless prefix a run of `shots` shots starts from (see
-    /// [`prefix_for`]), built on one thread.
-    pub(crate) fn prefix(&self, shots: u64) -> Option<&NoiselessPrefix<S>> {
-        prefix_for(&self.prefix, &self.program, &self.initial, shots, 1)
-    }
 }
 
 /// The once-per-job checks: the state covers the circuit and, under
@@ -235,8 +228,7 @@ impl Drop for WorkerTally<'_> {
 /// Resolved observability handles: the engine's execution timings.
 #[derive(Clone)]
 struct EngineObs {
-    /// Wall time of each claimed work unit (a shot chunk of a fold or
-    /// of a batch job).
+    /// Wall time of each claimed work unit (a shot chunk of a fold).
     chunk: obs::Histo,
     /// Wall time of each amp-parallel shot.
     amp_shot: obs::Histo,
@@ -285,9 +277,8 @@ impl Engine {
     }
 
     /// A copy of this engine that times execution into `registry`:
-    /// `engine.chunk` takes one sample per claimed work unit on every
-    /// path — a shot chunk of a fold at any worker count, a chunk of a
-    /// [`BatchRunner`](crate::BatchRunner) job — `engine.amp_shot` one
+    /// `engine.chunk` takes one sample per claimed work unit — a shot
+    /// chunk of a fold at any worker count — `engine.amp_shot` one
     /// per amp-parallel shot, and `engine.amp_kernel` the amp path's
     /// per-step apply times (mirrored from `qsim::amp::kernel_clock`:
     /// one sample per kernel or blocked kernel group, none for a step
@@ -323,8 +314,8 @@ impl Engine {
     /// unspecified order, each index exactly once. Recording is
     /// observation only: counts, amp engagement and stream positions
     /// are the unrecorded engine's, which reads no clock per shot. The
-    /// generic folds (`run_fold*`, `run_count*`, `run_tally*`, batches)
-    /// have no `u64` record and stay unrecorded.
+    /// [`Executor`](crate::Executor)'s counts and tallies have no `u64`
+    /// record and stay unrecorded.
     pub fn with_trace(mut self, sink: Arc<dyn TraceSink>) -> Engine {
         self.trace = Some(sink);
         self
@@ -376,51 +367,26 @@ impl Engine {
         self.config.amp_engaged(S::AMP_PARALLEL, num_qubits)
     }
 
-    /// The core primitive: folds `shots` independent shots into an
-    /// accumulator, in parallel. Equivalent to
-    /// [`Engine::run_fold_range_with`] over `0..shots`.
+    /// The engine's one fold: folds the **global** shot indices `range`
+    /// of a job rooted at `root_seed` into an accumulator, in parallel.
     ///
     /// Each worker builds its own workspace with `make_ws` (reused
     /// scratch buffers — statevectors, bit registers) and its own
     /// accumulator with `init`; `step` folds one shot into the
-    /// accumulator using the shot's private RNG stream; worker
-    /// accumulators are combined with `merge` at the single join point.
+    /// accumulator on the shot's private stream `shot_rng(root_seed, i)`;
+    /// worker accumulators are combined with `merge` at the single join
+    /// point.
     ///
-    /// **Determinism contract:** `step`'s contribution must depend only
-    /// on `(shot index, its RNG stream)` and merging must be
-    /// commutative and associative (counts, histograms, integer sums).
-    /// Then the result is identical at every thread count.
-    pub fn run_fold_with<W, A, MW, IA, F, M>(
-        &self,
-        shots: u64,
-        root_seed: u64,
-        make_ws: MW,
-        init: IA,
-        step: F,
-        merge: M,
-    ) -> A
-    where
-        W: Send,
-        A: Send,
-        MW: Fn() -> W + Sync,
-        IA: Fn() -> A + Sync,
-        F: Fn(&mut A, &mut W, u64, &mut StdRng) + Sync,
-        M: Fn(A, A) -> A,
-    {
-        self.run_fold_range_with(0..shots, root_seed, make_ws, init, step, merge)
-    }
-
-    /// Ranged variant of [`Engine::run_fold_with`]: folds the **global**
-    /// shot indices `range` of a job rooted at `root_seed`.
-    ///
-    /// Shot `i` runs on `shot_rng(root_seed, i)` — the same stream it
-    /// would use in a full `0..shots` run — so executing a partition of
-    /// `0..shots` as separate ranged calls and merging the results is
-    /// **bit-identical** to the single full call, at any thread count
-    /// and any partition. This is the primitive behind the serving
-    /// layer's shot-slicing: a large job is sliced into ranges for
-    /// fairness across clients without changing a single record.
-    pub fn run_fold_range_with<W, A, MW, IA, F, M>(
+    /// Because shot `i`'s stream is the one it would use in a full
+    /// `0..shots` run, a partition of `0..shots` folded as separate
+    /// ranged calls and merged is **bit-identical** to the single full
+    /// call, at any thread count and any partition, provided `step`'s
+    /// contribution depends only on the shot index and its stream and
+    /// `merge` is commutative and associative. This is the primitive
+    /// behind the serving layer's shot-slicing: a large job is sliced
+    /// into ranges for fairness across clients without changing a
+    /// single record.
+    pub(crate) fn run_fold_range_with<W, A, MW, IA, F, M>(
         &self,
         range: Range<u64>,
         root_seed: u64,
@@ -449,21 +415,15 @@ impl Engine {
         accs.into_iter().reduce(merge).expect("at least one worker")
     }
 
-    /// The one work-claiming loop under every fold and batch: units
-    /// `0..units` are claimed from an atomic cursor by up to
-    /// [`EngineConfig::threads`] scoped workers (inline when one
-    /// suffices), each folding its units into its own `init()`
-    /// accumulator over its own `make_ws()` workspace with `run_unit`.
-    /// Workspaces die on their worker; the accumulators, at least one,
-    /// go to the caller to merge at this single join point. Each
-    /// claimed unit is one `engine.chunk` sample.
-    pub(crate) fn claim_units<W, A, MW, IA, F>(
-        &self,
-        units: u64,
-        make_ws: MW,
-        init: IA,
-        run_unit: F,
-    ) -> Vec<A>
+    /// The work-claiming loop under the fold: units `0..units` are
+    /// claimed from an atomic cursor by up to [`EngineConfig::threads`]
+    /// scoped workers (inline when one suffices), each folding its units
+    /// into its own `init()` accumulator over its own `make_ws()`
+    /// workspace with `run_unit`. Workspaces die on their worker; the
+    /// accumulators, at least one, go to the caller to merge at this
+    /// single join point. Each claimed unit is one `engine.chunk`
+    /// sample.
+    fn claim_units<W, A, MW, IA, F>(&self, units: u64, make_ws: MW, init: IA, run_unit: F) -> Vec<A>
     where
         A: Send,
         MW: Fn() -> W + Sync,
@@ -498,66 +458,6 @@ impl Engine {
                 .map(|h| h.join().expect("engine worker panicked"))
                 .collect()
         })
-    }
-
-    /// Counts the shots for which `pred` holds. The workhorse behind
-    /// fidelity estimates (fraction of "good" trajectories).
-    pub fn run_count_with<W, MW, F>(&self, shots: u64, root_seed: u64, make_ws: MW, pred: F) -> u64
-    where
-        W: Send,
-        MW: Fn() -> W + Sync,
-        F: Fn(&mut W, u64, &mut StdRng) -> bool + Sync,
-    {
-        self.run_fold_with(
-            shots,
-            root_seed,
-            make_ws,
-            || 0u64,
-            |acc, ws, shot, rng| *acc += u64::from(pred(ws, shot, rng)),
-            |a, b| a + b,
-        )
-    }
-
-    /// Workspace-free variant of [`Engine::run_count_with`].
-    pub fn run_count<F>(&self, shots: u64, root_seed: u64, pred: F) -> u64
-    where
-        F: Fn(u64, &mut StdRng) -> bool + Sync,
-    {
-        self.run_count_with(shots, root_seed, || (), |(), shot, rng| pred(shot, rng))
-    }
-
-    /// Histograms one key per shot. The workhorse behind residual-error
-    /// distributions and outcome tallies.
-    pub fn run_tally_with<K, W, MW, F>(
-        &self,
-        shots: u64,
-        root_seed: u64,
-        make_ws: MW,
-        key_of: F,
-    ) -> HashMap<K, u64>
-    where
-        K: Eq + Hash + Send,
-        W: Send,
-        MW: Fn() -> W + Sync,
-        F: Fn(&mut W, u64, &mut StdRng) -> K + Sync,
-    {
-        self.run_fold_with(
-            shots,
-            root_seed,
-            make_ws,
-            HashMap::new,
-            |acc, ws, shot, rng| *acc.entry(key_of(ws, shot, rng)).or_insert(0) += 1,
-            merge_tallies,
-        )
-    }
-
-    /// Workspace-free variant of [`Engine::run_tally_with`].
-    pub fn run_tally<K, F>(&self, shots: u64, root_seed: u64, key_of: F) -> HashMap<K, u64>
-    where
-        K: Eq + Hash + Send,
-        F: Fn(u64, &mut StdRng) -> K + Sync,
-    {
-        self.run_tally_with(shots, root_seed, || (), |(), shot, rng| key_of(shot, rng))
     }
 
     /// Executes one [`ShotPlan`] on its backend, reusing one state
@@ -732,27 +632,18 @@ impl Engine {
     }
 }
 
-/// Commutative merge of two histograms.
-pub(crate) fn merge_tallies<K: Eq + Hash>(
-    mut a: HashMap<K, u64>,
-    b: HashMap<K, u64>,
-) -> HashMap<K, u64> {
-    for (k, v) in b {
-        *a.entry(k).or_insert(0) += v;
-    }
-    a
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::{merge_tallies, Executor};
     use rand::Rng;
 
     #[test]
     fn count_is_thread_invariant() {
         // Count "first uniform < 0.3" over 10_000 seeded streams.
         let run = |threads| {
-            Engine::with_threads(threads).run_count(10_000, 99, |_, rng| rng.random::<f64>() < 0.3)
+            Executor::pooled(Engine::with_threads(threads), 99)
+                .run_count(10_000, |_, rng| rng.random::<f64>() < 0.3)
         };
         let c1 = run(1);
         assert_eq!(c1, run(2));
@@ -764,7 +655,8 @@ mod tests {
     #[test]
     fn tally_is_thread_invariant() {
         let run = |threads| {
-            Engine::with_threads(threads).run_tally(5_000, 5, |_, rng| rng.random_range(0..10u32))
+            Executor::pooled(Engine::with_threads(threads), 5)
+                .run_tally(5_000, |_, rng| rng.random_range(0..10u32))
         };
         let t1 = run(1);
         assert_eq!(t1, run(4));
@@ -773,9 +665,10 @@ mod tests {
 
     #[test]
     fn zero_shots_is_empty() {
-        let t = Engine::with_threads(4).run_tally(0, 1, |_, rng| rng.random_range(0..4u32));
+        let t = Executor::pooled(Engine::with_threads(4), 1)
+            .run_tally(0, |_, rng| rng.random_range(0..4u32));
         assert!(t.is_empty());
-        assert_eq!(Engine::sequential().run_count(0, 1, |_, _| true), 0);
+        assert_eq!(Executor::sequential(1).run_count(0, |_, _| true), 0);
     }
 
     #[test]
@@ -786,8 +679,8 @@ mod tests {
             chunk_size: 16,
             ..EngineConfig::default()
         });
-        let total = engine.run_fold_with(
-            1_000,
+        let total = engine.run_fold_range_with(
+            0..1_000,
             0,
             Vec::<u64>::new,
             || 0u64,
@@ -806,18 +699,18 @@ mod tests {
         // the single full call bit-identically — the serving layer's
         // shot-slicing correctness condition.
         let engine = Engine::with_threads(3);
-        let key = |_: &mut (), _: u64, rng: &mut StdRng| rng.random_range(0..32u32);
+        let key = |_: u64, rng: &mut StdRng| rng.random_range(0..32u32);
         let tally_range = |range: Range<u64>| {
             engine.run_fold_range_with(
                 range,
                 7,
                 || (),
                 HashMap::new,
-                |acc, ws, shot, rng| *acc.entry(key(ws, shot, rng)).or_insert(0) += 1,
+                |acc, (), shot, rng| *acc.entry(key(shot, rng)).or_insert(0) += 1,
                 merge_tallies,
             )
         };
-        let full = engine.run_tally_with(10_000, 7, || (), key);
+        let full = Executor::pooled(engine.clone(), 7).run_tally(10_000, key);
         for slice in [1u64, 7, 256, 4096, 10_000] {
             let mut merged: HashMap<u32, u64> = HashMap::new();
             let mut start = 0u64;
@@ -874,6 +767,7 @@ mod tests {
             ..EngineConfig::default()
         });
         let f = |_: u64, rng: &mut StdRng| rng.random_range(0..100u8);
-        assert_eq!(coarse.run_tally(3_000, 11, f), fine.run_tally(3_000, 11, f));
+        let tally = |engine: Engine| Executor::pooled(engine, 11).run_tally(3_000, f);
+        assert_eq!(tally(coarse), tally(fine));
     }
 }

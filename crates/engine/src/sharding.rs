@@ -3,14 +3,16 @@
 //! A shard coordinator serves a job by splitting its global shot range
 //! across N downstream workers and merging their tallies. Both halves
 //! of that contract live here, next to the ranged primitives whose
-//! guarantee they lean on ([`Engine::run_fold_range_with`]): because
+//! guarantee they lean on ([`Engine::run_plan_range`],
+//! [`PreparedJob::run_range`]): because
 //! shot `i`'s RNG stream is a pure function of `(root_seed, i)`,
 //! executing [`partition_shots`]' sub-ranges on *any* machines and
 //! folding them back with [`merge_counts`] is **bit-identical** to one
 //! uninterrupted local run — re-dispatching a lost range after a worker
 //! death is free, with no partial-state reconciliation.
 //!
-//! [`Engine::run_fold_range_with`]: crate::Engine::run_fold_range_with
+//! [`Engine::run_plan_range`]: crate::Engine::run_plan_range
+//! [`PreparedJob::run_range`]: crate::PreparedJob::run_range
 
 use crate::pool::Counts;
 use std::ops::Range;

@@ -10,8 +10,8 @@
 //! arm alike — produces exactly the counts the plain engine produces,
 //! bit for bit, at any thread count, and additionally delivers one
 //! [`ShotRecord`] per executed shot to the sink. The generic folds
-//! (`run_fold*`, `run_count*`, `run_tally*`) and `BatchRunner` batches
-//! have no `u64` record to deliver and are not recorded. Workers buffer
+//! (`Executor::run_count*`, `Executor::run_tally`) have no `u64` record
+//! to deliver and are not recorded. Workers buffer
 //! records locally and flush in batches, so a sink sees each shot
 //! exactly once but in no particular order; consumers that need shot
 //! order sort by [`ShotRecord::shot`] (the `.cst` writer in

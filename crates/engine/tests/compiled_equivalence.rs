@@ -225,9 +225,9 @@ proptest! {
 
 #[test]
 fn compiled_plan_batch_and_executor_paths_agree() {
-    // One circuit, three compiled surfaces: Engine::run_plan,
-    // BatchRunner::run_plans, Executor::sample_shots — all replaying
-    // the same compiled program — plus the interpreted reference.
+    // One circuit, two compiled surfaces: Engine::run_plan and
+    // Executor::sample_shots — both replaying the same compiled
+    // program — plus the interpreted reference.
     let circuit = random_circuit(7, 4, 16, true);
     let initial = StateVector::new(4);
     let exec = Executor::pooled(Engine::with_threads(2), 99);
@@ -238,9 +238,6 @@ fn compiled_plan_batch_and_executor_paths_agree() {
 
     let plan = engine::ShotPlan::new(circuit.clone(), initial.clone(), 500, 99);
     assert_eq!(Engine::with_threads(2).run_plan(&plan), reference);
-
-    let batched = engine::BatchRunner::new(&Engine::with_threads(2)).run_plans(&[plan]);
-    assert_eq!(batched[0], reference);
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! worker executes it.
 
 use circuit::circuit::{Circuit, Instruction};
-use engine::{shot_rng, BatchRunner, Engine, EngineConfig, ShotPlan};
+use engine::{shot_rng, Engine, EngineConfig, ShotPlan};
 use qsim::runner::run_shot;
 use qsim::statevector::StateVector;
 use std::collections::HashMap;
@@ -74,12 +74,10 @@ fn engine_matches_naive_per_shot_seeded_loop_exactly() {
 
     let plan = ShotPlan::new(circuit, initial, shots, root);
     assert_eq!(Engine::with_threads(8).run_plan(&plan), expected);
-    let batched = BatchRunner::new(&Engine::with_threads(3)).run_plans(std::slice::from_ref(&plan));
-    assert_eq!(batched[0], expected);
 }
 
 #[test]
-fn batch_runner_is_thread_invariant_per_job() {
+fn run_plan_is_thread_invariant_per_plan() {
     let plans: Vec<ShotPlan> = (0..4)
         .map(|i| {
             ShotPlan::new(
@@ -92,7 +90,7 @@ fn batch_runner_is_thread_invariant_per_job() {
         .collect();
     let run = |threads| {
         let engine = Engine::with_threads(threads);
-        BatchRunner::new(&engine).run_plans(&plans)
+        plans.iter().map(|p| engine.run_plan(p)).collect::<Vec<_>>()
     };
     let r1 = run(1);
     assert_eq!(r1, run(2));

@@ -18,7 +18,7 @@
 
 use circuit::circuit::{Basis, Circuit, Instruction};
 use circuit::noise::NoiseModel;
-use engine::{shot_rng, BatchRunner, Counts, Engine, EngineConfig, Executor, ShotPlan};
+use engine::{shot_rng, Counts, Engine, EngineConfig, Executor, ShotPlan};
 use qsim::compile::compile;
 use qsim::qrand::random_pure_state;
 use qsim::runner::{run_program_into, run_program_into_from_prefix};
@@ -391,8 +391,6 @@ fn a_noisy_ghz_plan_counts_alike_under_every_slicing() {
 
     assert_eq!(one_shot, whole);
     assert_eq!(sliced(&engine, &plan(), 7), whole);
-    let batched = BatchRunner::new(&Engine::with_threads(2)).run_plans(&[plan()]);
-    assert_eq!(batched[0], whole);
     assert_eq!(whole.values().sum::<usize>(), shots as usize);
 }
 

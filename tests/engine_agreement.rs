@@ -6,7 +6,7 @@
 //! random numbers but sample the same distribution.
 
 use circuit::circuit::{Circuit, Instruction};
-use engine::{shot_rng, BatchRunner, Engine, ShotPlan};
+use engine::{shot_rng, Engine, ShotPlan};
 use qsim::runner::{run_shot, sample_shots};
 use qsim::statevector::StateVector;
 use rand::rngs::StdRng;
@@ -30,7 +30,7 @@ fn teleportation_circuit() -> Circuit {
 }
 
 #[test]
-fn batch_runner_matches_sequential_per_shot_loop_exactly() {
+fn run_plan_matches_sequential_per_shot_loop_exactly() {
     let circuit = teleportation_circuit();
     let initial = StateVector::new(3);
     let (shots, root) = (10_000u64, 0xA5A5u64);
@@ -45,9 +45,8 @@ fn batch_runner_matches_sequential_per_shot_loop_exactly() {
 
     let plan = ShotPlan::new(circuit, initial, shots, root);
     for threads in [1usize, 2, 8] {
-        let engine = Engine::with_threads(threads);
-        let counts = BatchRunner::new(&engine).run_plans(std::slice::from_ref(&plan));
-        assert_eq!(counts[0], expected, "{threads} threads");
+        let counts = Engine::with_threads(threads).run_plan(&plan);
+        assert_eq!(counts, expected, "{threads} threads");
     }
 }
 
