@@ -61,8 +61,10 @@ use qsim::statevector::StateVector;
 use stabilizer::clifford::CliffordState;
 
 use crate::executor::Executor;
-use crate::pool::{Counts, Engine, ShotPlan};
+use crate::pool::{Counts, Engine, ShotPlan, PREFIX_MAX_QUBITS};
+use qsim::sim::prefix_max_amps;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Which simulation representation plays the shots.
 ///
@@ -190,7 +192,10 @@ impl Backend {
 ///
 /// The statevector and stabilizer arms hold a [`ShotPlan`] (circuit
 /// compiled once via `SimState::compile`); the density arm holds the
-/// once-evolved ρ from which each shot's record is drawn.
+/// once-evolved ρ from which each shot's record is drawn. Everything
+/// but the shot bound and the root seed sits behind an `Arc`, so
+/// [`PreparedJob::reseeded`] serves the same circuit under a fresh
+/// seed without compiling, evolving or growing anything again.
 pub enum PreparedJob {
     /// Fused-kernel statevector replay.
     StateVector(ShotPlan<StateVector>),
@@ -201,8 +206,8 @@ pub enum PreparedJob {
     /// record from the final carrier distribution on the shot's own
     /// stream — exactly the counts per-shot evolution would produce.
     Density {
-        /// The final density matrix.
-        rho: DensityMatrix,
+        /// The final density matrix, shared by every reseeded copy.
+        rho: Arc<DensityMatrix>,
         /// Classical register width.
         num_cbits: usize,
         /// Root seed for the per-shot record draws.
@@ -243,13 +248,68 @@ impl PreparedJob {
                 root_seed,
             )),
             Backend::Density => PreparedJob::Density {
-                rho: run_deferred(circuit, &DensityMatrix::new(n)),
+                rho: Arc::new(run_deferred(circuit, &DensityMatrix::new(n))),
                 num_cbits: circuit.num_cbits(),
                 root_seed,
             },
             Backend::Auto => unreachable!("resolve never returns Auto"),
         };
         Ok((resolved, job))
+    }
+
+    /// The same program under another global shot end and root seed —
+    /// what [`PreparedJob::prepare`] would return for them, sharing this
+    /// job's compiled program, noiseless prefix and tree, or ρ. O(1):
+    /// it clones only `Arc`s.
+    pub fn reseeded(&self, shot_end: u64, root_seed: u64) -> PreparedJob {
+        match self {
+            PreparedJob::StateVector(plan) => {
+                PreparedJob::StateVector(plan.reseeded(shot_end, root_seed))
+            }
+            PreparedJob::Stabilizer(plan) => {
+                PreparedJob::Stabilizer(plan.reseeded(shot_end, root_seed))
+            }
+            PreparedJob::Density { rho, num_cbits, .. } => PreparedJob::Density {
+                rho: Arc::clone(rho),
+                num_cbits: *num_cbits,
+                root_seed,
+            },
+        }
+    }
+
+    /// A static upper bound on the bytes this job's shared part holds
+    /// for as long as it lives, whatever runs on it — what a cache that
+    /// keeps it charges:
+    ///
+    /// * statevector: `16 B × (2ⁿ + tree budget)` for the noiseless
+    ///   prefix and its tree when the width admits one (below
+    ///   `PREFIX_MAX_QUBITS`), plus the one-amplitude initial state;
+    /// * stabilizer: three tableaux of `(2n + 1)·⌈2n/64⌉` words (the
+    ///   initial state and the program's x/z half before and after),
+    ///   plus up to 16 sign masks per instruction;
+    /// * density: ρ, `16 B × 4ⁿ`;
+    ///
+    /// plus 512 B per instruction for the circuit copy and its compiled
+    /// op on the replaying arms.
+    pub fn bytes_bound(&self) -> usize {
+        match self {
+            PreparedJob::StateVector(plan) => {
+                let n = plan.initial().num_qubits();
+                let prefix = if n < PREFIX_MAX_QUBITS {
+                    prefix_max_amps(n)
+                } else {
+                    0
+                };
+                16 * (1 + prefix) + program_bytes(plan.circuit())
+            }
+            PreparedJob::Stabilizer(plan) => {
+                let n = plan.initial().num_qubits();
+                let words = (2 * n).div_ceil(64);
+                let instructions = plan.circuit().instructions().len();
+                8 * words * (3 * (2 * n + 1) + 16 * instructions) + program_bytes(plan.circuit())
+            }
+            PreparedJob::Density { rho, .. } => 16 << (2 * rho.num_qubits()),
+        }
     }
 
     /// Executes the global shot indices `range` of this job on
@@ -281,6 +341,15 @@ impl PreparedJob {
             ),
         }
     }
+}
+
+/// What [`PreparedJob::bytes_bound`] charges per instruction for the
+/// circuit copy and its compiled op: a fused two-qubit kernel alone is
+/// a 4×4 complex matrix, 256 B.
+const PROGRAM_BYTES_PER_INSTRUCTION: usize = 512;
+
+fn program_bytes(circuit: &Circuit) -> usize {
+    PROGRAM_BYTES_PER_INSTRUCTION * circuit.instructions().len()
 }
 
 impl std::fmt::Display for Backend {
@@ -400,6 +469,30 @@ mod tests {
         let fast = Backend::Density.sample_shots(&c, 300, &exec).unwrap();
         let generic = exec.sample_shots(&c, &DensityMatrix::new(2), 300);
         assert_eq!(fast, generic);
+    }
+
+    #[test]
+    fn a_reseeded_job_tallies_as_a_fresh_prepare() {
+        // One template, reseeded per seed: each run (the statevector's
+        // on the prefix and tree the earlier seeds built) must equal a
+        // fresh job's.
+        let mut c = Circuit::new(3, 3);
+        c.h(0).cx(0, 1).h(2);
+        for q in 0..3 {
+            c.measure(q, q);
+        }
+        let engine = Engine::with_threads(2);
+        for b in [Backend::StateVector, Backend::Stabilizer, Backend::Density] {
+            let (_, template) = PreparedJob::prepare(&c, b, 0, 0).unwrap();
+            for seed in 0..4 {
+                let job = template.reseeded(300, seed);
+                let fresh = b
+                    .sample_shots(&c, 300, &Executor::pooled(engine.clone(), seed))
+                    .unwrap();
+                assert_eq!(job.run_range(&engine, 0..300), fresh, "{b}, seed {seed}");
+            }
+            assert!(template.bytes_bound() > 0);
+        }
     }
 
     #[test]

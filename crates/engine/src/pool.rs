@@ -29,8 +29,28 @@ pub type Counts = HashMap<usize, usize>;
 /// the stabilizer tableau, `ShotPlan<DensityMatrix>` on the exact
 /// deferred-measurement path. The runtime selector is
 /// [`Backend`](crate::Backend).
-#[derive(Debug, Clone)]
+///
+/// A plan is two parts: the seed-free core behind an `Arc` — circuit,
+/// initial state, compiled program and noiseless prefix with its tree,
+/// all pure in the circuit — and the job's own shot bound and root
+/// seed. [`ShotPlan::reseeded`] pairs the same core with another seed
+/// in O(1), so a circuit served under many seeds compiles once and
+/// grows one prefix tree, which lives as long as the last plan that
+/// shares it. Sharing changes no record: what a tree node holds is pure
+/// in the program (the `qsim::sim` module docs).
+#[derive(Debug)]
 pub struct ShotPlan<S: SimState = StateVector> {
+    /// What every shot plays, shared by the plans reseeded from this one.
+    core: Arc<PlanCore<S>>,
+    /// Number of repetitions.
+    shots: u64,
+    /// Root seed; shot `i` runs on stream `derive_stream_seed(root, i)`.
+    root_seed: u64,
+}
+
+/// The seed-free part of a [`ShotPlan`].
+#[derive(Debug)]
+struct PlanCore<S: SimState> {
     /// The circuit to play (may include measurement, reset, feed-forward
     /// and stochastic noise sites). Private — the compiled `program` is
     /// derived from it at construction, so mutating it afterwards would
@@ -38,21 +58,26 @@ pub struct ShotPlan<S: SimState = StateVector> {
     circuit: Circuit,
     /// The initial state each shot starts from.
     initial: S,
-    /// Number of repetitions.
-    shots: u64,
-    /// Root seed; shot `i` runs on stream `derive_stream_seed(root, i)`.
-    root_seed: u64,
     /// The circuit lowered once by [`SimState::compile`]; every shot on
     /// every worker replays this instead of re-interpreting the
     /// instruction stream.
     program: S::Program,
     /// The program's noiseless prefix ([`SimState::noiseless_prefix`]),
-    /// built on the plan's first range of [`PREFIX_MIN_SHOTS`] or more
-    /// shots — at most once, and only on a state narrower than
-    /// [`PREFIX_MAX_QUBITS`] — and shared by every later range. It is a
-    /// second state beside the workers' own for the life of the plan;
-    /// its tree of branch states adds at most 512 KiB of amplitudes.
+    /// built on the first range of [`PREFIX_MIN_SHOTS`] or more shots
+    /// that any plan sharing this core runs — at most once, and only on
+    /// a state narrower than [`PREFIX_MAX_QUBITS`] — and shared by every
+    /// later range. It is a second state beside the workers' own for as
+    /// long as the core lives (a served circuit's: as long as its
+    /// admission-cache entry); its tree of branch states adds at most
+    /// 512 KiB of amplitudes.
     prefix: PrefixCell<S>,
+}
+
+impl<S: SimState> Clone for ShotPlan<S> {
+    /// Another handle on the same core, seed and bound.
+    fn clone(&self) -> Self {
+        self.reseeded(self.shots, self.root_seed)
+    }
 }
 
 /// Where a job keeps its noiseless prefix once built: `None` inside
@@ -70,8 +95,11 @@ const PREFIX_MIN_SHOTS: u64 = 2;
 /// 20 qubits, 1 GiB at 26) it would double a wide multi-shot job's peak
 /// memory — a 4-shot 20-qubit ZZ job peaks at 36 MiB with one, 19 MiB
 /// without — so those jobs replay every shot from the top, as a
-/// one-shot job does.
-const PREFIX_MAX_QUBITS: usize = 20;
+/// one-shot job does. The prefix lives as long as its plan's core, so
+/// a served circuit's prefix stays for as long as its admission-cache
+/// entry does; [`PreparedJob::bytes_bound`](crate::PreparedJob::bytes_bound)
+/// charges it there.
+pub(crate) const PREFIX_MAX_QUBITS: usize = 20;
 
 /// The job's noiseless prefix for a run of `shots` shots: built into
 /// `cell` on the first run of at least [`PREFIX_MIN_SHOTS`] on a state
@@ -104,23 +132,37 @@ impl<S: SimState> ShotPlan<S> {
         check_plan(&circuit, &initial);
         let program = S::compile(&circuit);
         ShotPlan {
-            circuit,
-            initial,
+            core: Arc::new(PlanCore {
+                circuit,
+                initial,
+                program,
+                prefix: PrefixCell::new(),
+            }),
             shots,
             root_seed,
-            program,
-            prefix: PrefixCell::new(),
+        }
+    }
+
+    /// The same program under another shot bound and root seed: shares
+    /// this plan's circuit, initial state, compiled program and
+    /// noiseless prefix — tree included — so it compiles and builds
+    /// nothing. O(1): one `Arc` clone.
+    pub fn reseeded(&self, shots: u64, root_seed: u64) -> ShotPlan<S> {
+        ShotPlan {
+            core: Arc::clone(&self.core),
+            shots,
+            root_seed,
         }
     }
 
     /// The circuit this plan plays.
     pub fn circuit(&self) -> &Circuit {
-        &self.circuit
+        &self.core.circuit
     }
 
     /// The initial state each shot starts from.
     pub fn initial(&self) -> &S {
-        &self.initial
+        &self.core.initial
     }
 
     /// Number of repetitions.
@@ -135,7 +177,7 @@ impl<S: SimState> ShotPlan<S> {
 
     /// The backend program compiled once at plan construction.
     pub fn program(&self) -> &S::Program {
-        &self.program
+        &self.core.program
     }
 }
 
@@ -485,10 +527,11 @@ impl Engine {
             range.end,
             plan.shots
         );
+        let core = &*plan.core;
         self.run_program_range(
-            &plan.program,
-            &plan.initial,
-            &plan.prefix,
+            &core.program,
+            &core.initial,
+            &core.prefix,
             plan.root_seed,
             range,
         )

@@ -575,6 +575,15 @@ fn tree_budget(root: usize) -> usize {
     (2 * root).min(TREE_MAX_AMPS)
 }
 
+/// The most amplitudes a statevector noiseless prefix on `num_qubits`
+/// qubits ever stores: a full root state and its tree's budget beyond
+/// it. An upper bound for a cache that keeps a prefix for longer than
+/// one job.
+pub fn prefix_max_amps(num_qubits: usize) -> usize {
+    let root = 1usize << num_qubits;
+    root + tree_budget(root)
+}
+
 /// The tree node for `state` before op `at` of `program`, and the
 /// amplitudes it stores. At a `Measure` or `Reset` it sums `p1` with
 /// the shot's own probe; if the outcome is certain it settles `state`

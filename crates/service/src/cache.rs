@@ -44,12 +44,21 @@
 //! the spill off in effect (every read misses), it never fails a
 //! request.
 //!
+//! The write happens outside the owner's lock: the memory insert
+//! ([`ResultCache::insert_deferred`]) hands back the pending [`Spill`],
+//! which the owner writes once its lock is dropped. The disk index has
+//! a small lock of its own, and each writer uses its own temporary
+//! file, so two spills of one key may race and still leave one valid
+//! file.
+//!
 //! [`Circuit`]: circuit::circuit::Circuit
 
 use engine::{Backend, Counts};
 use jsonlite::Json;
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// FNV-1a 64-bit fingerprint of the canonical circuit text.
 ///
@@ -228,37 +237,53 @@ impl DiskStore {
     }
 
     /// Persists `key`'s result via write-then-rename, then evicts LRU
-    /// files until the size bound holds.
-    fn store(&mut self, key: &CacheKey, counts: &Counts) {
-        self.tick += 1;
-        if let Some(entry) = self.index.get_mut(key) {
-            // Determinism: same key ⇒ same bytes; just bump recency.
-            entry.last_used = self.tick;
-            return;
-        }
+    /// files until the size bound holds. The file is written with the
+    /// index unlocked, under a temporary name of this call's own; a key
+    /// already indexed (or indexed by a racing spill meanwhile — same
+    /// key, same bytes) only has its recency bumped.
+    fn store(disk: &Mutex<DiskStore>, key: &CacheKey, counts: &Counts) {
+        let dir = {
+            let mut store = lock_disk(disk);
+            store.tick += 1;
+            let tick = store.tick;
+            if let Some(entry) = store.index.get_mut(key) {
+                // Determinism: same key ⇒ same bytes; just bump recency.
+                entry.last_used = tick;
+                return;
+            }
+            store.config.dir.clone()
+        };
+        static SEQ: AtomicU64 = AtomicU64::new(0);
         let name = file_name(key);
-        let path = self.config.dir.join(&name);
-        let tmp = self.config.dir.join(format!(".tmp-{name}"));
+        let path = dir.join(&name);
+        let tmp = dir.join(format!(
+            ".tmp-{}-{}-{name}",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
         let text = encode_entry(key, counts);
         let bytes = text.len() as u64;
-        if std::fs::write(&tmp, &text).is_err() {
+        if std::fs::write(&tmp, &text).is_err() || std::fs::rename(&tmp, &path).is_err() {
             let _ = std::fs::remove_file(&tmp);
             return;
         }
-        if std::fs::rename(&tmp, &path).is_err() {
-            let _ = std::fs::remove_file(&tmp);
+        let mut store = lock_disk(disk);
+        store.tick += 1;
+        let tick = store.tick;
+        if let Some(entry) = store.index.get_mut(key) {
+            entry.last_used = tick;
             return;
         }
-        self.total_bytes += bytes;
-        self.index.insert(
+        store.total_bytes += bytes;
+        store.index.insert(
             key.clone(),
             DiskEntry {
                 path,
                 bytes,
-                last_used: self.tick,
+                last_used: tick,
             },
         );
-        self.evict_to_fit();
+        store.evict_to_fit();
     }
 
     fn remove(&mut self, key: &CacheKey) {
@@ -345,13 +370,34 @@ fn decode_entry(text: &str) -> Option<(CacheKey, Counts)> {
     Some((key, counts))
 }
 
+fn lock_disk(disk: &Mutex<DiskStore>) -> MutexGuard<'_, DiskStore> {
+    disk.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A completed result's disk write, taken under the cache owner's lock
+/// by [`ResultCache::insert_deferred`] and performed by
+/// [`Spill::write`] after that lock is dropped.
+#[must_use = "a spill persists nothing until it is written"]
+pub struct Spill {
+    disk: Arc<Mutex<DiskStore>>,
+    key: CacheKey,
+    counts: Counts,
+}
+
+impl Spill {
+    /// Persists the result (best-effort, like every disk operation).
+    pub fn write(self) {
+        DiskStore::store(&self.disk, &self.key, &self.counts);
+    }
+}
+
 /// Fixed-capacity LRU map from [`CacheKey`] to result tallies, with an
 /// optional disk tier (see the module docs).
 pub struct ResultCache {
     capacity: usize,
     tick: u64,
     entries: HashMap<CacheKey, CacheEntry>,
-    disk: Option<DiskStore>,
+    disk: Option<Arc<Mutex<DiskStore>>>,
     /// `cache.evictions` when the owning scheduler has a registry.
     pub(crate) evictions: obs::Counter,
 }
@@ -376,7 +422,7 @@ impl ResultCache {
     pub fn with_disk(capacity: usize, disk: DiskCacheConfig) -> Self {
         let mut cache = ResultCache::new(capacity);
         if capacity > 0 {
-            cache.disk = Some(DiskStore::open(disk));
+            cache.disk = Some(Arc::new(Mutex::new(DiskStore::open(disk))));
         }
         cache
     }
@@ -389,7 +435,7 @@ impl ResultCache {
             entry.last_used = self.tick;
             return Some(entry.counts.clone());
         }
-        let counts = self.disk.as_mut()?.load(key)?;
+        let counts = lock_disk(self.disk.as_ref()?).load(key)?;
         self.insert_memory(key.clone(), counts.clone());
         Some(counts)
     }
@@ -398,13 +444,25 @@ impl ResultCache {
     /// entry if the cache is full; with a disk tier, also persists it
     /// (write-through).
     pub fn insert(&mut self, key: CacheKey, counts: Counts) {
+        if let Some(spill) = self.insert_deferred(key, counts) {
+            spill.write();
+        }
+    }
+
+    /// [`ResultCache::insert`]'s memory half; with a disk tier, its
+    /// disk half comes back as a [`Spill`] for the caller to write once
+    /// it has dropped the lock that guards this cache.
+    pub fn insert_deferred(&mut self, key: CacheKey, counts: Counts) -> Option<Spill> {
         if self.capacity == 0 {
-            return;
+            return None;
         }
-        if let Some(disk) = &mut self.disk {
-            disk.store(&key, &counts);
-        }
+        let spill = self.disk.as_ref().map(|disk| Spill {
+            disk: Arc::clone(disk),
+            key: key.clone(),
+            counts: counts.clone(),
+        });
         self.insert_memory(key, counts);
+        spill
     }
 
     fn insert_memory(&mut self, key: CacheKey, counts: Counts) {
@@ -445,12 +503,12 @@ impl ResultCache {
 
     /// Entries currently persisted on disk (0 without a disk tier).
     pub fn disk_len(&self) -> usize {
-        self.disk.as_ref().map_or(0, |d| d.index.len())
+        self.disk.as_ref().map_or(0, |d| lock_disk(d).index.len())
     }
 
     /// Total bytes currently persisted on disk.
     pub fn disk_bytes(&self) -> u64 {
-        self.disk.as_ref().map_or(0, |d| d.total_bytes)
+        self.disk.as_ref().map_or(0, |d| lock_disk(d).total_bytes)
     }
 }
 
@@ -634,6 +692,53 @@ mod tests {
             .collect();
         assert!(!on_disk[0], "oldest entry should be evicted");
         assert!(on_disk[5], "newest entry must survive");
+    }
+
+    #[test]
+    fn racing_spills_of_one_key_leave_one_valid_file() {
+        let dir = TempDir::new("race");
+        let mut cache = ResultCache::with_disk(4, DiskCacheConfig::new(dir.path()));
+        let keys: usize = 32;
+        for fp in 0..keys as u64 {
+            // Two completions of one key, each spilling after its lock,
+            // released together by a spinning barrier.
+            let spills: Vec<Spill> = (0..2)
+                .map(|_| {
+                    cache
+                        .insert_deferred(key(fp), counts(7))
+                        .expect("a disk tier")
+                })
+                .collect();
+            let arrived = AtomicU64::new(0);
+            std::thread::scope(|scope| {
+                for spill in spills {
+                    let arrived = &arrived;
+                    scope.spawn(move || {
+                        arrived.fetch_add(1, Ordering::SeqCst);
+                        while arrived.load(Ordering::SeqCst) < 2 {
+                            std::hint::spin_loop();
+                        }
+                        spill.write();
+                    });
+                }
+            });
+        }
+        assert_eq!(cache.disk_len(), keys);
+        let files: Vec<PathBuf> = std::fs::read_dir(dir.path())
+            .unwrap()
+            .flatten()
+            .map(|e| e.path())
+            .collect();
+        assert_eq!(files.len(), keys, "one file per key, none temporary");
+        let on_disk: u64 = files
+            .iter()
+            .map(|p| std::fs::metadata(p).unwrap().len())
+            .sum();
+        assert_eq!(cache.disk_bytes(), on_disk, "a racing spill counted twice");
+        let mut reopened = ResultCache::with_disk(4, DiskCacheConfig::new(dir.path()));
+        for fp in 0..keys as u64 {
+            assert_eq!(reopened.get(&key(fp)), Some(counts(7)));
+        }
     }
 
     #[test]

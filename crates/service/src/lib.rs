@@ -49,10 +49,10 @@
 //!    with hit/miss counters and an optional **disk spill** so a
 //!    restarted server serves previously-computed results warm;
 //! 4. [`server`] — [`Service::spawn`]: the scheduler, the worker pool
-//!    that replays compiled jobs (each job is compiled **once** at
-//!    admission — fused statevector kernels, stabilizer plan, or
-//!    once-evolved density matrix — and every slice replays it), and
-//!    the front end over them.
+//!    that replays compiled jobs (each circuit is compiled **once** per
+//!    process, by the [`admission`] cache — fused statevector kernels,
+//!    stabilizer plan, or once-evolved density matrix — and every slice
+//!    of every seed replays it), and the front end over them.
 //!
 //! ```text
 //!   clients ──▶ frontend: reactor ─▶ submitters ──▶ JobBackend
@@ -86,7 +86,7 @@ pub mod protocol;
 pub mod scheduler;
 pub mod server;
 
-pub use admission::{admit, Admitted};
+pub use admission::{admit, AdmissionCache, Admitted};
 pub use cache::DiskCacheConfig;
 pub use engine::PreparedJob;
 pub use frontend::{Frontend, FrontendHandle, JobBackend, MAX_LINE_BYTES};

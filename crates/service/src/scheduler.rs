@@ -53,7 +53,7 @@
 //! and the server's worker pool drains [`Scheduler::next_slice`] /
 //! [`Scheduler::complete_slice`].
 
-use crate::admission::admit;
+use crate::admission::AdmissionCache;
 use crate::cache::{CacheKey, DiskCacheConfig, ResultCache};
 use crate::frontend::{busy, ok_response, JobBackend, ServiceCounters, Waiter};
 use crate::protocol::{ClientRow, Response, RunRequest, ServiceStats};
@@ -342,6 +342,9 @@ pub struct Scheduler {
 struct Shared {
     config: SchedulerConfig,
     obs: SchedObs,
+    /// Parsed circuits and seed-free prepared jobs, kept across
+    /// requests (`crate::admission`).
+    admission: AdmissionCache,
     state: Mutex<Inner>,
     /// Signalled when slices become available (or on shutdown).
     work: Condvar,
@@ -360,10 +363,12 @@ impl Scheduler {
         let registry = config.metrics.as_ref();
         cache.evictions = registry.map_or_else(obs::Counter::new, |r| r.counter("cache.evictions"));
         let obs = SchedObs::new(registry);
+        let admission = AdmissionCache::new(registry, "");
         Scheduler {
             shared: Arc::new(Shared {
                 config,
                 obs,
+                admission,
                 state: Mutex::new(Inner {
                     ring: VecDeque::new(),
                     client_queues: HashMap::new(),
@@ -407,14 +412,14 @@ impl Scheduler {
         // The fair-share identity. `None` and `""` are the same
         // anonymous client by construction.
         let client = run.client.clone().unwrap_or_default();
-        // Parse and canonicalize outside the lock — this is the
-        // expensive part, and it needs no shared state. The pipeline
-        // (backend parse, QASM parse, serving limits, shot-range
-        // arithmetic, canonical fingerprint) is shared with the shard
-        // coordinator in [`crate::admission`].
+        // Admit outside the scheduler lock. The pipeline (backend parse,
+        // QASM parse, serving limits, shot-range arithmetic, canonical
+        // fingerprint) is shared with the shard coordinator in
+        // [`crate::admission`]; its cache parses a text once, so a
+        // repeat is one hashed lookup.
         let obs = &self.shared.obs;
         let parse_started = Instant::now();
-        let admitted = admit(run);
+        let admitted = self.shared.admission.admit(run);
         let parse_ns = elapsed_ns(parse_started);
         obs.parse.record(parse_ns);
         obs.counters.received.inc();
@@ -443,20 +448,16 @@ impl Scheduler {
             }
         }
 
-        // Compile outside the lock (statevector kernel fusion and
-        // density evolution can be slow), then re-check: an identical
-        // request may have been admitted meanwhile.
+        // Take the circuit's prepared job, compiling it outside the lock
+        // on its first request (statevector kernel fusion and density
+        // evolution can be slow), then re-check: an identical request
+        // may have been admitted meanwhile.
         let compile_started = Instant::now();
-        let prepared = PreparedJob::prepare(
-            &admitted.circuit,
-            admitted.requested,
-            admitted.shot_end(),
-            run.root_seed,
-        );
+        let prepared = self.shared.admission.prepare(&admitted);
         let compile_ns = elapsed_ns(compile_started);
         obs.compile.record(compile_ns);
         let prepared = match prepared {
-            Ok((_resolved, job)) => Arc::new(job),
+            Ok(job) => Arc::new(job),
             Err(err) => {
                 obs.counters.errors.inc();
                 return Some(Response::Error {
@@ -674,8 +675,9 @@ impl Scheduler {
 
     /// Merges a finished slice. When the job's last slice lands, the
     /// result is cached and every waiter (submitter + coalesced) gets
-    /// its response — after the lock is released, so reply encoding
-    /// never holds up submitters or the other workers.
+    /// its response — after the lock is released, as is the result's
+    /// disk spill, so neither reply encoding nor file I/O holds up
+    /// submitters or the other workers.
     pub fn complete_slice(&self, key: &CacheKey, counts: Counts) {
         let mut inner = self.lock();
         // Shutdown may have dropped the job while this slice was
@@ -696,12 +698,18 @@ impl Scheduler {
             return;
         }
         let job = inner.jobs.remove(key).expect("job present");
-        inner.cache.insert(key.clone(), job.partial.clone());
+        let spill = inner
+            .cache
+            .insert_deferred(key.clone(), job.partial.clone());
         obs.counters.completed.inc();
         let tally = inner.tally(&job.client);
         tally.completed += 1;
         tally.inflight_shots = tally.inflight_shots.saturating_sub(key.shots);
         drop(inner);
+        // Persisted before anyone is answered, but off the lock.
+        if let Some(spill) = spill {
+            spill.write();
+        }
         obs.slow.record(obs::SlowTrace {
             label: format!("{} shots={}", key.backend, key.shots),
             total_ns: elapsed_ns(job.received_at),

@@ -353,6 +353,29 @@ fn prefix_counters_split_the_shots_of_a_served_statevector_job() {
     handle.shutdown();
 }
 
+#[test]
+fn a_repeated_circuit_parses_and_prepares_once() {
+    let handle = Service::spawn(ServiceConfig {
+        workers: 2,
+        metrics: Some(obs::Registry::default()),
+        ..ServiceConfig::default()
+    })
+    .expect("spawn");
+    for seed in 0..20 {
+        let run = Request::run(None, RunRequest::new(ghz12_qasm_at(0.002), 400, seed, "sv"));
+        match Response::from_line(&request_line(handle.addr(), &run)).expect("parse") {
+            Response::Ok { cached, .. } => assert!(!cached, "a fresh seed executes"),
+            other => panic!("expected ok, got {other:?}"),
+        }
+    }
+    let snapshot = handle.metrics_snapshot();
+    assert_eq!(snapshot.counter("admission.parses"), Some(1));
+    assert_eq!(snapshot.counter("prepared.misses"), Some(1));
+    assert_eq!(snapshot.counter("prepared.hits"), Some(19));
+    assert!(snapshot.gauge("prepared.bytes") > Some(0));
+    handle.shutdown();
+}
+
 fn run_request(shots: u64, seed: u64) -> RunRequest {
     RunRequest::new(bell_qasm(), shots, seed, "auto")
 }

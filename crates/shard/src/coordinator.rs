@@ -46,9 +46,10 @@
 //!   `busy` answers *from workers* are waited out with the worker's
 //!   own hint.
 //!
-//! Coalescing and result caching reuse the `service` building blocks
-//! ([`service::cache`], [`service::admit`]), so identical concurrent
-//! jobs scatter once and repeats are served from coordinator memory.
+//! Admission, coalescing and result caching reuse the `service`
+//! building blocks ([`service::admission`], [`service::cache`]), so a
+//! repeated circuit is parsed once, identical concurrent jobs scatter
+//! once and repeats are served from coordinator memory.
 
 use crate::worker::{Outcomes, PoolConfig, WorkerPool};
 use engine::{merge_counts, partition_shots, Counts};
@@ -56,7 +57,7 @@ use reactor::ReactorConfig;
 use service::cache::{CacheKey, DiskCacheConfig, ResultCache};
 use service::frontend::{busy, ok_response, ServiceCounters, Waiter};
 use service::{
-    admit, Frontend, FrontendHandle, JobBackend, Request, Responder, Response, RunRequest,
+    AdmissionCache, Frontend, FrontendHandle, JobBackend, Request, Responder, Response, RunRequest,
     ServiceStats, WorkerRow, MAX_LINE_BYTES,
 };
 use std::collections::HashMap;
@@ -155,6 +156,9 @@ pub struct Coordinator {
     /// topology-wide `metrics` merge keeps them apart from the
     /// workers' own.
     counters: ServiceCounters,
+    /// Parsed circuits, kept across requests; the coordinator prepares
+    /// nothing, so its entries hold no jobs.
+    admission: AdmissionCache,
     parse: obs::Histo,
     merge: obs::Histo,
 }
@@ -220,6 +224,7 @@ impl Coordinator {
             pool,
             stopping: AtomicBool::new(false),
             counters: ServiceCounters::new(registry, "shard."),
+            admission: AdmissionCache::new(registry, "shard."),
             parse: histo("stage.parse"),
             merge: histo("stage.merge"),
             config,
@@ -241,16 +246,20 @@ impl Coordinator {
         responder: &mut Option<Responder>,
     ) -> Option<Response> {
         // Validation is shared with the single-machine scheduler
-        // (`service::admit`), then tightened with the capability probe:
-        // rejecting unexecutable circuits *here* means any `error` a
-        // worker later answers is evidence of worker failure, so the
-        // re-dispatch loop can treat it as such.
+        // (`service::admission`), then tightened with the capability
+        // probe: rejecting unexecutable circuits *here* means any
+        // `error` a worker later answers is evidence of worker failure,
+        // so the re-dispatch loop can treat it as such. A repeated text
+        // is one lookup, not a parse; the probe runs per request, as its
+        // verdict depends on the requested backend (a width check on the
+        // statevector, one pass over the instructions otherwise).
         let parse_started = std::time::Instant::now();
-        let admitted = admit(run).and_then(|a| {
-            a.resolved
-                .supports(&a.circuit)
+        let admitted = self.admission.admit(run).and_then(|ticket| {
+            ticket
+                .resolved
+                .supports(&ticket.parsed.circuit)
                 .map_err(|e| e.to_string())
-                .map(|()| a)
+                .map(|()| ticket)
         });
         self.parse.record_duration(parse_started.elapsed());
         let counters = &self.counters;
@@ -263,13 +272,14 @@ impl Coordinator {
             }
         };
         // Workers receive the *canonical* text the coordinator already
-        // validated — not the client's raw bytes. One admission pass
-        // per job: each sub-request re-parses downstream, but parses
+        // validated — not the client's raw bytes — so every request of
+        // one circuit reaches a worker as the same text, which its
+        // admission cache parses and prepares once; the text is
         // pre-validated canonical output (guaranteed to reproduce
         // `key.circuit_fp`), never arbitrary client input per shard.
         // The client identity is *not* forwarded: the coordinator is
         // the admission boundary, workers see one peer.
-        let canonical = admitted.canonical;
+        let parsed = admitted.parsed;
         let key = admitted.key;
 
         let mut inner = self.lock();
@@ -327,7 +337,7 @@ impl Coordinator {
             .map(|range| {
                 let request = Request::run(
                     None,
-                    RunRequest::new(canonical.as_str(), 0, key.root_seed, key.backend)
+                    RunRequest::new(parsed.canonical.as_str(), 0, key.root_seed, key.backend)
                         .with_shot_range(range.start, range.end),
                 );
                 (range, request.to_line())
@@ -355,9 +365,9 @@ impl Coordinator {
         Ok(merged)
     }
 
-    /// Lands a finished job: cache, then respond to every waiter once
-    /// the lock is released, so reply encoding never holds up
-    /// admission.
+    /// Lands a finished job: cache, then — once the lock is released,
+    /// so neither file I/O nor reply encoding holds up admission — spill
+    /// the result to disk and respond to every waiter.
     fn complete(&self, key: &CacheKey, result: Result<Counts, String>) {
         let mut inner = self.lock();
         // Shutdown may have dropped the job meanwhile; its waiters are
@@ -365,14 +375,20 @@ impl Coordinator {
         let Some(waiters) = inner.jobs.remove(key) else {
             return;
         };
-        match &result {
+        let spill = match &result {
             Ok(counts) => {
-                inner.cache.insert(key.clone(), counts.clone());
                 self.counters.completed.inc();
+                inner.cache.insert_deferred(key.clone(), counts.clone())
             }
-            Err(_) => self.counters.errors.inc(),
-        }
+            Err(_) => {
+                self.counters.errors.inc();
+                None
+            }
+        };
         drop(inner);
+        if let Some(spill) = spill {
+            spill.write();
+        }
         Waiter::answer_all(waiters, key, &result);
     }
 }
@@ -447,7 +463,7 @@ mod tests {
         // itself.
         let coordinator = Arc::new(Coordinator::new(CoordinatorConfig::default()));
         let run = RunRequest::new("OPENQASM 3.0;\nqubit[1] q;\nh q[0];\n", 10, 1, "auto");
-        let key = admit(&run).expect("admits").key;
+        let key = service::admit(&run).expect("admits").key;
         let (answered_tx, answered) = mpsc::channel();
         let helper = coordinator.clone();
         let responder = Responder::Callback(Box::new(move |_response| {

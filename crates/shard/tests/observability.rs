@@ -266,3 +266,42 @@ fn warm_links_serve_sharded_requests_without_connecting() {
         worker.shutdown();
     }
 }
+
+#[test]
+fn a_repeated_circuit_parses_once_per_process_and_prepares_once_per_worker() {
+    let (workers, addrs) = spawn_instrumented_workers(2);
+    let registry = obs::Registry::default();
+    let coord = Coordinator::spawn(CoordinatorConfig {
+        workers: addrs,
+        metrics: Some(registry.clone()),
+        ..CoordinatorConfig::default()
+    })
+    .expect("spawn coordinator");
+    for seed in 0..20 {
+        let run = Request::run(None, RunRequest::new(bell_qasm(), 400, seed, "sv"));
+        assert!(matches!(
+            request_once(coord.addr(), &run),
+            Response::Ok { cached: false, .. }
+        ));
+    }
+    // The coordinator parses the client's text once and prepares
+    // nothing; each worker receives the canonical text of the parts
+    // routed to it and parses and prepares it once. Parts go to the
+    // least-loaded worker, so how the 40 parts split between the two
+    // depends on timing; their sum does not.
+    let coordinator = registry.snapshot();
+    assert_eq!(coordinator.counter("shard.admission.parses"), Some(1));
+    assert_eq!(coordinator.counter("shard.prepared.misses"), Some(0));
+    let mut hits = 0;
+    for worker in &workers {
+        let snapshot = worker.metrics_snapshot();
+        assert_eq!(snapshot.counter("admission.parses"), Some(1));
+        assert_eq!(snapshot.counter("prepared.misses"), Some(1));
+        hits += snapshot.counter("prepared.hits").unwrap_or(0);
+    }
+    assert_eq!(hits, 2 * 20 - 2);
+    coord.shutdown();
+    for worker in workers {
+        worker.shutdown();
+    }
+}
