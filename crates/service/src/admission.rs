@@ -40,6 +40,14 @@
 //! canonical text on every request, so it hits too: a repeated circuit
 //! under a fresh seed parses and prepares once per process.
 //!
+//! An admission comes in two halves. [`AdmissionCache::probe`] is one
+//! locked lookup of the exact raw text and never parses: it settles a
+//! request whose text the map holds (its ticket or its error), and
+//! says so for one it does not. That is all a front end's reactor
+//! thread may run. [`AdmissionCache::finish`] completes the rest on a
+//! submitter, parsing a text the probe did not find. Either way the
+//! text is hashed and looked up once per request.
+//!
 //! The free [`admit`] is the uncached reference: it runs the whole
 //! pipeline every call, and the cache's miss path is the same code.
 //!
@@ -49,7 +57,7 @@
 
 use crate::cache::{fingerprint, CacheKey};
 use crate::protocol::RunRequest;
-use crate::scheduler::{MAX_REQUEST_CBITS, MAX_REQUEST_QUBITS};
+use crate::scheduler::{elapsed_ns, MAX_REQUEST_CBITS, MAX_REQUEST_QUBITS};
 use circuit::caps::Unsupported;
 use circuit::circuit::Circuit;
 use circuit::qasm::{from_qasm3, to_qasm3};
@@ -58,6 +66,7 @@ use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::BuildHasher;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::time::Instant;
 
 /// A run request that passed admission: parsed, bounded, canonicalized.
 #[derive(Debug, Clone)]
@@ -137,6 +146,18 @@ fn shot_start(run: &RunRequest) -> Result<u64, String> {
             Ok(start)
         }
     }
+}
+
+/// `run`'s ticket on the entry `parsed` of its text.
+fn ticket(parsed: Arc<Parsed>, requested: Backend, run: &RunRequest) -> Result<Ticket, String> {
+    let start = shot_start(run)?;
+    let resolved = parsed.route(requested);
+    Ok(Ticket {
+        key: job_key(parsed.fingerprint, resolved, run, start),
+        parsed,
+        requested,
+        resolved,
+    })
 }
 
 fn job_key(circuit_fp: u64, resolved: Backend, run: &RunRequest, start: u64) -> CacheKey {
@@ -249,6 +270,21 @@ impl Ticket {
     }
 }
 
+/// One request's admission, begun by [`AdmissionCache::probe`] and
+/// completed by [`AdmissionCache::finish`], with its own `stage.parse`
+/// timing.
+#[derive(Debug)]
+pub struct Admission {
+    /// The verdict: a ticket or the error reply's message. `None` until
+    /// a text the probe did not find is parsed.
+    pub ticket: Option<Result<Ticket, String>>,
+    /// When the probe began: the start of the request's slow trace.
+    pub started: Instant,
+    /// Nanoseconds spent admitting so far (the probe, then any parse);
+    /// the hand-off between the halves is not counted.
+    pub parse_ns: u64,
+}
+
 /// Most bytes an [`AdmissionCache`] charges before it evicts. Sized on
 /// the served workloads, which each repeat one circuit: their GHZ-12
 /// is charged ≈ 220 KiB on the statevector (a 4 096-amplitude prefix
@@ -344,30 +380,55 @@ impl<H: BuildHasher> AdmissionCache<H> {
 
     /// Admits one run request as [`admit`] does — same decisions, same
     /// messages, same key — parsing its text only if the map does not
-    /// hold it yet.
+    /// hold it yet: [`AdmissionCache::probe`], then
+    /// [`AdmissionCache::finish`].
     ///
     /// # Errors
     ///
     /// As [`admit`].
     pub fn admit(&self, run: &RunRequest) -> Result<Ticket, String> {
-        let requested = requested_backend(run)?;
-        let parsed = self.parsed(&run.qasm)?;
-        let start = shot_start(run)?;
-        let resolved = parsed.route(requested);
-        Ok(Ticket {
-            key: job_key(parsed.fingerprint, resolved, run, start),
-            parsed,
-            requested,
-            resolved,
-        })
+        self.finish(self.probe(run), run).0
     }
 
-    /// The entry for `qasm`, parsed on a miss (outside the lock) and
-    /// kept if it parsed.
-    fn parsed(&self, qasm: &str) -> Result<Arc<Parsed>, String> {
-        if let Some(parsed) = self.lock().hit(qasm) {
-            return Ok(parsed);
+    /// The first half of an admission, lock-only: the backend name,
+    /// then one lookup of the exact raw text. A held text is settled
+    /// here (its ticket, or a `shot_range` error); a text the map does
+    /// not hold is left unparsed, for [`AdmissionCache::finish`].
+    pub fn probe(&self, run: &RunRequest) -> Admission {
+        let started = Instant::now();
+        let ticket = match requested_backend(run) {
+            Ok(requested) => {
+                let held = self.lock().hit(&run.qasm);
+                held.map(|parsed| ticket(parsed, requested, run))
+            }
+            Err(error) => Some(Err(error)),
+        };
+        Admission {
+            ticket,
+            started,
+            parse_ns: elapsed_ns(started),
         }
+    }
+
+    /// Completes `admission` of `run`: the probe's verdict, or — for a
+    /// text it did not find — the verdict of parsing it now (outside
+    /// the lock; kept if it parsed). Returns the verdict and the
+    /// admission's total `stage.parse` nanoseconds.
+    pub fn finish(&self, admission: Admission, run: &RunRequest) -> (Result<Ticket, String>, u64) {
+        if let Some(verdict) = admission.ticket {
+            return (verdict, admission.parse_ns);
+        }
+        let started = Instant::now();
+        let verdict = requested_backend(run).and_then(|requested| {
+            let parsed = self.parse_and_keep(&run.qasm)?;
+            ticket(parsed, requested, run)
+        });
+        (verdict, admission.parse_ns + elapsed_ns(started))
+    }
+
+    /// Parses `qasm` and keeps its entry, unless a request of the same
+    /// text kept one meanwhile.
+    fn parse_and_keep(&self, qasm: &str) -> Result<Arc<Parsed>, String> {
         self.parses.inc();
         let (circuit, canonical) = parse(qasm)?;
         let parsed = Arc::new(Parsed {

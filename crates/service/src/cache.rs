@@ -44,12 +44,16 @@
 //! the spill off in effect (every read misses), it never fails a
 //! request.
 //!
-//! The write happens outside the owner's lock: the memory insert
-//! ([`ResultCache::insert_deferred`]) hands back the pending [`Spill`],
-//! which the owner writes once its lock is dropped. The disk index has
-//! a small lock of its own, and each writer uses its own temporary
-//! file, so two spills of one key may race and still leave one valid
-//! file.
+//! Disk I/O happens outside the owner's lock, both ways. The memory
+//! insert ([`ResultCache::insert_deferred`]) hands back the pending
+//! [`Spill`], which the owner writes once its lock is dropped; a lookup
+//! through the owner's lock ([`ResultCache::get_guarded`]) that misses
+//! memory but finds the key on disk drops the lock, reads the file,
+//! and promotes the result to memory under the lock again. The disk
+//! index has a small lock of its own, held for index updates only, and
+//! each writer uses its own temporary file, so two spills of one key
+//! may race and still leave one valid file. A front end's reactor
+//! reads the memory tier alone ([`ResultCache::get_memory`]).
 //!
 //! [`Circuit`]: circuit::circuit::Circuit
 
@@ -213,29 +217,6 @@ impl DiskStore {
         store
     }
 
-    /// Reads `key`'s entry back, bumping its recency. A file that went
-    /// corrupt since the scan is deleted and reported as a miss.
-    fn load(&mut self, key: &CacheKey) -> Option<Counts> {
-        self.tick += 1;
-        let entry = self.index.get_mut(key)?;
-        entry.last_used = self.tick;
-        let path = entry.path.clone();
-        let decoded = std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|text| decode_entry(&text))
-            // A colliding or renamed file must never serve a foreign
-            // result: the decoded identity has to round-trip.
-            .filter(|(decoded_key, _)| decoded_key == key);
-        match decoded {
-            Some((_, counts)) => Some(counts),
-            None => {
-                self.remove(key);
-                let _ = std::fs::remove_file(&path);
-                None
-            }
-        }
-    }
-
     /// Persists `key`'s result via write-then-rename, then evicts LRU
     /// files until the size bound holds. The file is written with the
     /// index unlocked, under a temporary name of this call's own; a key
@@ -391,6 +372,56 @@ impl Spill {
     }
 }
 
+/// A result held on disk, not in memory: found by
+/// [`ResultCache::lookup`] under the cache owner's lock and read by
+/// [`DiskRead::read`] after that lock is dropped.
+#[must_use = "a disk hit serves nothing until it is read"]
+struct DiskRead {
+    disk: Arc<Mutex<DiskStore>>,
+    key: CacheKey,
+}
+
+impl DiskRead {
+    /// Reads the entry back, bumping its recency; the file is read and
+    /// decoded with the index unlocked. A file that went corrupt since
+    /// the scan (or was evicted meanwhile) is a miss, and a corrupt one
+    /// is deleted.
+    fn read(self) -> Option<Counts> {
+        let path = {
+            let mut store = lock_disk(&self.disk);
+            store.tick += 1;
+            let tick = store.tick;
+            let entry = store.index.get_mut(&self.key)?;
+            entry.last_used = tick;
+            entry.path.clone()
+        };
+        let decoded = std::fs::read_to_string(&path)
+            .ok()
+            .and_then(|text| decode_entry(&text))
+            // A colliding or renamed file must never serve a foreign
+            // result: the decoded identity has to round-trip.
+            .filter(|(decoded_key, _)| *decoded_key == self.key);
+        match decoded {
+            Some((_, counts)) => Some(counts),
+            None => {
+                lock_disk(&self.disk).remove(&self.key);
+                let _ = std::fs::remove_file(&path);
+                None
+            }
+        }
+    }
+}
+
+/// Where [`ResultCache::lookup`] found a key.
+enum Found {
+    /// In memory (its recency refreshed).
+    Memory(Counts),
+    /// Only on disk: read it off the owner's lock, then promote it.
+    Disk(DiskRead),
+    /// Nowhere.
+    Miss,
+}
+
 /// Fixed-capacity LRU map from [`CacheKey`] to result tallies, with an
 /// optional disk tier (see the module docs).
 pub struct ResultCache {
@@ -428,16 +459,87 @@ impl ResultCache {
     }
 
     /// Looks `key` up, refreshing its recency. Memory first, then the
-    /// disk tier (a disk hit is promoted to memory).
+    /// disk tier (a disk hit is promoted to memory). Reads the file in
+    /// place: an owner that guards the cache with a lock uses
+    /// [`ResultCache::get_guarded`], which reads it after the lock.
     pub fn get(&mut self, key: &CacheKey) -> Option<Counts> {
-        self.tick += 1;
-        if let Some(entry) = self.entries.get_mut(key) {
-            entry.last_used = self.tick;
-            return Some(entry.counts.clone());
+        match self.lookup(key) {
+            Found::Memory(counts) => Some(counts),
+            Found::Disk(read) => {
+                let counts = read.read()?;
+                self.promote(key.clone(), counts.clone());
+                Some(counts)
+            }
+            Found::Miss => None,
         }
-        let counts = lock_disk(self.disk.as_ref()?).load(key)?;
-        self.insert_memory(key.clone(), counts.clone());
-        Some(counts)
+    }
+
+    /// The memory tier's entry for `key`, its recency refreshed. Never
+    /// touches the disk.
+    pub fn get_memory(&mut self, key: &CacheKey) -> Option<Counts> {
+        self.tick += 1;
+        let entry = self.entries.get_mut(key)?;
+        entry.last_used = self.tick;
+        Some(entry.counts.clone())
+    }
+
+    /// Looks `key` up in memory, then in the disk index — without
+    /// reading a file: a key held only on disk comes back as the
+    /// [`DiskRead`] to make once the owner's lock is dropped.
+    fn lookup(&mut self, key: &CacheKey) -> Found {
+        if let Some(counts) = self.get_memory(key) {
+            return Found::Memory(counts);
+        }
+        match &self.disk {
+            Some(disk) if lock_disk(disk).index.contains_key(key) => Found::Disk(DiskRead {
+                disk: Arc::clone(disk),
+                key: key.clone(),
+            }),
+            _ => Found::Miss,
+        }
+    }
+
+    /// Keeps a result read back from disk ([`DiskRead::read`]) in
+    /// memory, evicting as an insert does; the disk already holds it.
+    fn promote(&mut self, key: CacheKey, counts: Counts) {
+        self.insert_memory(key, counts);
+    }
+
+    /// [`ResultCache::get`] on the cache that `owner`'s lock guards
+    /// (reached through `cache`), with that lock held on return: memory
+    /// under the lock, or a result held only on disk read with the lock
+    /// dropped and promoted to memory once it is taken again — so
+    /// whatever the owner checks next, it checks after the read.
+    ///
+    /// # Panics
+    ///
+    /// If `owner`'s lock is poisoned.
+    pub fn get_guarded<'a, T>(
+        owner: &'a Mutex<T>,
+        cache: impl Fn(&mut T) -> &mut ResultCache,
+        key: &CacheKey,
+    ) -> (MutexGuard<'a, T>, Option<Counts>) {
+        let lock = || owner.lock().expect("cache owner poisoned");
+        let mut guard = lock();
+        let hit = match cache(&mut guard).lookup(key) {
+            Found::Memory(counts) => Some(counts),
+            Found::Disk(read) => {
+                drop(guard);
+                let loaded = read.read();
+                guard = lock();
+                let cache = cache(&mut guard);
+                match loaded {
+                    Some(counts) => {
+                        cache.promote(key.clone(), counts.clone());
+                        Some(counts)
+                    }
+                    // A racing completion may have landed it meanwhile.
+                    None => cache.get_memory(key),
+                }
+            }
+            Found::Miss => None,
+        };
+        (guard, hit)
     }
 
     /// Inserts a completed result, evicting the least-recently-used
@@ -627,6 +729,30 @@ mod tests {
         assert_eq!(cache.get(&key(2)), Some(counts(9)));
         // The disk hit was promoted: now resident in memory too.
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn a_disk_hit_is_found_unread_and_promoted_once_read() {
+        let dir = TempDir::new("promote");
+        ResultCache::with_disk(4, DiskCacheConfig::new(dir.path())).insert(key(1), counts(7));
+        let mut cache = ResultCache::with_disk(4, DiskCacheConfig::new(dir.path()));
+        assert_eq!(
+            cache.get_memory(&key(1)),
+            None,
+            "memory never reads the disk"
+        );
+        let Found::Disk(read) = cache.lookup(&key(1)) else {
+            panic!("expected a disk hit");
+        };
+        assert!(cache.is_empty(), "nothing is read before the caller reads");
+        let guarded = Mutex::new(cache);
+        let (mut cache, hit) = ResultCache::get_guarded(&guarded, |c| c, &key(1));
+        assert_eq!(hit, Some(counts(7)));
+        assert_eq!(cache.get_memory(&key(1)), Some(counts(7)), "promoted");
+        assert!(matches!(cache.lookup(&key(2)), Found::Miss));
+        // The pending read still reads the same entry.
+        drop(cache);
+        assert_eq!(read.read(), Some(counts(7)));
     }
 
     #[test]

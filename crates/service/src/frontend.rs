@@ -9,16 +9,23 @@
 //!
 //! * one **reactor** thread (`crates/reactor`) multiplexing every
 //!   connection over a single `poll(2)` loop. It frames and decodes
-//!   request lines and answers `stats` and `shutdown` inline — both are
-//!   lock-only — and keeps each connection's replies in request order
+//!   request lines and keeps each connection's replies in request order
 //!   however the backend reorders completions. Thread count is
 //!   independent of connection count: idle clients cost file
-//!   descriptors, not stacks;
-//! * two **submitter** threads. `run` and `metrics` may block
-//!   (admission compiles circuits; a coordinator's metrics gather is a
-//!   round trip per worker), so the reactor hands both over a channel.
-//!   A run's reply travels back through its [`Completion`] when the
-//!   backend answers.
+//!   descriptors, not stacks. The reactor answers inline what the
+//!   backend can answer with **lock-only lookups** — never a parse, a
+//!   compile or a file read: `stats`, `shutdown`, and a `run` whose
+//!   reply is already known ([`JobBackend::lookup`]: its exact text is
+//!   held by the admission cache and its tallies by the result cache's
+//!   memory tier). Such a run is encoded (timed into `stage.encode`)
+//!   and answered on the reactor thread, and wakes no other thread;
+//! * two **submitter** threads for everything that may block: every
+//!   other `run` — a text not yet parsed, a result only on disk, an
+//!   admission error, a miss — and `metrics` (a coordinator's gather is
+//!   a round trip per worker). The reactor hands them over a channel,
+//!   a run together with the admission its lookup began, so no text is
+//!   hashed or looked up twice. A run's reply travels back through its
+//!   [`Completion`] when the backend answers.
 //!
 //! Shutdown has one order in both roles: the backend stops (pending
 //! requests get an error reply), the reactor flushes outstanding
@@ -27,6 +34,7 @@
 //!
 //! [`Scheduler`]: crate::Scheduler
 
+use crate::admission::Admission;
 use crate::cache::CacheKey;
 use crate::protocol::{ClientRow, Op, Request, Response, RunRequest, ServiceStats, WorkerRow};
 use crate::scheduler::Responder;
@@ -45,21 +53,46 @@ pub const MAX_LINE_BYTES: u64 = 8 * 1024 * 1024;
 /// lock and compiles circuits, and two hide one slow compile.
 const SUBMITTERS: usize = 2;
 
+/// What [`JobBackend::lookup`] found for a run request.
+pub enum Lookup {
+    /// The tallies are in memory: the reactor answers `cached` with
+    /// them. The backend has counted the request as its hit path does.
+    Hit { key: CacheKey, tallies: Counts },
+    /// Not known on the reactor: [`JobBackend::submit`] the request on
+    /// a submitter with its admission so far.
+    Submit(Admission),
+}
+
 /// What a front end serves: admission and execution behind the wire.
 ///
 /// The reactor thread makes only the lock-only calls, through a
-/// `dyn JobBackend`; [`JobBackend::submit`] and [`JobBackend::metrics`]
-/// run on the submitter pool, where `submit` is called on the concrete
-/// backend.
+/// `dyn JobBackend` — [`JobBackend::lookup`], [`JobBackend::stats`] and
+/// its rows, [`JobBackend::note_error`], [`JobBackend::shutdown`] —
+/// which never parse, compile or read a file; [`JobBackend::submit`]
+/// and [`JobBackend::metrics`] run on the submitter pool, where
+/// `submit` is called on the concrete backend.
 pub trait JobBackend: Send + Sync + 'static {
     /// The role noun in error texts (`"server"`, `"coordinator"`).
     fn role(&self) -> &'static str;
 
-    /// Admits one run request. The response, immediate or eventual, is
+    /// Answers `run` if its reply is already known, with lock-only
+    /// lookups: the admission cache's probe of the exact raw text, then
+    /// the result cache's memory tier. A hit is counted (`received`,
+    /// `cache_hits`, the stage timings) as `submit` would count it;
+    /// anything else comes back as the admission to submit.
+    fn lookup(&self, run: &RunRequest) -> Lookup;
+
+    /// Admits one run request, completing `admission` (the request's
+    /// [`JobBackend::lookup`]). The response, immediate or eventual, is
     /// delivered through `responder`; dropping it unanswered (shutdown)
     /// sends the front end's "shut down before the job completed" reply.
-    fn submit(self: &Arc<Self>, id: Option<String>, run: &RunRequest, responder: Responder)
-    where
+    fn submit(
+        self: &Arc<Self>,
+        id: Option<String>,
+        run: &RunRequest,
+        admission: Admission,
+        responder: Responder,
+    ) where
         Self: Sized;
 
     /// Counts a request line that failed framing or decoding.
@@ -208,7 +241,7 @@ impl ServiceCounters {
 struct SubmitTask {
     id: Option<String>,
     /// `None` for a `metrics` request.
-    run: Option<RunRequest>,
+    run: Option<(RunRequest, Admission)>,
     completion: Completion,
 }
 
@@ -218,6 +251,8 @@ struct Handler {
     backend: Arc<dyn JobBackend>,
     ctl: ReactorCtl,
     max_line_bytes: u64,
+    /// `stage.encode`, for the replies encoded on the reactor.
+    encode: obs::Histo,
     /// Owned by the handler alone: when the reactor loop exits and
     /// drops it, the submitter pool sees a closed channel and exits.
     submit: mpsc::Sender<SubmitTask>,
@@ -267,7 +302,17 @@ impl LineHandler for Handler {
                 return;
             }
             Op::Metrics => (None, "metrics gather"),
-            Op::Run(run) => (Some(run), "job"),
+            Op::Run(run) => match self.backend.lookup(&run) {
+                Lookup::Hit { key, tallies } => {
+                    let response = ok_response(id, &key, tallies, true, false);
+                    let span = obs::Span::enter(&self.encode);
+                    let bytes = response.to_line().into_bytes();
+                    drop(span);
+                    completion.send(bytes);
+                    return;
+                }
+                Lookup::Submit(admission) => (Some((run, admission)), "job"),
+            },
         };
         // If the backend drops the request (shutdown), the completion
         // comes back unresolved; this is the reply the peer gets instead
@@ -320,7 +365,7 @@ fn spawn_submitters<B: JobBackend>(
                     else {
                         break;
                     };
-                    let Some(run) = run else {
+                    let Some((run, admission)) = run else {
                         let response = Response::Metrics {
                             id,
                             snapshot: backend.metrics(),
@@ -335,7 +380,7 @@ fn spawn_submitters<B: JobBackend>(
                         drop(span);
                         completion.send(bytes);
                     }));
-                    backend.submit(id, &run, responder);
+                    backend.submit(id, &run, admission, responder);
                 })
                 .expect("spawn submitter")
         })
@@ -365,7 +410,7 @@ impl Frontend {
             .as_ref()
             .map_or_else(obs::Histo::new, |r| r.histo("stage.encode"));
         let (submit, rx) = mpsc::channel();
-        let submitters = spawn_submitters(&backend, rx, encode);
+        let submitters = spawn_submitters(&backend, rx, encode.clone());
         let max_line_bytes = config.max_line_bytes;
         let handler_backend: Arc<dyn JobBackend> = backend.clone();
         let reactor = Reactor::spawn(listener, config, move |ctl| {
@@ -373,6 +418,7 @@ impl Frontend {
                 backend: handler_backend,
                 ctl,
                 max_line_bytes,
+                encode,
                 submit,
             })
         })?;
@@ -447,5 +493,145 @@ impl<B: JobBackend> FrontendHandle<B> {
         for thread in self.submitters.into_iter().chain(self.backend_threads) {
             let _ = thread.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Condvar;
+    use std::time::{Duration, Instant};
+
+    /// The seed whose answer [`Stub`] knows.
+    const KNOWN: u64 = 99;
+
+    fn key(seed: u64) -> CacheKey {
+        CacheKey {
+            circuit_fp: 1,
+            backend: "statevector",
+            shots: 10,
+            root_seed: seed,
+            start: 0,
+        }
+    }
+
+    /// A backend that knows the answer for seed [`KNOWN`] and whose
+    /// `submit` blocks until [`Stub::release`].
+    #[derive(Default)]
+    struct Stub {
+        /// `submit` calls entered so far.
+        entered: AtomicUsize,
+        released: Mutex<bool>,
+        wake: Condvar,
+    }
+
+    impl Stub {
+        fn release(&self) {
+            *self.released.lock().unwrap() = true;
+            self.wake.notify_all();
+        }
+    }
+
+    impl JobBackend for Stub {
+        fn role(&self) -> &'static str {
+            "stub"
+        }
+
+        fn lookup(&self, run: &RunRequest) -> Lookup {
+            if run.root_seed == KNOWN {
+                let tallies = [(3, 10)].into_iter().collect();
+                return Lookup::Hit {
+                    key: key(KNOWN),
+                    tallies,
+                };
+            }
+            Lookup::Submit(Admission {
+                ticket: None,
+                started: Instant::now(),
+                parse_ns: 0,
+            })
+        }
+
+        fn submit(
+            self: &Arc<Self>,
+            id: Option<String>,
+            run: &RunRequest,
+            _admission: Admission,
+            responder: Responder,
+        ) {
+            self.entered.fetch_add(1, Ordering::SeqCst);
+            let mut released = self.released.lock().unwrap();
+            while !*released {
+                released = self.wake.wait(released).unwrap();
+            }
+            let response = ok_response(id, &key(run.root_seed), Counts::new(), false, false);
+            responder.respond(response);
+        }
+
+        fn note_error(&self) {}
+
+        fn stats(&self) -> ServiceStats {
+            ServiceStats::default()
+        }
+
+        fn metrics(&self) -> obs::Snapshot {
+            obs::Snapshot::default()
+        }
+
+        fn shutdown(&self) {}
+    }
+
+    /// Sends a run of `seed` on a fresh connection; the reply is read
+    /// later from the returned reader.
+    fn send(addr: SocketAddr, seed: u64) -> BufReader<TcpStream> {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let run = Request::run(None, RunRequest::new("OPENQASM 3.0;", 10, seed, "sv"));
+        (&stream).write_all(run.to_line().as_bytes()).unwrap();
+        BufReader::new(stream)
+    }
+
+    fn reply(reader: &mut BufReader<TcpStream>) -> Response {
+        let mut line = String::new();
+        assert!(reader.read_line(&mut line).unwrap() > 0, "no reply");
+        Response::from_line(&line).unwrap()
+    }
+
+    #[test]
+    fn a_known_answer_does_not_wait_on_a_submitter() {
+        let stub = Arc::new(Stub::default());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let handle =
+            Frontend::spawn(listener, ReactorConfig::default(), stub.clone(), Vec::new()).unwrap();
+        // Two runs whose answers are not known hold both submitters.
+        let mut held: Vec<_> = (0..SUBMITTERS as u64)
+            .map(|seed| send(handle.addr(), seed))
+            .collect();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while stub.entered.load(Ordering::SeqCst) < SUBMITTERS {
+            assert!(Instant::now() < deadline, "the submitters never blocked");
+            std::thread::yield_now();
+        }
+        // A known answer is served while they are held.
+        match reply(&mut send(handle.addr(), KNOWN)) {
+            Response::Ok {
+                cached, tallies, ..
+            } => {
+                assert!(cached);
+                assert_eq!(tallies, [(3, 10)].into_iter().collect());
+            }
+            other => panic!("expected the known answer, got {other:?}"),
+        }
+        assert_eq!(stub.entered.load(Ordering::SeqCst), SUBMITTERS);
+        stub.release();
+        for reader in &mut held {
+            assert!(matches!(reply(reader), Response::Ok { cached: false, .. }));
+        }
+        handle.shutdown();
     }
 }

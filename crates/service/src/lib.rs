@@ -34,9 +34,10 @@
 //!
 //! 1. [`frontend`] — the one wire front end, shared with the
 //!    `crates/shard` coordinator: a single `crates/reactor` I/O thread
-//!    multiplexing every connection over `poll(2)`, a submitter pool
-//!    for (possibly compiling) admissions and `metrics` gathers, and
-//!    the handle. It serves any [`JobBackend`];
+//!    multiplexing every connection over `poll(2)` and answering a run
+//!    whose result is already in memory itself (lock-only lookups), a
+//!    submitter pool for every other (possibly compiling) admission and
+//!    `metrics` gathers, and the handle. It serves any [`JobBackend`];
 //! 2. [`scheduler`] — the local backend: bounded job admission with
 //!    explicit backpressure (`busy` + retry hint when full),
 //!    **shot-slicing** of large jobs into ranged chunks, **two-level
@@ -55,9 +56,10 @@
 //!    of every seed replays it), and the front end over them.
 //!
 //! ```text
-//!   clients ──▶ frontend: reactor ─▶ submitters ──▶ JobBackend
-//!                                                   ├─ Scheduler  (server: local slices)
-//!                                                   └─ Coordinator (shard: scatter-gather)
+//!   clients ──▶ frontend: reactor ─▶ submitters ──▶ JobBackend::submit
+//!                          │                        ├─ Scheduler  (server: local slices)
+//!                          │                        └─ Coordinator (shard: scatter-gather)
+//!                          └─ JobBackend::lookup: a known result, answered inline
 //! ```
 //!
 //! ## Binaries

@@ -53,14 +53,14 @@
 //! and the server's worker pool drains [`Scheduler::next_slice`] /
 //! [`Scheduler::complete_slice`].
 
-use crate::admission::AdmissionCache;
+use crate::admission::{Admission, AdmissionCache};
 use crate::cache::{CacheKey, DiskCacheConfig, ResultCache};
-use crate::frontend::{busy, ok_response, JobBackend, ServiceCounters, Waiter};
+use crate::frontend::{busy, ok_response, JobBackend, Lookup, ServiceCounters, Waiter};
 use crate::protocol::{ClientRow, Response, RunRequest, ServiceStats};
 use engine::{merge_counts, Counts, PreparedJob};
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Most qubits a served circuit may declare. The exponential backends
@@ -316,7 +316,7 @@ impl Inner {
 }
 
 /// Nanoseconds since `start`, saturated to `u64` (584 years).
-fn elapsed_ns(start: Instant) -> u64 {
+pub(crate) fn elapsed_ns(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
@@ -383,7 +383,7 @@ impl Scheduler {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+    fn lock(&self) -> MutexGuard<'_, Inner> {
         self.shared.state.lock().expect("scheduler poisoned")
     }
 
@@ -394,19 +394,22 @@ impl Scheduler {
     pub fn submit(&self, id: Option<String>, run: &RunRequest) -> Submission {
         let (tx, rx) = mpsc::channel();
         let mut responder = Some(Responder::Channel(tx));
-        match self.submit_core(id, run, &mut responder) {
+        let admission = self.shared.admission.probe(run);
+        match self.submit_core(id, run, admission, &mut responder) {
             Some(response) => Submission::Immediate(response),
             None => Submission::Pending(rx),
         }
     }
 
-    /// The shared admission path. `Some` is an immediate response
+    /// The shared admission path, completing `admission` (the request's
+    /// probe of the admission cache). `Some` is an immediate response
     /// (`responder` untouched); `None` means the job was queued or
     /// joined and `responder` was consumed.
     fn submit_core(
         &self,
         id: Option<String>,
         run: &RunRequest,
+        admission: Admission,
         responder: &mut Option<Responder>,
     ) -> Option<Response> {
         // The fair-share identity. `None` and `""` are the same
@@ -416,11 +419,10 @@ impl Scheduler {
         // QASM parse, serving limits, shot-range arithmetic, canonical
         // fingerprint) is shared with the shard coordinator in
         // [`crate::admission`]; its cache parses a text once, so a
-        // repeat is one hashed lookup.
+        // repeat is one hashed lookup, made by the probe.
         let obs = &self.shared.obs;
-        let parse_started = Instant::now();
-        let admitted = self.shared.admission.admit(run);
-        let parse_ns = elapsed_ns(parse_started);
+        let received_at = admission.started;
+        let (admitted, parse_ns) = self.shared.admission.finish(admission, run);
         obs.parse.record(parse_ns);
         obs.counters.received.inc();
         let admitted = match admitted {
@@ -434,8 +436,8 @@ impl Scheduler {
 
         // First pass under the lock: cache, coalescing, admission.
         {
-            let mut inner = self.lock();
-            match self.settle(&mut inner, &key, id.clone(), &client, responder, false) {
+            let (_inner, settled) = self.settle(&key, id.clone(), &client, responder, false);
+            match settled {
                 Settle::Reply(response) => return Some(response),
                 Settle::Joined => return None,
                 Settle::Admit => {}
@@ -466,8 +468,8 @@ impl Scheduler {
                 });
             }
         };
-        let mut inner = self.lock();
-        match self.settle(&mut inner, &key, id.clone(), &client, responder, true) {
+        let (mut inner, settled) = self.settle(&key, id.clone(), &client, responder, true);
+        match settled {
             Settle::Reply(response) => return Some(response),
             Settle::Joined => return None,
             Settle::Admit => {}
@@ -493,7 +495,7 @@ impl Scheduler {
                     id,
                     coalesced: false,
                 }],
-                received_at: parse_started,
+                received_at,
                 parse_ns,
                 compile_ns,
                 merge_ns: 0,
@@ -518,7 +520,40 @@ impl Scheduler {
     /// before and after the compile. Only the final pass
     /// (`charge = true`) deducts from the client's rate-limit token
     /// bucket, so a job is charged exactly once, when it is admitted.
+    ///
+    /// A result held only on disk is read with the lock dropped, then
+    /// promoted to memory under it again; the rest of the checks run
+    /// after that, on the state as it is then. Returns the lock, held.
     fn settle(
+        &self,
+        key: &CacheKey,
+        id: Option<String>,
+        client: &str,
+        responder: &mut Option<Responder>,
+        charge: bool,
+    ) -> (MutexGuard<'_, Inner>, Settle) {
+        let obs = &self.shared.obs;
+        let lookup_started = Instant::now();
+        let (mut inner, hit) = ResultCache::get_guarded(
+            &self.shared.state,
+            |inner: &mut Inner| &mut inner.cache,
+            key,
+        );
+        obs.cache_lookup.record(elapsed_ns(lookup_started));
+        if let Some(tallies) = hit {
+            obs.counters.cache_hits.inc();
+            return (
+                inner,
+                Settle::Reply(ok_response(id, key, tallies, true, false)),
+            );
+        }
+        let settled = self.settle_uncached(&mut inner, key, id, client, responder, charge);
+        (inner, settled)
+    }
+
+    /// [`Scheduler::settle`] past the cache: an identical in-flight
+    /// job, shutdown, and the admission gates.
+    fn settle_uncached(
         &self,
         inner: &mut Inner,
         key: &CacheKey,
@@ -528,13 +563,6 @@ impl Scheduler {
         charge: bool,
     ) -> Settle {
         let obs = &self.shared.obs;
-        let lookup_started = Instant::now();
-        let hit = inner.cache.get(key);
-        obs.cache_lookup.record(elapsed_ns(lookup_started));
-        if let Some(tallies) = hit {
-            obs.counters.cache_hits.inc();
-            return Settle::Reply(ok_response(id, key, tallies, true, false));
-        }
         if let Some(job) = inner.jobs.get_mut(key) {
             obs.counters.coalesced.inc();
             job.waiters.push(Waiter {
@@ -780,11 +808,42 @@ impl JobBackend for Scheduler {
         "server"
     }
 
+    /// The admission cache's probe, then the result cache's memory
+    /// tier under the scheduler lock; counted as `submit_core`'s hit
+    /// path counts.
+    fn lookup(&self, run: &RunRequest) -> Lookup {
+        let admission = self.shared.admission.probe(run);
+        let Some(Ok(ticket)) = &admission.ticket else {
+            return Lookup::Submit(admission);
+        };
+        let lookup_started = Instant::now();
+        let hit = self.lock().cache.get_memory(&ticket.key);
+        let lookup_ns = elapsed_ns(lookup_started);
+        let Some(tallies) = hit else {
+            return Lookup::Submit(admission);
+        };
+        let obs = &self.shared.obs;
+        obs.parse.record(admission.parse_ns);
+        obs.counters.received.inc();
+        obs.cache_lookup.record(lookup_ns);
+        obs.counters.cache_hits.inc();
+        Lookup::Hit {
+            key: ticket.key.clone(),
+            tallies,
+        }
+    }
+
     /// Never waits on execution, only on the scheduler lock, which is
     /// held for queue surgery, never for simulation.
-    fn submit(self: &Arc<Self>, id: Option<String>, run: &RunRequest, responder: Responder) {
+    fn submit(
+        self: &Arc<Self>,
+        id: Option<String>,
+        run: &RunRequest,
+        admission: Admission,
+        responder: Responder,
+    ) {
         let mut slot = Some(responder);
-        if let Some(response) = self.submit_core(id, run, &mut slot) {
+        if let Some(response) = self.submit_core(id, run, admission, &mut slot) {
             let responder = slot.take().expect("immediate settle leaves the responder");
             responder.respond(response);
         }
@@ -980,7 +1039,9 @@ mod tests {
             let took = rx.recv_timeout(std::time::Duration::from_secs(1));
             answered_tx.send((took.is_ok(), reader)).unwrap();
         }));
-        JobBackend::submit(&sched, None, &run_request(100, 1), responder);
+        let run = run_request(100, 1);
+        let admission = sched.shared.admission.probe(&run);
+        JobBackend::submit(&sched, None, &run, admission, responder);
         drain(&sched, &Engine::sequential());
         let (in_time, reader) = answered.recv().unwrap();
         reader.join().unwrap();
@@ -1362,6 +1423,56 @@ mod tests {
         sched.complete_slice(&task.key, counts);
         // The scheduler is still usable (lock not poisoned).
         assert_eq!(sched.stats().completed, 0);
+    }
+
+    #[test]
+    fn a_disk_warm_hit_is_promoted_and_then_answered_from_memory() {
+        let dir = std::env::temp_dir().join(format!("compas-promote-{}", std::process::id()));
+        let config = || SchedulerConfig {
+            disk: Some(DiskCacheConfig::new(&dir)),
+            ..SchedulerConfig::default()
+        };
+        let run = run_request(300, 5);
+        {
+            let first = Scheduler::new(config());
+            let rx = pending(first.submit(None, &run));
+            drain(&first, &Engine::sequential());
+            rx.recv().unwrap();
+        }
+        // A fresh process on the same spill: the text is held once a
+        // zero-shot run of it parsed it, yet the reactor's memory-only
+        // lookup cannot answer from disk.
+        let sched = Scheduler::new(config());
+        sched.submit(None, &run_request(0, 5));
+        assert!(matches!(
+            JobBackend::lookup(&sched, &run),
+            Lookup::Submit(Admission {
+                ticket: Some(Ok(_)),
+                ..
+            })
+        ));
+        let Submission::Immediate(Response::Ok {
+            cached: true,
+            tallies,
+            ..
+        }) = sched.submit(None, &run)
+        else {
+            panic!("expected a disk-warm hit");
+        };
+        let mut c = Circuit::new(2, 2);
+        c.h(0).cx(0, 1).measure(0, 0).measure(1, 1);
+        let direct = Backend::Auto
+            .sample_shots(&c, 300, &engine::Executor::sequential(5))
+            .unwrap();
+        assert_eq!(tallies, direct);
+        assert_eq!(sched.stats().cache_entries, 1, "promoted to memory");
+        // The next identical request is answered from memory.
+        match JobBackend::lookup(&sched, &run) {
+            Lookup::Hit { tallies, .. } => assert_eq!(tallies, direct),
+            Lookup::Submit(_) => panic!("the promoted result was not in memory"),
+        }
+        assert_eq!(sched.stats().cache_hits, 2);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

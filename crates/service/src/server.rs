@@ -67,7 +67,7 @@ pub struct ServiceConfig {
     /// Optional observability registry. When set, every layer records
     /// into it — the reactor's connection gauges and write timings,
     /// the scheduler's per-stage histograms and cache counters, the
-    /// worker pool's `stage.execute` timings, the submitters'
+    /// worker pool's `stage.execute` timings, the front end's
     /// `stage.encode` timings — and the wire `metrics` op answers with
     /// its snapshot. Without one, counters and timers are kept but not
     /// exported. Served bytes are unchanged (differential-tested).

@@ -13,6 +13,8 @@
 //! * The engine's prefix counters split a served statevector job's
 //!   shots into those that started from its noiseless prefix and those
 //!   that fell back; one-shot and stabilizer jobs add to neither.
+//! * A repeat answered on the reactor parses nothing, and every request
+//!   — answered there or by the scheduler — is counted exactly once.
 
 use circuit::circuit::Circuit;
 use circuit::noise::NoiseModel;
@@ -518,4 +520,86 @@ fn scheduler_registry_records_stages_and_counters() {
     let trace = snapshot.slow.last().expect("slow trace retained");
     assert!(trace.stages.iter().any(|(s, _)| s == "parse"));
     assert!(trace.total_ns > 0);
+}
+
+/// A run of `shots` Bell shots under seed 4 — the session's one circuit.
+fn bell_run(shots: u64) -> Request {
+    Request::run(None, RunRequest::new(bell_qasm(), shots, 4, "auto"))
+}
+
+fn wire(addr: SocketAddr, request: &Request) -> Response {
+    Response::from_line(&request_line(addr, request)).expect("parse")
+}
+
+#[test]
+fn repeats_of_a_known_answer_parse_nothing() {
+    let handle = Service::spawn(ServiceConfig {
+        metrics: Some(obs::Registry::default()),
+        ..ServiceConfig::default()
+    })
+    .expect("spawn");
+    let miss = wire(handle.addr(), &bell_run(200));
+    assert!(matches!(miss, Response::Ok { cached: false, .. }));
+    for _ in 0..20 {
+        assert!(matches!(
+            wire(handle.addr(), &bell_run(200)),
+            Response::Ok { cached: true, .. }
+        ));
+    }
+    let snapshot = handle.metrics_snapshot();
+    assert_eq!(snapshot.counter("admission.parses"), Some(1));
+    assert_eq!(snapshot.counter("cache.hits"), Some(20));
+    handle.shutdown();
+}
+
+#[test]
+fn every_request_of_a_wire_session_is_counted_once() {
+    let registry = obs::Registry::default();
+    let handle = Service::spawn(ServiceConfig {
+        metrics: Some(registry.clone()),
+        ..ServiceConfig::default()
+    })
+    .expect("spawn");
+    let repeats = 5;
+    let mut mismatched = RunRequest::new(bell_qasm(), 100, 4, "auto");
+    mismatched.shot_range = Some((0, 50));
+    let mut session = vec![bell_run(200)];
+    session.extend((0..repeats).map(|_| bell_run(200)));
+    session.extend([
+        Request::run(None, RunRequest::new("not qasm", 10, 1, "auto")),
+        bell_run(0),
+        Request::run(None, mismatched),
+    ]);
+    let replies: Vec<Response> = session.iter().map(|r| wire(handle.addr(), r)).collect();
+    let cached = replies
+        .iter()
+        .filter(|r| matches!(r, Response::Ok { cached: true, .. }))
+        .count();
+    let errors = replies
+        .iter()
+        .filter(|r| matches!(r, Response::Error { .. }))
+        .count();
+    assert_eq!((cached, errors), (repeats, 2), "{replies:?}");
+
+    // Every reply has arrived, so every count is final.
+    let stats = handle.stats();
+    assert_eq!(stats.received, session.len() as u64);
+    assert_eq!(
+        stats.received,
+        stats.completed
+            + stats.cache_hits
+            + stats.coalesced
+            + stats.rejected_busy
+            + stats.rejected_quota
+            + stats.rejected_rate
+            + stats.errors,
+        "{stats:?}"
+    );
+    let encoded = registry.snapshot().histo("stage.encode").map(|h| h.count);
+    assert_eq!(
+        encoded,
+        Some(session.len() as u64),
+        "one encode per run reply"
+    );
+    handle.shutdown();
 }

@@ -54,8 +54,9 @@
 use crate::worker::{Outcomes, PoolConfig, WorkerPool};
 use engine::{merge_counts, partition_shots, Counts};
 use reactor::ReactorConfig;
+use service::admission::Admission;
 use service::cache::{CacheKey, DiskCacheConfig, ResultCache};
-use service::frontend::{busy, ok_response, ServiceCounters, Waiter};
+use service::frontend::{busy, ok_response, Lookup, ServiceCounters, Waiter};
 use service::{
     AdmissionCache, Frontend, FrontendHandle, JobBackend, Request, Responder, Response, RunRequest,
     ServiceStats, WorkerRow, MAX_LINE_BYTES,
@@ -64,8 +65,8 @@ use std::collections::HashMap;
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 /// Everything [`Coordinator::spawn`] needs to know.
 #[derive(Debug, Clone)]
@@ -231,18 +232,20 @@ impl Coordinator {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+    fn lock(&self) -> MutexGuard<'_, Inner> {
         self.inner.lock().expect("coordinator poisoned")
     }
 
-    /// The admission path: cache hit, coalesce, reject, or scatter.
-    /// `Some` is an immediate response (`responder` untouched); `None`
-    /// means the request was queued or joined and `responder` was
-    /// consumed.
+    /// The admission path, completing `admission` (the request's probe
+    /// of the admission cache): cache hit, coalesce, reject, or
+    /// scatter. `Some` is an immediate response (`responder`
+    /// untouched); `None` means the request was queued or joined and
+    /// `responder` was consumed.
     fn submit_core(
         self: &Arc<Self>,
         id: Option<String>,
         run: &RunRequest,
+        admission: Admission,
         responder: &mut Option<Responder>,
     ) -> Option<Response> {
         // Validation is shared with the single-machine scheduler
@@ -252,16 +255,20 @@ impl Coordinator {
         // so the re-dispatch loop can treat it as such. A repeated text
         // is one lookup, not a parse; the probe runs per request, as its
         // verdict depends on the requested backend (a width check on the
-        // statevector, one pass over the instructions otherwise).
-        let parse_started = std::time::Instant::now();
-        let admitted = self.admission.admit(run).and_then(|ticket| {
+        // statevector, one pass over the instructions otherwise: ≈ 0.6 µs
+        // on the served GHZ-12 on a 2-core x86-64 host, too little to
+        // keep per entry).
+        let (admitted, parse_ns) = self.admission.finish(admission, run);
+        let probe_started = Instant::now();
+        let admitted = admitted.and_then(|ticket| {
             ticket
                 .resolved
                 .supports(&ticket.parsed.circuit)
                 .map_err(|e| e.to_string())
                 .map(|()| ticket)
         });
-        self.parse.record_duration(parse_started.elapsed());
+        self.parse
+            .record_duration(Duration::from_nanos(parse_ns) + probe_started.elapsed());
         let counters = &self.counters;
         counters.received.inc();
         let admitted = match admitted {
@@ -282,8 +289,9 @@ impl Coordinator {
         let parsed = admitted.parsed;
         let key = admitted.key;
 
-        let mut inner = self.lock();
-        if let Some(tallies) = inner.cache.get(&key) {
+        let (mut inner, hit) =
+            ResultCache::get_guarded(&self.inner, |inner: &mut Inner| &mut inner.cache, &key);
+        if let Some(tallies) = hit {
             counters.cache_hits.inc();
             return Some(ok_response(id, &key, tallies, true, false));
         }
@@ -398,9 +406,36 @@ impl JobBackend for Coordinator {
         "coordinator"
     }
 
-    fn submit(self: &Arc<Self>, id: Option<String>, run: &RunRequest, responder: Responder) {
+    /// The admission cache's probe, then the result cache's memory tier
+    /// under the coordinator lock; counted as `submit_core`'s hit path
+    /// counts. A result is cached only for a job that passed the
+    /// capability probe, so a hit skips it.
+    fn lookup(&self, run: &RunRequest) -> Lookup {
+        let admission = self.admission.probe(run);
+        let Some(Ok(ticket)) = &admission.ticket else {
+            return Lookup::Submit(admission);
+        };
+        let Some(tallies) = self.lock().cache.get_memory(&ticket.key) else {
+            return Lookup::Submit(admission);
+        };
+        self.parse.record(admission.parse_ns);
+        self.counters.received.inc();
+        self.counters.cache_hits.inc();
+        Lookup::Hit {
+            key: ticket.key.clone(),
+            tallies,
+        }
+    }
+
+    fn submit(
+        self: &Arc<Self>,
+        id: Option<String>,
+        run: &RunRequest,
+        admission: Admission,
+        responder: Responder,
+    ) {
         let mut slot = Some(responder);
-        if let Some(response) = self.submit_core(id, run, &mut slot) {
+        if let Some(response) = self.submit_core(id, run, admission, &mut slot) {
             let responder = slot.take().expect("immediate settle leaves the responder");
             responder.respond(response);
         }

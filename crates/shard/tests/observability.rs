@@ -3,7 +3,9 @@
 //! every live worker, so one round trip yields per-stage histograms
 //! covering the whole topology — including stages (like
 //! `stage.execute`) that only ever run on workers. The coordinator's
-//! `stats` counters are its `shard.`-prefixed registry counters.
+//! `stats` counters are its `shard.`-prefixed registry counters, and a
+//! repeat it answers on its reactor parses nothing and is counted
+//! once.
 
 use circuit::circuit::Circuit;
 use circuit::qasm::to_qasm3;
@@ -300,6 +302,101 @@ fn a_repeated_circuit_parses_once_per_process_and_prepares_once_per_worker() {
         hits += snapshot.counter("prepared.hits").unwrap_or(0);
     }
     assert_eq!(hits, 2 * 20 - 2);
+    coord.shutdown();
+    for worker in workers {
+        worker.shutdown();
+    }
+}
+
+/// A run of `shots` Bell shots under seed 4 — the session's one circuit.
+fn bell_run(shots: u64) -> Request {
+    Request::run(None, RunRequest::new(bell_qasm(), shots, 4, "auto"))
+}
+
+#[test]
+fn repeats_of_a_known_answer_parse_nothing_on_the_coordinator() {
+    let (workers, addrs) = spawn_instrumented_workers(2);
+    let registry = obs::Registry::default();
+    let coord = Coordinator::spawn(CoordinatorConfig {
+        workers: addrs,
+        metrics: Some(registry.clone()),
+        ..CoordinatorConfig::default()
+    })
+    .expect("spawn coordinator");
+    assert!(matches!(
+        request_once(coord.addr(), &bell_run(200)),
+        Response::Ok { cached: false, .. }
+    ));
+    for _ in 0..20 {
+        assert!(matches!(
+            request_once(coord.addr(), &bell_run(200)),
+            Response::Ok { cached: true, .. }
+        ));
+    }
+    let snapshot = registry.snapshot();
+    assert_eq!(snapshot.counter("shard.admission.parses"), Some(1));
+    assert_eq!(snapshot.counter("shard.cache.hits"), Some(20));
+    coord.shutdown();
+    for worker in workers {
+        worker.shutdown();
+    }
+}
+
+#[test]
+fn every_request_of_a_coordinator_wire_session_is_counted_once() {
+    let (workers, addrs) = spawn_instrumented_workers(2);
+    let registry = obs::Registry::default();
+    let coord = Coordinator::spawn(CoordinatorConfig {
+        workers: addrs,
+        metrics: Some(registry.clone()),
+        ..CoordinatorConfig::default()
+    })
+    .expect("spawn coordinator");
+    let repeats = 5;
+    let mut mismatched = RunRequest::new(bell_qasm(), 100, 4, "auto");
+    mismatched.shot_range = Some((0, 50));
+    let mut session = vec![bell_run(200)];
+    session.extend((0..repeats).map(|_| bell_run(200)));
+    session.extend([
+        Request::run(None, RunRequest::new("not qasm", 10, 1, "auto")),
+        bell_run(0),
+        Request::run(None, mismatched),
+    ]);
+    let replies: Vec<Response> = session
+        .iter()
+        .map(|r| request_once(coord.addr(), r))
+        .collect();
+    let cached = replies
+        .iter()
+        .filter(|r| matches!(r, Response::Ok { cached: true, .. }))
+        .count();
+    let errors = replies
+        .iter()
+        .filter(|r| matches!(r, Response::Error { .. }))
+        .count();
+    assert_eq!((cached, errors), (repeats, 2), "{replies:?}");
+
+    // Every reply has arrived, so every count is final. The registry is
+    // the coordinator's own: its workers encode their replies too.
+    let stats = coord.stats();
+    assert_eq!(stats.received, session.len() as u64);
+    assert_eq!(
+        stats.received,
+        stats.completed
+            + stats.cache_hits
+            + stats.coalesced
+            + stats.rejected_busy
+            + stats.rejected_quota
+            + stats.rejected_rate
+            + stats.errors,
+        "{stats:?}"
+    );
+    let encoded = registry.snapshot().histo("stage.encode").map(|h| h.count);
+    assert_eq!(
+        encoded,
+        Some(session.len() as u64),
+        "one encode per run reply"
+    );
     coord.shutdown();
     for worker in workers {
         worker.shutdown();
