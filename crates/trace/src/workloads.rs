@@ -21,6 +21,7 @@
 //! | `ghz12_sv` | `serve-sharded`'s noisy GHZ-12, every qubit measured | statevector |
 //! | `ghz12_sv_noisy` | the same GHZ-12 at `p = 0.05`: 43 % of shots fire a site before measuring | statevector |
 //! | `zz14_sv` | `lib-wide-sv`'s two-layer ZZ shape at 14 qubits: random branches that outgrow the prefix tree's budget | statevector |
+//! | `zz18_sv` | the same shape at 18 qubits: more amplitudes than a cache block, so its low 4×4 kernels run in L2-blocked groups | statevector |
 //! | `compas_teledata_sv` | `lib-compas`'s k=3 teledata protocol, real channel | statevector |
 
 use circuit::circuit::{Circuit, Instruction};
@@ -279,7 +280,18 @@ fn ghz12_measured(p: f64) -> Circuit {
 /// tree runs out of budget, so its shots leave the tree part-way and
 /// replay the rest.
 fn zz14_sv() -> Circuit {
-    let n = 14;
+    zz_measured(14)
+}
+
+/// The same shape at 18 qubits: 2¹⁸ amplitudes, more than the replay
+/// driver's cache block, so its low kernels run in L2-blocked groups.
+fn zz18_sv() -> Circuit {
+    zz_measured(18)
+}
+
+/// `lib-wide-sv`'s two-layer ZZ shape on `n` qubits, every qubit
+/// measured.
+fn zz_measured(n: usize) -> Circuit {
     let mut c = Circuit::new(n, n);
     for layer in 0..2 {
         for q in 0..n {
@@ -414,6 +426,14 @@ pub const WORKLOADS: &[Workload] = &[
         shots: 256,
         root_seed: 0xC0_45,
         build: zz14_sv,
+    },
+    Workload {
+        name: "zz18_sv",
+        description: "two-layer ZZ circuit on 18 qubits, all measured (statevector)",
+        backend: Backend::StateVector,
+        shots: 256,
+        root_seed: 0xC0_45,
+        build: zz18_sv,
     },
     Workload {
         name: "compas_teledata_sv",
