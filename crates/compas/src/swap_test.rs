@@ -1124,6 +1124,21 @@ mod tests {
         assert_eq!(count_s(&c2), 1);
     }
 
+    /// `lib-compas`'s circuit compiles 21 fused 4×4 kernels, and 8 of
+    /// them are block-diagonal along their higher bit: those run at
+    /// half the multiplies.
+    #[test]
+    fn teledata_block_diagonal_kernels_are_classified() {
+        let protocol = CompasProtocol::with_bell_error(3, 1, CswapScheme::Teledata, 0.01);
+        let program = qsim::compile::compile(protocol.circuit());
+        let quads = program
+            .ops()
+            .iter()
+            .filter(|op| matches!(op, qsim::compile::CompiledOp::Unitary2 { .. }));
+        let blocked = quads.clone().filter(|op| op.is_block_diagonal());
+        assert_eq!((quads.count(), blocked.count()), (21, 8));
+    }
+
     /// The stored sub-cube on the paper's own workload. Replayed op by
     /// op from a product of random input states — interpreted, and
     /// compiled one instruction per program — the k = 3 (12-qubit) and

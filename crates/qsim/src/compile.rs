@@ -22,7 +22,13 @@
 //! * adjacent kernels whose combined qubit support fits in **two**
 //!   qubits are fused into one 4×4 pass ([`CompiledOp::Unitary2`]), so
 //!   a `Cx·Rz·Cx` ZZ block or a `U1·Cx` entangler costs one sweep over
-//!   the amplitude buffer instead of three;
+//!   the amplitude buffer instead of three. A 4×4 whose eight entries
+//!   off its two diagonal 2×2 blocks (row and column differing in the
+//!   `mask_hi` bit) are exact zeros — a ZZ block, alone or fused with
+//!   gates on its lower qubit, 36 of the 38 kernels of a 20-qubit ZZ
+//!   shot — runs as two 2×2 updates per quad: eight complex multiplies
+//!   instead of sixteen, with the dense product's bits (the skipped
+//!   terms are signed zeros; see `Blocks`);
 //! * measurement, reset, classical feedback, and noise sites remain
 //!   **interpretation points** ([`CompiledOp::Interp`]) executed through
 //!   [`SimState::step`](crate::sim::SimState::step), so the shot's RNG
@@ -889,6 +895,15 @@ impl CompiledOp {
             .share(worker, workers, len, Pins::NONE)
     }
 
+    /// Whether this is a [`CompiledOp::Unitary2`] whose matrix is
+    /// block-diagonal along `mask_hi` — its eight off-block entries
+    /// exactly zero — so that each quad runs as two 2×2 updates on its
+    /// `mask_lo` pairs, at half the dense kernel's multiplies and with
+    /// the dense kernel's bits.
+    pub fn is_block_diagonal(&self) -> bool {
+        matches!(self, CompiledOp::Unitary2 { matrix, .. } if Blocks::of(matrix).is_some())
+    }
+
     /// Bytes a full-register pass of this kernel moves over a
     /// `len`-amplitude buffer (an upper bound for a replay on a state
     /// with pinned bits), counting each 16-byte amplitude it reads and
@@ -1014,9 +1029,11 @@ impl Placed<'_> {
     /// instantiation runs — results do not depend on the host.
     ///
     /// There is no `avx512f` instantiation: measured, it was worth
-    /// under 3 % of a 20-qubit shot over AVX2 (the 4×4 kernel is at the
-    /// FMA-less peak of one 512-bit or two 256-bit pipes either way,
-    /// the full-register passes at the L3 rate).
+    /// under 3 % of a 20-qubit shot over AVX2 (the dense 4×4 kernel is
+    /// at the FMA-less peak of one 512-bit or two 256-bit pipes either
+    /// way, the full-register passes at the L3 rate). That peak is of
+    /// the arithmetic a kernel does: a block-diagonal 4×4 does half of
+    /// it, its off-block products being exact zeros (see `Blocks`).
     #[inline(always)]
     pub(crate) fn apply_baseline(
         self,
@@ -1034,11 +1051,16 @@ impl Placed<'_> {
             Placed::Unitary1 { stride, matrix } => {
                 unitary1(amps, stride, &{ *matrix }, range, pins)
             }
+            // A block-diagonal matrix runs at half the multiplies (see
+            // [`Blocks`]).
             Placed::Unitary2 {
                 mask_hi,
                 mask_lo,
                 matrix,
-            } => unitary2(amps, mask_hi, mask_lo, &{ *matrix }, range, pins),
+            } => match Blocks::of(matrix) {
+                Some(blocks) => unitary2(amps, mask_hi, mask_lo, &blocks, range, pins),
+                None => unitary2(amps, mask_hi, mask_lo, &{ *matrix }, range, pins),
+            },
             Placed::Phase { kernel, layout } => phase(amps, kernel, layout, range, pins),
             Placed::PermuteSwap { ones, select, flip } => {
                 permute_swap(amps, ones, select, flip, range, pins);
@@ -1064,6 +1086,68 @@ impl Placed<'_> {
 #[inline(always)]
 fn row4(m: &Mat4, row: usize, a: &[Complex; 4]) -> Complex {
     m[row * 4] * a[0] + m[row * 4 + 1] * a[1] + m[row * 4 + 2] * a[2] + m[row * 4 + 3] * a[3]
+}
+
+/// What one quad of a [`unitary2`] pass computes from its amplitudes
+/// `(i, i|mask_lo, i|mask_hi, i|mask_hi|mask_lo)`.
+trait Quad {
+    fn map(&self, a: [Complex; 4]) -> [Complex; 4];
+}
+
+/// The dense product: sixteen complex multiplies per quad.
+impl Quad for Mat4 {
+    #[inline(always)]
+    fn map(&self, a: [Complex; 4]) -> [Complex; 4] {
+        [
+            row4(self, 0, &a),
+            row4(self, 1, &a),
+            row4(self, 2, &a),
+            row4(self, 3, &a),
+        ]
+    }
+}
+
+/// The entries of a [`Mat4`] whose row and column differ in sub-index
+/// bit 1 (`mask_hi`): the two off-diagonal 2×2 blocks.
+const OFF_BLOCK: [usize; 8] = [2, 3, 6, 7, 8, 9, 12, 13];
+
+/// The two diagonal 2×2 blocks of a block-diagonal [`Mat4`], row-major
+/// (`mask_hi` clear, then set): a quad is two pair updates on its
+/// `mask_lo` pairs, eight complex multiplies instead of sixteen.
+///
+/// Same bits as the dense [`row4`] product, by construction: every
+/// skipped term is a product with an exact-zero entry of a finite
+/// amplitude, a signed zero, and `x + (±0) == x` bit for bit for every
+/// nonzero `x`; the kept terms keep the dense row's left-to-right
+/// order. So every output is `row4`'s, except possibly the sign of an
+/// exact zero — which no later sum, product or comparison can tell
+/// apart (see the [`crate::statevector`] module docs).
+#[derive(Clone, Copy)]
+struct Blocks([Complex; 8]);
+
+impl Blocks {
+    /// `m`'s diagonal blocks, if all eight off-block entries are exactly
+    /// zero — no tolerance: a tiny entry is a term of the dense sum.
+    #[inline]
+    fn of(m: &Mat4) -> Option<Blocks> {
+        OFF_BLOCK
+            .iter()
+            .all(|&i| m[i] == Complex::ZERO)
+            .then(|| Blocks([m[0], m[1], m[4], m[5], m[10], m[11], m[14], m[15]]))
+    }
+}
+
+impl Quad for Blocks {
+    #[inline(always)]
+    fn map(&self, a: [Complex; 4]) -> [Complex; 4] {
+        let b = &self.0;
+        [
+            b[0] * a[0] + b[1] * a[1],
+            b[2] * a[0] + b[3] * a[1],
+            b[4] * a[2] + b[5] * a[3],
+            b[6] * a[2] + b[7] * a[3],
+        ]
+    }
 }
 
 /// Pair update: each run of representatives (stride bit clear) is the
@@ -1098,7 +1182,7 @@ fn unitary2(
     amps: &mut [Complex],
     mask_hi: usize,
     mask_lo: usize,
-    m: &Mat4,
+    m: &impl Quad,
     range: std::ops::Range<usize>,
     pins: Pins,
 ) {
@@ -1121,11 +1205,7 @@ fn unitary2(
                         let (s0, s1) = low.split_at_mut(mask_lo);
                         let (s2, s3) = high.split_at_mut(mask_lo);
                         for k in 0..mask_lo {
-                            let a = [s0[k], s1[k], s2[k], s3[k]];
-                            s0[k] = row4(m, 0, &a);
-                            s1[k] = row4(m, 1, &a);
-                            s2[k] = row4(m, 2, &a);
-                            s3[k] = row4(m, 3, &a);
+                            [s0[k], s1[k], s2[k], s3[k]] = m.map([s0[k], s1[k], s2[k], s3[k]]);
                         }
                     }
                 }
@@ -1148,7 +1228,7 @@ fn quad_streams(
     amps: &mut [Complex],
     mask_hi: usize,
     mask_lo: usize,
-    m: &Mat4,
+    m: &impl Quad,
     range: std::ops::Range<usize>,
     pins: Pins,
 ) {
@@ -1163,11 +1243,7 @@ fn quad_streams(
             .zip(&mut s2[..n])
             .zip(&mut s3[..n]);
         for (((a0, a1), a2), a3) in streams {
-            let a = [*a0, *a1, *a2, *a3];
-            *a0 = row4(m, 0, &a);
-            *a1 = row4(m, 1, &a);
-            *a2 = row4(m, 2, &a);
-            *a3 = row4(m, 3, &a);
+            [*a0, *a1, *a2, *a3] = m.map([*a0, *a1, *a2, *a3]);
         }
     }
 }
@@ -1594,17 +1670,75 @@ mod tests {
         .fold(identity4(), |acc, m| mul4(m, &acc))
     }
 
+    /// A block-diagonal 4×4 on `{hi, lo}`: the `cx·rz·cx` ZZ sandwich
+    /// of `lib-wide-sv`, fused with an `rx` on the low qubit.
+    fn zz4(hi: usize, lo: usize) -> Mat4 {
+        let cx = CompiledOp::PermuteSwap {
+            ones: hi,
+            select: hi | lo,
+            flip: lo,
+        };
+        let rz = CompiledOp::Unitary1 {
+            stride: lo,
+            matrix: mat2_of(&Gate::Rz(0, 0.45)),
+        };
+        let rx = CompiledOp::Unitary1 {
+            stride: lo,
+            matrix: mat2_of(&Gate::Rx(0, 0.35)),
+        };
+        [&rx, &cx, &rz, &cx]
+            .iter()
+            .fold(identity4(), |acc, op| mul4(&mat4_of(op, hi, lo), &acc))
+    }
+
     /// Every kernel kind on `n ≥ 5` qubits: top-bit and scattered
     /// supports, and the small strides (pair stride 1; quad `mask_lo`
     /// 1 and 2, adjacent to `mask_hi` and not; `mask_lo` 4, the shortest
-    /// four-stream runs).
+    /// four-stream runs). Quads come dense and block-diagonal: a ZZ
+    /// sandwich at each of the dense quads' mask pairs, a 4×4 with an
+    /// anti-diagonal block, and an all-diagonal one.
     fn kernel_zoo(n: usize) -> Vec<CompiledOp> {
         let quad = |hi: usize, lo: usize| CompiledOp::Unitary2 {
             mask_hi: hi,
             mask_lo: lo,
             matrix: dense4(hi, lo),
         };
-        vec![
+        let pairs = [
+            (qubit_mask(1, n), qubit_mask(4, n)),
+            (2, 1),
+            (4, 2),
+            (8, 4),
+            (qubit_mask(0, n), 1),
+            (qubit_mask(1, n), 2),
+        ];
+        let zz = pairs.map(|(hi, lo)| CompiledOp::Unitary2 {
+            mask_hi: hi,
+            mask_lo: lo,
+            matrix: zz4(hi, lo),
+        });
+        let (hi, lo) = (qubit_mask(0, n), 4);
+        let on = |stride, gate: &Gate| {
+            let matrix = mat2_of(gate);
+            mat4_of(&CompiledOp::Unitary1 { stride, matrix }, hi, lo)
+        };
+        let cx = CompiledOp::PermuteSwap {
+            ones: hi,
+            select: hi | lo,
+            flip: lo,
+        };
+        // A `cx` then an `rz` on its control: the block with `mask_hi`
+        // set is anti-diagonal.
+        let anti_diagonal = CompiledOp::Unitary2 {
+            mask_hi: hi,
+            mask_lo: lo,
+            matrix: mul4(&on(hi, &Gate::Rz(0, 0.6)), &mat4_of(&cx, hi, lo)),
+        };
+        let diagonal = CompiledOp::Unitary2 {
+            mask_hi: hi,
+            mask_lo: lo,
+            matrix: mul4(&on(hi, &Gate::Rz(0, 0.6)), &on(lo, &Gate::T(0))),
+        };
+        let mut zoo = vec![
             CompiledOp::Unitary1 {
                 stride: qubit_mask(0, n), // MSB: all pairs in the lower half
                 matrix: mat2_of(&Gate::H(0)),
@@ -1651,7 +1785,10 @@ mod tests {
                 select: 2 | 1 | qubit_mask(0, n),
                 flip: 1 | qubit_mask(0, n),
             },
-        ]
+        ];
+        zoo.extend(zz);
+        zoo.extend([anti_diagonal, diagonal]);
+        zoo
     }
 
     /// Random pins on `n` qubits that leave `op`'s mixed bits alone, and
@@ -1817,6 +1954,168 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `a == b` on every amplitude, and every nonzero component the
+    /// same bits: only the sign of an exact zero may differ.
+    fn assert_same_bits(a: &[Complex], b: &[Complex], what: &str) {
+        assert!(a == b, "{what}: amplitudes differ");
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            for (u, v) in [(x.re, y.re), (x.im, y.im)] {
+                if u != 0.0 {
+                    assert_eq!(u.to_bits(), v.to_bits(), "{what}: amplitude {i}");
+                }
+            }
+        }
+    }
+
+    /// The dense body on every `Unitary2`, whatever its entries; every
+    /// other kernel through the seam: the reference for the block body.
+    fn apply_dense(
+        op: &CompiledOp,
+        amps: &mut [Complex],
+        range: std::ops::Range<usize>,
+        pins: Pins,
+    ) {
+        match op {
+            CompiledOp::Unitary2 {
+                mask_hi,
+                mask_lo,
+                matrix,
+            } => unitary2(amps, *mask_hi, *mask_lo, matrix, range, pins),
+            op => op.place(Layout::dense(0)).apply(amps, range, pins),
+        }
+    }
+
+    #[test]
+    fn the_block_body_has_the_dense_rows_bits() {
+        let n = 9;
+        let len = 1usize << n;
+        let mut rng = StdRng::seed_from_u64(24);
+        let init = crate::qrand::random_pure_state(n, &mut rng);
+        let zoo = kernel_zoo(n);
+        let blocked: Vec<&CompiledOp> = zoo.iter().filter(|op| op.is_block_diagonal()).collect();
+        // Six ZZ sandwiches, the anti-diagonal and diagonal 4×4s, and
+        // the zoo's lifted `t`.
+        assert_eq!(blocked.len(), 9);
+        for op in blocked {
+            let CompiledOp::Unitary2 {
+                mask_hi,
+                mask_lo,
+                matrix,
+            } = op
+            else {
+                unreachable!()
+            };
+            let blocks = Blocks::of(matrix).unwrap();
+            for trial in 0..6 {
+                let (pins, start) = if trial == 0 {
+                    (Pins::NONE, init.clone())
+                } else {
+                    pinned_start(op, &init, n, &mut rng)
+                };
+                for range in [0..len, 37..len - 101] {
+                    let what = format!("{op:?}, {pins:?}, {range:?}");
+                    let mut dense = start.clone();
+                    apply_dense(op, &mut dense, range.clone(), pins);
+                    let mut block = start.clone();
+                    unitary2(&mut block, *mask_hi, *mask_lo, &blocks, range.clone(), pins);
+                    assert_same_bits(&block, &dense, &what);
+                    // The seam picks the block body, in the widest
+                    // instantiation the host has.
+                    let mut seam = start.clone();
+                    op.place(Layout::dense(0))
+                        .apply(&mut seam, range.clone(), pins);
+                    assert_same_bits(&seam, &dense, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_groups_of_block_kernels_have_the_dense_rows_bits() {
+        // 17 qubits: more than a cache block, so the low kernels run
+        // block by block in `worker_pass`'s blocked groups.
+        let n = 17;
+        let len = 1usize << n;
+        let program = compile(&zz_layers(n));
+        let low = |op: &&CompiledOp| op.is_block_diagonal() && op.mixed_bits() < 1 << 16;
+        assert!(program.ops().iter().filter(low).count() >= 2 * 14);
+        let mut rng = StdRng::seed_from_u64(25);
+        let dense_start = crate::qrand::random_pure_state(n, &mut rng);
+        let starts = [
+            StateVector::new(n),
+            StateVector::from_amplitudes(dense_start),
+        ];
+        for start in starts {
+            let mut reference = start.amplitudes();
+            for op in program.ops() {
+                apply_dense(op, &mut reference, 0..len, Pins::NONE);
+            }
+            for workers in [1, 2] {
+                let mut sv = start.clone();
+                let mut rng = StdRng::seed_from_u64(0);
+                if workers == 1 {
+                    sv.apply_compiled(&program, &mut [], &mut rng);
+                } else {
+                    sv.apply_compiled_parallel(&program, &mut [], &mut rng, workers);
+                }
+                let what = format!("{} stored, {workers} workers", start.stored_len());
+                assert_same_bits(&sv.amplitudes(), &reference, &what);
+            }
+        }
+    }
+
+    /// `lib-wide-sv`'s two-layer ZZ shape on `n` qubits, unmeasured.
+    fn zz_layers(n: usize) -> Circuit {
+        let mut c = Circuit::new(n, 0);
+        for layer in 0..2 {
+            for q in 0..n {
+                c.rx(q, 0.3 + 0.05 * (q + layer) as f64);
+            }
+            for q in 0..n - 1 {
+                c.cx(q, q + 1);
+                c.rz(q + 1, 0.4 + 0.03 * q as f64);
+                c.cx(q, q + 1);
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn block_diagonal_means_exact_zeros_off_the_blocks() {
+        // The 20-qubit ZZ shot: every fused kernel but the first of
+        // each layer, whose `rx` on qubit 0 mixes along `mask_hi`.
+        let program = compile(&zz_layers(20));
+        let quads: Vec<usize> = (0..program.num_ops())
+            .filter(|&i| matches!(program.ops()[i], CompiledOp::Unitary2 { .. }))
+            .collect();
+        assert_eq!(quads.len(), 38);
+        let dense: Vec<usize> = quads
+            .iter()
+            .copied()
+            .filter(|&i| !program.ops()[i].is_block_diagonal())
+            .collect();
+        assert_eq!(dense, [0, 19]);
+        // No tolerance: one tiny entry whose row and column differ in
+        // the `mask_hi` sub-index bit makes the matrix dense; inside a
+        // block it changes nothing.
+        for k in 0..16 {
+            let mut matrix = zz4(8, 2);
+            matrix[k] = Complex::new(1e-300, 0.0);
+            let op = CompiledOp::Unitary2 {
+                mask_hi: 8,
+                mask_lo: 2,
+                matrix,
+            };
+            let off_block = ((k / 4) ^ (k % 4)) & 2 != 0;
+            assert_eq!(op.is_block_diagonal(), !off_block, "entry {k}");
+        }
+        assert!(!CompiledOp::Unitary1 {
+            stride: 1,
+            matrix: IDENTITY2,
+        }
+        .is_block_diagonal());
     }
 
     #[test]
