@@ -1122,7 +1122,6 @@ const OFF_BLOCK: [usize; 8] = [2, 3, 6, 7, 8, 9, 12, 13];
 /// order. So every output is `row4`'s, except possibly the sign of an
 /// exact zero — which no later sum, product or comparison can tell
 /// apart (see the [`crate::statevector`] module docs).
-#[derive(Clone, Copy)]
 struct Blocks([Complex; 8]);
 
 impl Blocks {
