@@ -100,8 +100,9 @@ impl Admitted {
 }
 
 /// Validates and canonicalizes one run request — the uncached
-/// reference of [`AdmissionCache::admit`], which runs this pipeline
-/// once per circuit text.
+/// reference of an [`AdmissionCache`] admission
+/// ([`AdmissionCache::probe`], then [`AdmissionCache::finish`]), which
+/// runs this pipeline once per circuit text.
 ///
 /// # Errors
 ///
@@ -263,16 +264,9 @@ pub struct Ticket {
     pub key: CacheKey,
 }
 
-impl Ticket {
-    /// Global end of the job's shot range ([`Admitted::shot_end`]).
-    pub fn shot_end(&self) -> u64 {
-        self.key.start + self.key.shots
-    }
-}
-
 /// One request's admission, begun by [`AdmissionCache::probe`] and
 /// completed by [`AdmissionCache::finish`], with its own `stage.parse`
-/// timing.
+/// timing and what its result-cache lookup learned.
 #[derive(Debug)]
 pub struct Admission {
     /// The verdict: a ticket or the error reply's message. `None` until
@@ -283,6 +277,9 @@ pub struct Admission {
     /// Nanoseconds spent admitting so far (the probe, then any parse);
     /// the hand-off between the halves is not counted.
     pub parse_ns: u64,
+    /// The result-cache generation its memory lookup missed at; `None`
+    /// before one ([`crate::cache::ResultCache::get_guarded`]).
+    pub missed_at: Option<u64>,
 }
 
 /// Most bytes an [`AdmissionCache`] charges before it evicts. Sized on
@@ -378,18 +375,6 @@ impl<H: BuildHasher> AdmissionCache<H> {
         self.maps.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Admits one run request as [`admit`] does — same decisions, same
-    /// messages, same key — parsing its text only if the map does not
-    /// hold it yet: [`AdmissionCache::probe`], then
-    /// [`AdmissionCache::finish`].
-    ///
-    /// # Errors
-    ///
-    /// As [`admit`].
-    pub fn admit(&self, run: &RunRequest) -> Result<Ticket, String> {
-        self.finish(self.probe(run), run).0
-    }
-
     /// The first half of an admission, lock-only: the backend name,
     /// then one lookup of the exact raw text. A held text is settled
     /// here (its ticket, or a `shot_range` error); a text the map does
@@ -407,6 +392,7 @@ impl<H: BuildHasher> AdmissionCache<H> {
             ticket,
             started,
             parse_ns: elapsed_ns(started),
+            missed_at: None,
         }
     }
 
@@ -458,7 +444,7 @@ impl<H: BuildHasher> AdmissionCache<H> {
     ///
     /// Propagates the backend's capability probe.
     pub fn prepare(&self, ticket: &Ticket) -> Result<PreparedJob, Unsupported> {
-        let (shot_end, seed) = (ticket.shot_end(), ticket.key.root_seed);
+        let (shot_end, seed) = (ticket.key.range().end, ticket.key.root_seed);
         let kept = ticket.parsed.job(ticket.resolved);
         if let Some(job) = kept.and_then(OnceLock::get) {
             self.hits.inc();
@@ -562,6 +548,14 @@ mod tests {
         to_qasm3(&c)
     }
 
+    /// `run`'s admission through `cache`: its probe, then its finish.
+    fn through<H: BuildHasher>(
+        cache: &AdmissionCache<H>,
+        run: &RunRequest,
+    ) -> Result<Ticket, String> {
+        cache.finish(cache.probe(run), run).0
+    }
+
     #[test]
     fn ranged_and_full_requests_share_keys_only_when_identical_work() {
         let full = admit(&RunRequest::new(bell(), 100, 7, "auto")).unwrap();
@@ -629,7 +623,7 @@ mod tests {
         // Twice over: the second pass is all map hits.
         for run in runs.iter().chain(&runs) {
             let reference = admit(run);
-            let cached = cache.admit(run);
+            let cached = through(&cache, run);
             match (reference, cached) {
                 (Ok(a), Ok(t)) => {
                     assert_eq!(a.key, t.key);
@@ -676,7 +670,7 @@ mod tests {
         for round in 0..2 {
             for text in &texts {
                 let run = RunRequest::new(text.as_str(), 64, 3, "sv");
-                let ticket = cache.admit(&run).unwrap();
+                let ticket = through(&cache, &run).unwrap();
                 let reference = admit(&run).unwrap();
                 assert_eq!(ticket.key, reference.key, "round {round}");
                 assert_eq!(ticket.parsed.canonical, reference.canonical);
@@ -700,18 +694,14 @@ mod tests {
             c.rx(0, 0.01 * i as f64).cx(0, 1).cx(1, 2).measure(2, 2);
             to_qasm3(&c)
         };
-        let ticket = probe
-            .admit(&RunRequest::new(circuit(0), 8, 1, "sv"))
-            .unwrap();
+        let ticket = through(&probe, &RunRequest::new(circuit(0), 8, 1, "sv")).unwrap();
         probe.prepare(&ticket).unwrap();
         let per_circuit = probe.bytes.get() as usize;
         // Room for three circuits with their prepared jobs.
         let cache =
             AdmissionCache::with_hasher(None, "", 3 * per_circuit + 100, RandomState::new());
         for i in 0..10 {
-            let ticket = cache
-                .admit(&RunRequest::new(circuit(i), 8, 1, "sv"))
-                .unwrap();
+            let ticket = through(&cache, &RunRequest::new(circuit(i), 8, 1, "sv")).unwrap();
             cache.prepare(&ticket).unwrap();
             assert!(
                 cache.bytes.get() as usize <= cache.bound(),
@@ -721,21 +711,15 @@ mod tests {
             );
         }
         // The newest circuit is still held; the oldest was evicted.
-        let newest = cache
-            .admit(&RunRequest::new(circuit(9), 8, 2, "sv"))
-            .unwrap();
+        let newest = through(&cache, &RunRequest::new(circuit(9), 8, 2, "sv")).unwrap();
         cache.prepare(&newest).unwrap();
         assert_eq!(cache.parses.get(), 10);
         assert_eq!(cache.hits.get(), 1);
-        cache
-            .admit(&RunRequest::new(circuit(0), 8, 2, "sv"))
-            .unwrap();
+        through(&cache, &RunRequest::new(circuit(0), 8, 2, "sv")).unwrap();
         assert_eq!(cache.parses.get(), 11, "the oldest text was parsed again");
         // An entry larger than the whole budget is served, not kept.
         let tiny = AdmissionCache::with_hasher(None, "", 10, RandomState::new());
-        let ticket = tiny
-            .admit(&RunRequest::new(circuit(1), 8, 1, "sv"))
-            .unwrap();
+        let ticket = through(&tiny, &RunRequest::new(circuit(1), 8, 1, "sv")).unwrap();
         tiny.prepare(&ticket).unwrap();
         assert_eq!(tiny.bytes.get(), 0);
     }

@@ -52,8 +52,15 @@
 //! and promotes the result to memory under the lock again. The disk
 //! index has a small lock of its own, held for index updates only, and
 //! each writer uses its own temporary file, so two spills of one key
-//! may race and still leave one valid file. A front end's reactor
-//! reads the memory tier alone ([`ResultCache::get_memory`]).
+//! may race and still leave one valid file.
+//!
+//! A request reads the memory tier once, counted in `cache.probes`:
+//! on the front end's reactor ([`crate::frontend::lookup`]), which
+//! hands the submitter the **generation** it missed at. The generation
+//! moves each time memory gains an entry (an insert or a promotion), so
+//! while it has not moved the key is still absent, and the submitter's
+//! guarded passes read memory only if it has. They consult the disk
+//! index every time: a spill lands after its owner's lock is dropped.
 //!
 //! [`Circuit`]: circuit::circuit::Circuit
 
@@ -63,6 +70,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
 /// FNV-1a 64-bit fingerprint of the canonical circuit text.
 ///
@@ -373,7 +381,7 @@ impl Spill {
 }
 
 /// A result held on disk, not in memory: found by
-/// [`ResultCache::lookup`] under the cache owner's lock and read by
+/// [`ResultCache::find`] under the cache owner's lock and read by
 /// [`DiskRead::read`] after that lock is dropped.
 #[must_use = "a disk hit serves nothing until it is read"]
 struct DiskRead {
@@ -412,7 +420,7 @@ impl DiskRead {
     }
 }
 
-/// Where [`ResultCache::lookup`] found a key.
+/// Where [`ResultCache::find`] found a key.
 enum Found {
     /// In memory (its recency refreshed).
     Memory(Counts),
@@ -427,10 +435,16 @@ enum Found {
 pub struct ResultCache {
     capacity: usize,
     tick: u64,
+    /// Bumped each time the memory tier gains an entry (module docs).
+    generation: u64,
     entries: HashMap<CacheKey, CacheEntry>,
     disk: Option<Arc<Mutex<DiskStore>>>,
     /// `cache.evictions` when the owning scheduler has a registry.
     pub(crate) evictions: obs::Counter,
+    /// Each memory-tier read: the owner's `cache.probes`.
+    pub probes: obs::Counter,
+    /// Each request's first lookup: the owner's `stage.cache_lookup`.
+    pub lookups: obs::Histo,
 }
 
 impl ResultCache {
@@ -440,9 +454,12 @@ impl ResultCache {
         ResultCache {
             capacity,
             tick: 0,
+            generation: 0,
             entries: HashMap::new(),
             disk: None,
             evictions: obs::Counter::new(),
+            probes: obs::Counter::new(),
+            lookups: obs::Histo::new(),
         }
     }
 
@@ -463,11 +480,11 @@ impl ResultCache {
     /// place: an owner that guards the cache with a lock uses
     /// [`ResultCache::get_guarded`], which reads it after the lock.
     pub fn get(&mut self, key: &CacheKey) -> Option<Counts> {
-        match self.lookup(key) {
+        match self.find(key, &mut None) {
             Found::Memory(counts) => Some(counts),
             Found::Disk(read) => {
                 let counts = read.read()?;
-                self.promote(key.clone(), counts.clone());
+                self.insert_memory(key.clone(), counts.clone());
                 Some(counts)
             }
             Found::Miss => None,
@@ -477,17 +494,25 @@ impl ResultCache {
     /// The memory tier's entry for `key`, its recency refreshed. Never
     /// touches the disk.
     pub fn get_memory(&mut self, key: &CacheKey) -> Option<Counts> {
+        self.probes.inc();
         self.tick += 1;
         let entry = self.entries.get_mut(key)?;
         entry.last_used = self.tick;
         Some(entry.counts.clone())
     }
 
-    /// Looks `key` up in memory, then in the disk index — without
-    /// reading a file: a key held only on disk comes back as the
+    /// The generation the memory tier is at (module docs).
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// Looks `key` up in memory, unless it missed there at the current
+    /// generation (`missed_at`, set to it), then in the disk index
+    /// without reading a file: a key held only on disk comes back as the
     /// [`DiskRead`] to make once the owner's lock is dropped.
-    fn lookup(&mut self, key: &CacheKey) -> Found {
-        if let Some(counts) = self.get_memory(key) {
+    fn find(&mut self, key: &CacheKey, missed_at: &mut Option<u64>) -> Found {
+        let unread = missed_at.replace(self.generation) != Some(self.generation);
+        if let Some(counts) = unread.then(|| self.get_memory(key)).flatten() {
             return Found::Memory(counts);
         }
         match &self.disk {
@@ -499,16 +524,12 @@ impl ResultCache {
         }
     }
 
-    /// Keeps a result read back from disk ([`DiskRead::read`]) in
-    /// memory, evicting as an insert does; the disk already holds it.
-    fn promote(&mut self, key: CacheKey, counts: Counts) {
-        self.insert_memory(key, counts);
-    }
-
     /// [`ResultCache::get`] on the cache that `owner`'s lock guards
-    /// (reached through `cache`), with that lock held on return: memory
-    /// under the lock, or a result held only on disk read with the lock
-    /// dropped and promoted to memory once it is taken again — so
+    /// (reached through `cache`), with that lock held on return, for a
+    /// key that missed memory at generation `missed_at` (`None` before a
+    /// request's first lookup, which is timed): memory only if the
+    /// generation has moved, or a result held only on disk read with the
+    /// lock dropped and promoted to memory once it is taken again — so
     /// whatever the owner checks next, it checks after the read.
     ///
     /// # Panics
@@ -518,10 +539,12 @@ impl ResultCache {
         owner: &'a Mutex<T>,
         cache: impl Fn(&mut T) -> &mut ResultCache,
         key: &CacheKey,
+        missed_at: &mut Option<u64>,
     ) -> (MutexGuard<'a, T>, Option<Counts>) {
         let lock = || owner.lock().expect("cache owner poisoned");
+        let first = missed_at.is_none().then(Instant::now);
         let mut guard = lock();
-        let hit = match cache(&mut guard).lookup(key) {
+        let hit = match cache(&mut guard).find(key, missed_at) {
             Found::Memory(counts) => Some(counts),
             Found::Disk(read) => {
                 drop(guard);
@@ -530,15 +553,21 @@ impl ResultCache {
                 let cache = cache(&mut guard);
                 match loaded {
                     Some(counts) => {
-                        cache.promote(key.clone(), counts.clone());
+                        cache.insert_memory(key.clone(), counts.clone());
                         Some(counts)
                     }
                     // A racing completion may have landed it meanwhile.
-                    None => cache.get_memory(key),
+                    None => match cache.find(key, missed_at) {
+                        Found::Memory(counts) => Some(counts),
+                        _ => None,
+                    },
                 }
             }
             Found::Miss => None,
         };
+        if let Some(started) = first {
+            cache(&mut guard).lookups.record_duration(started.elapsed());
+        }
         (guard, hit)
     }
 
@@ -567,6 +596,8 @@ impl ResultCache {
         spill
     }
 
+    /// Keeps a result in memory, evicting the least-recently-used entry
+    /// if the cache is full, and moves the generation on.
     fn insert_memory(&mut self, key: CacheKey, counts: Counts) {
         if self.capacity == 0 {
             return;
@@ -591,6 +622,7 @@ impl ResultCache {
                 last_used: self.tick,
             },
         );
+        self.generation += 1;
     }
 
     /// Resident in-memory entry count.
@@ -630,6 +662,13 @@ mod tests {
 
     fn counts(n: usize) -> Counts {
         [(0usize, n)].into_iter().collect()
+    }
+
+    impl ResultCache {
+        /// [`ResultCache::find`] for a request that has not looked yet.
+        fn lookup(&mut self, key: &CacheKey) -> Found {
+            self.find(key, &mut None)
+        }
     }
 
     #[test]
@@ -746,13 +785,67 @@ mod tests {
         };
         assert!(cache.is_empty(), "nothing is read before the caller reads");
         let guarded = Mutex::new(cache);
-        let (mut cache, hit) = ResultCache::get_guarded(&guarded, |c| c, &key(1));
+        let (mut cache, hit) = ResultCache::get_guarded(&guarded, |c| c, &key(1), &mut None);
         assert_eq!(hit, Some(counts(7)));
         assert_eq!(cache.get_memory(&key(1)), Some(counts(7)), "promoted");
         assert!(matches!(cache.lookup(&key(2)), Found::Miss));
         // The pending read still reads the same entry.
         drop(cache);
         assert_eq!(read.read(), Some(counts(7)));
+    }
+
+    #[test]
+    fn only_a_memory_insert_or_promotion_moves_the_generation() {
+        let mut cache = ResultCache::new(1);
+        cache.insert(key(1), counts(1));
+        assert_eq!(cache.generation(), 1, "an insert");
+        assert_eq!(cache.get(&key(2)), None);
+        assert!(cache.get(&key(1)).is_some());
+        assert_eq!(cache.generation(), 1, "a miss and a hit");
+        cache.insert(key(2), counts(2));
+        assert_eq!(cache.evictions.get(), 1);
+        assert_eq!(cache.generation(), 2, "an insert that evicts, once");
+        let mut disabled = ResultCache::new(0);
+        disabled.insert(key(1), counts(1));
+        assert_eq!(disabled.generation(), 0, "a capacity-0 insert");
+
+        let dir = TempDir::new("generation");
+        ResultCache::with_disk(4, DiskCacheConfig::new(dir.path())).insert(key(1), counts(7));
+        let mut cache = ResultCache::with_disk(4, DiskCacheConfig::new(dir.path()));
+        assert_eq!(cache.generation(), 0, "a reopened disk tier");
+        assert_eq!(cache.get(&key(1)), Some(counts(7)));
+        assert_eq!(cache.generation(), 1, "a disk promotion");
+        let guarded = Mutex::new(ResultCache::with_disk(4, DiskCacheConfig::new(dir.path())));
+        let mut missed_at = Some(0);
+        let (cache, hit) = ResultCache::get_guarded(&guarded, |c| c, &key(1), &mut missed_at);
+        assert_eq!(
+            hit,
+            Some(counts(7)),
+            "the disk is read at an unmoved generation"
+        );
+        assert_eq!(cache.generation(), 1, "a guarded disk promotion");
+        assert_eq!(cache.probes.get(), 0, "memory was not read");
+    }
+
+    #[test]
+    fn a_guarded_pass_reads_memory_only_if_the_generation_moved() {
+        let guarded = Mutex::new(ResultCache::new(4));
+        let mut missed_at = None;
+        let (cache, hit) = ResultCache::get_guarded(&guarded, |c| c, &key(1), &mut missed_at);
+        drop(cache);
+        assert_eq!((hit, missed_at), (None, Some(0)));
+        let (mut cache, hit) = ResultCache::get_guarded(&guarded, |c| c, &key(1), &mut missed_at);
+        assert_eq!(hit, None);
+        assert_eq!(
+            cache.probes.get(),
+            1,
+            "an unmoved generation is not read again"
+        );
+        cache.insert(key(1), counts(3));
+        drop(cache);
+        let (cache, hit) = ResultCache::get_guarded(&guarded, |c| c, &key(1), &mut missed_at);
+        assert_eq!(hit, Some(counts(3)), "a moved generation is read");
+        assert_eq!(cache.probes.get(), 2);
     }
 
     #[test]

@@ -15,10 +15,10 @@
 //!   descriptors, not stacks. The reactor answers inline what the
 //!   backend can answer with **lock-only lookups** — never a parse, a
 //!   compile or a file read: `stats`, `shutdown`, and a `run` whose
-//!   reply is already known ([`JobBackend::lookup`]: its exact text is
-//!   held by the admission cache and its tallies by the result cache's
-//!   memory tier). Such a run is encoded (timed into `stage.encode`)
-//!   and answered on the reactor thread, and wakes no other thread;
+//!   reply is already known ([`lookup`]: its exact text is held by the
+//!   admission cache and its tallies by the result cache's memory tier).
+//!   Such a run is encoded (timed into `stage.encode`) and answered on
+//!   the reactor thread, and wakes no other thread;
 //! * two **submitter** threads for everything that may block: every
 //!   other `run` — a text not yet parsed, a result only on disk, an
 //!   admission error, a miss — and `metrics` (a coordinator's gather is
@@ -34,8 +34,8 @@
 //!
 //! [`Scheduler`]: crate::Scheduler
 
-use crate::admission::Admission;
-use crate::cache::CacheKey;
+use crate::admission::{Admission, AdmissionCache};
+use crate::cache::{CacheKey, ResultCache};
 use crate::protocol::{ClientRow, Op, Request, Response, RunRequest, ServiceStats, WorkerRow};
 use crate::scheduler::Responder;
 use engine::Counts;
@@ -43,6 +43,7 @@ use reactor::{Completion, Line, LineHandler, Reactor, ReactorConfig, ReactorCtl,
 use std::net::{SocketAddr, TcpListener};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 /// Longest accepted request line (bytes). A line that exceeds this is
 /// answered with an error and the connection is closed — a client that
@@ -65,38 +66,42 @@ pub enum Lookup {
 
 /// What a front end serves: admission and execution behind the wire.
 ///
-/// The reactor thread makes only the lock-only calls, through a
-/// `dyn JobBackend` — [`JobBackend::lookup`], [`JobBackend::stats`] and
-/// its rows, [`JobBackend::note_error`], [`JobBackend::shutdown`] —
-/// which never parse, compile or read a file; [`JobBackend::submit`]
-/// and [`JobBackend::metrics`] run on the submitter pool, where
-/// `submit` is called on the concrete backend.
+/// The reactor thread makes only the lock-only calls —
+/// [`JobBackend::lookup`], [`JobBackend::stats`] and its rows,
+/// [`JobBackend::note_error`], [`JobBackend::shutdown`] — which never
+/// parse, compile or read a file; [`JobBackend::submit`] and
+/// [`JobBackend::metrics`] run on the submitter pool.
 pub trait JobBackend: Send + Sync + 'static {
     /// The role noun in error texts (`"server"`, `"coordinator"`).
     fn role(&self) -> &'static str;
 
-    /// Answers `run` if its reply is already known, with lock-only
-    /// lookups: the admission cache's probe of the exact raw text, then
-    /// the result cache's memory tier. A hit is counted (`received`,
-    /// `cache_hits`, the stage timings) as `submit` would count it;
-    /// anything else comes back as the admission to submit.
+    /// The backend's event counters.
+    fn counters(&self) -> &ServiceCounters;
+
+    /// Answers `run` if its reply is already known ([`lookup`], the
+    /// request's one read of the memory tier); anything else comes back
+    /// as the admission to submit, with the generation it missed at.
     fn lookup(&self, run: &RunRequest) -> Lookup;
 
     /// Admits one run request, completing `admission` (the request's
-    /// [`JobBackend::lookup`]). The response, immediate or eventual, is
-    /// delivered through `responder`; dropping it unanswered (shutdown)
-    /// sends the front end's "shut down before the job completed" reply.
+    /// [`JobBackend::lookup`]). `Some` is an immediate response
+    /// (`responder` untouched); `None` means `responder` was taken, to
+    /// answer the job or, dropped unanswered (shutdown), to send the
+    /// front end's "shut down before the job completed" reply.
     fn submit(
-        self: &Arc<Self>,
+        &self,
         id: Option<String>,
         run: &RunRequest,
         admission: Admission,
-        responder: Responder,
-    ) where
-        Self: Sized;
+        responder: &mut Option<Responder>,
+    ) -> Option<Response>;
 
     /// Counts a request line that failed framing or decoding.
-    fn note_error(&self);
+    fn note_error(&self) {
+        let counters = self.counters();
+        counters.received.inc();
+        counters.errors.inc();
+    }
 
     /// The counter snapshot behind the `stats` op (the front end merges
     /// in the reactor's connection gauges).
@@ -179,16 +184,20 @@ pub fn busy(id: Option<String>, in_flight: u64) -> Response {
 }
 
 /// The event counters behind the counter fields of [`ServiceStats`],
-/// one set per backend, each named like the field it fills. Each is the
-/// backend registry's counter (`sched.<field>`, or `cache.hits` and
-/// `cache.misses`), or unattached when there is no registry — so every
-/// event is recorded once, with no branch on whether a registry exists,
-/// and the `stats` op reads the same counters the `metrics` op exports.
+/// one set per backend, each named like the field it fills (and
+/// `cache.probes`, which none shows). Each is the backend registry's
+/// counter (`sched.<field>`, or `cache.<hits|misses|probes>`), or
+/// unattached when there is no registry — so every event is recorded
+/// once, with no branch on whether a registry exists, and the `stats`
+/// op reads the same counters the `metrics` op exports.
+#[derive(Default)]
 pub struct ServiceCounters {
     pub received: obs::Counter,
     pub completed: obs::Counter,
     pub cache_hits: obs::Counter,
     pub cache_misses: obs::Counter,
+    /// Attached to the result cache ([`ResultCache::probes`]).
+    pub probes: obs::Counter,
     pub coalesced: obs::Counter,
     pub rejected_busy: obs::Counter,
     pub rejected_quota: obs::Counter,
@@ -210,6 +219,7 @@ impl ServiceCounters {
             completed: counter("sched.completed"),
             cache_hits: counter("cache.hits"),
             cache_misses: counter("cache.misses"),
+            probes: counter("cache.probes"),
             coalesced: counter("sched.coalesced"),
             rejected_busy: counter("sched.rejected_busy"),
             rejected_quota: counter("sched.rejected_quota"),
@@ -218,10 +228,13 @@ impl ServiceCounters {
         }
     }
 
-    /// The counter fields of a `stats` snapshot; the backend fills in
-    /// its gauges.
-    pub fn stats(&self) -> ServiceStats {
+    /// A `stats` snapshot: the counter fields, and the backend's gauges
+    /// (`in_flight` jobs and its result `cache`).
+    pub fn stats(&self, in_flight: usize, cache: &ResultCache) -> ServiceStats {
         ServiceStats {
+            in_flight: in_flight as u64,
+            cache_entries: cache.len() as u64,
+            cache_disk_entries: cache.disk_len() as u64,
             received: self.received.get(),
             completed: self.completed.get(),
             cache_hits: self.cache_hits.get(),
@@ -233,6 +246,42 @@ impl ServiceCounters {
             errors: self.errors.get(),
             ..ServiceStats::default()
         }
+    }
+}
+
+/// [`JobBackend::lookup`] in both roles: the admission probe of the raw
+/// text, then — for a text it holds — a timed read of the memory tier of
+/// the result cache that `owner`'s lock guards (reached through
+/// `cache`; panics if the lock is poisoned). A hit is counted as a
+/// submitter's hit is; a miss sets [`Admission::missed_at`].
+pub fn lookup<T>(
+    run: &RunRequest,
+    admissions: &AdmissionCache,
+    owner: &Mutex<T>,
+    cache: impl FnOnce(&mut T) -> &mut ResultCache,
+    counters: &ServiceCounters,
+    parse: &obs::Histo,
+) -> Lookup {
+    let mut admission = admissions.probe(run);
+    let Some(Ok(ticket)) = &admission.ticket else {
+        return Lookup::Submit(admission);
+    };
+    let started = Instant::now();
+    let mut guard = owner.lock().expect("cache owner poisoned");
+    let cache = cache(&mut guard);
+    admission.missed_at = Some(cache.generation());
+    let hit = cache.get_memory(&ticket.key);
+    cache.lookups.record_duration(started.elapsed());
+    drop(guard);
+    let Some(tallies) = hit else {
+        return Lookup::Submit(admission);
+    };
+    parse.record(admission.parse_ns);
+    counters.received.inc();
+    counters.cache_hits.inc();
+    Lookup::Hit {
+        key: ticket.key.clone(),
+        tallies,
     }
 }
 
@@ -339,8 +388,8 @@ impl LineHandler for Handler {
 /// answering `metrics` directly and handing runs to the backend with a
 /// responder that encodes the reply (timed into `stage.encode`) and
 /// resolves the request's completion.
-fn spawn_submitters<B: JobBackend>(
-    backend: &Arc<B>,
+fn spawn_submitters(
+    backend: &Arc<dyn JobBackend>,
     rx: mpsc::Receiver<SubmitTask>,
     encode: obs::Histo,
 ) -> Vec<JoinHandle<()>> {
@@ -374,13 +423,16 @@ fn spawn_submitters<B: JobBackend>(
                         continue;
                     };
                     let encode = encode.clone();
-                    let responder = Responder::Callback(Box::new(move |response: Response| {
+                    let mut responder = Some(Responder::Callback(Box::new(move |response| {
                         let span = obs::Span::enter(&encode);
                         let bytes = response.to_line().into_bytes();
                         drop(span);
                         completion.send(bytes);
-                    }));
-                    backend.submit(id, &run, admission, responder);
+                    })));
+                    if let Some(response) = backend.submit(id, &run, admission, &mut responder) {
+                        let responder = responder.take().expect("an immediate reply leaves it");
+                        responder.respond(response);
+                    }
                 })
                 .expect("spawn submitter")
         })
@@ -410,9 +462,9 @@ impl Frontend {
             .as_ref()
             .map_or_else(obs::Histo::new, |r| r.histo("stage.encode"));
         let (submit, rx) = mpsc::channel();
-        let submitters = spawn_submitters(&backend, rx, encode.clone());
-        let max_line_bytes = config.max_line_bytes;
         let handler_backend: Arc<dyn JobBackend> = backend.clone();
+        let submitters = spawn_submitters(&handler_backend, rx, encode.clone());
+        let max_line_bytes = config.max_line_bytes;
         let reactor = Reactor::spawn(listener, config, move |ctl| {
             Arc::new(Handler {
                 backend: handler_backend,
@@ -526,6 +578,7 @@ mod tests {
         entered: AtomicUsize,
         released: Mutex<bool>,
         wake: Condvar,
+        counters: ServiceCounters,
     }
 
     impl Stub {
@@ -540,6 +593,10 @@ mod tests {
             "stub"
         }
 
+        fn counters(&self) -> &ServiceCounters {
+            &self.counters
+        }
+
         fn lookup(&self, run: &RunRequest) -> Lookup {
             if run.root_seed == KNOWN {
                 let tallies = [(3, 10)].into_iter().collect();
@@ -552,26 +609,25 @@ mod tests {
                 ticket: None,
                 started: Instant::now(),
                 parse_ns: 0,
+                missed_at: None,
             })
         }
 
         fn submit(
-            self: &Arc<Self>,
+            &self,
             id: Option<String>,
             run: &RunRequest,
             _admission: Admission,
-            responder: Responder,
-        ) {
+            _responder: &mut Option<Responder>,
+        ) -> Option<Response> {
             self.entered.fetch_add(1, Ordering::SeqCst);
             let mut released = self.released.lock().unwrap();
             while !*released {
                 released = self.wake.wait(released).unwrap();
             }
             let response = ok_response(id, &key(run.root_seed), Counts::new(), false, false);
-            responder.respond(response);
+            Some(response)
         }
-
-        fn note_error(&self) {}
 
         fn stats(&self) -> ServiceStats {
             ServiceStats::default()

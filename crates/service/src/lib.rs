@@ -59,7 +59,10 @@
 //!   clients ──▶ frontend: reactor ─▶ submitters ──▶ JobBackend::submit
 //!                          │                        ├─ Scheduler  (server: local slices)
 //!                          │                        └─ Coordinator (shard: scatter-gather)
-//!                          └─ JobBackend::lookup: a known result, answered inline
+//!                          └─ JobBackend::lookup = frontend::lookup, both roles:
+//!                             a known result, answered inline; a miss carries the
+//!                             result cache's generation, so the submitter reads
+//!                             memory again only if an insert has landed
 //! ```
 //!
 //! ## Binaries

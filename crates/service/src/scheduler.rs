@@ -55,10 +55,11 @@
 
 use crate::admission::{Admission, AdmissionCache};
 use crate::cache::{CacheKey, DiskCacheConfig, ResultCache};
-use crate::frontend::{busy, ok_response, JobBackend, Lookup, ServiceCounters, Waiter};
+use crate::frontend::{self, busy, ok_response, JobBackend, Lookup, ServiceCounters, Waiter};
 use crate::protocol::{ClientRow, Response, RunRequest, ServiceStats};
 use engine::{merge_counts, Counts, PreparedJob};
 use std::collections::{HashMap, VecDeque};
+use std::ops::ControlFlow::{self, Break, Continue};
 use std::ops::Range;
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
@@ -112,7 +113,7 @@ pub struct SchedulerConfig {
     /// Optional observability registry. The scheduler always records
     /// per-stage latency histograms (`stage.parse`, `stage.admission`,
     /// `stage.cache_lookup`, `stage.compile`, `stage.merge`), cache
-    /// counters (`cache.{hits,misses,evictions}`), admission counters
+    /// counters (`cache.{hits,misses,evictions,probes}`), admission counters
     /// (`sched.*`) and a slow-trace ring; with a registry they are
     /// exported under those names, without one they are kept but not
     /// exported. The `stats` op reads the same counters either way.
@@ -234,7 +235,6 @@ struct SchedObs {
     admitted: obs::Counter,
     parse: obs::Histo,
     admission: obs::Histo,
-    cache_lookup: obs::Histo,
     compile: obs::Histo,
     merge: obs::Histo,
     slow: obs::SlowLog,
@@ -248,7 +248,6 @@ impl SchedObs {
             admitted: registry.map_or_else(obs::Counter::new, |r| r.counter("sched.admitted")),
             parse: histo("stage.parse"),
             admission: histo("stage.admission"),
-            cache_lookup: histo("stage.cache_lookup"),
             compile: histo("stage.compile"),
             merge: histo("stage.merge"),
             slow: registry.map_or_else(obs::SlowLog::default, |r| r.slow().clone()),
@@ -320,16 +319,6 @@ pub(crate) fn elapsed_ns(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// How [`Scheduler::settle`] answered a request (or didn't).
-enum Settle {
-    /// The reply is ready: a cache hit, a rejection or an error.
-    Reply(Response),
-    /// Joined an identical in-flight job (the responder was consumed).
-    Joined,
-    /// Nothing answered it; proceed to queue it.
-    Admit,
-}
-
 /// The shared scheduling state. Cheap to clone (`Arc` internally).
 #[derive(Clone)]
 pub struct Scheduler {
@@ -363,6 +352,8 @@ impl Scheduler {
         let registry = config.metrics.as_ref();
         cache.evictions = registry.map_or_else(obs::Counter::new, |r| r.counter("cache.evictions"));
         let obs = SchedObs::new(registry);
+        cache.probes = obs.counters.probes.clone();
+        cache.lookups = registry.map_or_else(obs::Histo::new, |r| r.histo("stage.cache_lookup"));
         let admission = AdmissionCache::new(registry, "");
         Scheduler {
             shared: Arc::new(Shared {
@@ -389,129 +380,21 @@ impl Scheduler {
 
     /// Admits one run request: serves it from cache, coalesces it onto
     /// an identical in-flight job, rejects it with `busy`, or queues
-    /// it for execution. Blocking-channel form; the front end uses
-    /// [`JobBackend::submit`].
+    /// it for execution. Blocking-channel form of the front end's path
+    /// ([`JobBackend::lookup`], then [`JobBackend::submit`]).
     pub fn submit(&self, id: Option<String>, run: &RunRequest) -> Submission {
+        let admission = match self.lookup(run) {
+            Lookup::Hit { key, tallies } => {
+                return Submission::Immediate(ok_response(id, &key, tallies, true, false))
+            }
+            Lookup::Submit(admission) => admission,
+        };
         let (tx, rx) = mpsc::channel();
         let mut responder = Some(Responder::Channel(tx));
-        let admission = self.shared.admission.probe(run);
-        match self.submit_core(id, run, admission, &mut responder) {
+        match JobBackend::submit(self, id, run, admission, &mut responder) {
             Some(response) => Submission::Immediate(response),
             None => Submission::Pending(rx),
         }
-    }
-
-    /// The shared admission path, completing `admission` (the request's
-    /// probe of the admission cache). `Some` is an immediate response
-    /// (`responder` untouched); `None` means the job was queued or
-    /// joined and `responder` was consumed.
-    fn submit_core(
-        &self,
-        id: Option<String>,
-        run: &RunRequest,
-        admission: Admission,
-        responder: &mut Option<Responder>,
-    ) -> Option<Response> {
-        // The fair-share identity. `None` and `""` are the same
-        // anonymous client by construction.
-        let client = run.client.clone().unwrap_or_default();
-        // Admit outside the scheduler lock. The pipeline (backend parse,
-        // QASM parse, serving limits, shot-range arithmetic, canonical
-        // fingerprint) is shared with the shard coordinator in
-        // [`crate::admission`]; its cache parses a text once, so a
-        // repeat is one hashed lookup, made by the probe.
-        let obs = &self.shared.obs;
-        let received_at = admission.started;
-        let (admitted, parse_ns) = self.shared.admission.finish(admission, run);
-        obs.parse.record(parse_ns);
-        obs.counters.received.inc();
-        let admitted = match admitted {
-            Ok(admitted) => admitted,
-            Err(error) => {
-                obs.counters.errors.inc();
-                return Some(Response::Error { id, error });
-            }
-        };
-        let key = admitted.key.clone();
-
-        // First pass under the lock: cache, coalescing, admission.
-        {
-            let (_inner, settled) = self.settle(&key, id.clone(), &client, responder, false);
-            match settled {
-                Settle::Reply(response) => return Some(response),
-                Settle::Joined => return None,
-                Settle::Admit => {}
-            }
-            if run.shots == 0 {
-                // Trivially complete; nothing to queue or cache.
-                obs.counters.cache_misses.inc();
-                obs.counters.completed.inc();
-                return Some(ok_response(id, &key, Counts::new(), false, false));
-            }
-        }
-
-        // Take the circuit's prepared job, compiling it outside the lock
-        // on its first request (statevector kernel fusion and density
-        // evolution can be slow), then re-check: an identical request
-        // may have been admitted meanwhile.
-        let compile_started = Instant::now();
-        let prepared = self.shared.admission.prepare(&admitted);
-        let compile_ns = elapsed_ns(compile_started);
-        obs.compile.record(compile_ns);
-        let prepared = match prepared {
-            Ok(job) => Arc::new(job),
-            Err(err) => {
-                obs.counters.errors.inc();
-                return Some(Response::Error {
-                    id,
-                    error: err.to_string(),
-                });
-            }
-        };
-        let (mut inner, settled) = self.settle(&key, id.clone(), &client, responder, true);
-        match settled {
-            Settle::Reply(response) => return Some(response),
-            Settle::Joined => return None,
-            Settle::Admit => {}
-        }
-        obs.counters.cache_misses.inc();
-        obs.admitted.inc();
-        {
-            let tally = inner.tally(&client);
-            tally.admitted += 1;
-            tally.inflight_shots += key.shots;
-        }
-        inner.jobs.insert(
-            key.clone(),
-            Job {
-                prepared,
-                client: client.clone(),
-                end: admitted.shot_end(),
-                next_shot: key.start,
-                outstanding: 0,
-                partial: Counts::new(),
-                waiters: vec![Waiter {
-                    responder: responder.take().expect("responder available to enqueue"),
-                    id,
-                    coalesced: false,
-                }],
-                received_at,
-                parse_ns,
-                compile_ns,
-                merge_ns: 0,
-            },
-        );
-        let fresh_client = !inner.client_queues.contains_key(&client);
-        inner
-            .client_queues
-            .entry(client.clone())
-            .or_default()
-            .push_back(key);
-        if fresh_client {
-            inner.ring.push_back(client);
-        }
-        self.shared.work.notify_all();
-        None
     }
 
     /// Everything that can answer a request before it is queued, under
@@ -521,48 +404,33 @@ impl Scheduler {
     /// (`charge = true`) deducts from the client's rate-limit token
     /// bucket, so a job is charged exactly once, when it is admitted.
     ///
-    /// A result held only on disk is read with the lock dropped, then
-    /// promoted to memory under it again; the rest of the checks run
-    /// after that, on the state as it is then. Returns the lock, held.
+    /// The cache is read by [`ResultCache::get_guarded`] for a key that
+    /// missed memory at `missed_at`; the rest of the checks run after
+    /// that, on the state as it is then. Continues with the lock, held,
+    /// if nothing answered the request, or breaks with what
+    /// [`JobBackend::submit`] returns: the reply (a cache hit, a
+    /// rejection or an error), or `None` once it joined an identical
+    /// in-flight job.
     fn settle(
         &self,
         key: &CacheKey,
         id: Option<String>,
         client: &str,
         responder: &mut Option<Responder>,
+        missed_at: &mut Option<u64>,
         charge: bool,
-    ) -> (MutexGuard<'_, Inner>, Settle) {
+    ) -> ControlFlow<Option<Response>, MutexGuard<'_, Inner>> {
         let obs = &self.shared.obs;
-        let lookup_started = Instant::now();
         let (mut inner, hit) = ResultCache::get_guarded(
             &self.shared.state,
             |inner: &mut Inner| &mut inner.cache,
             key,
+            missed_at,
         );
-        obs.cache_lookup.record(elapsed_ns(lookup_started));
         if let Some(tallies) = hit {
             obs.counters.cache_hits.inc();
-            return (
-                inner,
-                Settle::Reply(ok_response(id, key, tallies, true, false)),
-            );
+            return Break(Some(ok_response(id, key, tallies, true, false)));
         }
-        let settled = self.settle_uncached(&mut inner, key, id, client, responder, charge);
-        (inner, settled)
-    }
-
-    /// [`Scheduler::settle`] past the cache: an identical in-flight
-    /// job, shutdown, and the admission gates.
-    fn settle_uncached(
-        &self,
-        inner: &mut Inner,
-        key: &CacheKey,
-        id: Option<String>,
-        client: &str,
-        responder: &mut Option<Responder>,
-        charge: bool,
-    ) -> Settle {
-        let obs = &self.shared.obs;
         if let Some(job) = inner.jobs.get_mut(key) {
             obs.counters.coalesced.inc();
             job.waiters.push(Waiter {
@@ -573,20 +441,20 @@ impl Scheduler {
             // Coalescing is free — the work runs once regardless — so
             // it is never charged against the client's quota.
             inner.tally(client).coalesced += 1;
-            return Settle::Joined;
+            return Break(None);
         }
         if inner.shutdown {
             // With the workers gone (shutdown may also have raced the
             // compile), a queued job would strand its waiter forever.
             obs.counters.errors.inc();
             let error = "server is shutting down".to_string();
-            return Settle::Reply(Response::Error { id, error });
+            return Break(Some(Response::Error { id, error }));
         }
         let gates_started = Instant::now();
-        let gated = self.gate(inner, key, client, charge);
+        let gated = self.gate(&mut inner, key, client, charge);
         obs.admission.record(elapsed_ns(gates_started));
         let Err(rejection) = gated else {
-            return Settle::Admit;
+            return Continue(inner);
         };
         match rejection {
             Rejection::Queue => obs.counters.rejected_busy.inc(),
@@ -599,7 +467,7 @@ impl Scheduler {
                 inner.tally(client).rejected_rate += 1;
             }
         }
-        Settle::Reply(busy(id, inner.jobs.len() as u64))
+        Break(Some(busy(id, inner.jobs.len() as u64)))
     }
 
     /// The capacity, quota and rate gates, in that order.
@@ -754,12 +622,7 @@ impl Scheduler {
     /// connection gauges are merged in by the serving layer).
     pub fn stats(&self) -> ServiceStats {
         let inner = self.lock();
-        ServiceStats {
-            in_flight: inner.jobs.len() as u64,
-            cache_entries: inner.cache.len() as u64,
-            cache_disk_entries: inner.cache.disk_len() as u64,
-            ..self.shared.obs.counters.stats()
-        }
+        self.counters().stats(inner.jobs.len(), &inner.cache)
     }
 
     /// Per-client counter rows for the `stats` op, sorted by client
@@ -808,51 +671,128 @@ impl JobBackend for Scheduler {
         "server"
     }
 
-    /// The admission cache's probe, then the result cache's memory
-    /// tier under the scheduler lock; counted as `submit_core`'s hit
-    /// path counts.
+    fn counters(&self) -> &ServiceCounters {
+        &self.shared.obs.counters
+    }
+
     fn lookup(&self, run: &RunRequest) -> Lookup {
-        let admission = self.shared.admission.probe(run);
-        let Some(Ok(ticket)) = &admission.ticket else {
-            return Lookup::Submit(admission);
-        };
-        let lookup_started = Instant::now();
-        let hit = self.lock().cache.get_memory(&ticket.key);
-        let lookup_ns = elapsed_ns(lookup_started);
-        let Some(tallies) = hit else {
-            return Lookup::Submit(admission);
-        };
-        let obs = &self.shared.obs;
-        obs.parse.record(admission.parse_ns);
-        obs.counters.received.inc();
-        obs.cache_lookup.record(lookup_ns);
-        obs.counters.cache_hits.inc();
-        Lookup::Hit {
-            key: ticket.key.clone(),
-            tallies,
-        }
+        let shared = &self.shared;
+        frontend::lookup(
+            run,
+            &shared.admission,
+            &shared.state,
+            |inner: &mut Inner| &mut inner.cache,
+            &shared.obs.counters,
+            &shared.obs.parse,
+        )
     }
 
     /// Never waits on execution, only on the scheduler lock, which is
     /// held for queue surgery, never for simulation.
     fn submit(
-        self: &Arc<Self>,
+        &self,
         id: Option<String>,
         run: &RunRequest,
         admission: Admission,
-        responder: Responder,
-    ) {
-        let mut slot = Some(responder);
-        if let Some(response) = self.submit_core(id, run, admission, &mut slot) {
-            let responder = slot.take().expect("immediate settle leaves the responder");
-            responder.respond(response);
-        }
-    }
+        responder: &mut Option<Responder>,
+    ) -> Option<Response> {
+        // The fair-share identity. `None` and `""` are the same
+        // anonymous client by construction.
+        let client = run.client.clone().unwrap_or_default();
+        // Admit outside the scheduler lock. The pipeline (backend parse,
+        // QASM parse, serving limits, shot-range arithmetic, canonical
+        // fingerprint) is shared with the shard coordinator in
+        // [`crate::admission`]; its cache parses a text once, so a
+        // repeat is one hashed lookup, made by the probe.
+        let obs = &self.shared.obs;
+        let received_at = admission.started;
+        let mut missed_at = admission.missed_at;
+        let (admitted, parse_ns) = self.shared.admission.finish(admission, run);
+        obs.parse.record(parse_ns);
+        obs.counters.received.inc();
+        let admitted = match admitted {
+            Ok(admitted) => admitted,
+            Err(error) => {
+                obs.counters.errors.inc();
+                return Some(Response::Error { id, error });
+            }
+        };
+        let key = admitted.key.clone();
 
-    fn note_error(&self) {
-        let counters = &self.shared.obs.counters;
-        counters.received.inc();
-        counters.errors.inc();
+        // First pass under the lock: cache, coalescing, admission.
+        if let Break(answer) =
+            self.settle(&key, id.clone(), &client, responder, &mut missed_at, false)
+        {
+            return answer;
+        }
+        if run.shots == 0 {
+            // Trivially complete; nothing to queue or cache.
+            obs.counters.cache_misses.inc();
+            obs.counters.completed.inc();
+            return Some(ok_response(id, &key, Counts::new(), false, false));
+        }
+
+        // Take the circuit's prepared job, compiling it outside the lock
+        // on its first request (statevector kernel fusion and density
+        // evolution can be slow), then re-check: an identical request
+        // may have been admitted meanwhile.
+        let compile_started = Instant::now();
+        let prepared = self.shared.admission.prepare(&admitted);
+        let compile_ns = elapsed_ns(compile_started);
+        obs.compile.record(compile_ns);
+        let prepared = match prepared {
+            Ok(job) => Arc::new(job),
+            Err(err) => {
+                obs.counters.errors.inc();
+                return Some(Response::Error {
+                    id,
+                    error: err.to_string(),
+                });
+            }
+        };
+        let mut inner =
+            match self.settle(&key, id.clone(), &client, responder, &mut missed_at, true) {
+                Continue(inner) => inner,
+                Break(answer) => return answer,
+            };
+        obs.counters.cache_misses.inc();
+        obs.admitted.inc();
+        {
+            let tally = inner.tally(&client);
+            tally.admitted += 1;
+            tally.inflight_shots += key.shots;
+        }
+        inner.jobs.insert(
+            key.clone(),
+            Job {
+                prepared,
+                client: client.clone(),
+                end: key.range().end,
+                next_shot: key.start,
+                outstanding: 0,
+                partial: Counts::new(),
+                waiters: vec![Waiter {
+                    responder: responder.take().expect("responder available to enqueue"),
+                    id,
+                    coalesced: false,
+                }],
+                received_at,
+                parse_ns,
+                compile_ns,
+                merge_ns: 0,
+            },
+        );
+        let fresh_client = !inner.client_queues.contains_key(&client);
+        inner
+            .client_queues
+            .entry(client.clone())
+            .or_default()
+            .push_back(key);
+        if fresh_client {
+            inner.ring.push_back(client);
+        }
+        self.shared.work.notify_all();
+        None
     }
 
     fn stats(&self) -> ServiceStats {
@@ -1041,7 +981,7 @@ mod tests {
         }));
         let run = run_request(100, 1);
         let admission = sched.shared.admission.probe(&run);
-        JobBackend::submit(&sched, None, &run, admission, responder);
+        JobBackend::submit(&*sched, None, &run, admission, &mut Some(responder));
         drain(&sched, &Engine::sequential());
         let (in_time, reader) = answered.recv().unwrap();
         reader.join().unwrap();
@@ -1423,6 +1363,77 @@ mod tests {
         sched.complete_slice(&task.key, counts);
         // The scheduler is still usable (lock not poisoned).
         assert_eq!(sched.stats().completed, 0);
+    }
+
+    #[test]
+    fn a_cold_miss_and_a_warm_hit_read_the_memory_tier_once_each() {
+        let registry = obs::Registry::default();
+        let sched = Scheduler::new(SchedulerConfig {
+            metrics: Some(registry.clone()),
+            ..SchedulerConfig::default()
+        });
+        let read = |name| registry.snapshot().counter(name);
+        let lookups = || {
+            registry
+                .snapshot()
+                .histo("stage.cache_lookup")
+                .unwrap()
+                .count
+        };
+        // A text not parsed yet (its first pass reads), then a held text
+        // under a fresh seed (the lookup reads): one read each.
+        for seed in [1, 2] {
+            let rx = pending(sched.submit(None, &run_request(100, seed)));
+            drain(&sched, &Engine::sequential());
+            assert!(matches!(
+                rx.recv().unwrap(),
+                Response::Ok { cached: false, .. }
+            ));
+            assert_eq!(read("cache.probes"), Some(seed), "cold miss {seed}");
+            assert_eq!(lookups(), seed);
+        }
+        assert!(matches!(
+            JobBackend::lookup(&sched, &run_request(100, 2)),
+            Lookup::Hit { .. }
+        ));
+        assert_eq!(read("cache.probes"), Some(3), "a warm hit");
+        assert_eq!(lookups(), 3);
+        assert_eq!(read("cache.misses"), Some(2));
+    }
+
+    #[test]
+    fn a_result_landing_between_lookup_and_submit_is_served_cached() {
+        let sched = Scheduler::new(SchedulerConfig::default());
+        let run = run_request(100, 7);
+        sched.submit(None, &run_request(0, 7)); // parses the text
+        let Lookup::Submit(admission) = JobBackend::lookup(&sched, &run) else {
+            panic!("nothing is known yet");
+        };
+        assert!(admission.missed_at.is_some(), "the lookup read memory");
+        // A twin request runs to completion meanwhile.
+        let twin = pending(sched.submit(None, &run));
+        drain(&sched, &Engine::sequential());
+        let Response::Ok { tallies, .. } = twin.recv().unwrap() else {
+            panic!("the twin failed");
+        };
+        let (tx, rx) = mpsc::channel();
+        let mut responder = Some(Responder::Channel(tx));
+        match JobBackend::submit(&sched, Some("late".into()), &run, admission, &mut responder) {
+            Some(Response::Ok {
+                cached: true,
+                tallies: served,
+                ..
+            }) => assert_eq!(served, tallies),
+            other => panic!("expected a cached reply, got {other:?}"),
+        }
+        assert!(
+            responder.is_some(),
+            "an immediate reply keeps the responder"
+        );
+        drop(responder);
+        assert!(rx.recv().is_err(), "nothing was queued for it");
+        assert_eq!(sched.stats().in_flight, 0);
+        assert_eq!(sched.stats().cache_hits, 1);
     }
 
     #[test]

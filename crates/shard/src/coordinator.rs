@@ -56,7 +56,7 @@ use engine::{merge_counts, partition_shots, Counts};
 use reactor::ReactorConfig;
 use service::admission::Admission;
 use service::cache::{CacheKey, DiskCacheConfig, ResultCache};
-use service::frontend::{busy, ok_response, Lookup, ServiceCounters, Waiter};
+use service::frontend::{self, busy, ok_response, Lookup, ServiceCounters, Waiter};
 use service::{
     AdmissionCache, Frontend, FrontendHandle, JobBackend, Request, Responder, Response, RunRequest,
     ServiceStats, WorkerRow, MAX_LINE_BYTES,
@@ -65,7 +65,7 @@ use std::collections::HashMap;
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::time::{Duration, Instant};
 
 /// Everything [`Coordinator::spawn`] needs to know.
@@ -105,9 +105,10 @@ pub struct CoordinatorConfig {
     /// turns it on.
     pub propagate_shutdown: bool,
     /// Observability registry. When set, the coordinator exports its
-    /// `stats` counters (`shard.sched.*`, `shard.cache.{hits,misses}`)
-    /// and times its own stages (`stage.parse`, `stage.merge`, and the
-    /// front end's `stage.encode`), the worker pool times
+    /// `stats` counters (`shard.sched.*`, `shard.cache.{hits,misses}`),
+    /// `shard.cache.probes`, and times its own stages (`stage.parse`,
+    /// `stage.cache_lookup`, `stage.merge`, and the front end's
+    /// `stage.encode`), the worker pool times
     /// dispatch round trips (`shard.dispatch`,
     /// `shard.worker.<addr>.dispatch`, `shard.redispatches`) and counts
     /// its connects (`shard.connects`), the
@@ -149,6 +150,8 @@ struct Inner {
 /// job over the worker pool and merges the tallies.
 /// [`Coordinator::spawn`] serves it behind the `service` front end.
 pub struct Coordinator {
+    /// This coordinator, for a scatter's completion to hold on to.
+    this: Weak<Coordinator>,
     config: CoordinatorConfig,
     pool: WorkerPool,
     inner: Mutex<Inner>,
@@ -185,7 +188,7 @@ impl Coordinator {
             metrics: config.metrics.clone(),
             ..ReactorConfig::default()
         };
-        let coordinator = Arc::new(Coordinator::new(config));
+        let coordinator = Coordinator::new(config);
         coordinator.pool.probe_all();
         let heartbeat = coordinator.pool.spawn_heartbeat(
             coordinator.config.heartbeat_interval,
@@ -195,7 +198,7 @@ impl Coordinator {
     }
 
     /// The backend alone: worker pool (not yet probed) and cache.
-    fn new(config: CoordinatorConfig) -> Coordinator {
+    fn new(config: CoordinatorConfig) -> Arc<Coordinator> {
         let pool = WorkerPool::new(
             config.workers.clone(),
             PoolConfig {
@@ -205,7 +208,7 @@ impl Coordinator {
                 ..PoolConfig::default()
             },
         );
-        let cache = match config.cache_dir.clone() {
+        let mut cache = match config.cache_dir.clone() {
             Some(dir) => ResultCache::with_disk(
                 config.cache_capacity,
                 DiskCacheConfig {
@@ -217,32 +220,100 @@ impl Coordinator {
         };
         let registry = config.metrics.as_ref();
         let histo = |name: &str| registry.map_or_else(obs::Histo::new, |r| r.histo(name));
-        Coordinator {
+        let counters = ServiceCounters::new(registry, "shard.");
+        cache.probes = counters.probes.clone();
+        cache.lookups = histo("stage.cache_lookup");
+        let admission = AdmissionCache::new(registry, "shard.");
+        let (parse, merge) = (histo("stage.parse"), histo("stage.merge"));
+        Arc::new_cyclic(|this| Coordinator {
+            this: this.clone(),
             inner: Mutex::new(Inner {
                 jobs: HashMap::new(),
                 cache,
             }),
             pool,
             stopping: AtomicBool::new(false),
-            counters: ServiceCounters::new(registry, "shard."),
-            admission: AdmissionCache::new(registry, "shard."),
-            parse: histo("stage.parse"),
-            merge: histo("stage.merge"),
+            counters,
+            admission,
+            parse,
+            merge,
             config,
-        }
+        })
     }
 
     fn lock(&self) -> MutexGuard<'_, Inner> {
         self.inner.lock().expect("coordinator poisoned")
     }
 
-    /// The admission path, completing `admission` (the request's probe
-    /// of the admission cache): cache hit, coalesce, reject, or
-    /// scatter. `Some` is an immediate response (`responder`
-    /// untouched); `None` means the request was queued or joined and
-    /// `responder` was consumed.
-    fn submit_core(
-        self: &Arc<Self>,
+    /// Merges the parts' tallies, in part order; the first failed part
+    /// fails the job. `merge_counts` is commutative, so which link
+    /// landed first cannot change the result.
+    fn merge(&self, outcomes: Outcomes) -> Result<Counts, String> {
+        let merge_started = std::time::Instant::now();
+        let mut merged = Counts::new();
+        for outcome in outcomes {
+            merge_counts(&mut merged, outcome?);
+        }
+        self.merge.record_duration(merge_started.elapsed());
+        Ok(merged)
+    }
+
+    /// Lands a finished job: cache, then — once the lock is released,
+    /// so neither file I/O nor reply encoding holds up admission — spill
+    /// the result to disk and respond to every waiter.
+    fn complete(&self, key: &CacheKey, result: Result<Counts, String>) {
+        let mut inner = self.lock();
+        // Shutdown may have dropped the job meanwhile; its waiters are
+        // already failed.
+        let Some(waiters) = inner.jobs.remove(key) else {
+            return;
+        };
+        let spill = match &result {
+            Ok(counts) => {
+                self.counters.completed.inc();
+                inner.cache.insert_deferred(key.clone(), counts.clone())
+            }
+            Err(_) => {
+                self.counters.errors.inc();
+                None
+            }
+        };
+        drop(inner);
+        if let Some(spill) = spill {
+            spill.write();
+        }
+        Waiter::answer_all(waiters, key, &result);
+    }
+}
+
+impl JobBackend for Coordinator {
+    fn role(&self) -> &'static str {
+        "coordinator"
+    }
+
+    fn counters(&self) -> &ServiceCounters {
+        &self.counters
+    }
+
+    /// A result is cached only for a job that passed the capability
+    /// probe, so a hit skips it.
+    fn lookup(&self, run: &RunRequest) -> Lookup {
+        frontend::lookup(
+            run,
+            &self.admission,
+            &self.inner,
+            |inner: &mut Inner| &mut inner.cache,
+            &self.counters,
+            &self.parse,
+        )
+    }
+
+    /// The admission path: cache hit, coalesce, reject, or scatter. Its
+    /// one pass under the lock reads the result cache as
+    /// `ResultCache::get_guarded` reads it for a key that missed memory
+    /// at the reactor's generation.
+    fn submit(
+        &self,
         id: Option<String>,
         run: &RunRequest,
         admission: Admission,
@@ -258,6 +329,7 @@ impl Coordinator {
         // statevector, one pass over the instructions otherwise: ≈ 0.6 µs
         // on the served GHZ-12 on a 2-core x86-64 host, too little to
         // keep per entry).
+        let mut missed_at = admission.missed_at;
         let (admitted, parse_ns) = self.admission.finish(admission, run);
         let probe_started = Instant::now();
         let admitted = admitted.and_then(|ticket| {
@@ -289,8 +361,12 @@ impl Coordinator {
         let parsed = admitted.parsed;
         let key = admitted.key;
 
-        let (mut inner, hit) =
-            ResultCache::get_guarded(&self.inner, |inner: &mut Inner| &mut inner.cache, &key);
+        let (mut inner, hit) = ResultCache::get_guarded(
+            &self.inner,
+            |inner: &mut Inner| &mut inner.cache,
+            &key,
+            &mut missed_at,
+        );
         if let Some(tallies) = hit {
             counters.cache_hits.inc();
             return Some(ok_response(id, &key, tallies, true, false));
@@ -351,7 +427,7 @@ impl Coordinator {
                 (range, request.to_line())
             })
             .collect();
-        let coordinator = self.clone();
+        let coordinator = self.this.upgrade().expect("a coordinator lives in an Arc");
         self.pool
             .scatter(parts, self.config.redispatch_limit, move |outcomes| {
                 let result = coordinator.merge(outcomes);
@@ -360,100 +436,9 @@ impl Coordinator {
         None
     }
 
-    /// Merges the parts' tallies, in part order; the first failed part
-    /// fails the job. `merge_counts` is commutative, so which link
-    /// landed first cannot change the result.
-    fn merge(&self, outcomes: Outcomes) -> Result<Counts, String> {
-        let merge_started = std::time::Instant::now();
-        let mut merged = Counts::new();
-        for outcome in outcomes {
-            merge_counts(&mut merged, outcome?);
-        }
-        self.merge.record_duration(merge_started.elapsed());
-        Ok(merged)
-    }
-
-    /// Lands a finished job: cache, then — once the lock is released,
-    /// so neither file I/O nor reply encoding holds up admission — spill
-    /// the result to disk and respond to every waiter.
-    fn complete(&self, key: &CacheKey, result: Result<Counts, String>) {
-        let mut inner = self.lock();
-        // Shutdown may have dropped the job meanwhile; its waiters are
-        // already failed.
-        let Some(waiters) = inner.jobs.remove(key) else {
-            return;
-        };
-        let spill = match &result {
-            Ok(counts) => {
-                self.counters.completed.inc();
-                inner.cache.insert_deferred(key.clone(), counts.clone())
-            }
-            Err(_) => {
-                self.counters.errors.inc();
-                None
-            }
-        };
-        drop(inner);
-        if let Some(spill) = spill {
-            spill.write();
-        }
-        Waiter::answer_all(waiters, key, &result);
-    }
-}
-
-impl JobBackend for Coordinator {
-    fn role(&self) -> &'static str {
-        "coordinator"
-    }
-
-    /// The admission cache's probe, then the result cache's memory tier
-    /// under the coordinator lock; counted as `submit_core`'s hit path
-    /// counts. A result is cached only for a job that passed the
-    /// capability probe, so a hit skips it.
-    fn lookup(&self, run: &RunRequest) -> Lookup {
-        let admission = self.admission.probe(run);
-        let Some(Ok(ticket)) = &admission.ticket else {
-            return Lookup::Submit(admission);
-        };
-        let Some(tallies) = self.lock().cache.get_memory(&ticket.key) else {
-            return Lookup::Submit(admission);
-        };
-        self.parse.record(admission.parse_ns);
-        self.counters.received.inc();
-        self.counters.cache_hits.inc();
-        Lookup::Hit {
-            key: ticket.key.clone(),
-            tallies,
-        }
-    }
-
-    fn submit(
-        self: &Arc<Self>,
-        id: Option<String>,
-        run: &RunRequest,
-        admission: Admission,
-        responder: Responder,
-    ) {
-        let mut slot = Some(responder);
-        if let Some(response) = self.submit_core(id, run, admission, &mut slot) {
-            let responder = slot.take().expect("immediate settle leaves the responder");
-            responder.respond(response);
-        }
-    }
-
-    fn note_error(&self) {
-        self.counters.received.inc();
-        self.counters.errors.inc();
-    }
-
     fn stats(&self) -> ServiceStats {
         let inner = self.lock();
-        ServiceStats {
-            in_flight: inner.jobs.len() as u64,
-            cache_entries: inner.cache.len() as u64,
-            cache_disk_entries: inner.cache.disk_len() as u64,
-            ..self.counters.stats()
-        }
+        self.counters.stats(inner.jobs.len(), &inner.cache)
     }
 
     fn worker_rows(&self) -> Vec<WorkerRow> {
@@ -489,14 +474,102 @@ impl JobBackend for Coordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use service::{Service, ServiceConfig};
     use std::sync::mpsc;
+
+    fn bell(shots: u64, seed: u64) -> RunRequest {
+        let mut c = circuit::circuit::Circuit::new(2, 2);
+        c.h(0).cx(0, 1).measure(0, 0).measure(1, 1);
+        RunRequest::new(circuit::qasm::to_qasm3(&c), shots, seed, "auto")
+    }
+
+    /// `run` through the front end's path: lookup, then submit, waiting
+    /// for a queued job's reply.
+    fn serve(coordinator: &Coordinator, run: &RunRequest) -> Response {
+        let admission = match coordinator.lookup(run) {
+            Lookup::Hit { key, tallies } => return ok_response(None, &key, tallies, true, false),
+            Lookup::Submit(admission) => admission,
+        };
+        let (tx, rx) = mpsc::channel();
+        let mut responder = Some(Responder::Channel(tx));
+        match coordinator.submit(None, run, admission, &mut responder) {
+            Some(response) => response,
+            None => rx.recv().expect("the job completes"),
+        }
+    }
+
+    #[test]
+    fn a_cold_miss_and_a_warm_hit_read_the_memory_tier_once_each() {
+        let worker = Service::spawn(ServiceConfig::default()).expect("spawn worker");
+        let registry = obs::Registry::default();
+        let coordinator = Coordinator::new(CoordinatorConfig {
+            workers: vec![worker.addr().to_string()],
+            metrics: Some(registry.clone()),
+            ..CoordinatorConfig::default()
+        });
+        coordinator.pool.probe_all();
+        let probes = || registry.snapshot().counter("shard.cache.probes");
+        // A text not parsed yet, then a held text under a fresh seed.
+        for seed in [1, 2] {
+            let reply = serve(&coordinator, &bell(100, seed));
+            assert!(
+                matches!(reply, Response::Ok { cached: false, .. }),
+                "{reply:?}"
+            );
+            assert_eq!(probes(), Some(seed), "cold miss {seed}");
+        }
+        let reply = serve(&coordinator, &bell(100, 2));
+        assert!(
+            matches!(reply, Response::Ok { cached: true, .. }),
+            "{reply:?}"
+        );
+        assert_eq!(probes(), Some(3), "a warm hit");
+        let lookups = registry
+            .snapshot()
+            .histo("stage.cache_lookup")
+            .unwrap()
+            .count;
+        assert_eq!(lookups, 3);
+        coordinator.shutdown();
+        worker.shutdown();
+    }
+
+    #[test]
+    fn a_result_landing_between_lookup_and_submit_is_served_cached() {
+        let coordinator = Coordinator::new(CoordinatorConfig::default());
+        let run = bell(100, 7);
+        // The text is held, so the lookup reads memory.
+        let admitted = coordinator.admission.probe(&run);
+        coordinator
+            .admission
+            .finish(admitted, &run)
+            .0
+            .expect("admits");
+        let Lookup::Submit(admission) = coordinator.lookup(&run) else {
+            panic!("nothing is known yet");
+        };
+        assert!(admission.missed_at.is_some(), "the lookup read memory");
+        let key = service::admit(&run).expect("admits").key;
+        let tallies: Counts = [(0, 60), (3, 40)].into_iter().collect();
+        coordinator.lock().cache.insert(key, tallies.clone());
+        let mut responder = None;
+        match coordinator.submit(None, &run, admission, &mut responder) {
+            Some(Response::Ok {
+                cached: true,
+                tallies: served,
+                ..
+            }) => assert_eq!(served, tallies),
+            other => panic!("expected a cached reply, got {other:?}"),
+        }
+        assert!(coordinator.lock().jobs.is_empty(), "nothing was scattered");
+    }
 
     #[test]
     fn waiters_are_answered_outside_the_coordinator_lock() {
         // The responder tries the coordinator lock: if the reply were
         // sent under it, a `stats()` read would wait for the responder
         // itself.
-        let coordinator = Arc::new(Coordinator::new(CoordinatorConfig::default()));
+        let coordinator = Coordinator::new(CoordinatorConfig::default());
         let run = RunRequest::new("OPENQASM 3.0;\nqubit[1] q;\nh q[0];\n", 10, 1, "auto");
         let key = service::admit(&run).expect("admits").key;
         let (answered_tx, answered) = mpsc::channel();
