@@ -40,9 +40,11 @@ use mathkit::matrix::Matrix;
 use network::ledger::ResourceLedger;
 use network::machine::DistributedMachine;
 use network::topology::Topology;
+use qsim::compile::CompiledCircuit;
 use qsim::qrand::PureEnsemble;
-use qsim::sim::SimState;
+use qsim::sim::{SimProgram, SimState};
 use qsim::statevector::StateVector;
+use std::sync::OnceLock;
 
 use crate::cswap::{local_cswap_block, two_party_cswap, CswapScheme};
 use crate::estimator::{TraceBackend, TraceEstimate};
@@ -142,6 +144,10 @@ struct ProtocolCircuits {
     circuit_re: Circuit,
     /// Circuit with the first GHZ qubit in Y (imaginary channel).
     circuit_im: Circuit,
+    /// Both channels compiled, once per protocol: on the first
+    /// estimate, since protocols far wider than a statevector holds are
+    /// built for their resource counts alone.
+    programs: OnceLock<[CompiledCircuit; 2]>,
     /// For each state index `0..k`, the qubits holding it.
     state_qubits: Vec<Vec<Qubit>>,
     /// Classical bits holding the GHZ outcomes.
@@ -160,21 +166,18 @@ impl ProtocolCircuits {
         assert_eq!(states.len(), self.state_qubits.len(), "need k states");
         let ensembles: Vec<PureEnsemble> = states.iter().map(PureEnsemble::from_density).collect();
         let mut odd = [0u64; 2];
-        for (channel, odd_count) in odd.iter_mut().enumerate() {
-            let circ = if channel == 0 {
-                &self.circuit_re
-            } else {
-                &self.circuit_im
-            };
-            // Compile once per channel; every shot replays the fused
-            // kernels on its own stream.
-            let program = <StateVector as SimState>::compile(circ);
+        let programs = self.programs.get_or_init(|| {
+            [&self.circuit_re, &self.circuit_im].map(<StateVector as SimState>::compile)
+        });
+        for (channel, (odd_count, program)) in odd.iter_mut().zip(programs).enumerate() {
+            // Every shot replays the channel's fused kernels on its own
+            // stream.
             *odd_count = exec.derive(channel as u64).run_count_with(
                 shots as u64,
                 || {
                     let groups: Vec<(&[mathkit::complex::Complex], &[usize])> =
                         Vec::with_capacity(ensembles.len());
-                    (StateVector::new(circ.num_qubits()), Vec::new(), groups)
+                    (StateVector::new(program.num_qubits()), Vec::new(), groups)
                 },
                 |(state, cbits, groups), _shot, rng| {
                     // One draw per ensemble, in state order, placed
@@ -188,8 +191,8 @@ impl ProtocolCircuits {
                     );
                     state.set_product_state(groups);
                     cbits.clear();
-                    cbits.resize(circ.num_cbits(), false);
-                    state.apply_compiled(&program, cbits, rng);
+                    cbits.resize(program.num_cbits(), false);
+                    state.apply_compiled(program, cbits, rng);
                     self.ghz_cbits.iter().fold(false, |acc, &c| acc ^ cbits[c])
                 },
             );
@@ -372,6 +375,7 @@ impl MonolithicSwapTest {
             circuits: ProtocolCircuits {
                 circuit_re,
                 circuit_im,
+                programs: OnceLock::new(),
                 state_qubits,
                 ghz_cbits,
             },
@@ -466,6 +470,7 @@ impl HadamardTestSwapTest {
             circuits: ProtocolCircuits {
                 circuit_re,
                 circuit_im,
+                programs: OnceLock::new(),
                 state_qubits,
                 ghz_cbits,
             },
@@ -619,6 +624,7 @@ impl CompasProtocol {
             circuits: ProtocolCircuits {
                 circuit_re,
                 circuit_im,
+                programs: OnceLock::new(),
                 state_qubits,
                 ghz_cbits,
             },

@@ -26,14 +26,16 @@
 //! blocked the same way.
 //!
 //! The workers run on the state's stored sub-cube (see
-//! [`crate::statevector`]). At a segment's entry the state inserts, in
-//! place, every pinned bit some kernel of the segment mixes — one
-//! resize, so no second buffer — and hands the workers the buffer, the
-//! `Layout` that places program masks into it (the width difference
-//! `widen` included), and the inserted bits as *entry pins in buffer
-//! coordinates*: their amplitudes off the entry values are still the
-//! insertion's zeros, so a kernel that has not mixed them yet skips
-//! those units.
+//! [`crate::statevector`]). At a segment's entry the calling thread
+//! first applies the leading kernels that mix pinned bits alone by
+//! expansion (`StateVector::expand`: the insertion writes their
+//! products, not zeros). Then the state inserts, in place, every
+//! pinned bit some kernel of the rest mixes — one resize, so no second
+//! buffer — and hands the workers the buffer, the `Layout` that places
+//! program masks into it (the width difference `widen` included), and
+//! the inserted bits as *entry pins in buffer coordinates*: their
+//! amplitudes off the entry values are still the insertion's zeros, so
+//! a kernel that has not mixed them yet skips those units.
 //!
 //! ## Determinism
 //!
@@ -292,12 +294,22 @@ impl StateVector {
         self.num_qubits() - program.num_qubits()
     }
 
-    /// Plays one maximal kernel run with `workers` workers. The state
-    /// inserts what the whole run mixes — each kernel judged against
-    /// the pins the ones before it leave — and every worker starts from
-    /// the inserted bits' entry values and folds the kernels' unpinning
+    /// Plays one maximal kernel run with `workers` workers. Its leading
+    /// kernels on pinned bits alone are expansions, on the calling
+    /// thread ([`StateVector::expand`]). Then the state inserts what
+    /// the rest of the run mixes — each kernel judged against the pins
+    /// the ones before it leave — and every worker starts from the
+    /// inserted bits' entry values and folds the kernels' unpinning
     /// itself.
     fn run_kernels(&mut self, segment: &[CompiledOp], widen: usize, workers: usize) {
+        let expanded = segment
+            .iter()
+            .take_while(|op| self.expand(op, widen))
+            .count();
+        let segment = &segment[expanded..];
+        if segment.is_empty() {
+            return;
+        }
         let (grown, _) = segment.iter().fold((0, self.pins()), |(grown, pins), op| {
             let bits = op.grown_bits(widen, pins);
             (grown | bits, pins.without(bits))

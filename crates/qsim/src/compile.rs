@@ -80,8 +80,13 @@
 //! into buffer coordinates once per call (`Layout`) and runs the same
 //! slice loops densely. Every unit does the full pass's arithmetic on
 //! the full pass's values, so the result is the full pass's, bit for
-//! bit; the cost model is *work ∝ 2^live*, not passes × `2ⁿ` — on
-//! every replay path, at any worker count. On a buffer larger than a
+//! bit. The one exception is a segment's leading `Unitary1`/`Unitary2`
+//! on pinned bits alone (a Bell-pair preparation on fresh qubits): the
+//! insertion writes its column `M[:, v]` times each stored amplitude
+//! instead of zeros the kernel would then multiply — the dense row's
+//! only nonzero term, so the same amplitudes, nonzero components bit
+//! for bit (`StateVector::expand`). The cost model is *work ∝ 2^live*,
+//! not passes × `2ⁿ` — on every replay path, at any worker count. On a buffer larger than a
 //! 1 MiB block the replay also runs consecutive in-block kernels block
 //! by block, so what reaches memory is less than the sum of the passes.
 //! The program itself knows nothing of this — the same
@@ -2029,6 +2034,117 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The two-nonzeros-per-row 4×4s of `lib-compas`'s teledata shot on
+    /// `{hi, lo}`: the Bell-pair preparations `cx(hi→lo)·h(hi)` and
+    /// `cx(lo→hi)·h(lo)`, and the Bell-basis change `h(hi)·cx(hi→lo)`.
+    fn bell_shapes(hi: usize, lo: usize) -> [CompiledOp; 3] {
+        let h = |stride| {
+            let matrix = mat2_of(&Gate::H(0));
+            mat4_of(&CompiledOp::Unitary1 { stride, matrix }, hi, lo)
+        };
+        let cx = |control: usize, target: usize| {
+            let ones = control;
+            let (select, flip) = (control | target, target);
+            mat4_of(&CompiledOp::PermuteSwap { ones, select, flip }, hi, lo)
+        };
+        [
+            mul4(&cx(hi, lo), &h(hi)),
+            mul4(&cx(lo, hi), &h(lo)),
+            mul4(&h(hi), &cx(hi, lo)),
+        ]
+        .map(|matrix| CompiledOp::Unitary2 {
+            mask_hi: hi,
+            mask_lo: lo,
+            matrix,
+        })
+    }
+
+    #[test]
+    fn expansion_equals_insertion_then_kernel() {
+        let n = 6;
+        let mut rng = StdRng::seed_from_u64(26);
+        let mut ops: Vec<CompiledOp> = kernel_zoo(n)
+            .into_iter()
+            .filter(|op| {
+                matches!(
+                    op,
+                    CompiledOp::Unitary1 { .. } | CompiledOp::Unitary2 { .. }
+                )
+            })
+            .collect();
+        for (hi, lo) in [(qubit_mask(1, n), qubit_mask(3, n)), (2, 1)] {
+            for op in bell_shapes(hi, lo) {
+                let CompiledOp::Unitary2 { matrix, .. } = &op else {
+                    unreachable!()
+                };
+                for row in matrix.chunks(4) {
+                    assert_eq!(row.iter().filter(|&&m| m != Complex::ZERO).count(), 2);
+                }
+                ops.push(op);
+            }
+        }
+        let mut expansions = 0;
+        for op in &ops {
+            for widen in [0, 1] {
+                let width = n + widen;
+                let qubit = |bit: usize| width - 1 - bit.trailing_zeros() as usize;
+                let mixed = op.mixed_bits() << widen;
+                let bits: Vec<usize> = (0..width)
+                    .map(|b| 1 << b)
+                    .filter(|b| mixed & b != 0)
+                    .collect();
+                for v in 0..1usize << bits.len() {
+                    // The mixed bits' pinned values, lowest bit first.
+                    let at_v = bits
+                        .iter()
+                        .enumerate()
+                        .fold(0, |i, (k, &bit)| i | if v >> k & 1 != 0 { bit } else { 0 });
+                    let others = ((1usize << width) - 1) & !mixed;
+                    let live = rng.random::<u64>() as usize & others;
+                    let live_qubits: Vec<usize> = (0..width)
+                        .filter(|&q| live & qubit_mask(q, width) != 0)
+                        .collect();
+                    let group = crate::qrand::random_pure_state(live_qubits.len(), &mut rng);
+                    let mut partly = StateVector::product_state(width, &[(group, live_qubits)]);
+                    for bit in (0..width).map(|b| 1 << b).filter(|b| at_v & b != 0) {
+                        partly.apply_gate(&Gate::X(qubit(bit)));
+                    }
+                    let fully = StateVector::basis_state(
+                        width,
+                        rng.random::<u64>() as usize & others | at_v,
+                    );
+                    for start in [fully, partly] {
+                        let what =
+                            format!("{op:?}, widen {widen}, values {v:#b}, {:?}", start.pins());
+                        let mut expanded = start.clone();
+                        assert!(expanded.expand(op, widen), "{what}");
+                        expansions += 1;
+                        let mut reference = start.clone();
+                        let (amps, layout, entry) = reference.grow(mixed, widen);
+                        let placed = op.place(layout);
+                        placed.apply(amps, 0..amps.len(), entry.without(placed.mixed()));
+                        assert!(expanded.pins_hold(), "{what}");
+                        assert_eq!(
+                            expanded.stored_len(),
+                            start.stored_len() << bits.len(),
+                            "{what}"
+                        );
+                        assert_eq!(expanded.stored_len(), reference.stored_len(), "{what}");
+                        assert_same_bits(&expanded.amplitudes(), &reference.amplitudes(), &what);
+                        // A mixed bit the buffer stores: no expansion.
+                        let mut stored = reference.clone();
+                        assert!(!stored.expand(op, widen), "{what}");
+                        assert!(stored == reference);
+                    }
+                }
+            }
+        }
+        // Two `Unitary1`s and 14 `Unitary2`s of the zoo, six Bell shapes;
+        // two widths, two starts, every value of the mixed bits.
+        assert_eq!(ops.len(), 2 + 14 + 6);
+        assert_eq!(expansions, 2 * 2 * (2 * 2 + 20 * 4));
     }
 
     #[test]

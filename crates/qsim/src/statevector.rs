@@ -24,13 +24,17 @@
 //! bit from the buffer as it scales the kept half. *Who unpins:* a gate
 //! or compiled kernel that mixes a bit the buffer does not store first
 //! inserts that bit in place — a descending spread, the new half set to
-//! `+0.0`. The exceptions keep a pinned bit classical: a controlled
-//! permutation tests a pinned control against its pattern instead
-//! (matched, the control drops out; contradicted, the gate moves
-//! nothing); `X`/`Y` on a pinned bit flip its value, `Y` also scaling
-//! every amplitude by `±i`; a diagonal gate or phase kernel applies the
-//! pinned bit's fixed factor, or nothing. [`StateVector::from_amplitudes`]
-//! pins nothing.
+//! `+0.0`. A compiled `Unitary1`/`Unitary2` that starts a kernel
+//! segment and mixes pinned bits alone is an *expansion* instead
+//! (`StateVector::expand`): the same spread writes each stored
+//! amplitude `a` as the column entries `M[r][v]·a` (`v` the pinned
+//! values), with no zeros to multiply. The exceptions keep a pinned
+//! bit classical: a controlled permutation tests a pinned control
+//! against its pattern instead (matched, the control drops out;
+//! contradicted, the gate moves nothing); `X`/`Y` on a pinned bit flip
+//! its value, `Y` also scaling every amplitude by `±i`; a diagonal gate
+//! or phase kernel applies the pinned bit's fixed factor, or nothing.
+//! [`StateVector::from_amplitudes`] pins nothing.
 //!
 //! So every amplitude loop is a dense pass over `2^live` contiguous
 //! amplitudes — the compiled kernels place their masks into buffer
@@ -81,7 +85,7 @@ use mathkit::matrix::Matrix;
 use rand::Rng;
 use std::f64::consts::FRAC_1_SQRT_2;
 
-use crate::compile::qubit_mask;
+use crate::compile::{qubit_mask, CompiledOp};
 
 /// Basis-index bits with a known classical value. A state's pins are
 /// the bits its buffer does not store (see the module docs); the
@@ -619,24 +623,89 @@ impl StateVector {
     /// every new entry `+0.0`. At most one allocation, and none once
     /// the buffer's capacity has seen this width.
     fn insert(&mut self, bits: usize) {
-        debug_assert_eq!(bits & !self.pins.mask, 0, "inserting a stored bit");
+        self.spread(bits, [0], |_, a| a);
+    }
+
+    /// Applies `op`, its masks shifted up by `widen`, by *expansion* if
+    /// it is a [`CompiledOp::Unitary1`] or [`CompiledOp::Unitary2`]
+    /// whose mixed bits are all pinned, and says whether it did. With
+    /// those bits at their pinned values `v` the state is `old ⊗ |v⟩`,
+    /// which the kernel maps to `old ⊗ M[:, v]`: each stored amplitude
+    /// `a` becomes the 2 or 4 entries `M[r][v]·a`, written as the bits
+    /// are inserted ([`StateVector::spread`]) instead of inserting zeros
+    /// and multiplying them.
+    ///
+    /// Exact: the kernel's row `r` on the inserted unit is
+    /// `M[r][v]·a` plus products with the insertion's `+0.0`, signed
+    /// zeros, and `x + (±0) == x` for every nonzero `x` (the argument of
+    /// `compile::Blocks`). So amplitudes are `==` to the kernel's, every
+    /// nonzero component bit for bit.
+    pub(crate) fn expand(&mut self, op: &CompiledOp, widen: usize) -> bool {
+        let pinned = |bits: usize| self.pins.pinned(bits) == bits;
+        let value = |bit: usize| usize::from(self.pins.vals & bit != 0);
+        match *op {
+            CompiledOp::Unitary1 { stride, ref matrix } if pinned(stride << widen) => {
+                let bit = stride << widen;
+                let v = value(bit);
+                let column = [matrix[v], matrix[2 + v]];
+                self.spread(bit, [0, bit], |r, a| column[r] * a);
+            }
+            CompiledOp::Unitary2 {
+                mask_hi,
+                mask_lo,
+                ref matrix,
+            } if pinned((mask_hi | mask_lo) << widen) => {
+                let (hi, lo) = (mask_hi << widen, mask_lo << widen);
+                let v = 2 * value(hi) + value(lo);
+                let column: [Complex; 4] = std::array::from_fn(|r| matrix[4 * r + v]);
+                self.spread(hi | lo, [0, lo, hi, hi | lo], |r, a| column[r] * a);
+            }
+            _ => return false,
+        }
+        true
+    }
+
+    /// Starts storing the pinned full-index `bits`, growing the buffer
+    /// in place: stored amplitude `a` becomes `column(r, a)` at each
+    /// row `rows[r]` (full-index bits within `bits`), the other grown
+    /// bits at their pinned values, and every other new entry `+0.0`.
+    /// An insertion is the one row `0` holding `a` itself, an expansion
+    /// ([`StateVector::expand`]) one row per value of the bits its
+    /// kernel mixes. One descending pass, so nothing is overwritten
+    /// before it is read; at most one allocation, and none once the
+    /// buffer's capacity has seen this width.
+    fn spread<const R: usize>(
+        &mut self,
+        bits: usize,
+        rows: [usize; R],
+        column: impl Fn(usize, Complex) -> Complex,
+    ) {
         if bits == 0 {
             return;
         }
+        let spread = self.spread_to(bits, rows);
+        self.pins = self.pins.without(bits);
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU was just seen to support `avx2`.
+            return unsafe { spread_pass_avx2(&mut self.amps, spread, column) };
+        }
+        spread_pass(&mut self.amps, spread, column);
+    }
+
+    /// [`StateVector::spread`]'s `bits` and `rows` in the grown
+    /// buffer's coordinates.
+    fn spread_to<const R: usize>(&self, bits: usize, rows: [usize; R]) -> Spread<R> {
+        debug_assert_eq!(bits & !self.pins.mask, 0, "inserting a stored bit");
         let free = self.free();
         let wider = free | bits;
-        let (kept, vals) = (gather(free, wider), gather(self.pins.vals & bits, wider));
-        let old_len = self.amps.len();
-        if bits.is_power_of_two() && kept == (old_len - 1) << 1 {
-            // One bit below every stored one: entry `k` moves to
-            // `2k + value`, an interleave with zeros.
-            interleave_in_place(&mut self.amps, vals != 0);
-        } else {
-            self.amps
-                .resize(old_len << bits.count_ones(), Complex::ZERO);
-            spread_in_place(&mut self.amps, old_len, kept, vals);
+        let placed = rows.iter().fold(0, |m, &row| m | row);
+        Spread {
+            grown: bits.count_ones(),
+            kept: gather(free, wider),
+            vals: gather(self.pins.vals & bits & !placed, wider),
+            rows: rows.map(|row| gather(row, wider)),
         }
-        self.pins = self.pins.without(bits);
     }
 
     /// Inserts the pinned full-index `bits` a kernel segment mixes and
@@ -1071,14 +1140,96 @@ impl StateVector {
     }
 }
 
-/// Moves entry `k < old_len` of `amps` to `spread(k, kept) | vals` and
-/// zeroes every other entry — the insertion behind
-/// [`StateVector::insert`], `kept` and `vals` in the grown buffer's
-/// coordinates. The map is strictly monotone with `spread(k) ≥ k`, so a
-/// descending pass reads every entry before anything lands on it. The
-/// stored bits below the lowest inserted one keep their positions, so
-/// blocks of that many entries move as one slice.
-fn spread_in_place(amps: &mut [Complex], old_len: usize, kept: usize, vals: usize) {
+/// A spread ([`StateVector::spread`]) in the grown buffer's
+/// coordinates.
+#[derive(Debug, Clone, Copy)]
+struct Spread<const R: usize> {
+    /// How many bits the buffer grows by.
+    grown: u32,
+    /// Where the stored bits land.
+    kept: usize,
+    /// The values of the grown bits no row covers.
+    vals: usize,
+    /// Each row's values of the grown bits the rows cover.
+    rows: [usize; R],
+}
+
+/// The pass behind [`StateVector::spread`]: one or two grown bits below
+/// every stored one are an interleave, anything else the general
+/// spread.
+///
+/// `#[inline(always)]`, so that each caller is an instantiation: this
+/// one at the build's baseline instruction set, and on x86-64
+/// [`spread_pass_avx2`], as the kernel bodies of [`crate::compile`]
+/// are. No `fma` in either, so amplitudes do not depend on the host.
+#[inline(always)]
+fn spread_pass<const R: usize>(
+    amps: &mut Vec<Complex>,
+    spread: Spread<R>,
+    column: impl Fn(usize, Complex) -> Complex,
+) {
+    let Spread {
+        grown,
+        kept,
+        vals,
+        rows,
+    } = spread;
+    let old_len = amps.len();
+    // At the bottom an expansion's rows are the values `0..R` of the
+    // grown bits.
+    debug_assert!(R == 1 || kept != (old_len - 1) << grown || (0..R).all(|r| rows[r] == r));
+    // Entry `i` of stored amplitude `a`'s fiber there, one at a time:
+    // a fiber handed back as an array went through memory, and under
+    // AVX2 that made a GHZ-12 shot's interleaves 4× slower.
+    let entry = |a, i| match R {
+        1 if i == vals => column(0, a),
+        1 => Complex::ZERO,
+        _ => column(i, a),
+    };
+    match grown {
+        1 if kept == (old_len - 1) << 1 => interleave_in_place::<2>(amps, entry),
+        2 if kept == (old_len - 1) << 2 => interleave_in_place::<4>(amps, entry),
+        _ => {
+            amps.resize(old_len << grown, Complex::ZERO);
+            spread_in_place(amps, old_len, kept, vals, rows, column);
+        }
+    }
+}
+
+/// [`spread_pass`] compiled with AVX2.
+///
+/// # Safety
+///
+/// The CPU must support `avx2`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn spread_pass_avx2<const R: usize>(
+    amps: &mut Vec<Complex>,
+    spread: Spread<R>,
+    column: impl Fn(usize, Complex) -> Complex,
+) {
+    spread_pass(amps, spread, column);
+}
+
+/// Writes entry `k < old_len` of `amps` as `column(r, a)` at
+/// `spread(k, kept) | vals | rows[r]` for each row `r` and zeroes every
+/// other entry it held — the pass behind [`StateVector::spread`],
+/// `kept`, `vals` and `rows` in the grown buffer's coordinates, the
+/// buffer already grown with zeros. The map `k ↦ spread(k, kept) | vals`
+/// is strictly monotone with `spread(k) ≥ k`, and a row only adds grown
+/// bits to it, so a descending pass reads every entry before anything
+/// lands on it; only row `0` may land on the entry itself.
+/// The stored bits below the lowest grown one keep their positions, so
+/// blocks of that many entries share one step of the spread.
+#[inline(always)]
+fn spread_in_place<const R: usize>(
+    amps: &mut [Complex],
+    old_len: usize,
+    kept: usize,
+    vals: usize,
+    rows: [usize; R],
+    column: impl Fn(usize, Complex) -> Complex,
+) {
     let block = 1usize << kept.trailing_ones();
     let high = kept & !(block - 1);
     // The spread of the current block's first index: the submasks of
@@ -1088,62 +1239,69 @@ fn spread_in_place(amps: &mut [Complex], old_len: usize, kept: usize, vals: usiz
     while from > 0 {
         from -= block;
         let dst = to | vals;
-        if dst != from {
-            if block == 1 {
-                amps[dst] = std::mem::replace(&mut amps[from], Complex::ZERO);
-            } else {
-                amps.copy_within(from..from + block, dst);
-                amps[from..(from + block).min(dst)].fill(Complex::ZERO);
+        for j in 0..block {
+            let a = amps[from + j];
+            if dst != from {
+                amps[from + j] = Complex::ZERO;
+            }
+            for (r, &row) in rows.iter().enumerate() {
+                amps[(dst | row) + j] = column(r, a);
             }
         }
         to = to.wrapping_sub(1) & high;
     }
 }
 
-/// [`spread_in_place`] for one inserted bit below every stored one,
-/// doubling `amps`: entry `k` moves to `2k + one`, and the other entry
-/// of its pair is zeroed. The entries in `[h/2, h)` land in `[h, 2h)`,
-/// past every entry not yet read, so each halving of `h` is one pass
-/// over two disjoint slices; only entry 0 lands on itself. The first
-/// pass writes the new half straight into the spare capacity: every
-/// entry of it is written exactly once, so it is never zero-filled
-/// first.
-fn interleave_in_place(amps: &mut Vec<Complex>, one: bool) {
+/// [`spread_in_place`] for the `log₂ F` grown bits below every stored
+/// one, growing `amps` `F`-fold: entry `k` becomes the fiber
+/// `entry(a, 0..F)` at `F·k..F·k + F`. The entries in `[⌈h/F⌉, h)` land
+/// in `[h, F·h)`, past every entry not yet read, so each step down from
+/// `h = old_len` is one pass over two disjoint slices; only entry 0
+/// lands on itself. The first step writes the new entries straight
+/// into the spare capacity: every one of them is written exactly once,
+/// so none is zero-filled first.
+#[inline(always)]
+fn interleave_in_place<const F: usize>(
+    amps: &mut Vec<Complex>,
+    entry: impl Fn(Complex, usize) -> Complex,
+) {
     let old_len = amps.len();
-    let slot = usize::from(one);
-    let pair_of = |a: Complex| {
-        let mut pair = [Complex::ZERO; 2];
-        pair[slot] = a;
-        pair
-    };
-    amps.reserve(old_len);
+    amps.reserve((F - 1) * old_len);
     let base = amps.as_mut_ptr();
-    for k in old_len / 2..old_len {
-        // SAFETY: `reserve` made room for `2·old_len` entries. Entry
-        // `k < old_len` is initialised and read before its pair
-        // `2k, 2k + 1 < 2·old_len` is written; the pair lies in the
-        // spare `[old_len, 2·old_len)` (`old_len` is a power of two, so
-        // `2k ≥ old_len`) except for a one-entry buffer, whose pair
-        // starts at the entry itself. Nothing else touches `amps`
-        // meanwhile.
-        unsafe {
-            let pair = pair_of(base.add(k).read());
-            base.add(2 * k).write(pair[0]);
-            base.add(2 * k + 1).write(pair[1]);
+    let mut top = old_len / F;
+    for k in (top..old_len).rev() {
+        // SAFETY: entry `k < old_len` is initialised, and no fiber
+        // written so far reaches it: those start at `F·(k + 1) > k`.
+        let a = unsafe { base.add(k).read() };
+        for i in 0..F {
+            // SAFETY: `reserve` made room for `F·old_len` entries. The
+            // fiber lies in the spare `[old_len, F·old_len)` (`old_len`
+            // is a power of two, so `F·k ≥ old_len` when `k ≥ top > 0`),
+            // except in a buffer shorter than `F` (`top` 0), where entry
+            // 0's fiber covers the initialised entries too: all read
+            // already, the loop descending.
+            unsafe { base.add(F * k + i).write(entry(a, i)) };
         }
     }
-    // SAFETY: the loop above wrote every entry of `[old_len, 2·old_len)`.
-    unsafe { amps.set_len(2 * old_len) };
-    let mut top = old_len / 2;
+    // SAFETY: the loop wrote every entry of `[F·top, F·old_len)`, which
+    // covers `[old_len, F·old_len)`.
+    unsafe { amps.set_len(F * old_len) };
     while top > 1 {
-        let (low, high) = amps.split_at_mut(top);
-        for (pair, &a) in high[..top].chunks_exact_mut(2).zip(&low[top / 2..]) {
-            pair.copy_from_slice(&pair_of(a));
+        let low = top.div_ceil(F);
+        let (head, tail) = amps.split_at_mut(top);
+        let outs = tail[F * low - top..F * top - top].chunks_exact_mut(F);
+        for (out, &a) in outs.zip(&head[low..]) {
+            for (i, x) in out.iter_mut().enumerate() {
+                *x = entry(a, i);
+            }
         }
-        top /= 2;
+        top = low;
     }
-    if old_len > 1 {
-        [amps[0], amps[1]] = pair_of(amps[0]);
+    if top == 1 {
+        let a = amps[0];
+        for (i, x) in amps[..F].iter_mut().enumerate() {
+            *x = entry(a, i);
+        }
     }
 }
 
@@ -1684,12 +1842,128 @@ mod tests {
         }
     }
 
+    // ---- the spread: every instantiation, the same bits ------------
+
+    /// [`spread_pass`] in the baseline instantiation, or the AVX2 one.
+    fn spread_with<const R: usize>(
+        amps: &mut Vec<Complex>,
+        wide: bool,
+        spread: Spread<R>,
+        column: &dyn Fn(usize, Complex) -> Complex,
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if wide {
+            // SAFETY: only asked for when `avx2` was detected.
+            return unsafe { spread_pass_avx2(amps, spread, column) };
+        }
+        assert!(!wide, "no AVX2 instantiation on this target");
+        spread_pass(amps, spread, column);
+    }
+
+    #[test]
+    fn every_instantiation_of_the_spread_has_the_baseline_bits() {
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        let n = 7;
+        let mut rng = StdRng::seed_from_u64(28);
+        let column: [Complex; 4] =
+            std::array::from_fn(|_| c64(rng.random::<f64>() - 0.5, rng.random::<f64>() - 0.5));
+        let scaled = |r: usize, a: Complex| column[r] * a;
+        // Interleaves of one and two bits, general spreads.
+        let mut passes = [0; 3];
+        for _ in 0..300 {
+            let live = rng.random::<u64>() as usize & ((1 << n) - 1);
+            let qubits: Vec<usize> = (0..n).filter(|&q| live & qubit_mask(q, n) != 0).collect();
+            let group = crate::qrand::random_pure_state(qubits.len(), &mut rng);
+            let mut sv = StateVector::product_state(n, &[(group, qubits)]);
+            for q in (0..n).filter(|_| rng.random::<bool>()) {
+                sv.apply_gate(&Gate::X(q)); // a pinned bit's value, or a live one's
+            }
+            let pinned: Vec<usize> = (0..n)
+                .map(|b| 1 << b)
+                .filter(|b| sv.pins.mask & b != 0)
+                .collect();
+            if pinned.len() < 2 {
+                continue;
+            }
+            let pick = |rng: &mut StdRng| pinned[rng.random_range(0..pinned.len())];
+            let (lo, hi) = {
+                let (x, y) = (pick(&mut rng), pick(&mut rng));
+                (x.min(y), x.max(y))
+            };
+            let mut run = |bits: usize, each: &dyn Fn(&mut Vec<Complex>, bool)| {
+                let (old_len, grown) = (sv.amps.len(), bits.count_ones());
+                let kept = gather(sv.free(), sv.free() | bits);
+                passes[match grown {
+                    1 | 2 if kept == (old_len - 1) << grown => grown as usize - 1,
+                    _ => 2,
+                }] += 1;
+                let mut baseline = sv.amps.clone();
+                each(&mut baseline, false);
+                if avx2 {
+                    let mut wide = sv.amps.clone();
+                    each(&mut wide, true);
+                    assert_eq!(
+                        amplitude_bits(&wide),
+                        amplitude_bits(&baseline),
+                        "{bits:#b}, {:?}",
+                        sv.pins
+                    );
+                }
+            };
+            let one = sv.spread_to(lo, [0, lo]);
+            run(lo, &|amps, wide| spread_with(amps, wide, one, &scaled));
+            if lo != hi {
+                let two = sv.spread_to(lo | hi, [0, lo, hi, lo | hi]);
+                run(lo | hi, &|amps, wide| spread_with(amps, wide, two, &scaled));
+            }
+            let bits = lo | hi | pick(&mut rng);
+            let insert = sv.spread_to(bits, [0]);
+            run(bits, &|amps, wide| {
+                spread_with(amps, wide, insert, &|_, a| a)
+            });
+        }
+        assert!(passes.iter().all(|&count| count > 0), "{passes:?}");
+    }
+
     // ---- pinned ≡ unpinned, op by op ------------------------------
 
-    /// One instruction of a random dynamic circuit on `n ≥ 3` qubits
-    /// and `n` classical bits: every gate kind, mid-circuit measurement
-    /// in all three bases with and without readout flips, reset, parity
-    /// feedback, depolarizing sites.
+    /// One step of a random dynamic circuit on `n ≥ 3` qubits and `n`
+    /// classical bits: every gate kind, mid-circuit measurement in all
+    /// three bases with and without readout flips, reset, parity
+    /// feedback, depolarizing sites. A measurement or reset is followed
+    /// by gates on the qubits it pinned — a one-qubit rotation, or a
+    /// two-qubit pair whose kernel fuses into one 4×4 (after a second
+    /// reset: a Bell-pair preparation on two pinned qubits) — so that
+    /// kernels meet pinned bits alone.
+    fn arbitrary_step(code: u8, a: usize, b: usize, x: f64, n: usize) -> Vec<Instruction> {
+        let first = arbitrary_instruction(code, a, b, x, n);
+        let b = (a + 1 + b % (n - 1)) % n;
+        let then: Vec<Instruction> = match code {
+            16 | 18 | 20 => vec![Instruction::Gate(Gate::Rx(a, 3.0 * x))],
+            17 | 19 | 21 => vec![
+                Instruction::Gate(Gate::Ry(a, 3.0 * x)),
+                Instruction::Gate(Gate::Cx {
+                    control: a,
+                    target: b,
+                }),
+            ],
+            22 => vec![Instruction::Gate(Gate::H(a))],
+            23 => vec![
+                Instruction::Reset(b),
+                Instruction::Gate(Gate::H(a)),
+                Instruction::Gate(Gate::Cx {
+                    control: a,
+                    target: b,
+                }),
+            ],
+            _ => Vec::new(),
+        };
+        std::iter::once(first).chain(then).collect()
+    }
+
     fn arbitrary_instruction(code: u8, a: usize, b: usize, x: f64, n: usize) -> Instruction {
         let b = (a + 1 + b % (n - 1)) % n;
         let c = (0..n).find(|&q| q != a && q != b).expect("n ≥ 3");
@@ -1756,13 +2030,14 @@ mod tests {
     /// throughout — on one RNG stream each. After every op the
     /// amplitudes are `==`, the records equal and the pins hold; at the
     /// end both streams have made the same draws. Returns the final
-    /// state.
+    /// state and, on the compiled paths, how many `Unitary1` and
+    /// `Unitary2` ops were expansions ([`StateVector::expand`]).
     fn assert_pinned_matches_unpinned(
         path: Path,
         circuit: &Circuit,
         start: &StateVector,
         seed: u64,
-    ) -> StateVector {
+    ) -> (StateVector, [usize; 2]) {
         let programs = crate::compile::compile(circuit).single_ops();
         let steps = match path {
             Path::Interpreted => circuit.instructions().len(),
@@ -1785,7 +2060,19 @@ mod tests {
             vec![false; circuit.num_cbits()],
             vec![false; circuit.num_cbits()],
         ];
+        let widen = start.num_qubits() - circuit.num_qubits();
+        let mut expansions = [0; 2];
         for i in 0..steps {
+            let program = programs.get(i).filter(|_| path != Path::Interpreted);
+            if let Some(op) = program.map(|program| &program.ops()[0]) {
+                let mixed = op.mixed_bits() << widen;
+                let expanded = pinned.pins().pinned(mixed) == mixed;
+                match op {
+                    CompiledOp::Unitary1 { .. } if expanded => expansions[0] += 1,
+                    CompiledOp::Unitary2 { .. } if expanded => expansions[1] += 1,
+                    _ => {}
+                }
+            }
             step(i, &mut pinned, &mut bits[0], &mut rngs[0]);
             step(i, &mut twin, &mut bits[1], &mut rngs[1]);
             assert!(pinned.pins_hold(), "{path:?}, op {i}: pins broken");
@@ -1799,7 +2086,18 @@ mod tests {
             rng_twin.random::<u64>(),
             "{path:?}: the RNG streams made different draws"
         );
-        pinned
+        (pinned, expansions)
+    }
+
+    /// The random dynamic circuit on `n` qubits that `codes` spell.
+    fn random_dynamic_circuit(codes: Vec<(u8, usize, usize, f64)>, n: usize) -> Circuit {
+        let mut circuit = Circuit::new(n, n);
+        for (code, a, b, x) in codes {
+            for instr in arbitrary_step(code, a, b, x, n) {
+                circuit.push(instr);
+            }
+        }
+        circuit
     }
 
     proptest! {
@@ -1816,10 +2114,7 @@ mod tests {
             seed in 0u64..10_000,
         ) {
             let n = 5;
-            let mut circuit = Circuit::new(n, n);
-            for (code, a, b, x) in codes {
-                circuit.push(arbitrary_instruction(code, a, b, x, n));
-            }
+            let circuit = random_dynamic_circuit(codes, n);
             let mut rng = StdRng::seed_from_u64(seed);
             let product = StateVector::product_state(n, &[
                 (crate::qrand::random_pure_state(2, &mut rng), vec![3, 0]),
@@ -1829,12 +2124,12 @@ mod tests {
             // path shifts the masks up, the extra low bits stay pinned.
             for start in [StateVector::new(n), product, StateVector::new(n + 2)] {
                 assert_pinned_matches_unpinned(Path::Interpreted, &circuit, &start, seed);
-                let end = assert_pinned_matches_unpinned(Path::Compiled, &circuit, &start, seed);
+                let (end, _) = assert_pinned_matches_unpinned(Path::Compiled, &circuit, &start, seed);
                 let program = crate::compile::compile(&circuit);
                 for workers in [2, 3] {
                     let path = Path::Parallel(workers);
                     prop_assert_eq!(
-                        &assert_pinned_matches_unpinned(path, &circuit, &start, seed),
+                        &assert_pinned_matches_unpinned(path, &circuit, &start, seed).0,
                         &end
                     );
                     // Whole program: multi-kernel segments unpin the
@@ -1854,6 +2149,32 @@ mod tests {
                 prop_assert_eq!(&buffer, &start);
             }
         }
+    }
+
+    /// The generator above reaches the expansion: kernels on pinned
+    /// bits alone, after measurements and resets.
+    #[test]
+    fn random_dynamic_circuits_reach_the_expansion() {
+        let mut rng = StdRng::seed_from_u64(27);
+        let mut expansions = [0; 2];
+        for _ in 0..16 {
+            let codes = (0..rng.random_range(1..40usize))
+                .map(|_| {
+                    let code = rng.random_range(0..30u8);
+                    let (a, b) = (rng.random_range(0..5usize), rng.random_range(0..5usize));
+                    (code, a, b, rng.random::<f64>())
+                })
+                .collect();
+            let circuit = random_dynamic_circuit(codes, 5);
+            let seed = rng.random_range(0..10_000u64);
+            for start in [StateVector::new(5), StateVector::new(7)] {
+                let (_, [u1, u2]) =
+                    assert_pinned_matches_unpinned(Path::Compiled, &circuit, &start, seed);
+                expansions[0] += u1;
+                expansions[1] += u2;
+            }
+        }
+        assert!(expansions[0] > 0 && expansions[1] > 0, "{expansions:?}");
     }
 
     // ---- measurement: slice loops ≡ index loops, bit for bit ------

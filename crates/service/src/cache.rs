@@ -439,8 +439,8 @@ pub struct ResultCache {
     generation: u64,
     entries: HashMap<CacheKey, CacheEntry>,
     disk: Option<Arc<Mutex<DiskStore>>>,
-    /// `cache.evictions` when the owning scheduler has a registry.
-    pub(crate) evictions: obs::Counter,
+    /// Each eviction: the owner's `cache.evictions`.
+    pub evictions: obs::Counter,
     /// Each memory-tier read: the owner's `cache.probes`.
     pub probes: obs::Counter,
     /// Each request's first lookup: the owner's `stage.cache_lookup`.

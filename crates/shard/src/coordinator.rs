@@ -221,6 +221,8 @@ impl Coordinator {
         let registry = config.metrics.as_ref();
         let histo = |name: &str| registry.map_or_else(obs::Histo::new, |r| r.histo(name));
         let counters = ServiceCounters::new(registry, "shard.");
+        cache.evictions =
+            registry.map_or_else(obs::Counter::new, |r| r.counter("shard.cache.evictions"));
         cache.probes = counters.probes.clone();
         cache.lookups = histo("stage.cache_lookup");
         let admission = AdmissionCache::new(registry, "shard.");
@@ -530,6 +532,32 @@ mod tests {
             .unwrap()
             .count;
         assert_eq!(lookups, 3);
+        coordinator.shutdown();
+        worker.shutdown();
+    }
+
+    #[test]
+    fn the_coordinators_cache_evictions_are_exported() {
+        let worker = Service::spawn(ServiceConfig::default()).expect("spawn worker");
+        let registry = obs::Registry::default();
+        let coordinator = Coordinator::new(CoordinatorConfig {
+            workers: vec![worker.addr().to_string()],
+            cache_capacity: 1,
+            metrics: Some(registry.clone()),
+            ..CoordinatorConfig::default()
+        });
+        coordinator.pool.probe_all();
+        // Three distinct requests through a one-entry cache: the second
+        // and third inserts each evict the one before.
+        for seed in 1..=3 {
+            let reply = serve(&coordinator, &bell(100, seed));
+            assert!(
+                matches!(reply, Response::Ok { cached: false, .. }),
+                "{reply:?}"
+            );
+        }
+        let merged = coordinator.metrics();
+        assert_eq!(merged.counter("shard.cache.evictions"), Some(2));
         coordinator.shutdown();
         worker.shutdown();
     }
