@@ -649,6 +649,8 @@ impl StateVector {
                 let v = value(bit);
                 let column = [matrix[v], matrix[2 + v]];
                 self.spread(bit, [0, bit], |r, a| column[r] * a);
+                #[cfg(test)]
+                count_expansion(0);
             }
             CompiledOp::Unitary2 {
                 mask_hi,
@@ -659,6 +661,8 @@ impl StateVector {
                 let v = 2 * value(hi) + value(lo);
                 let column: [Complex; 4] = std::array::from_fn(|r| matrix[4 * r + v]);
                 self.spread(hi | lo, [0, lo, hi, hi | lo], |r, a| column[r] * a);
+                #[cfg(test)]
+                count_expansion(1);
             }
             _ => return false,
         }
@@ -669,11 +673,13 @@ impl StateVector {
     /// in place: stored amplitude `a` becomes `column(r, a)` at each
     /// row `rows[r]` (full-index bits within `bits`), the other grown
     /// bits at their pinned values, and every other new entry `+0.0`.
-    /// An insertion is the one row `0` holding `a` itself, an expansion
-    /// ([`StateVector::expand`]) one row per value of the bits its
-    /// kernel mixes. One descending pass, so nothing is overwritten
-    /// before it is read; at most one allocation, and none once the
-    /// buffer's capacity has seen this width.
+    /// An expansion ([`StateVector::expand`]) has one row per value of
+    /// the bits its kernel mixes. One row is an insertion, which moves
+    /// `a` as it is: `column` is the identity there and is not called,
+    /// so blocks of entries move as slices. One descending pass, so
+    /// nothing is overwritten before it is read; at most one
+    /// allocation, and none once the buffer's capacity has seen this
+    /// width.
     fn spread<const R: usize>(
         &mut self,
         bits: usize,
@@ -683,28 +689,32 @@ impl StateVector {
         if bits == 0 {
             return;
         }
-        let spread = self.spread_to(bits, rows);
-        self.pins = self.pins.without(bits);
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the CPU was just seen to support `avx2`.
-            return unsafe { spread_pass_avx2(&mut self.amps, spread, column) };
-        }
-        spread_pass(&mut self.amps, spread, column);
-    }
-
-    /// [`StateVector::spread`]'s `bits` and `rows` in the grown
-    /// buffer's coordinates.
-    fn spread_to<const R: usize>(&self, bits: usize, rows: [usize; R]) -> Spread<R> {
         debug_assert_eq!(bits & !self.pins.mask, 0, "inserting a stored bit");
         let free = self.free();
         let wider = free | bits;
         let placed = rows.iter().fold(0, |m, &row| m | row);
-        Spread {
-            grown: bits.count_ones(),
-            kept: gather(free, wider),
-            vals: gather(self.pins.vals & bits & !placed, wider),
-            rows: rows.map(|row| gather(row, wider)),
+        let kept = gather(free, wider);
+        let vals = gather(self.pins.vals & bits & !placed, wider);
+        let rows = rows.map(|row| gather(row, wider));
+        self.pins = self.pins.without(bits);
+        let old_len = self.amps.len();
+        let grown = bits.count_ones();
+        // One or two grown bits below every stored one are an
+        // interleave, and an expansion's rows there are `0..R`: entry
+        // `i` of stored amplitude `a`'s fiber.
+        debug_assert!(R == 1 || kept != (old_len - 1) << grown || (0..R).eq(rows));
+        let entry = |a, i| match R {
+            1 if i == vals => a,
+            1 => Complex::ZERO,
+            _ => column(i, a),
+        };
+        match grown {
+            1 if kept == (old_len - 1) << 1 => interleave_in_place::<2>(&mut self.amps, entry),
+            2 if kept == (old_len - 1) << 2 => interleave_in_place::<4>(&mut self.amps, entry),
+            _ => {
+                self.amps.resize(old_len << grown, Complex::ZERO);
+                spread_in_place(&mut self.amps, old_len, kept, vals, rows, column);
+            }
         }
     }
 
@@ -1140,75 +1150,21 @@ impl StateVector {
     }
 }
 
-/// A spread ([`StateVector::spread`]) in the grown buffer's
-/// coordinates.
-#[derive(Debug, Clone, Copy)]
-struct Spread<const R: usize> {
-    /// How many bits the buffer grows by.
-    grown: u32,
-    /// Where the stored bits land.
-    kept: usize,
-    /// The values of the grown bits no row covers.
-    vals: usize,
-    /// Each row's values of the grown bits the rows cover.
-    rows: [usize; R],
+#[cfg(test)]
+thread_local! {
+    /// How many `Unitary1` and `Unitary2` expansions
+    /// ([`StateVector::expand`]) this thread has made: tests read it to
+    /// see that the replay takes the path.
+    static EXPANSIONS: std::cell::Cell<[usize; 2]> = const { std::cell::Cell::new([0; 2]) };
 }
 
-/// The pass behind [`StateVector::spread`]: one or two grown bits below
-/// every stored one are an interleave, anything else the general
-/// spread.
-///
-/// `#[inline(always)]`, so that each caller is an instantiation: this
-/// one at the build's baseline instruction set, and on x86-64
-/// [`spread_pass_avx2`], as the kernel bodies of [`crate::compile`]
-/// are. No `fma` in either, so amplitudes do not depend on the host.
-#[inline(always)]
-fn spread_pass<const R: usize>(
-    amps: &mut Vec<Complex>,
-    spread: Spread<R>,
-    column: impl Fn(usize, Complex) -> Complex,
-) {
-    let Spread {
-        grown,
-        kept,
-        vals,
-        rows,
-    } = spread;
-    let old_len = amps.len();
-    // At the bottom an expansion's rows are the values `0..R` of the
-    // grown bits.
-    debug_assert!(R == 1 || kept != (old_len - 1) << grown || (0..R).all(|r| rows[r] == r));
-    // Entry `i` of stored amplitude `a`'s fiber there, one at a time:
-    // a fiber handed back as an array went through memory, and under
-    // AVX2 that made a GHZ-12 shot's interleaves 4× slower.
-    let entry = |a, i| match R {
-        1 if i == vals => column(0, a),
-        1 => Complex::ZERO,
-        _ => column(i, a),
-    };
-    match grown {
-        1 if kept == (old_len - 1) << 1 => interleave_in_place::<2>(amps, entry),
-        2 if kept == (old_len - 1) << 2 => interleave_in_place::<4>(amps, entry),
-        _ => {
-            amps.resize(old_len << grown, Complex::ZERO);
-            spread_in_place(amps, old_len, kept, vals, rows, column);
-        }
-    }
-}
-
-/// [`spread_pass`] compiled with AVX2.
-///
-/// # Safety
-///
-/// The CPU must support `avx2`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn spread_pass_avx2<const R: usize>(
-    amps: &mut Vec<Complex>,
-    spread: Spread<R>,
-    column: impl Fn(usize, Complex) -> Complex,
-) {
-    spread_pass(amps, spread, column);
+#[cfg(test)]
+fn count_expansion(kind: usize) {
+    EXPANSIONS.with(|count| {
+        let mut n = count.get();
+        n[kind] += 1;
+        count.set(n);
+    });
 }
 
 /// Writes entry `k < old_len` of `amps` as `column(r, a)` at
@@ -1221,6 +1177,11 @@ unsafe fn spread_pass_avx2<const R: usize>(
 /// lands on it; only row `0` may land on the entry itself.
 /// The stored bits below the lowest grown one keep their positions, so
 /// blocks of that many entries share one step of the spread.
+///
+/// This pass and [`interleave_in_place`] are `#[inline(always)]`, so
+/// each `spread` instantiation compiles them with its own `column`: out
+/// of line, a `lib-compas` shot read ≈ 8 % slower (paired rounds of a
+/// single-thread shot loop).
 #[inline(always)]
 fn spread_in_place<const R: usize>(
     amps: &mut [Complex],
@@ -1239,13 +1200,25 @@ fn spread_in_place<const R: usize>(
     while from > 0 {
         from -= block;
         let dst = to | vals;
-        for j in 0..block {
-            let a = amps[from + j];
+        if R == 1 {
+            // An insertion: the block moves as one slice, or stays.
             if dst != from {
-                amps[from + j] = Complex::ZERO;
+                if block == 1 {
+                    amps[dst] = std::mem::replace(&mut amps[from], Complex::ZERO);
+                } else {
+                    amps.copy_within(from..from + block, dst);
+                    amps[from..(from + block).min(dst)].fill(Complex::ZERO);
+                }
             }
-            for (r, &row) in rows.iter().enumerate() {
-                amps[(dst | row) + j] = column(r, a);
+        } else {
+            for j in 0..block {
+                let a = amps[from + j];
+                if dst != from {
+                    amps[from + j] = Complex::ZERO;
+                }
+                for (r, &row) in rows.iter().enumerate() {
+                    amps[(dst | row) + j] = column(r, a);
+                }
             }
         }
         to = to.wrapping_sub(1) & high;
@@ -1842,106 +1815,24 @@ mod tests {
         }
     }
 
-    // ---- the spread: every instantiation, the same bits ------------
-
-    /// [`spread_pass`] in the baseline instantiation, or the AVX2 one.
-    fn spread_with<const R: usize>(
-        amps: &mut Vec<Complex>,
-        wide: bool,
-        spread: Spread<R>,
-        column: &dyn Fn(usize, Complex) -> Complex,
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        if wide {
-            // SAFETY: only asked for when `avx2` was detected.
-            return unsafe { spread_pass_avx2(amps, spread, column) };
-        }
-        assert!(!wide, "no AVX2 instantiation on this target");
-        spread_pass(amps, spread, column);
-    }
-
-    #[test]
-    fn every_instantiation_of_the_spread_has_the_baseline_bits() {
-        #[cfg(target_arch = "x86_64")]
-        let avx2 = std::arch::is_x86_feature_detected!("avx2");
-        #[cfg(not(target_arch = "x86_64"))]
-        let avx2 = false;
-        let n = 7;
-        let mut rng = StdRng::seed_from_u64(28);
-        let column: [Complex; 4] =
-            std::array::from_fn(|_| c64(rng.random::<f64>() - 0.5, rng.random::<f64>() - 0.5));
-        let scaled = |r: usize, a: Complex| column[r] * a;
-        // Interleaves of one and two bits, general spreads.
-        let mut passes = [0; 3];
-        for _ in 0..300 {
-            let live = rng.random::<u64>() as usize & ((1 << n) - 1);
-            let qubits: Vec<usize> = (0..n).filter(|&q| live & qubit_mask(q, n) != 0).collect();
-            let group = crate::qrand::random_pure_state(qubits.len(), &mut rng);
-            let mut sv = StateVector::product_state(n, &[(group, qubits)]);
-            for q in (0..n).filter(|_| rng.random::<bool>()) {
-                sv.apply_gate(&Gate::X(q)); // a pinned bit's value, or a live one's
-            }
-            let pinned: Vec<usize> = (0..n)
-                .map(|b| 1 << b)
-                .filter(|b| sv.pins.mask & b != 0)
-                .collect();
-            if pinned.len() < 2 {
-                continue;
-            }
-            let pick = |rng: &mut StdRng| pinned[rng.random_range(0..pinned.len())];
-            let (lo, hi) = {
-                let (x, y) = (pick(&mut rng), pick(&mut rng));
-                (x.min(y), x.max(y))
-            };
-            let mut run = |bits: usize, each: &dyn Fn(&mut Vec<Complex>, bool)| {
-                let (old_len, grown) = (sv.amps.len(), bits.count_ones());
-                let kept = gather(sv.free(), sv.free() | bits);
-                passes[match grown {
-                    1 | 2 if kept == (old_len - 1) << grown => grown as usize - 1,
-                    _ => 2,
-                }] += 1;
-                let mut baseline = sv.amps.clone();
-                each(&mut baseline, false);
-                if avx2 {
-                    let mut wide = sv.amps.clone();
-                    each(&mut wide, true);
-                    assert_eq!(
-                        amplitude_bits(&wide),
-                        amplitude_bits(&baseline),
-                        "{bits:#b}, {:?}",
-                        sv.pins
-                    );
-                }
-            };
-            let one = sv.spread_to(lo, [0, lo]);
-            run(lo, &|amps, wide| spread_with(amps, wide, one, &scaled));
-            if lo != hi {
-                let two = sv.spread_to(lo | hi, [0, lo, hi, lo | hi]);
-                run(lo | hi, &|amps, wide| spread_with(amps, wide, two, &scaled));
-            }
-            let bits = lo | hi | pick(&mut rng);
-            let insert = sv.spread_to(bits, [0]);
-            run(bits, &|amps, wide| {
-                spread_with(amps, wide, insert, &|_, a| a)
-            });
-        }
-        assert!(passes.iter().all(|&count| count > 0), "{passes:?}");
-    }
-
     // ---- pinned ≡ unpinned, op by op ------------------------------
 
     /// One step of a random dynamic circuit on `n ≥ 3` qubits and `n`
     /// classical bits: every gate kind, mid-circuit measurement in all
     /// three bases with and without readout flips, reset, parity
-    /// feedback, depolarizing sites. A measurement or reset is followed
-    /// by gates on the qubits it pinned — a one-qubit rotation, or a
-    /// two-qubit pair whose kernel fuses into one 4×4 (after a second
-    /// reset: a Bell-pair preparation on two pinned qubits) — so that
-    /// kernels meet pinned bits alone.
+    /// feedback, depolarizing sites. Half the measurements and resets
+    /// (by a low bit of `x`) are followed by gates on the qubits they
+    /// pinned — a one-qubit rotation, or a two-qubit pair whose kernel
+    /// fuses into one 4×4 (after a second reset: a Bell-pair
+    /// preparation on two pinned qubits) — so that kernels meet pinned
+    /// bits alone; the other half stand alone, so a measurement or
+    /// reset may meet a qubit it or another one just pinned.
     fn arbitrary_step(code: u8, a: usize, b: usize, x: f64, n: usize) -> Vec<Instruction> {
         let first = arbitrary_instruction(code, a, b, x, n);
         let b = (a + 1 + b % (n - 1)) % n;
+        let follow = ((x * 64.0) as usize).is_multiple_of(2);
         let then: Vec<Instruction> = match code {
+            _ if !follow => Vec::new(),
             16 | 18 | 20 => vec![Instruction::Gate(Gate::Rx(a, 3.0 * x))],
             17 | 19 | 21 => vec![
                 Instruction::Gate(Gate::Ry(a, 3.0 * x)),
@@ -2030,8 +1921,8 @@ mod tests {
     /// throughout — on one RNG stream each. After every op the
     /// amplitudes are `==`, the records equal and the pins hold; at the
     /// end both streams have made the same draws. Returns the final
-    /// state and, on the compiled paths, how many `Unitary1` and
-    /// `Unitary2` ops were expansions ([`StateVector::expand`]).
+    /// state and how many `Unitary1` and `Unitary2` expansions
+    /// ([`StateVector::expand`]) the pinned replay made.
     fn assert_pinned_matches_unpinned(
         path: Path,
         circuit: &Circuit,
@@ -2060,20 +1951,14 @@ mod tests {
             vec![false; circuit.num_cbits()],
             vec![false; circuit.num_cbits()],
         ];
-        let widen = start.num_qubits() - circuit.num_qubits();
         let mut expansions = [0; 2];
         for i in 0..steps {
-            let program = programs.get(i).filter(|_| path != Path::Interpreted);
-            if let Some(op) = program.map(|program| &program.ops()[0]) {
-                let mixed = op.mixed_bits() << widen;
-                let expanded = pinned.pins().pinned(mixed) == mixed;
-                match op {
-                    CompiledOp::Unitary1 { .. } if expanded => expansions[0] += 1,
-                    CompiledOp::Unitary2 { .. } if expanded => expansions[1] += 1,
-                    _ => {}
-                }
-            }
+            let before = EXPANSIONS.get();
             step(i, &mut pinned, &mut bits[0], &mut rngs[0]);
+            let after = EXPANSIONS.get();
+            for kind in 0..2 {
+                expansions[kind] += after[kind] - before[kind];
+            }
             step(i, &mut twin, &mut bits[1], &mut rngs[1]);
             assert!(pinned.pins_hold(), "{path:?}, op {i}: pins broken");
             assert_eq!(pinned.amplitudes(), twin.amplitudes(), "{path:?}, op {i}");
