@@ -157,47 +157,48 @@ struct ProtocolCircuits {
 impl ProtocolCircuits {
     /// Runs `shots` per channel under the given execution context: the
     /// two measurement channels run on decorrelated child contexts
-    /// (`exec.derive(channel)`), each shot samples the input ensembles
-    /// and plays the circuit on its own derived RNG stream, and workers
-    /// reuse their statevector, record and group buffers across shots.
-    /// For a fixed root seed the estimate is bit-identical in every
-    /// execution mode.
+    /// (`exec.derive(channel)`), folded together in one
+    /// [`Executor::run_channel_counts_with`]; each shot samples the
+    /// input ensembles and plays its channel's circuit on its own
+    /// derived RNG stream, and workers reuse their statevector, record
+    /// and group buffers across shots of both channels. For a fixed
+    /// root seed the estimate is bit-identical in every execution mode.
     fn estimate(&self, states: &[Matrix], shots: usize, exec: &Executor) -> TraceEstimate {
         assert_eq!(states.len(), self.state_qubits.len(), "need k states");
         let ensembles: Vec<PureEnsemble> = states.iter().map(PureEnsemble::from_density).collect();
-        let mut odd = [0u64; 2];
         let programs = self.programs.get_or_init(|| {
             [&self.circuit_re, &self.circuit_im].map(<StateVector as SimState>::compile)
         });
-        for (channel, (odd_count, program)) in odd.iter_mut().zip(programs).enumerate() {
-            // Every shot replays the channel's fused kernels on its own
-            // stream.
-            *odd_count = exec.derive(channel as u64).run_count_with(
-                shots as u64,
-                || {
-                    let groups: Vec<(&[mathkit::complex::Complex], &[usize])> =
-                        Vec::with_capacity(ensembles.len());
-                    (StateVector::new(program.num_qubits()), Vec::new(), groups)
-                },
-                |(state, cbits, groups), _shot, rng| {
-                    // One draw per ensemble, in state order, placed
-                    // straight into the worker's reused buffers.
-                    groups.clear();
-                    groups.extend(
-                        ensembles
-                            .iter()
-                            .zip(&self.state_qubits)
-                            .map(|(ens, qs)| (ens.sample(rng), qs.as_slice())),
-                    );
-                    state.set_product_state(groups);
-                    cbits.clear();
-                    cbits.resize(program.num_cbits(), false);
-                    state.apply_compiled(program, cbits, rng);
-                    self.ghz_cbits.iter().fold(false, |acc, &c| acc ^ cbits[c])
-                },
-            );
-        }
-        TraceEstimate::from_parity_counts(odd[0], shots as u64, odd[1], shots as u64)
+        // The channels differ by one `S`, so one workspace serves both.
+        let width = programs[0].num_qubits();
+        // Every shot replays its channel's fused kernels on its own
+        // stream.
+        let [odd_re, odd_im] = exec.run_channel_counts_with(
+            shots as u64,
+            || {
+                let groups: Vec<(&[mathkit::complex::Complex], &[usize])> =
+                    Vec::with_capacity(ensembles.len());
+                (StateVector::new(width), Vec::new(), groups)
+            },
+            |(state, cbits, groups), channel, _shot, rng| {
+                let program = &programs[channel];
+                // One draw per ensemble, in state order, placed
+                // straight into the worker's reused buffers.
+                groups.clear();
+                groups.extend(
+                    ensembles
+                        .iter()
+                        .zip(&self.state_qubits)
+                        .map(|(ens, qs)| (ens.sample(rng), qs.as_slice())),
+                );
+                state.set_product_state(groups);
+                cbits.clear();
+                cbits.resize(program.num_cbits(), false);
+                state.apply_compiled(program, cbits, rng);
+                self.ghz_cbits.iter().fold(false, |acc, &c| acc ^ cbits[c])
+            },
+        );
+        TraceEstimate::from_parity_counts(odd_re, shots as u64, odd_im, shots as u64)
     }
 }
 
@@ -851,6 +852,50 @@ mod tests {
             assert_eq!(seq, captured, "root seed {root_seed}");
             let pooled = Executor::pooled(Engine::with_threads(2), root_seed);
             assert_eq!(proto.estimate(&states, 256, &pooled), captured);
+        }
+    }
+
+    #[test]
+    fn one_fold_estimates_are_pinned_at_every_pool_shape() {
+        // Both channels of an estimate share one fold: channel c's shot
+        // i runs on `shot_rng(derive_stream_seed(root, c), i)` wherever
+        // its chunk falls. `(scheme, root seed, re, im)` at the
+        // benchmark's shape (the teledata rows are those of
+        // `noisy_teledata_estimates_are_pinned_bit_for_bit`), captured
+        // when each channel was its own fold. Chunk 7 puts a unit
+        // across the channel boundary (256 = 36·7 + 4), 256 gives each
+        // channel exactly one.
+        let mut rng = StdRng::seed_from_u64(105);
+        let states: Vec<Matrix> = (0..3).map(|_| random_density_matrix(1, &mut rng)).collect();
+        for (scheme, root_seed, re, im) in [
+            (CswapScheme::Teledata, 17, 0.484375, 0.046875),
+            (CswapScheme::Teledata, 0xC0FFEE, 0.4765625, 0.1015625),
+            (CswapScheme::Teledata, 2026, 0.4609375, -0.0859375),
+            (CswapScheme::Telegate, 17, 0.53125, -0.0078125),
+            (CswapScheme::Telegate, 0xC0FFEE, 0.453125, -0.0390625),
+            (CswapScheme::Telegate, 2026, 0.4453125, -0.09375),
+        ] {
+            let proto = CompasProtocol::with_bell_error(3, 1, scheme, 0.01);
+            let seq = proto.estimate(&states, 256, &Executor::sequential(root_seed));
+            assert_eq!(
+                (seq.re, seq.im),
+                (re, im),
+                "{scheme:?}, root seed {root_seed}"
+            );
+            for threads in [1, 2, 3] {
+                for chunk_size in [7, 64, 256] {
+                    let engine = Engine::new(engine::EngineConfig {
+                        threads,
+                        chunk_size,
+                        ..engine::EngineConfig::default()
+                    });
+                    let pooled = proto.estimate(&states, 256, &Executor::pooled(engine, root_seed));
+                    assert_eq!(
+                        pooled, seq,
+                        "{scheme:?}, root seed {root_seed}, {threads} threads, chunk {chunk_size}"
+                    );
+                }
+            }
         }
     }
 

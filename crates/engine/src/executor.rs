@@ -102,17 +102,39 @@ impl Executor {
     /// of "good" trajectories).
     pub fn run_count_with<W, MW, F>(&self, shots: u64, make_ws: MW, pred: F) -> u64
     where
-        W: Send,
         MW: Fn() -> W + Sync,
         F: Fn(&mut W, u64, &mut StdRng) -> bool + Sync,
     {
-        self.engine.run_fold_range_with(
-            0..shots,
-            self.root_seed,
+        self.engine.run_fold_with(
+            &[(self.root_seed, 0..shots)],
             make_ws,
             || 0u64,
-            |acc, ws, shot, rng| *acc += u64::from(pred(ws, shot, rng)),
+            |acc, ws, _, shot, rng| *acc += u64::from(pred(ws, shot, rng)),
             |a, b| a + b,
+        )
+    }
+
+    /// [`Executor::run_count_with`] on `C` channels in one fold: channel
+    /// `c` runs under [`Executor::derive`]`(c)` and `pred` is told `c`.
+    /// Bit-identical to `C` separate `derive(c).run_count_with` calls,
+    /// with one start and one tail instead of `C` of each.
+    pub fn run_channel_counts_with<const C: usize, W, MW, F>(
+        &self,
+        shots: u64,
+        make_ws: MW,
+        pred: F,
+    ) -> [u64; C]
+    where
+        MW: Fn() -> W + Sync,
+        F: Fn(&mut W, usize, u64, &mut StdRng) -> bool + Sync,
+    {
+        let streams: [_; C] = std::array::from_fn(|c| (self.derive(c as u64).root_seed, 0..shots));
+        self.engine.run_fold_with(
+            &streams,
+            make_ws,
+            || [0u64; C],
+            |acc, ws, c, shot, rng| acc[c] += u64::from(pred(ws, c, shot, rng)),
+            |a, b| std::array::from_fn(|c| a[c] + b[c]),
         )
     }
 
@@ -131,12 +153,11 @@ impl Executor {
         K: Eq + Hash + Send,
         F: Fn(u64, &mut StdRng) -> K + Sync,
     {
-        self.engine.run_fold_range_with(
-            0..shots,
-            self.root_seed,
+        self.engine.run_fold_with(
+            &[(self.root_seed, 0..shots)],
             || (),
             HashMap::new,
-            |acc, (), shot, rng| *acc.entry(key_of(shot, rng)).or_insert(0) += 1,
+            |acc, (), _, shot, rng| *acc.entry(key_of(shot, rng)).or_insert(0) += 1,
             merge_tallies,
         )
     }

@@ -42,14 +42,15 @@
 //!
 //! [`Engine`] holds an [`EngineConfig`] (thread count, chunk size) and
 //! partitions a job's shots into chunks claimed from an atomic cursor by
-//! `std::thread` workers (no external dependencies). Each worker owns
-//! its accumulator and its *workspace* — e.g. a reused
-//! [`qsim::statevector::StateVector`] buffer for statevector shots — and
-//! the per-worker tallies merge once at a single join point, the
-//! partitioned pattern for embarrassingly parallel sampling. That
-//! claim-and-join loop is written once, as the engine's one ranged
-//! fold: the [`Executor`]'s counts and tallies and every shot-parallel
-//! compiled run are folds over it.
+//! its workers: the calling thread and parked helpers of the persistent
+//! execution pool ([`qsim::pool`], std only), so a fold creates no
+//! thread once the pool is warm. Each worker owns its accumulator and
+//! its *workspace* — e.g. a reused [`qsim::statevector::StateVector`]
+//! buffer for statevector shots — and each worker's tally merges once,
+//! as it ends: the partitioned pattern for embarrassingly parallel
+//! sampling. That claim-and-merge loop is written once, as the engine's
+//! one fold over one or more seed streams: the [`Executor`]'s counts
+//! and tallies and every shot-parallel compiled run are folds over it.
 //!
 //! ## Amplitude-level parallelism is a policy, not an API
 //!

@@ -242,16 +242,6 @@ pub(crate) struct PrefixTally {
     exits: u64,
 }
 
-impl PrefixTally {
-    fn merge(self, other: PrefixTally) -> PrefixTally {
-        PrefixTally {
-            shots: self.shots + other.shots,
-            fallbacks: self.fallbacks + other.fallbacks,
-            exits: self.exits + other.exits,
-        }
-    }
-}
-
 /// One worker's [`PrefixTally`] on the shot-parallel arm, kept in its
 /// workspace and merged into the run's `total` when the workspace
 /// drops — once per worker, at the end of its run.
@@ -263,7 +253,9 @@ struct WorkerTally<'t> {
 impl Drop for WorkerTally<'_> {
     fn drop(&mut self) {
         let mut total = self.total.lock().unwrap_or_else(PoisonError::into_inner);
-        *total = total.merge(self.tally);
+        total.shots += self.tally.shots;
+        total.fallbacks += self.tally.fallbacks;
+        total.exits += self.tally.exits;
     }
 }
 
@@ -409,97 +401,89 @@ impl Engine {
         self.config.amp_engaged(S::AMP_PARALLEL, num_qubits)
     }
 
-    /// The engine's one fold: folds the **global** shot indices `range`
-    /// of a job rooted at `root_seed` into an accumulator, in parallel.
+    /// The engine's one fold: folds the **global** shot indices of one
+    /// or more streams `(root_seed, range)` into an accumulator, in
+    /// parallel.
     ///
-    /// Each worker builds its own workspace with `make_ws` (reused
-    /// scratch buffers — statevectors, bit registers) and its own
-    /// accumulator with `init`; `step` folds one shot into the
-    /// accumulator on the shot's private stream `shot_rng(root_seed, i)`;
-    /// worker accumulators are combined with `merge` at the single join
-    /// point.
+    /// The streams' shots, concatenated in order, are cut into units of
+    /// [`EngineConfig::chunk_size`] shots (a unit may run from the end
+    /// of one stream into the next), claimed from one atomic cursor by
+    /// up to [`EngineConfig::threads`] workers: the calling thread and
+    /// parked helpers of the execution pool ([`qsim::pool::run`]),
+    /// inline when one suffices. So a call pays one start and one tail
+    /// however many streams it folds. Each worker builds its own
+    /// workspace with `make_ws` (reused scratch buffers — statevectors,
+    /// bit registers), which dies on it, and its own accumulator with
+    /// `init`; `step` folds shot `i` of stream `s` into the accumulator
+    /// on the shot's private stream `shot_rng(root_seed_s, i)`; each
+    /// worker's accumulator is merged into the result with `merge` as
+    /// the worker ends. Each claimed unit is one `engine.chunk` sample.
     ///
     /// Because shot `i`'s stream is the one it would use in a full
     /// `0..shots` run, a partition of `0..shots` folded as separate
     /// ranged calls and merged is **bit-identical** to the single full
-    /// call, at any thread count and any partition, provided `step`'s
-    /// contribution depends only on the shot index and its stream and
-    /// `merge` is commutative and associative. This is the primitive
-    /// behind the serving layer's shot-slicing: a large job is sliced
-    /// into ranges for fairness across clients without changing a
-    /// single record.
-    pub(crate) fn run_fold_range_with<W, A, MW, IA, F, M>(
+    /// call — and a call on several streams to one call per stream — at
+    /// any thread count and any partition, provided `step`'s
+    /// contribution depends only on the stream, the shot index and its
+    /// RNG and `merge` is commutative and associative. This is the
+    /// primitive behind the serving layer's shot-slicing: a large job is
+    /// sliced into ranges for fairness across clients without changing
+    /// a single record.
+    pub(crate) fn run_fold_with<W, A, MW, IA, F, M>(
         &self,
-        range: Range<u64>,
-        root_seed: u64,
+        streams: &[(u64, Range<u64>)],
         make_ws: MW,
         init: IA,
         step: F,
         merge: M,
     ) -> A
     where
-        W: Send,
         A: Send,
         MW: Fn() -> W + Sync,
         IA: Fn() -> A + Sync,
-        F: Fn(&mut A, &mut W, u64, &mut StdRng) + Sync,
-        M: Fn(A, A) -> A,
+        F: Fn(&mut A, &mut W, usize, u64, &mut StdRng) + Sync,
+        M: Fn(A, A) -> A + Sync,
     {
-        let total = range.end.saturating_sub(range.start);
+        let len = |range: &Range<u64>| range.end.saturating_sub(range.start);
+        let total: u64 = streams.iter().map(|(_, range)| len(range)).sum();
         let chunk = self.config.chunk_size.max(1);
-        let accs = self.claim_units(total.div_ceil(chunk), make_ws, init, |acc, ws, c| {
-            let start = range.start + c * chunk;
-            for shot in start..(start + chunk).min(range.end) {
-                let mut rng = shot_rng(root_seed, shot);
-                step(acc, ws, shot, &mut rng);
-            }
-        });
-        accs.into_iter().reduce(merge).expect("at least one worker")
-    }
-
-    /// The work-claiming loop under the fold: units `0..units` are
-    /// claimed from an atomic cursor by up to [`EngineConfig::threads`]
-    /// scoped workers (inline when one suffices), each folding its units
-    /// into its own `init()` accumulator over its own `make_ws()`
-    /// workspace with `run_unit`. Workspaces die on their worker; the
-    /// accumulators, at least one, go to the caller to merge at this
-    /// single join point. Each claimed unit is one `engine.chunk`
-    /// sample.
-    fn claim_units<W, A, MW, IA, F>(&self, units: u64, make_ws: MW, init: IA, run_unit: F) -> Vec<A>
-    where
-        A: Send,
-        MW: Fn() -> W + Sync,
-        IA: Fn() -> A + Sync,
-        F: Fn(&mut A, &mut W, u64) + Sync,
-    {
+        let units = total.div_ceil(chunk);
         let chunk_histo = self.obs.as_ref().map(|o| &o.chunk);
         let cursor = AtomicU64::new(0);
-        let run_worker = || {
-            let mut acc = init();
-            let mut ws = make_ws();
+        let result = Mutex::new(None);
+        let workers = (self.config.threads as u64).min(units).max(1);
+        qsim::pool::run(workers as usize, |_| {
+            let (mut acc, mut ws) = (init(), make_ws());
             loop {
                 let unit = cursor.fetch_add(1, Ordering::Relaxed);
                 if unit >= units {
-                    break acc;
+                    break;
                 }
                 let started = chunk_histo.map(|_| Instant::now());
-                run_unit(&mut acc, &mut ws, unit);
+                // The unit is `[lo, hi)` of the concatenation, in which
+                // stream `s` starts at `offset`.
+                let (lo, hi) = (unit * chunk, ((unit + 1) * chunk).min(total));
+                let mut offset = 0;
+                for (s, (root_seed, range)) in streams.iter().enumerate() {
+                    let len = len(range);
+                    for at in lo.max(offset)..hi.min(offset + len) {
+                        let shot = range.start + (at - offset);
+                        step(&mut acc, &mut ws, s, shot, &mut shot_rng(*root_seed, shot));
+                    }
+                    offset += len;
+                }
                 if let (Some(histo), Some(started)) = (chunk_histo, started) {
                     histo.record_duration(started.elapsed());
                 }
             }
-        };
-        let workers = (self.config.threads as u64).min(units).max(1);
-        if workers == 1 {
-            return vec![run_worker()];
-        }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(run_worker)).collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("engine worker panicked"))
-                .collect()
-        })
+            let mut result = result.lock().unwrap_or_else(PoisonError::into_inner);
+            *result = Some(match result.take() {
+                Some(other) => merge(other, acc),
+                None => acc,
+            });
+        });
+        let result = result.into_inner().unwrap_or_else(PoisonError::into_inner);
+        result.expect("at least one worker")
     }
 
     /// Executes one [`ShotPlan`] on its backend, reusing one state
@@ -644,17 +628,15 @@ impl Engine {
         record_of: F,
     ) -> Counts
     where
-        W: Send,
         MW: Fn() -> W + Sync,
         F: Fn(&mut W, &mut StdRng) -> usize + Sync,
     {
         let sink = self.trace.as_deref();
-        let (counts, mut buffer) = self.run_fold_range_with(
-            range,
-            root_seed,
+        let (counts, mut buffer) = self.run_fold_with(
+            &[(root_seed, range)],
             make_ws,
             || (Counts::new(), TraceBuffer::new(sink)),
-            |(counts, buffer), ws, shot, rng| {
+            |(counts, buffer), ws, _, shot, rng| {
                 let started = buffer.recording().then(Instant::now);
                 let record = record_of(ws, rng);
                 if let Some(started) = started {
@@ -663,7 +645,7 @@ impl Engine {
                 *counts.entry(record).or_insert(0) += 1;
             },
             |(mut counts_a, buffer_a), (counts_b, mut buffer_b)| {
-                // The joined worker's buffer ends here: flush its tail.
+                // The ending worker's buffer: flush its tail.
                 buffer_b.flush();
                 merge_counts(&mut counts_a, counts_b);
                 (counts_a, buffer_a)
@@ -722,12 +704,11 @@ mod tests {
             chunk_size: 16,
             ..EngineConfig::default()
         });
-        let total = engine.run_fold_range_with(
-            0..1_000,
-            0,
+        let total = engine.run_fold_with(
+            &[(0, 0..1_000)],
             Vec::<u64>::new,
             || 0u64,
-            |acc, scratch, shot, _rng| {
+            |acc, scratch, _, shot, _rng| {
                 scratch.push(shot);
                 *acc += 1;
             },
@@ -744,12 +725,11 @@ mod tests {
         let engine = Engine::with_threads(3);
         let key = |_: u64, rng: &mut StdRng| rng.random_range(0..32u32);
         let tally_range = |range: Range<u64>| {
-            engine.run_fold_range_with(
-                range,
-                7,
+            engine.run_fold_with(
+                &[(7, range)],
                 || (),
                 HashMap::new,
-                |acc, (), shot, rng| *acc.entry(key(shot, rng)).or_insert(0) += 1,
+                |acc, (), _, shot, rng| *acc.entry(key(shot, rng)).or_insert(0) += 1,
                 merge_tallies,
             )
         };

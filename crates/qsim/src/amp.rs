@@ -21,8 +21,10 @@
 //!   One pass over memory and one barrier for the group instead of one
 //!   per kernel.
 //!
+//! The workers are the calling thread and parked helpers of the
+//! execution pool ([`crate::pool`]), so a segment creates no thread.
 //! [`StateVector::apply_compiled`] is this driver with one worker on
-//! the calling thread (nothing spawned), so a sequential wide shot is
+//! the calling thread (no helper), so a sequential wide shot is
 //! blocked the same way.
 //!
 //! The workers run on the state's stored sub-cube (see
@@ -145,7 +147,7 @@ pub mod kernel_clock {
 /// holds the most kernels per group (every kernel below qubit-bit 16).
 const BLOCK: usize = 1 << 16;
 
-/// Shared-buffer handle for the scoped workers. Safety rests on the
+/// Shared-buffer handle for the segment's workers. Safety rests on the
 /// ownership contract of [`worker_pass`], not on this wrapper: see
 /// `run_segment`.
 struct SharedAmps {
@@ -320,7 +322,8 @@ impl StateVector {
 }
 
 /// Plays one Interp-free kernel run with `workers` workers: the calling
-/// thread is worker 0, the others are scoped threads.
+/// thread is worker 0, the others are execution-pool helpers
+/// ([`crate::pool::run`]), each its own thread, so every barrier is met.
 fn run_segment(
     amps: &mut [Complex],
     ops: &[CompiledOp],
@@ -328,31 +331,21 @@ fn run_segment(
     pins: Pins,
     workers: usize,
 ) {
-    if workers <= 1 {
-        worker_pass(amps, ops, layout, pins, 0, 1, None);
-        return;
-    }
     let shared = SharedAmps {
         ptr: amps.as_mut_ptr(),
         len: amps.len(),
     };
-    let barrier = Barrier::new(workers);
-    std::thread::scope(|scope| {
-        let pass = |worker: usize| {
-            // SAFETY: within one step of `worker_pass`, each worker
-            // touches only the amplitudes of the work units (or
-            // blocks) its share owns; the shares partition them, so
-            // the per-worker access sets are disjoint. Across steps,
-            // the barrier orders every write of one step before any
-            // read of the next. The scope joins all workers before
-            // `amps` is used again.
-            let amps = unsafe { shared.amps() };
-            worker_pass(amps, ops, layout, pins, worker, workers, Some(&barrier));
-        };
-        for worker in 1..workers {
-            scope.spawn(move || pass(worker));
-        }
-        pass(0);
+    let barrier = (workers > 1).then(|| Barrier::new(workers));
+    crate::pool::run(workers, |worker| {
+        // SAFETY: within one step of `worker_pass`, each worker touches
+        // only the amplitudes of the work units (or blocks) its share
+        // owns; the shares partition them, so the per-worker access
+        // sets are disjoint. Across steps, the barrier orders every
+        // write of one step before any read of the next. `pool::run`
+        // returns only after every worker has, before `amps` is used
+        // again.
+        let amps = unsafe { shared.amps() };
+        worker_pass(amps, ops, layout, pins, worker, workers, barrier.as_ref());
     });
 }
 

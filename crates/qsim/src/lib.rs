@@ -30,6 +30,11 @@
 //!   across workers, consecutive in-block kernels run block by block
 //!   while the block sits in L2, a barrier per kernel or group,
 //!   bit-identical at any worker count;
+//! * [`pool`] — the workspace's one execution pool: parked helper
+//!   threads that run a call's worker indices at once with scoped
+//!   semantics (borrowing closures, joined by a latch), so neither the
+//!   amp replay's segments nor the engine's shot folds create a thread
+//!   per call;
 //! * [`runner`] — shot sampling over circuits, generic over the
 //!   [`sim::SimState`] backend, interpreted ([`runner::run_shot_into`])
 //!   or compiled ([`runner::run_program_into`]), and the one
@@ -55,6 +60,7 @@
 pub mod amp;
 pub mod compile;
 pub mod density;
+pub mod pool;
 pub mod qrand;
 pub mod runner;
 pub mod sim;
