@@ -8,7 +8,7 @@ use analysis::ablations::{
 use bench::Scale;
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from_args();
     let shots = scale.pick(50_000, 4_000);
     let exec = bench::bench_executor();
 

@@ -3,13 +3,13 @@
 //!
 //! The 27 grid points run one after another on the shared `Executor`,
 //! point `i` under `exec.derive(i)` — deterministic for the fixed root
-//! seed at any `COMPAS_THREADS` setting.
+//! seed at any `--threads` setting.
 
 use analysis::ghz_fidelity::{fig9a, fig9a_result};
 use bench::Scale;
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from_args();
     let shots = scale.pick(100_000, 4_000);
     let exec = bench::bench_executor();
     let parties: Vec<usize> = (4..=12).collect();

@@ -4,14 +4,14 @@
 //! Each grid point characterises its primitives and evaluates its
 //! fidelity under child contexts derived from the shared `Executor` by
 //! grid position — deterministic for the fixed root seed at any
-//! `COMPAS_THREADS` setting.
+//! `--threads` setting.
 
 use analysis::cswap_fidelity::{fig9b, fig9b_result};
 use bench::Scale;
 use compas::cswap::CswapScheme;
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from_args();
     let characterize_shots = scale.pick(50_000, 3_000);
     let shots_per_input = scale.pick(200, 20);
     let exec = bench::bench_executor();

@@ -5,7 +5,7 @@ use analysis::overall::{fig9c, fig9c_result};
 use bench::Scale;
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from_args();
     let characterize_shots = scale.pick(50_000, 3_000);
     let shots_per_input = scale.pick(100, 10);
     let exec = bench::bench_executor();

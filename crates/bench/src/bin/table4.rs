@@ -4,13 +4,13 @@
 //!
 //! The 9 grid points run one after another on the shared `Executor`,
 //! point `i` under `exec.derive(i)` — deterministic for the fixed root
-//! seed at any `COMPAS_THREADS` setting.
+//! seed at any `--threads` setting.
 
 use analysis::fanout_noise::{table4, table4_result};
 use bench::Scale;
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from_args();
     let shots = scale.pick(100_000, 5_000);
     let exec = bench::bench_executor();
     let rows = table4(&exec, &[0.001, 0.003, 0.005], &[4, 6, 8], shots);

@@ -1,8 +1,8 @@
 //! Shared scaffolding for the table/figure regeneration binaries.
 //!
-//! Every binary accepts `--quick` (or the `COMPAS_QUICK=1` environment
-//! variable) to run a reduced-shot smoke version; the default parameters
-//! match the paper's settings (e.g. 100 000 shots for Table 4).
+//! Every binary accepts `--quick` to run a reduced-shot smoke version
+//! and `--threads N` to size its engine; the default parameters match
+//! the paper's settings (e.g. 100 000 shots for Table 4).
 //!
 //! These binaries regenerate the paper's numbers; none of them measures
 //! speed. Rate claims are made with `benchmark/` (see its README) and
@@ -21,13 +21,9 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads the scale from CLI args and environment.
-    pub fn from_env() -> Self {
-        let quick_flag = std::env::args().any(|a| a == "--quick");
-        let quick_env = std::env::var("COMPAS_QUICK")
-            .map(|v| v != "0")
-            .unwrap_or(false);
-        if quick_flag || quick_env {
+    /// Reads the scale from the process arguments (`--quick`).
+    pub fn from_args() -> Self {
+        if std::env::args().any(|a| a == "--quick") {
             Scale::Quick
         } else {
             Scale::Full
@@ -48,11 +44,10 @@ impl Scale {
 pub const ROOT_SEED: u64 = 0xC0_45;
 
 /// The execution context every binary samples through: a pooled
-/// executor over the environment-configured engine (`COMPAS_THREADS` /
-/// `--threads N` / `COMPAS_CHUNK`, defaults to all available cores),
-/// rooted at [`ROOT_SEED`].
+/// executor over an engine of `--threads N` workers (default: all
+/// available cores), rooted at [`ROOT_SEED`].
 pub fn bench_executor() -> Executor {
-    let engine = Engine::from_env();
+    let engine = Engine::from_args();
     eprintln!("[engine] {} worker thread(s)", engine.threads());
     Executor::pooled(engine, ROOT_SEED)
 }

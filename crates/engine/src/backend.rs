@@ -15,10 +15,9 @@
 //! density backend is never auto-selected: it is the exact,
 //! exponentially-priced reference you opt into explicitly.
 //!
-//! Selection knobs mirror the engine's: the `COMPAS_BACKEND`
-//! environment variable or a `--backend NAME` CLI argument
-//! (`auto` | `statevector` | `density` | `stabilizer`), read by
-//! [`Backend::from_env`].
+//! A backend is named in code, or by name on the wire
+//! (`auto` | `statevector` | `density` | `stabilizer`, read by
+//! [`Backend::parse`]).
 //!
 //! Every backend run goes through [`PreparedJob`] — the circuit
 //! compiled once for the resolved backend, then any global shot range
@@ -104,24 +103,6 @@ impl Backend {
             "stabilizer" | "clifford" => Some(Backend::Stabilizer),
             _ => None,
         }
-    }
-
-    /// Reads the backend from the process environment and CLI:
-    /// `COMPAS_BACKEND` / `--backend NAME` (CLI wins). Unset or
-    /// unparsable values fall back to [`Backend::Auto`], mirroring
-    /// [`EngineConfig::from_env`](crate::EngineConfig::from_env).
-    pub fn from_env() -> Backend {
-        let mut backend = Backend::Auto;
-        if let Some(b) = std::env::var("COMPAS_BACKEND")
-            .ok()
-            .and_then(|v| Backend::parse(&v))
-        {
-            backend = b;
-        }
-        if let Some(b) = cli_backend() {
-            backend = b;
-        }
-        backend
     }
 
     /// The backend's name as accepted by [`Backend::parse`].
@@ -356,21 +337,6 @@ impl std::fmt::Display for Backend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
     }
-}
-
-/// Parses `--backend NAME` or `--backend=NAME` from the process
-/// arguments.
-fn cli_backend() -> Option<Backend> {
-    let args: Vec<String> = std::env::args().collect();
-    for (i, arg) in args.iter().enumerate() {
-        if let Some(v) = arg.strip_prefix("--backend=") {
-            return Backend::parse(v);
-        }
-        if arg == "--backend" {
-            return Backend::parse(args.get(i + 1)?);
-        }
-    }
-    None
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Engine configuration from code, environment, and CLI.
+//! Engine configuration from code and the command line.
 
 /// How an [`crate::Engine`] partitions and parallelises work.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,41 +83,22 @@ impl EngineConfig {
         amp_capable && self.amp_threads > 1 && num_qubits >= self.amp_threshold_qubits
     }
 
-    /// Reads the configuration from the process environment and CLI:
-    /// `COMPAS_THREADS` / `--threads N` set the shot-worker count and
-    /// `COMPAS_CHUNK` the chunk size. Unset or unparsable values fall
-    /// back to the defaults.
-    pub fn from_env() -> Self {
-        let mut cfg = Self::default();
-        if let Some(n) = env_usize("COMPAS_THREADS") {
-            cfg.threads = n.max(1);
-        }
-        if let Some(n) = cli_threads() {
-            cfg.threads = n.max(1);
-        }
-        if let Some(n) = env_usize("COMPAS_CHUNK") {
-            cfg.chunk_size = (n as u64).max(1);
-        }
-        cfg
-    }
-}
-
-fn env_usize(key: &str) -> Option<usize> {
-    std::env::var(key).ok()?.trim().parse().ok()
-}
-
-/// Parses `--threads N` or `--threads=N` from the process arguments.
-fn cli_threads() -> Option<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    for (i, arg) in args.iter().enumerate() {
-        if let Some(v) = arg.strip_prefix("--threads=") {
-            return v.parse().ok();
-        }
-        if arg == "--threads" {
-            return args.get(i + 1)?.parse().ok();
+    /// The default configuration with the shot-worker count taken
+    /// from a `--threads N` (or `--threads=N`) process argument; without
+    /// one, or with an unparsable value, the default stands.
+    pub fn from_args() -> Self {
+        let args: Vec<String> = std::env::args().collect();
+        let threads = args.iter().enumerate().find_map(|(i, arg)| {
+            if arg == "--threads" {
+                return args.get(i + 1).map(String::as_str);
+            }
+            arg.strip_prefix("--threads=")
+        });
+        match threads.and_then(|v| v.parse().ok()) {
+            Some(n) => Self::with_threads(n),
+            None => Self::default(),
         }
     }
-    None
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@
 //! [`Backend`] is the matching boundary on the representation side:
 //! *what* simulates a shot (statevector, density matrix, stabilizer
 //! tableau — any `qsim::sim::SimState`) is selected once, per circuit,
-//! via `COMPAS_BACKEND` / `--backend` or [`Backend::Auto`]'s
+//! by name or by [`Backend::Auto`]'s
 //! Clifford routing — while [`ShotPlan`] and
 //! [`Executor::sample_shots`] stay generic over the backend. The
 //! selection is executed in one place, [`PreparedJob`]:
@@ -149,12 +149,10 @@
 //! point, point `i` under the child context [`Executor::derive`]`(i)`,
 //! so the grid is reproducible from one root seed in every mode.
 //!
-//! ## Environment knobs
+//! ## Command line
 //!
-//! * `COMPAS_THREADS` — worker count (also `--threads N` on binaries
-//!   that call [`EngineConfig::from_env`]); defaults to the machine's
-//!   available parallelism.
-//! * `COMPAS_CHUNK` — shots per work unit (default 256).
+//! Binaries that build their engine with [`Engine::from_args`] take
+//! `--threads N` (default: the machine's available parallelism).
 //!
 //! ```
 //! use circuit::circuit::Circuit;

@@ -355,10 +355,10 @@ impl Engine {
         self
     }
 
-    /// An engine configured from `COMPAS_THREADS` / `--threads` /
-    /// `COMPAS_CHUNK` (see [`EngineConfig::from_env`]).
-    pub fn from_env() -> Self {
-        Engine::new(EngineConfig::from_env())
+    /// An engine with the worker count of a `--threads N` process
+    /// argument (see [`EngineConfig::from_args`]).
+    pub fn from_args() -> Self {
+        Engine::new(EngineConfig::from_args())
     }
 
     /// A single-threaded engine (the sequential reference path).

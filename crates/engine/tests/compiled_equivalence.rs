@@ -2,10 +2,10 @@
 //! measurement records to the interpreted reference, for one root seed,
 //! across random Clifford+T circuits with mid-circuit measurement,
 //! feedback, reset, and depolarizing noise — in both execution modes
-//! (`Sequential` and `Pooled`) and on every backend the
-//! `COMPAS_BACKEND` matrix selects (the statevector compiles to fused
-//! kernels; density and stabilizer replay the instruction stream, so
-//! their equivalence pins the plumbing rather than a compiler).
+//! (`Sequential` and `Pooled`) and on every backend a request can name
+//! (the statevector compiles to fused kernels; density and stabilizer
+//! replay the instruction stream, so their equivalence pins the
+//! plumbing rather than a compiler).
 
 use circuit::circuit::Circuit;
 use engine::{Backend, Engine, EngineConfig, Executor};
@@ -126,12 +126,12 @@ fn assert_equivalence<S: SimState>(circuit: &Circuit, root_seed: u64, shots: usi
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Clifford+T circuits on the backend `COMPAS_BACKEND` selects
-    /// (`Auto` routes per circuit); circuits a selected backend cannot
+    /// Clifford+T circuits on `Auto` (routed per circuit), the
+    /// statevector and the stabilizer; circuits a backend cannot
     /// execute fall back to the statevector, so the fused-kernel
-    /// compiler is exercised in every matrix leg.
+    /// compiler is exercised on every backend.
     #[test]
-    fn compiled_equals_interpreted_per_env_backend(
+    fn compiled_equals_interpreted_per_backend(
         seed in 0u64..1_000_000,
         n in 2usize..5,
         depth in 4usize..24,
@@ -139,20 +139,22 @@ proptest! {
     ) {
         let circuit = random_circuit(seed, n, depth, with_t);
         let shots = 120;
-        match Backend::from_env().resolve(&circuit) {
-            b if b.supports(&circuit).is_err() => {
-                // e.g. COMPAS_BACKEND=stabilizer with a T gate: the
-                // probe rejects up front; compile the statevector path
-                // instead so every case still tests the compiler.
-                assert_equivalence::<StateVector>(&circuit, seed ^ 0xC0A5, shots);
+        for backend in [Backend::Auto, Backend::StateVector, Backend::Stabilizer] {
+            match backend.resolve(&circuit) {
+                b if b.supports(&circuit).is_err() => {
+                    // e.g. the stabilizer with a T gate: the probe
+                    // rejects up front; compile the statevector path
+                    // instead so every case still tests the compiler.
+                    assert_equivalence::<StateVector>(&circuit, seed ^ 0xC0A5, shots);
+                }
+                Backend::Stabilizer => {
+                    assert_equivalence::<CliffordState>(&circuit, seed ^ 0xC0A5, shots);
+                    // The tableau replays instructions; the compiler
+                    // claim is the statevector's, so cross-check it too.
+                    assert_equivalence::<StateVector>(&circuit, seed ^ 0xC0A5, shots);
+                }
+                _ => assert_equivalence::<StateVector>(&circuit, seed ^ 0xC0A5, shots),
             }
-            Backend::Stabilizer => {
-                assert_equivalence::<CliffordState>(&circuit, seed ^ 0xC0A5, shots);
-                // The tableau replays instructions; the compiler claim
-                // is the statevector's, so cross-check it too.
-                assert_equivalence::<StateVector>(&circuit, seed ^ 0xC0A5, shots);
-            }
-            _ => assert_equivalence::<StateVector>(&circuit, seed ^ 0xC0A5, shots),
         }
     }
 }

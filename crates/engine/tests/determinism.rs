@@ -258,13 +258,11 @@ fn amp_parallel_tallies_are_worker_count_invariant() {
 }
 
 #[test]
-fn env_selected_backend_is_mode_invariant() {
-    // The CI matrix runs this test under COMPAS_BACKEND=statevector and
-    // COMPAS_BACKEND=stabilizer: whichever backend the environment
-    // picks, sequential and pooled execution must tally identically.
+fn every_backend_is_mode_invariant_on_noisy_ghz() {
+    // Whichever backend a request names, sequential and pooled
+    // execution must tally identically.
     use engine::{Backend, Executor};
 
-    let backend = Backend::from_env();
     let mut c = Circuit::new(4, 4);
     c.h(0);
     for q in 1..4 {
@@ -277,13 +275,15 @@ fn env_selected_backend_is_mode_invariant() {
     for q in 0..4 {
         c.measure(q, q);
     }
-    assert_eq!(backend.resolve(&c), backend.resolve(&c), "routing is pure");
-    let seq = backend
-        .sample_shots(&c, 5_000, &Executor::sequential(31))
-        .unwrap();
-    let pooled = backend
-        .sample_shots(&c, 5_000, &Executor::pooled(Engine::with_threads(4), 31))
-        .unwrap();
-    assert_eq!(seq, pooled, "backend {backend} diverged across executors");
-    assert_eq!(seq.values().sum::<usize>(), 5_000);
+    for backend in [Backend::Auto, Backend::StateVector, Backend::Stabilizer] {
+        assert_eq!(backend.resolve(&c), backend.resolve(&c), "routing is pure");
+        let seq = backend
+            .sample_shots(&c, 5_000, &Executor::sequential(31))
+            .unwrap();
+        let pooled = backend
+            .sample_shots(&c, 5_000, &Executor::pooled(Engine::with_threads(4), 31))
+            .unwrap();
+        assert_eq!(seq, pooled, "backend {backend} diverged across executors");
+        assert_eq!(seq.values().sum::<usize>(), 5_000);
+    }
 }

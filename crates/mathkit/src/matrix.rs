@@ -123,12 +123,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Mutable borrow of the row-major backing storage.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [Complex] {
-        &mut self.data
-    }
-
     /// The conjugate transpose `A†`.
     pub fn dagger(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);

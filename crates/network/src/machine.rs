@@ -111,11 +111,6 @@ impl DistributedMachine {
             .unwrap_or(self.bell_error)
     }
 
-    /// Number of nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.k
-    }
-
     /// Data qubits per node.
     pub fn data_per_node(&self) -> usize {
         self.data_per_node

@@ -151,25 +151,6 @@ impl DensityMatrix {
         self.rho = left;
     }
 
-    /// Applies a Kraus channel `ρ → Σₖ Kₖ ρ Kₖ†` on the listed qubits.
-    pub fn apply_kraus(&mut self, kraus: &[Matrix], qubits: &[usize]) {
-        let dim = 1usize << self.num_qubits;
-        let mut acc = Matrix::zeros(dim, dim);
-        for k in kraus {
-            let mut branch = self.clone();
-            branch.apply_operator(k, qubits);
-            acc = &acc + &branch.rho;
-        }
-        self.rho = acc;
-    }
-
-    /// Applies a (possibly non-unitary) operator `ρ → KρK†` without
-    /// renormalizing, used internally for Kraus sums.
-    fn apply_operator(&mut self, k: &Matrix, qubits: &[usize]) {
-        // Same machinery as apply_unitary; unitarity is never used there.
-        self.apply_unitary(k, qubits);
-    }
-
     /// Single-qubit depolarizing channel at rate `p`:
     /// `ρ → (1−p)ρ + p/3 (XρX + YρY + ZρZ)`.
     pub fn depolarize_1q(&mut self, q: usize, p: f64) {

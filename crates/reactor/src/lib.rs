@@ -34,7 +34,7 @@
 //! * Writes never block the loop: unflushed bytes sit in a
 //!   per-connection buffer registered for `POLLOUT` (backpressure); a
 //!   slow reader delays only its own connection.
-//! * A line longer than [`ReactorConfig::max_line_bytes`] yields one
+//! * A line longer than [`MAX_LINE_BYTES`] yields one
 //!   [`Line::Oversized`] event; input from that connection is then
 //!   discarded (there is no way to resynchronize mid-line), and the
 //!   handler's reply — typically an error — is flushed before close.
@@ -42,7 +42,7 @@
 //!   no in-flight request are closed. A connection waiting on a
 //!   completion is never idle-closed.
 //! * [`ReactorCtl::stop`] stops accepting, waits (bounded by
-//!   [`ReactorConfig::drain_grace`]) for outstanding completions and
+//!   [`DRAIN_GRACE`]) for outstanding completions and
 //!   write buffers to drain, then closes everything — so a final
 //!   goodbye line always reaches the peer.
 //! * Dropping a [`Completion`] unresolved answers its line with the
@@ -62,12 +62,18 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Longest accepted line in bytes; longer input yields
+/// [`Line::Oversized`] and the connection stops reading. A client that
+/// streams gigabytes without a newline cannot exhaust server memory.
+pub const MAX_LINE_BYTES: u64 = 8 * 1024 * 1024;
+
+/// On [`ReactorCtl::stop`], how long to keep flushing outstanding
+/// replies before force-closing.
+pub const DRAIN_GRACE: Duration = Duration::from_secs(1);
+
 /// Reactor knobs.
 #[derive(Debug, Clone)]
 pub struct ReactorConfig {
-    /// Longest accepted line in bytes; longer input yields
-    /// [`Line::Oversized`] and the connection stops reading.
-    pub max_line_bytes: u64,
     /// Close connections idle (no buffered input/output, no in-flight
     /// request) longer than this.
     pub idle_timeout: Duration,
@@ -75,9 +81,6 @@ pub struct ReactorConfig {
     /// unpolled (pending peers queue in the accept backlog) until a
     /// slot frees up.
     pub max_connections: usize,
-    /// On [`ReactorCtl::stop`], how long to keep flushing outstanding
-    /// replies before force-closing.
-    pub drain_grace: Duration,
     /// Observability registry to publish into. When set, the loop
     /// mirrors its occupancy gauges (`reactor.open`, `reactor.idle`,
     /// `reactor.read_blocked`, `reactor.write_blocked`), its lifetime
@@ -90,10 +93,8 @@ pub struct ReactorConfig {
 impl Default for ReactorConfig {
     fn default() -> Self {
         ReactorConfig {
-            max_line_bytes: 8 * 1024 * 1024,
             idle_timeout: Duration::from_secs(300),
             max_connections: 1024,
-            drain_grace: Duration::from_secs(1),
             metrics: None,
         }
     }
@@ -106,7 +107,7 @@ pub enum Line {
     /// (whitespace-only) lines are filtered out by the reactor and
     /// never reach the handler.
     Complete(Vec<u8>),
-    /// The connection exceeded [`ReactorConfig::max_line_bytes`]
+    /// The connection exceeded [`MAX_LINE_BYTES`]
     /// without a newline. Reply (the connection closes after the reply
     /// flushes) — further input is discarded.
     Oversized,
@@ -186,7 +187,7 @@ pub struct ReactorCtl {
 
 impl ReactorCtl {
     /// Initiates shutdown: stop accepting, drain outstanding replies
-    /// (bounded by [`ReactorConfig::drain_grace`]), close every
+    /// (bounded by [`DRAIN_GRACE`]), close every
     /// connection, exit the loop. Idempotent.
     pub fn stop(&self) {
         self.shared.stopping.store(true, Ordering::SeqCst);
@@ -499,8 +500,7 @@ fn run_loop(
     loop {
         let stopping = shared.stopping.load(Ordering::SeqCst);
         if stopping {
-            let deadline =
-                *stop_deadline.get_or_insert_with(|| Instant::now() + config.drain_grace);
+            let deadline = *stop_deadline.get_or_insert_with(|| Instant::now() + DRAIN_GRACE);
             let drained = conns.values().all(Conn::is_quiescent)
                 && shared
                     .completions
@@ -589,7 +589,7 @@ fn run_loop(
                 continue;
             }
             if revents & POLLIN != 0
-                && !read_and_frame(conn, token, &config, &shared, &handler, &mut scratch)
+                && !read_and_frame(conn, token, &shared, &handler, &mut scratch)
             {
                 // Peer closed its write half (or the socket failed).
                 // Keep the connection only if replies are still owed —
@@ -708,7 +708,6 @@ fn accept_ready(
 fn read_and_frame(
     conn: &mut Conn,
     token: u64,
-    config: &ReactorConfig,
     shared: &Arc<CtlShared>,
     handler: &Arc<dyn LineHandler>,
     scratch: &mut [u8],
@@ -770,7 +769,7 @@ fn read_and_frame(
 
     // A partial line past the cap can never complete — hand the
     // handler one Oversized event and discard input from here on.
-    if !conn.reject_input && conn.read_buf.len() as u64 >= config.max_line_bytes {
+    if !conn.reject_input && conn.read_buf.len() as u64 >= MAX_LINE_BYTES {
         conn.reject_input = true;
         conn.read_buf = Vec::new();
         conn.scanned = 0;

@@ -2,7 +2,7 @@
 //! completions, backpressure, oversized lines, idle timeouts, and the
 //! many-idle-connections economics the crate exists for.
 
-use reactor::{Completion, Line, Reactor, ReactorConfig, ReactorHandle};
+use reactor::{Completion, Line, Reactor, ReactorConfig, ReactorHandle, MAX_LINE_BYTES};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc;
@@ -115,13 +115,10 @@ fn send_close_flushes_the_goodbye_then_closes() {
 
 #[test]
 fn oversized_lines_get_one_reply_then_the_connection_closes() {
-    let handle = spawn_echo(ReactorConfig {
-        max_line_bytes: 1024,
-        ..ReactorConfig::default()
-    });
+    let handle = spawn_echo(ReactorConfig::default());
     let mut stream = connect(&handle);
-    // 4 KiB with no newline: crosses the 1 KiB cap mid-line.
-    let blob = vec![b'x'; 4096];
+    // The cap's worth of bytes with no newline: reaches it mid-line.
+    let blob = vec![b'x'; MAX_LINE_BYTES as usize];
     let _ = stream.write_all(&blob);
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut line = String::new();

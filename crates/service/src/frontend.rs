@@ -39,16 +39,14 @@ use crate::cache::{CacheKey, ResultCache};
 use crate::protocol::{ClientRow, Op, Request, Response, RunRequest, ServiceStats, WorkerRow};
 use crate::scheduler::Responder;
 use engine::Counts;
-use reactor::{Completion, Line, LineHandler, Reactor, ReactorConfig, ReactorCtl, ReactorHandle};
+use reactor::{
+    Completion, Line, LineHandler, Reactor, ReactorConfig, ReactorCtl, ReactorHandle,
+    MAX_LINE_BYTES,
+};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
-
-/// Longest accepted request line (bytes). A line that exceeds this is
-/// answered with an error and the connection is closed — a client that
-/// streams gigabytes without a newline cannot exhaust server memory.
-pub const MAX_LINE_BYTES: u64 = 8 * 1024 * 1024;
 
 /// Submitter threads per front end: admission blocks on the backend's
 /// lock and compiles circuits, and two hide one slow compile.
@@ -299,7 +297,6 @@ struct SubmitTask {
 struct Handler {
     backend: Arc<dyn JobBackend>,
     ctl: ReactorCtl,
-    max_line_bytes: u64,
     /// `stage.encode`, for the replies encoded on the reactor.
     encode: obs::Histo,
     /// Owned by the handler alone: when the reactor loop exits and
@@ -314,10 +311,7 @@ impl LineHandler for Handler {
             Line::Complete(bytes) => std::str::from_utf8(&bytes)
                 .map_err(|_| "request line is not valid UTF-8".to_string())
                 .and_then(Request::from_line),
-            Line::Oversized => Err(format!(
-                "request line exceeds {} bytes",
-                self.max_line_bytes
-            )),
+            Line::Oversized => Err(format!("request line exceeds {MAX_LINE_BYTES} bytes")),
         };
         let Request { id, op } = match request {
             Ok(request) => request,
@@ -464,12 +458,10 @@ impl Frontend {
         let (submit, rx) = mpsc::channel();
         let handler_backend: Arc<dyn JobBackend> = backend.clone();
         let submitters = spawn_submitters(&handler_backend, rx, encode.clone());
-        let max_line_bytes = config.max_line_bytes;
         let reactor = Reactor::spawn(listener, config, move |ctl| {
             Arc::new(Handler {
                 backend: handler_backend,
                 ctl,
-                max_line_bytes,
                 encode,
                 submit,
             })

@@ -94,8 +94,9 @@ pub mod server;
 pub use admission::{admit, AdmissionCache, Admitted};
 pub use cache::DiskCacheConfig;
 pub use engine::PreparedJob;
-pub use frontend::{Frontend, FrontendHandle, JobBackend, MAX_LINE_BYTES};
+pub use frontend::{Frontend, FrontendHandle, JobBackend};
 pub use protocol::{ClientRow, Op, Request, Response, RunRequest, ServiceStats, WorkerRow};
+pub use reactor::MAX_LINE_BYTES;
 pub use scheduler::{
     Responder, Scheduler, SchedulerConfig, Submission, MAX_REQUEST_CBITS, MAX_REQUEST_QUBITS,
 };

@@ -17,7 +17,7 @@
 //! [`FrontendHandle::shutdown`]: crate::frontend::FrontendHandle::shutdown
 
 use crate::cache::DiskCacheConfig;
-use crate::frontend::{Frontend, FrontendHandle, MAX_LINE_BYTES};
+use crate::frontend::{Frontend, FrontendHandle};
 use crate::scheduler::{Scheduler, SchedulerConfig};
 use engine::Engine;
 use reactor::ReactorConfig;
@@ -146,11 +146,9 @@ impl Service {
         let workers = spawn_workers(config.workers, &scheduler, &engine, config.metrics.as_ref());
 
         let reactor = ReactorConfig {
-            max_line_bytes: MAX_LINE_BYTES,
             idle_timeout: config.idle_timeout,
             max_connections: config.max_connections,
             metrics: config.metrics,
-            ..ReactorConfig::default()
         };
         Frontend::spawn(listener, reactor, Arc::new(scheduler), workers)
     }

@@ -5,7 +5,7 @@
 //! compas-serve [--addr HOST:PORT] [--workers N] [--queue N]
 //!              [--cache N] [--cache-dir DIR] [--cache-disk-bytes N]
 //!              [--quota-shots N] [--quota-shots-per-sec N]
-//!              [--idle-timeout-ms N] [--slice N] [--engine-env]
+//!              [--idle-timeout-ms N] [--slice N]
 //!
 //! # worker: identical to standalone, named for the sharded topology
 //! compas-serve --worker [--addr HOST:PORT] [...]
@@ -19,9 +19,9 @@
 //! ```
 //!
 //! A flag that does not apply to the chosen role is an error (exit 2),
-//! never silently ignored: `--workers`, `--slice`, `--quota-shots`,
-//! `--quota-shots-per-sec` and `--engine-env` configure execution,
-//! which only standalone and `--worker` do; `--shards`,
+//! never silently ignored: `--workers`, `--slice`, `--quota-shots` and
+//! `--quota-shots-per-sec` configure execution, which only standalone
+//! and `--worker` do; `--shards`,
 //! `--heartbeat-ms`, `--io-timeout-ms` and `--retries` configure a
 //! `--coordinator` only.
 //!
@@ -31,9 +31,8 @@
 //! which a coordinator forwards to its workers, so one `compas-client
 //! --shutdown` tears down the whole topology. Wire protocol:
 //! `service::protocol` (including the `shot_range` extension every
-//! role accepts). The default per-slice engine is sequential
-//! (parallelism = `--workers`); `--engine-env` configures it from
-//! `COMPAS_THREADS` / `COMPAS_CHUNK` instead.
+//! role accepts). The per-slice engine is sequential (parallelism =
+//! `--workers`).
 //!
 //! `--cache-dir DIR` spills the result cache to disk: a restarted
 //! server pointed at the same directory answers previously-computed
@@ -47,7 +46,6 @@
 //! coordinator's answer merges in a fresh snapshot from every live
 //! worker. Instrumentation never changes served bytes.
 
-use engine::Engine;
 use service::{Service, ServiceConfig};
 use shard::{Coordinator, CoordinatorConfig};
 use std::io::Write as _;
@@ -59,7 +57,6 @@ const EXECUTOR_FLAGS: &[&str] = &[
     "--slice",
     "--quota-shots",
     "--quota-shots-per-sec",
-    "--engine-env",
 ];
 
 /// Flags only a `--coordinator` reads.
@@ -69,7 +66,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: compas-serve [--worker] [--addr HOST:PORT] [--workers N] [--queue N] \
          [--cache N] [--cache-dir DIR] [--cache-disk-bytes N] [--quota-shots N] \
-         [--quota-shots-per-sec N] [--idle-timeout-ms N] [--slice N] [--engine-env]\n\
+         [--quota-shots-per-sec N] [--idle-timeout-ms N] [--slice N]\n\
          \x20      compas-serve --coordinator --shards A,B,... [--addr HOST:PORT] [--queue N] \
          [--cache N] [--cache-dir DIR] [--cache-disk-bytes N] [--idle-timeout-ms N] \
          [--heartbeat-ms N] [--io-timeout-ms N] [--retries N]"
@@ -176,10 +173,6 @@ fn main() {
             "--retries" => {
                 coordinator.redispatch_limit = number(&args, i) as usize;
                 i += 2;
-            }
-            "--engine-env" => {
-                config.engine = Engine::from_env();
-                i += 1;
             }
             "--help" | "-h" => usage(),
             other => {

@@ -51,7 +51,7 @@
 //! repeated circuit is parsed once, identical concurrent jobs scatter
 //! once and repeats are served from coordinator memory.
 
-use crate::worker::{Outcomes, PoolConfig, WorkerPool};
+use crate::worker::{Outcomes, WorkerPool};
 use engine::{merge_counts, partition_shots, Counts};
 use reactor::ReactorConfig;
 use service::admission::Admission;
@@ -59,7 +59,7 @@ use service::cache::{CacheKey, DiskCacheConfig, ResultCache};
 use service::frontend::{self, busy, ok_response, Lookup, ServiceCounters, Waiter};
 use service::{
     AdmissionCache, Frontend, FrontendHandle, JobBackend, Request, Responder, Response, RunRequest,
-    ServiceStats, WorkerRow, MAX_LINE_BYTES,
+    ServiceStats, WorkerRow,
 };
 use std::collections::HashMap;
 use std::net::TcpListener;
@@ -92,9 +92,6 @@ pub struct CoordinatorConfig {
     pub heartbeat_interval: Duration,
     /// Most failed dispatch attempts per range before the job errors.
     pub redispatch_limit: usize,
-    /// Most concurrently dispatched ranges per worker, and so most
-    /// persistent data connections to it.
-    pub max_inflight_per_worker: usize,
     /// Close client connections idle longer than this.
     pub idle_timeout: Duration,
     /// Most simultaneous client connections the reactor serves.
@@ -132,7 +129,6 @@ impl Default for CoordinatorConfig {
             io_timeout: Duration::from_secs(30),
             heartbeat_interval: Duration::from_millis(500),
             redispatch_limit: 4,
-            max_inflight_per_worker: 8,
             idle_timeout: reactor.idle_timeout,
             max_connections: reactor.max_connections,
             propagate_shutdown: false,
@@ -182,11 +178,9 @@ impl Coordinator {
     pub fn spawn(config: CoordinatorConfig) -> std::io::Result<CoordinatorHandle> {
         let listener = TcpListener::bind(&config.addr)?;
         let reactor = ReactorConfig {
-            max_line_bytes: MAX_LINE_BYTES,
             idle_timeout: config.idle_timeout,
             max_connections: config.max_connections,
             metrics: config.metrics.clone(),
-            ..ReactorConfig::default()
         };
         let coordinator = Coordinator::new(config);
         coordinator.pool.probe_all();
@@ -201,12 +195,8 @@ impl Coordinator {
     fn new(config: CoordinatorConfig) -> Arc<Coordinator> {
         let pool = WorkerPool::new(
             config.workers.clone(),
-            PoolConfig {
-                io_timeout: config.io_timeout,
-                max_inflight: config.max_inflight_per_worker,
-                metrics: config.metrics.clone(),
-                ..PoolConfig::default()
-            },
+            config.io_timeout,
+            config.metrics.as_ref(),
         );
         let mut cache = match config.cache_dir.clone() {
             Some(dir) => ResultCache::with_disk(

@@ -54,4 +54,4 @@ pub mod coordinator;
 pub mod worker;
 
 pub use coordinator::{Coordinator, CoordinatorConfig, CoordinatorHandle};
-pub use worker::{Outcomes, PoolConfig, WorkerPool};
+pub use worker::{Outcomes, WorkerPool};

@@ -6,18 +6,19 @@
 //! kept, and reopened only after a failure. Every connect bumps the
 //! `shard.connects` counter; a warm pool makes none.
 //!
-//! * **Data links** — up to `max_inflight` per worker, each one
+//! * **Data links** — up to [`MAX_INFLIGHT`] per worker, each one
 //!   connection served by one thread. The thread takes one part (a
 //!   ranged `run` request) at a time off its worker's queue, writes it
 //!   and reads the reply. The read polls in short slices, so it aborts
 //!   as soon as the heartbeat declares the worker dead mid-job, and
-//!   gives up after `io_timeout` regardless. A connection carries one
-//!   part at a time on purpose: the worker's reactor answers each
-//!   connection in request order, so a part pipelined behind a long
-//!   one would wait for it.
+//!   gives up after the coordinator's `io_timeout` regardless. A
+//!   connection carries one part at a time on purpose: the worker's
+//!   reactor answers each connection in request order, so a part
+//!   pipelined behind a long one would wait for it.
 //! * **The control link** — one per worker, for the heartbeat's
 //!   `stats` ([`WorkerPool::probe_all`]), the `metrics` gather and the
-//!   forwarded `shutdown`, one round trip at a time. It is kept apart
+//!   forwarded `shutdown`, one round trip at a time, each way bounded
+//!   by [`PROBE_TIMEOUT`] (as is every connect). It is kept apart
 //!   from the data links for the same reason: a probe queued behind a
 //!   range would read as a dead worker.
 //!
@@ -50,40 +51,15 @@ use std::time::{Duration, Instant};
 /// health and the I/O budget again.
 const READ_SLICE: Duration = Duration::from_millis(50);
 
-/// Timeouts and capacity limits for worker I/O.
-#[derive(Debug, Clone)]
-pub struct PoolConfig {
-    /// Budget for one ranged dispatch, from the request written to the
-    /// reply read (send + execute + respond). A worker that holds a
-    /// range longer than this has failed it.
-    pub io_timeout: Duration,
-    /// Budget for every connect and for one control round trip (the
-    /// heartbeat's `stats`, the `metrics` gather, the forwarded
-    /// `shutdown`).
-    pub probe_timeout: Duration,
-    /// Most concurrently dispatched ranges per worker, and so most data
-    /// links per worker. Each part goes to the least-loaded live
-    /// worker; parts beyond the bound queue there for a free link.
-    pub max_inflight: usize,
-    /// Observability registry. Every dispatch round trip is timed into
-    /// the `shard.dispatch` histogram (and a per-worker
-    /// `shard.worker.<addr>.dispatch` twin), lost ranges bump the
-    /// `shard.redispatches` counter, and every TCP connect the pool
-    /// makes bumps `shard.connects`; without a registry they are kept
-    /// but not exported.
-    pub metrics: Option<obs::Registry>,
-}
+/// Budget for every connect and for one control round trip (the
+/// heartbeat's `stats`, the `metrics` gather, the forwarded
+/// `shutdown`).
+pub const PROBE_TIMEOUT: Duration = Duration::from_secs(1);
 
-impl Default for PoolConfig {
-    fn default() -> Self {
-        PoolConfig {
-            io_timeout: Duration::from_secs(30),
-            probe_timeout: Duration::from_secs(1),
-            max_inflight: 8,
-            metrics: None,
-        }
-    }
-}
+/// Most concurrently dispatched ranges per worker, and so most data
+/// links per worker. Each part goes to the least-loaded live worker;
+/// parts beyond the bound queue there for a free link.
+pub const MAX_INFLIGHT: usize = 8;
 
 struct WorkerState {
     addr: String,
@@ -181,7 +157,10 @@ pub struct WorkerPool {
 
 /// What the pool's handle and its link threads share.
 struct Shared {
-    config: PoolConfig,
+    /// Budget for one ranged dispatch, from the request written to the
+    /// reply read (send + execute + respond). A worker that holds a
+    /// range longer than this has failed it.
+    io_timeout: Duration,
     workers: Mutex<Vec<WorkerState>>,
     /// One control link per worker, each behind its own lock.
     control: Vec<Mutex<Option<Link>>>,
@@ -201,10 +180,19 @@ struct Shared {
 }
 
 impl WorkerPool {
-    /// A pool over `addrs`; every worker starts dead until its first
-    /// successful probe, and no link is open until first use.
-    pub fn new(addrs: Vec<String>, config: PoolConfig) -> WorkerPool {
-        let registry = config.metrics.as_ref();
+    /// A pool over `addrs` whose dispatches fail after `io_timeout`;
+    /// every worker starts dead until its first successful probe, and
+    /// no link is open until first use. With a `registry`, every
+    /// dispatch round trip is timed into the `shard.dispatch` histogram
+    /// (and a per-worker `shard.worker.<addr>.dispatch` twin), lost
+    /// ranges bump the `shard.redispatches` counter, and every TCP
+    /// connect the pool makes bumps `shard.connects`; without one they
+    /// are kept but not exported.
+    pub fn new(
+        addrs: Vec<String>,
+        io_timeout: Duration,
+        registry: Option<&obs::Registry>,
+    ) -> WorkerPool {
         let histo = |name: &str| registry.map_or_else(obs::Histo::new, |r| r.histo(name));
         let counter = |name: &str| registry.map_or_else(obs::Counter::new, |r| r.counter(name));
         let control = addrs.iter().map(|_| Mutex::new(None)).collect();
@@ -235,7 +223,7 @@ impl WorkerPool {
                 control,
                 parked: Mutex::new(Vec::new()),
                 closed: AtomicBool::new(false),
-                config,
+                io_timeout,
             }),
         }
     }
@@ -251,7 +239,7 @@ impl WorkerPool {
         self.shared
             .lock()
             .iter()
-            .any(|w| w.alive && w.inflight < self.shared.config.max_inflight)
+            .any(|w| w.alive && w.inflight < MAX_INFLIGHT)
     }
 
     /// Heartbeats every worker: one `stats` round trip each on its
@@ -465,7 +453,7 @@ impl Shared {
             .send(part)
             .expect("the pool holds every queue's receiver");
         worker.inflight += 1;
-        let new_link = worker.inflight > worker.links && worker.links < self.config.max_inflight;
+        let new_link = worker.inflight > worker.links && worker.links < MAX_INFLIGHT;
         if !new_link {
             return;
         }
@@ -571,7 +559,7 @@ impl Shared {
     /// Sends one part's ranged `run` over `link` and waits for the
     /// reply, which must answer exactly the part's range.
     fn dispatch(&self, idx: usize, addr: &str, link: &mut Option<Link>, part: &Part) -> Dispatch {
-        let io_timeout = self.config.io_timeout;
+        let io_timeout = self.io_timeout;
         let wait = |elapsed: Duration| {
             if !self.lock()[idx].alive {
                 return Err(format!("worker {addr}: marked dead mid-dispatch"));
@@ -623,12 +611,16 @@ impl Shared {
     fn round_trip(&self, idx: usize, op: Op) -> Option<Response> {
         let addr = self.lock()[idx].addr.clone();
         let line = Request { id: None, op }.to_line();
-        let timeout = self.config.probe_timeout;
         let mut control = self.control[idx].lock().expect("control link poisoned");
         let reply = self
-            .exchange(&addr, &mut control, timeout, timeout, &line, |_| {
-                Err(String::new())
-            })
+            .exchange(
+                &addr,
+                &mut control,
+                PROBE_TIMEOUT,
+                PROBE_TIMEOUT,
+                &line,
+                |_| Err(String::new()),
+            )
             .ok()?;
         Response::from_line(&reply).ok()
     }
@@ -680,7 +672,7 @@ impl Shared {
     /// Opens a link to `addr`: the only place the pool connects.
     fn open(&self, addr: &str, read_slice: Duration, write_timeout: Duration) -> Option<Link> {
         self.connects.inc();
-        let stream = connect(addr, self.config.probe_timeout)?;
+        let stream = connect(addr, PROBE_TIMEOUT)?;
         let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(Some(read_slice));
         let _ = stream.set_write_timeout(Some(write_timeout));

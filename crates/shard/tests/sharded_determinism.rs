@@ -4,10 +4,9 @@
 //! N ∈ {1, 2, 4}, and across worker failure with range re-dispatch
 //! (a hung worker timing out, a worker killed mid-job).
 //!
-//! Honours the CI `COMPAS_BACKEND` matrix: the differential suite
-//! requests `Backend::from_env` (with matching-error responses for
-//! circuits the selected backend cannot run), so every backend proves
-//! its own sharded determinism.
+//! The differential suite requests each backend in [`BACKENDS`] in
+//! turn (with matching-error responses for circuits a backend cannot
+//! run), so every backend proves its own sharded determinism.
 
 use circuit::circuit::{Circuit, Instruction};
 use circuit::qasm::to_qasm3;
@@ -17,6 +16,11 @@ use shard::{Coordinator, CoordinatorConfig, CoordinatorHandle};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
+
+/// The backends every differential test requests in turn. `Auto` routes
+/// the Clifford circuits below to the stabilizer, so the statevector
+/// serves them only when named.
+const BACKENDS: [Backend; 3] = [Backend::Auto, Backend::StateVector, Backend::Stabilizer];
 
 fn bell() -> Circuit {
     let mut c = Circuit::new(2, 2);
@@ -41,7 +45,7 @@ fn noisy_ghz(n: usize) -> Circuit {
 }
 
 fn magic_state() -> Circuit {
-    // Non-Clifford: under COMPAS_BACKEND=stabilizer this must yield a
+    // Non-Clifford: on the stabilizer this must yield a
     // coordinator-side admission error, never divergent tallies.
     let mut c = Circuit::new(2, 2);
     c.h(0).t(0).cx(0, 1).measure(0, 0).measure(1, 1);
@@ -120,51 +124,52 @@ fn reference(circuit: &Circuit, shots: u64, seed: u64, backend: Backend) -> Opti
 
 #[test]
 fn sharded_tallies_match_direct_sampling_for_1_2_4_workers() {
-    let backend = Backend::from_env();
-    let workloads = [
-        ("bell", bell(), 1_100u64, 7u64),
-        ("noisy-ghz-5", noisy_ghz(5), 900, 3),
-        ("magic-state", magic_state(), 500, 40),
-    ];
-    for n in [1usize, 2, 4] {
-        let (worker_handles, addrs) = spawn_workers(n);
-        let coord = spawn_coordinator(addrs);
-        await_all_alive(&coord, n);
-        for (name, circuit, shots, seed) in &workloads {
-            let response = request_once(
-                coord.addr(),
-                &Request::run(None, run_request(circuit, *shots, *seed, backend)),
-            );
-            match (reference(circuit, *shots, *seed, backend), &response) {
-                (Some(expected), Response::Ok { tallies, .. }) => assert_eq!(
-                    tallies, &expected,
-                    "{name}/{n} workers: sharded tallies diverged from Backend::sample_shots"
-                ),
-                (None, Response::Error { .. }) => {}
-                (expected, got) => panic!(
-                    "{name}/{n} workers: reference {} but coordinator answered {got:?}",
-                    if expected.is_some() {
-                        "succeeds"
-                    } else {
-                        "errors"
-                    },
-                ),
+    for backend in BACKENDS {
+        let workloads = [
+            ("bell", bell(), 1_100u64, 7u64),
+            ("noisy-ghz-5", noisy_ghz(5), 900, 3),
+            ("magic-state", magic_state(), 500, 40),
+        ];
+        for n in [1usize, 2, 4] {
+            let (worker_handles, addrs) = spawn_workers(n);
+            let coord = spawn_coordinator(addrs);
+            await_all_alive(&coord, n);
+            for (name, circuit, shots, seed) in &workloads {
+                let response = request_once(
+                    coord.addr(),
+                    &Request::run(None, run_request(circuit, *shots, *seed, backend)),
+                );
+                match (reference(circuit, *shots, *seed, backend), &response) {
+                    (Some(expected), Response::Ok { tallies, .. }) => assert_eq!(
+                        tallies, &expected,
+                        "{name}/{n} workers: sharded tallies diverged from Backend::sample_shots"
+                    ),
+                    (None, Response::Error { .. }) => {}
+                    (expected, got) => panic!(
+                        "{name}/{n} workers: reference {} but coordinator answered {got:?}",
+                        if expected.is_some() {
+                            "succeeds"
+                        } else {
+                            "errors"
+                        },
+                    ),
+                }
             }
-        }
-        // Every worker that exists should have shared the load when
-        // the backend executes: with the fair partitioner no worker
-        // sits idle across the whole suite.
-        if reference(&bell(), 1, 0, backend).is_some() {
-            let rows = coord.worker_rows();
-            assert_eq!(rows.len(), n);
-            assert!(
-                rows.iter().all(|r| r.jobs > 0),
-                "idle worker in {n}-shard run: {rows:?}"
-            );
-        }
-        coord.shutdown();
-        for handle in worker_handles {
-            handle.shutdown();
+            // Every worker that exists should have shared the load when
+            // the backend executes: with the fair partitioner no worker
+            // sits idle across the whole suite.
+            if reference(&bell(), 1, 0, backend).is_some() {
+                let rows = coord.worker_rows();
+                assert_eq!(rows.len(), n);
+                assert!(
+                    rows.iter().all(|r| r.jobs > 0),
+                    "idle worker in {n}-shard run: {rows:?}"
+                );
+            }
+            coord.shutdown();
+            for handle in worker_handles {
+                handle.shutdown();
+            }
         }
     }
 }
@@ -174,28 +179,29 @@ fn served_bytes_are_identical_across_topologies() {
     // The strongest form of the guarantee: the exact response line —
     // not just the decoded tallies — matches between a single-machine
     // server and coordinators over 2 and 4 workers.
-    let backend = Backend::from_env();
-    let circuit = noisy_ghz(4);
-    let request = Request::run(
-        Some("topo".into()),
-        run_request(&circuit, 1_300, 11, backend),
-    );
-    let single = Service::spawn(ServiceConfig::default()).expect("spawn");
-    let mut lines = vec![request_once(single.addr(), &request).to_line()];
-    single.shutdown();
-    for n in [2usize, 4] {
-        let (worker_handles, addrs) = spawn_workers(n);
-        let coord = spawn_coordinator(addrs);
-        lines.push(request_once(coord.addr(), &request).to_line());
-        let redispatched: u64 = coord.worker_rows().iter().map(|r| r.redispatched).sum();
-        assert_eq!(redispatched, 0, "healthy {n}-worker run re-dispatched");
-        coord.shutdown();
-        for handle in worker_handles {
-            handle.shutdown();
+    for backend in BACKENDS {
+        let circuit = noisy_ghz(4);
+        let request = Request::run(
+            Some("topo".into()),
+            run_request(&circuit, 1_300, 11, backend),
+        );
+        let single = Service::spawn(ServiceConfig::default()).expect("spawn");
+        let mut lines = vec![request_once(single.addr(), &request).to_line()];
+        single.shutdown();
+        for n in [2usize, 4] {
+            let (worker_handles, addrs) = spawn_workers(n);
+            let coord = spawn_coordinator(addrs);
+            lines.push(request_once(coord.addr(), &request).to_line());
+            let redispatched: u64 = coord.worker_rows().iter().map(|r| r.redispatched).sum();
+            assert_eq!(redispatched, 0, "healthy {n}-worker run re-dispatched");
+            coord.shutdown();
+            for handle in worker_handles {
+                handle.shutdown();
+            }
         }
+        assert_eq!(lines[0], lines[1], "2-worker bytes diverged from single");
+        assert_eq!(lines[0], lines[2], "4-worker bytes diverged from single");
     }
-    assert_eq!(lines[0], lines[1], "2-worker bytes diverged from single");
-    assert_eq!(lines[0], lines[2], "4-worker bytes diverged from single");
 }
 
 #[test]
@@ -206,63 +212,64 @@ fn hung_worker_times_out_and_its_range_is_redispatched() {
     // failure mode deterministically on the dispatch I/O timeout: the
     // coordinator must give up on the hung worker, re-dispatch its
     // range to the survivor, and still serve reference tallies.
-    let backend = Backend::from_env();
-    let healthy = Service::spawn(ServiceConfig {
-        workers: 2,
-        slice_shots: 64,
-        ..ServiceConfig::default()
-    })
-    .expect("spawn healthy worker");
-    let hung = Service::spawn(ServiceConfig {
-        workers: 0,
-        ..ServiceConfig::default()
-    })
-    .expect("spawn hung worker");
-    let hung_addr = hung.addr().to_string();
-    let coord = Coordinator::spawn(CoordinatorConfig {
-        workers: vec![healthy.addr().to_string(), hung_addr.clone()],
-        io_timeout: Duration::from_millis(400),
-        redispatch_limit: 3,
-        ..CoordinatorConfig::default()
-    })
-    .expect("spawn coordinator");
+    for backend in BACKENDS {
+        let healthy = Service::spawn(ServiceConfig {
+            workers: 2,
+            slice_shots: 64,
+            ..ServiceConfig::default()
+        })
+        .expect("spawn healthy worker");
+        let hung = Service::spawn(ServiceConfig {
+            workers: 0,
+            ..ServiceConfig::default()
+        })
+        .expect("spawn hung worker");
+        let hung_addr = hung.addr().to_string();
+        let coord = Coordinator::spawn(CoordinatorConfig {
+            workers: vec![healthy.addr().to_string(), hung_addr.clone()],
+            io_timeout: Duration::from_millis(400),
+            redispatch_limit: 3,
+            ..CoordinatorConfig::default()
+        })
+        .expect("spawn coordinator");
 
-    let circuit = bell();
-    let (shots, seed) = (1_000u64, 21u64);
-    let response = request_once(
-        coord.addr(),
-        &Request::run(None, run_request(&circuit, shots, seed, backend)),
-    );
-    match (reference(&circuit, shots, seed, backend), &response) {
-        (Some(expected), Response::Ok { tallies, .. }) => {
-            assert_eq!(
-                tallies, &expected,
-                "tallies diverged despite hung-worker re-dispatch"
-            );
-            // The lost range must be booked against the hung worker.
-            let rows = coord.worker_rows();
-            let hung_row = rows
-                .iter()
-                .find(|r| r.addr == hung_addr)
-                .expect("hung worker row");
-            assert!(
-                hung_row.redispatched >= 1,
-                "hung worker lost no range: {rows:?}"
-            );
+        let circuit = bell();
+        let (shots, seed) = (1_000u64, 21u64);
+        let response = request_once(
+            coord.addr(),
+            &Request::run(None, run_request(&circuit, shots, seed, backend)),
+        );
+        match (reference(&circuit, shots, seed, backend), &response) {
+            (Some(expected), Response::Ok { tallies, .. }) => {
+                assert_eq!(
+                    tallies, &expected,
+                    "tallies diverged despite hung-worker re-dispatch"
+                );
+                // The lost range must be booked against the hung worker.
+                let rows = coord.worker_rows();
+                let hung_row = rows
+                    .iter()
+                    .find(|r| r.addr == hung_addr)
+                    .expect("hung worker row");
+                assert!(
+                    hung_row.redispatched >= 1,
+                    "hung worker lost no range: {rows:?}"
+                );
+            }
+            (None, Response::Error { .. }) => {}
+            (expected, got) => panic!(
+                "reference {} but coordinator answered {got:?}",
+                if expected.is_some() {
+                    "succeeds"
+                } else {
+                    "errors"
+                },
+            ),
         }
-        (None, Response::Error { .. }) => {}
-        (expected, got) => panic!(
-            "reference {} but coordinator answered {got:?}",
-            if expected.is_some() {
-                "succeeds"
-            } else {
-                "errors"
-            },
-        ),
+        coord.shutdown();
+        healthy.shutdown();
+        hung.shutdown();
     }
-    coord.shutdown();
-    healthy.shutdown();
-    hung.shutdown();
 }
 
 #[test]
@@ -311,79 +318,80 @@ fn coordinator_is_observable_and_caches_like_a_server() {
     // The coordinator speaks the full protocol surface: stats carries
     // per-worker rows + cache counters, repeats hit the coordinator
     // cache, and ranged client requests work end to end.
-    let backend = Backend::from_env();
-    let (worker_handles, addrs) = spawn_workers(2);
-    let coord = spawn_coordinator(addrs);
-    let circuit = bell();
-    let request = Request::run(None, run_request(&circuit, 600, 9, backend));
-    let cold = request_once(coord.addr(), &request);
-    let warm = request_once(coord.addr(), &request);
-    let executes = reference(&circuit, 600, 9, backend).is_some();
-    if executes {
-        match (&cold, &warm) {
-            (
-                Response::Ok { tallies, .. },
-                Response::Ok {
-                    tallies: w, cached, ..
-                },
-            ) => {
-                assert_eq!(w, tallies, "coordinator cache diverged");
-                assert!(*cached, "repeat must be a coordinator cache hit");
+    for backend in BACKENDS {
+        let (worker_handles, addrs) = spawn_workers(2);
+        let coord = spawn_coordinator(addrs);
+        let circuit = bell();
+        let request = Request::run(None, run_request(&circuit, 600, 9, backend));
+        let cold = request_once(coord.addr(), &request);
+        let warm = request_once(coord.addr(), &request);
+        let executes = reference(&circuit, 600, 9, backend).is_some();
+        if executes {
+            match (&cold, &warm) {
+                (
+                    Response::Ok { tallies, .. },
+                    Response::Ok {
+                        tallies: w, cached, ..
+                    },
+                ) => {
+                    assert_eq!(w, tallies, "coordinator cache diverged");
+                    assert!(*cached, "repeat must be a coordinator cache hit");
+                }
+                other => panic!("unexpected cold/warm pair {other:?}"),
             }
-            other => panic!("unexpected cold/warm pair {other:?}"),
         }
-    }
 
-    // A ranged request straight to the coordinator shards the global
-    // indices [100, 700) and must match the worker-side slice.
-    let ranged = Request::run(
-        None,
-        RunRequest::new(to_qasm3(&circuit), 0, 9, backend.name()).with_shot_range(100, 700),
-    );
-    let ranged_response = request_once(coord.addr(), &ranged);
-    if executes {
-        let full = reference(&circuit, 700, 9, backend).expect("reference");
-        let head = reference(&circuit, 100, 9, backend).expect("reference");
-        // full(0..700) − head(0..100) = slice(100..700): subtracting
-        // histograms is valid because shot streams are per-index.
-        let mut expected = full;
-        for (outcome, n) in head {
-            let slot = expected.get_mut(&outcome).expect("subset outcome");
-            *slot -= n;
-            if *slot == 0 {
-                expected.remove(&outcome);
+        // A ranged request straight to the coordinator shards the global
+        // indices [100, 700) and must match the worker-side slice.
+        let ranged = Request::run(
+            None,
+            RunRequest::new(to_qasm3(&circuit), 0, 9, backend.name()).with_shot_range(100, 700),
+        );
+        let ranged_response = request_once(coord.addr(), &ranged);
+        if executes {
+            let full = reference(&circuit, 700, 9, backend).expect("reference");
+            let head = reference(&circuit, 100, 9, backend).expect("reference");
+            // full(0..700) − head(0..100) = slice(100..700): subtracting
+            // histograms is valid because shot streams are per-index.
+            let mut expected = full;
+            for (outcome, n) in head {
+                let slot = expected.get_mut(&outcome).expect("subset outcome");
+                *slot -= n;
+                if *slot == 0 {
+                    expected.remove(&outcome);
+                }
+            }
+            match &ranged_response {
+                Response::Ok { shots, tallies, .. } => {
+                    assert_eq!(*shots, 600);
+                    assert_eq!(tallies, &expected, "ranged sharding diverged");
+                }
+                other => panic!("unexpected ranged response {other:?}"),
             }
         }
-        match &ranged_response {
-            Response::Ok { shots, tallies, .. } => {
-                assert_eq!(*shots, 600);
-                assert_eq!(tallies, &expected, "ranged sharding diverged");
-            }
-            other => panic!("unexpected ranged response {other:?}"),
-        }
-    }
 
-    let stats_response = request_once(
-        coord.addr(),
-        &Request {
-            id: Some("s".into()),
-            op: service::Op::Stats,
-        },
-    );
-    let Response::Stats { stats, workers, .. } = stats_response else {
-        panic!("unexpected {stats_response:?}");
-    };
-    assert_eq!(workers.len(), 2, "one row per worker: {workers:?}");
-    assert!(workers.iter().all(|w| w.alive), "{workers:?}");
-    if executes {
-        assert_eq!(stats.cache_hits, 1, "{stats:?}");
-        assert_eq!(stats.cache_misses, 2, "{stats:?}");
-        assert_eq!(stats.completed, 2, "{stats:?}");
-        assert!(stats.cache_entries >= 1, "{stats:?}");
-    }
-    coord.shutdown();
-    for handle in worker_handles {
-        handle.shutdown();
+        let stats_response = request_once(
+            coord.addr(),
+            &Request {
+                id: Some("s".into()),
+                op: service::Op::Stats,
+            },
+        );
+        let Response::Stats { stats, workers, .. } = stats_response else {
+            panic!("unexpected {stats_response:?}");
+        };
+        assert_eq!(workers.len(), 2, "one row per worker: {workers:?}");
+        assert!(workers.iter().all(|w| w.alive), "{workers:?}");
+        if executes {
+            assert_eq!(stats.cache_hits, 1, "{stats:?}");
+            assert_eq!(stats.cache_misses, 2, "{stats:?}");
+            assert_eq!(stats.completed, 2, "{stats:?}");
+            assert!(stats.cache_entries >= 1, "{stats:?}");
+        }
+        coord.shutdown();
+        for handle in worker_handles {
+            handle.shutdown();
+        }
     }
 }
 
@@ -449,48 +457,51 @@ fn a_link_the_worker_closed_while_idle_is_reopened_quietly() {
     // 50 ms keep the control link busy, but the data link sits idle
     // between the two requests and is closed under the coordinator.
     // Reopening it is neither a death nor a re-dispatch.
-    let backend = Backend::from_env();
-    let worker = Service::spawn(ServiceConfig {
-        workers: 2,
-        idle_timeout: Duration::from_millis(100),
-        ..ServiceConfig::default()
-    })
-    .expect("spawn worker");
-    let registry = obs::Registry::default();
-    let coord = Coordinator::spawn(CoordinatorConfig {
-        workers: vec![worker.addr().to_string()],
-        heartbeat_interval: Duration::from_millis(50),
-        metrics: Some(registry.clone()),
-        ..CoordinatorConfig::default()
-    })
-    .expect("spawn coordinator");
-    await_all_alive(&coord, 1);
-    let circuit = bell();
-    let mut connects = Vec::new();
-    for seed in [31u64, 32] {
-        let response = request_once(
-            coord.addr(),
-            &Request::run(None, run_request(&circuit, 400, seed, backend)),
-        );
-        match (reference(&circuit, 400, seed, backend), response) {
-            (Some(expected), Response::Ok { tallies, .. }) => assert_eq!(tallies, expected),
-            (None, Response::Error { .. }) => {}
-            (expected, got) => panic!("reference {expected:?} but coordinator answered {got:?}"),
+    for backend in BACKENDS {
+        let worker = Service::spawn(ServiceConfig {
+            workers: 2,
+            idle_timeout: Duration::from_millis(100),
+            ..ServiceConfig::default()
+        })
+        .expect("spawn worker");
+        let registry = obs::Registry::default();
+        let coord = Coordinator::spawn(CoordinatorConfig {
+            workers: vec![worker.addr().to_string()],
+            heartbeat_interval: Duration::from_millis(50),
+            metrics: Some(registry.clone()),
+            ..CoordinatorConfig::default()
+        })
+        .expect("spawn coordinator");
+        await_all_alive(&coord, 1);
+        let circuit = bell();
+        let mut connects = Vec::new();
+        for seed in [31u64, 32] {
+            let response = request_once(
+                coord.addr(),
+                &Request::run(None, run_request(&circuit, 400, seed, backend)),
+            );
+            match (reference(&circuit, 400, seed, backend), response) {
+                (Some(expected), Response::Ok { tallies, .. }) => assert_eq!(tallies, expected),
+                (None, Response::Error { .. }) => {}
+                (expected, got) => {
+                    panic!("reference {expected:?} but coordinator answered {got:?}")
+                }
+            }
+            connects.push(registry.snapshot().counter("shard.connects"));
+            std::thread::sleep(Duration::from_millis(300));
         }
-        connects.push(registry.snapshot().counter("shard.connects"));
-        std::thread::sleep(Duration::from_millis(300));
+        let rows = coord.worker_rows();
+        assert_eq!(rows[0].redispatched, 0, "{rows:?}");
+        assert!(rows[0].alive, "{rows:?}");
+        if reference(&circuit, 400, 31, backend).is_some() {
+            assert!(
+                connects[1] > connects[0],
+                "the idle-closed data link was not reopened: {connects:?}"
+            );
+        }
+        coord.shutdown();
+        worker.shutdown();
     }
-    let rows = coord.worker_rows();
-    assert_eq!(rows[0].redispatched, 0, "{rows:?}");
-    assert!(rows[0].alive, "{rows:?}");
-    if reference(&circuit, 400, 31, backend).is_some() {
-        assert!(
-            connects[1] > connects[0],
-            "the idle-closed data link was not reopened: {connects:?}"
-        );
-    }
-    coord.shutdown();
-    worker.shutdown();
 }
 
 #[test]
@@ -499,51 +510,52 @@ fn a_busy_worker_is_not_a_dead_worker() {
     // `stats` at once on the coordinator's control link: the heartbeat
     // keeps it alive for the whole dispatch. Only the dispatch timeout
     // takes its range away.
-    let backend = Backend::from_env();
-    let healthy = Service::spawn(ServiceConfig::default()).expect("spawn healthy worker");
-    let hung = Service::spawn(ServiceConfig {
-        workers: 0,
-        ..ServiceConfig::default()
-    })
-    .expect("spawn hung worker");
-    let hung_addr = hung.addr().to_string();
-    let coord = Coordinator::spawn(CoordinatorConfig {
-        workers: vec![healthy.addr().to_string(), hung_addr.clone()],
-        io_timeout: Duration::from_secs(3),
-        heartbeat_interval: Duration::from_millis(100),
-        ..CoordinatorConfig::default()
-    })
-    .expect("spawn coordinator");
-    await_all_alive(&coord, 2);
-    let circuit = bell();
-    let (shots, seed) = (1_000u64, 23u64);
-    let request = Request::run(None, run_request(&circuit, shots, seed, backend));
-    let coord_addr = coord.addr();
-    let client = std::thread::spawn(move || request_once(coord_addr, &request));
-    let hung_row = || {
-        coord
-            .worker_rows()
-            .into_iter()
-            .find(|r| r.addr == hung_addr)
-            .expect("hung worker row")
-    };
-    let expected = reference(&circuit, shots, seed, backend);
-    std::thread::sleep(Duration::from_secs(2));
-    if expected.is_some() {
-        let row = hung_row();
-        assert!(row.alive, "a busy worker was declared dead: {row:?}");
-        assert!(row.heartbeat_age_ms < 500, "heartbeat stalled: {row:?}");
-    }
-    let response = client.join().expect("client thread");
-    match (expected, response) {
-        (Some(expected), Response::Ok { tallies, .. }) => {
-            assert_eq!(tallies, expected);
-            assert!(hung_row().redispatched >= 1, "{:?}", hung_row());
+    for backend in BACKENDS {
+        let healthy = Service::spawn(ServiceConfig::default()).expect("spawn healthy worker");
+        let hung = Service::spawn(ServiceConfig {
+            workers: 0,
+            ..ServiceConfig::default()
+        })
+        .expect("spawn hung worker");
+        let hung_addr = hung.addr().to_string();
+        let coord = Coordinator::spawn(CoordinatorConfig {
+            workers: vec![healthy.addr().to_string(), hung_addr.clone()],
+            io_timeout: Duration::from_secs(3),
+            heartbeat_interval: Duration::from_millis(100),
+            ..CoordinatorConfig::default()
+        })
+        .expect("spawn coordinator");
+        await_all_alive(&coord, 2);
+        let circuit = bell();
+        let (shots, seed) = (1_000u64, 23u64);
+        let request = Request::run(None, run_request(&circuit, shots, seed, backend));
+        let coord_addr = coord.addr();
+        let client = std::thread::spawn(move || request_once(coord_addr, &request));
+        let hung_row = || {
+            coord
+                .worker_rows()
+                .into_iter()
+                .find(|r| r.addr == hung_addr)
+                .expect("hung worker row")
+        };
+        let expected = reference(&circuit, shots, seed, backend);
+        std::thread::sleep(Duration::from_secs(2));
+        if expected.is_some() {
+            let row = hung_row();
+            assert!(row.alive, "a busy worker was declared dead: {row:?}");
+            assert!(row.heartbeat_age_ms < 500, "heartbeat stalled: {row:?}");
         }
-        (None, Response::Error { .. }) => {}
-        (expected, got) => panic!("reference {expected:?} but coordinator answered {got:?}"),
+        let response = client.join().expect("client thread");
+        match (expected, response) {
+            (Some(expected), Response::Ok { tallies, .. }) => {
+                assert_eq!(tallies, expected);
+                assert!(hung_row().redispatched >= 1, "{:?}", hung_row());
+            }
+            (None, Response::Error { .. }) => {}
+            (expected, got) => panic!("reference {expected:?} but coordinator answered {got:?}"),
+        }
+        coord.shutdown();
+        healthy.shutdown();
+        hung.shutdown();
     }
-    coord.shutdown();
-    healthy.shutdown();
-    hung.shutdown();
 }

@@ -30,7 +30,6 @@
 
 use engine::ShotRecord;
 use jsonlite::Json;
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 /// Format version written by this crate.
@@ -420,16 +419,6 @@ pub fn manifest(trace: &Trace, mode: &str, encoded_bytes: usize) -> Json {
         ),
         ("tally", tally_json),
     ])
-}
-
-/// Builds a histogram from raw counts keyed by packed record — used to
-/// cross-check a trace against a served response.
-pub fn counts_of(records: &[ShotRecord]) -> HashMap<usize, usize> {
-    let mut counts = HashMap::new();
-    for r in records {
-        *counts.entry(r.record as usize).or_insert(0) += 1;
-    }
-    counts
 }
 
 #[cfg(test)]

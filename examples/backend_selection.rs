@@ -5,14 +5,14 @@
 //! samples both through `engine::Backend` — `Auto` routes the Clifford
 //! circuit to the `O(n²)` stabilizer tableau and the non-Clifford one
 //! to the statevector, while the exact density-matrix reference
-//! cross-checks a small feed-forward circuit. Selection also works from
-//! the environment: try `COMPAS_BACKEND=statevector cargo run --release
-//! --example backend_selection`.
+//! cross-checks a small feed-forward circuit. Naming the statevector
+//! or the stabilizer for the Clifford circuit gives `Auto`'s tallies.
 //!
 //! Run with: `cargo run --release --example backend_selection`
+//! (add `-- --threads N` to size the engine; the output is the same).
 
 use circuit::circuit::Circuit;
-use engine::{Backend, Executor};
+use engine::{Backend, Engine, Executor};
 
 fn ghz(r: usize) -> Circuit {
     let mut c = Circuit::new(r, r);
@@ -27,17 +27,20 @@ fn ghz(r: usize) -> Circuit {
 }
 
 fn main() {
-    let exec = Executor::sequential(2026);
+    let exec = Executor::pooled(Engine::from_args(), 2026);
     let shots = 5_000;
 
     // 1. Clifford circuit: Auto takes the stabilizer fast path.
     let clifford = ghz(14);
-    let backend = Backend::from_env();
     println!(
-        "GHZ-14 is Clifford; backend '{backend}' resolves to '{}'",
-        backend.resolve(&clifford)
+        "GHZ-14 is Clifford; backend 'auto' resolves to '{}'",
+        Backend::Auto.resolve(&clifford)
     );
-    let counts = backend.sample_shots(&clifford, shots, &exec).unwrap();
+    let counts = Backend::Auto.sample_shots(&clifford, shots, &exec).unwrap();
+    for backend in [Backend::StateVector, Backend::Stabilizer] {
+        let named = backend.sample_shots(&clifford, shots, &exec).unwrap();
+        assert_eq!(named, counts, "backend '{backend}' diverged from auto");
+    }
     let all_zero = counts.get(&0).copied().unwrap_or(0);
     let all_one = counts.get(&((1 << 14) - 1)).copied().unwrap_or(0);
     println!(

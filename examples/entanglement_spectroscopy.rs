@@ -4,14 +4,16 @@
 //! Newton–Girard identities.
 //!
 //! Run with: `cargo run --release --example entanglement_spectroscopy`
+//! (add `-- --threads N` to size the engine; the output is the same).
 
 use apps::prelude::*;
 use compas::prelude::*;
-use engine::Executor;
+use engine::{Engine, Executor};
 use mathkit::matrix::TraceKeep;
 use qsim::statevector::StateVector;
 
 fn main() {
+    let exec = |seed| Executor::pooled(Engine::from_args(), seed);
     // A partially entangled two-qubit pure state; its one-qubit reduction
     // has eigenvalues (cos²θ, sin²θ).
     let theta = 0.6f64;
@@ -28,7 +30,7 @@ fn main() {
     // test as the k = 2 special case of COMPAS).
     let b2 = CompasProtocol::new(2, 1, CswapScheme::Teledata);
     let backends: Vec<&dyn TraceBackend> = vec![&b2];
-    let result = estimate_spectrum(&backends, &rho, 4000, &Executor::sequential(5));
+    let result = estimate_spectrum(&backends, &rho, 4000, &exec(5));
 
     let exact = [theta.cos().powi(2), theta.sin().powi(2)];
     println!("power traces measured: {:?}", result.power_traces);
@@ -52,7 +54,7 @@ fn main() {
     let b2 = MonolithicSwapTest::new(2, 2, MonolithicVariant::Fanout);
     let b3 = MonolithicSwapTest::new(3, 2, MonolithicVariant::Fanout);
     let backends2: Vec<&dyn TraceBackend> = vec![&b2, &b3];
-    let result = estimate_spectrum(&backends2, &half, 1500, &Executor::sequential(6));
+    let result = estimate_spectrum(&backends2, &half, 1500, &exec(6));
     println!("\ncritical TFIM half-chain (4 sites):");
     println!("  exact power traces:    {exact_traces:?}");
     println!("  measured power traces: {:?}", result.power_traces);

@@ -3,15 +3,16 @@
 //! fidelity, and the composed protocol estimate.
 //!
 //! Run with: `cargo run --release --example noise_sweep`
+//! (add `-- --threads N` to size the engine; the output is the same).
 
 use analysis::prelude::*;
 use compas::cswap::CswapScheme;
-use engine::Executor;
+use engine::{Engine, Executor};
 use rand::SeedableRng;
 
 fn main() {
     // One root context; every sub-experiment runs under a derived child.
-    let exec = Executor::sequential(1);
+    let exec = Executor::pooled(Engine::from_args(), 1);
     let mut children = 0u64;
     let mut child = || {
         children += 1;

@@ -4,10 +4,11 @@
 //! for width across QPUs.
 //!
 //! Run with: `cargo run --release --example parallel_qsp`
+//! (add `-- --threads N` to size the engine; the output is the same).
 
 use apps::prelude::*;
 use compas::prelude::*;
-use engine::Executor;
+use engine::{Engine, Executor};
 use mathkit::cheb::ChebyshevApprox;
 use qsim::qrand::random_density_matrix;
 use rand::SeedableRng;
@@ -35,7 +36,7 @@ fn main() {
     let via_poly = poly_trace_exact(&rho, &target);
 
     // Exact backend isolates the factorization error from shot noise…
-    let exec = Executor::sequential(11);
+    let exec = Executor::pooled(Engine::from_args(), 11);
     let exact_backend = ExactTraceBackend::new(3, 1);
     let distributed_exact = qsp.estimate(&rho, &exact_backend, 1, &exec).unwrap();
 

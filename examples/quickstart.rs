@@ -2,9 +2,10 @@
 //! multi-party SWAP test and compare against the exact value.
 //!
 //! Run with: `cargo run --release --example quickstart`
+//! (add `-- --threads N` to size the engine; the output is the same).
 
 use compas::prelude::*;
-use engine::Executor;
+use engine::{Engine, Executor};
 use qsim::qrand::random_density_matrix;
 use rand::SeedableRng;
 
@@ -26,10 +27,9 @@ fn main() {
     );
 
     // Shot-based estimation (one X-basis and one Y-basis channel). The
-    // executor is the single knob for how shots run: swap in
-    // `Executor::pooled(engine::Engine::from_env(), 2026)` for the same
-    // numbers on all cores.
-    let estimate = protocol.estimate(&states, 2000, &Executor::sequential(2026));
+    // executor is the single knob for how shots run: `Executor::sequential(2026)`
+    // gives the same numbers on the calling thread alone.
+    let estimate = protocol.estimate(&states, 2000, &Executor::pooled(Engine::from_args(), 2026));
     println!(
         "estimated tr(rho1 rho2 rho3) = {:.4} + {:.4}i  (+/- {:.4})",
         estimate.re, estimate.im, estimate.re_std_err

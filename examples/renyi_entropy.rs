@@ -2,14 +2,16 @@
 //! from m-party SWAP tests, distributed across m QPUs.
 //!
 //! Run with: `cargo run --release --example renyi_entropy`
+//! (add `-- --threads N` to size the engine; the output is the same).
 
 use apps::prelude::*;
 use compas::prelude::*;
-use engine::Executor;
+use engine::{Engine, Executor};
 use qsim::qrand::random_density_matrix_of_rank;
 use rand::SeedableRng;
 
 fn main() {
+    let exec = |seed| Executor::pooled(Engine::from_args(), seed);
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
     // A rank-2 single-qubit state: entropy strictly between 0 and ln 2.
     let rho = random_density_matrix_of_rank(1, 2, &mut rng);
@@ -20,8 +22,7 @@ fn main() {
 
         // Distributed estimate: an order-party COMPAS protocol.
         let protocol = CompasProtocol::new(order, 1, CswapScheme::Teledata);
-        let est =
-            estimate_renyi_entropy(&protocol, &rho, 1500, &Executor::sequential(order as u64));
+        let est = estimate_renyi_entropy(&protocol, &rho, 1500, &exec(order as u64));
         println!(
             "  {order}   |   {exact:.4}    |    {:.4}     | compas teledata (k={order})",
             est.entropy
@@ -35,7 +36,7 @@ fn main() {
 
     // Monolithic reference at higher order.
     let mono = MonolithicSwapTest::new(4, 1, MonolithicVariant::Fanout);
-    let est = estimate_renyi_entropy(&mono, &rho, 3000, &Executor::sequential(4));
+    let est = estimate_renyi_entropy(&mono, &rho, 3000, &exec(4));
     println!(
         "  4   |   {:.4}    |    {:.4}     | monolithic fanout",
         renyi_entropy_exact(&rho, 4),

@@ -2,10 +2,11 @@
 //! values in χ = ρᵐ/tr(ρᵐ) without preparing the colder / cleaner state.
 //!
 //! Run with: `cargo run --release --example virtual_distillation`
+//! (add `-- --threads N` to size the engine; the output is the same).
 
 use apps::prelude::*;
 use compas::prelude::*;
-use engine::Executor;
+use engine::{Engine, Executor};
 use stabilizer::pauli::Pauli;
 
 fn main() {
@@ -35,7 +36,7 @@ fn main() {
         &rho,
         &h_obs,
         1200,
-        &Executor::sequential(3),
+        &Executor::pooled(Engine::from_args(), 3),
     );
     println!(
         "  sampled m = 2 energy: {:+.4} +/- {:.4}",
